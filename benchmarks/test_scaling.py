@@ -453,8 +453,8 @@ def test_sweep_pool_wall_clock():
     Times the same (scheduler x N x seed) batch through the fork-per-call
     engine (a fresh ``multiprocessing.Pool`` per ``run_scenarios``, the
     pre-persistent-pool behaviour) and through the persistent pool after a
-    warm-up batch (workers already spawned, stack imported, frozen-medium
-    topologies cached).  Results are asserted bit-identical; the wall-clock
+    warm-up batch (workers already spawned, stack imported).  Results are
+    asserted bit-identical; the wall-clock
     ratio is recorded, not gated -- it depends on core count (a single-core
     runner shows pool overhead only) and machine load, unlike the kernel's
     same-run speedup ratio.

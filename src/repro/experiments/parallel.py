@@ -10,12 +10,8 @@ scenario, optionally
   embarrassingly parallel and the results are bit-identical to a serial
   run).  The pool outlives individual ``run_scenarios`` calls: repeated
   figure sweeps reuse warm workers instead of forking a fresh pool per
-  figure, cells are dispatched with chunked ``imap_unordered`` so slow cells
-  (N=500 reference runs) do not serialise behind fast ones, and each worker
-  keeps a per-topology cache of the medium's frozen PRR/interference tables
-  (a pure function of positions and the propagation model), so the dense
-  N x N precompute is paid once per distinct topology per worker rather than
-  once per cell;
+  figure, and cells are dispatched with chunked ``imap_unordered`` so slow
+  cells (N=500 reference runs) do not serialise behind fast ones;
 * memoising each result on disk under a content hash of the scenario, so
   re-running a figure, extending a sweep, or adding seeds only simulates the
   cells that have never been run before.  Cache keys are untouched by the
@@ -64,52 +60,16 @@ CACHE_SCHEMA_VERSION = 5
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 
-#: Per-process cache of frozen-medium snapshots, keyed by a content hash of
-#: (topology, propagation model).  Bounded: scale sweeps hold dense N x N
-#: tables (several MB at N=500), so only the most recent topologies stay.
-_FREEZE_CACHE: dict[str, dict] = {}
-_FREEZE_CACHE_MAX = 8
-
 #: Event-queue statistics of the most recent scenario run *in this process*
 #: (surfaced by ``python -m repro.experiments --profile``, which runs
 #: serially; worker-process runs leave the parent's copy untouched).
 LAST_QUEUE_STATS: Optional[dict] = None
 
 
-def _freeze_key(scenario: Scenario) -> str:
-    """Content hash of everything the frozen medium tables depend on."""
-    from repro.phy.propagation import UnitDiskLossyEdgeModel
-
-    propagation = scenario.propagation or UnitDiskLossyEdgeModel()
-    document = {
-        "topology": _canonical(scenario.topology),
-        "propagation": _canonical(propagation),
-    }
-    payload = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def _warm_freeze(network, scenario: Scenario) -> None:
-    """Freeze the network's medium, reusing this process's per-topology cache.
-
-    Frozen tables are deterministic in (positions, propagation model), so
-    adopting a cached snapshot is bit-identical to freezing from scratch.
-    """
-    key = _freeze_key(scenario)
-    state = _FREEZE_CACHE.get(key)
-    if state is not None and network.medium.adopt_frozen(state):
-        return
-    network.medium.freeze()
-    if len(_FREEZE_CACHE) >= _FREEZE_CACHE_MAX:
-        _FREEZE_CACHE.pop(next(iter(_FREEZE_CACHE)))
-    _FREEZE_CACHE[key] = network.medium.export_frozen()
-
-
 def run_scenario(scenario: Scenario) -> NetworkMetrics:
     """Build, run and measure one scenario (in the current process)."""
     global LAST_QUEUE_STATS
     network = scenario.build_network()
-    _warm_freeze(network, scenario)
     metrics = network.run_experiment(
         warmup_s=scenario.warmup_s,
         measurement_s=scenario.measurement_s,
@@ -319,8 +279,7 @@ _POOL_ATEXIT_REGISTERED = False
 def _pool_initializer() -> None:
     """Warm a fresh worker: pre-import the whole simulation stack.
 
-    Import cost is paid once per worker instead of inside the first task,
-    and the worker-local frozen-medium cache starts empty but live.
+    Import cost is paid once per worker instead of inside the first task.
     """
     import repro.experiments.scenarios  # noqa: F401
     import repro.net.network  # noqa: F401

@@ -19,7 +19,7 @@ are already settlement barriers for the fast kernel:
 * RPL detach/re-attach runs through the public ``evict_neighbor`` /
   ``remove_child`` / ``warm_start`` APIs, which bump the rank memo's
   input counter themselves;
-* link-quality epochs rebuild the frozen ``Medium`` PRR tables through
+* link-quality epochs rebuild the frozen ``Medium`` PRR rows through
   ``Medium.set_prr_scale`` without unfreezing, so the dispatch kernel's
   audience/interference tables stay valid.
 
@@ -182,7 +182,7 @@ class FaultInjector:
         scheduler starts, so every mutation is hook-free by construction:
         there are no installed cells to tear down, no queued packets to
         flush, and no running timer to stop.  The node keeps its medium row
-        (the frozen N x N tables stay dense); only its liveness and any
+        (the medium stays frozen); only its liveness and any
         warm-started DODAG state -- its own and every reference other
         nodes' presets hold to it -- are erased.
         """

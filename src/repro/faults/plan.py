@@ -88,8 +88,8 @@ class NodeArrival:
     """A node that is absent from slot 0 powers on at ``time_s``.
 
     Unlike :class:`NodeRejoin`, an arrival needs no prior crash: the node
-    exists in the topology (so the frozen medium keeps its dense N x N
-    shape) but is pre-marked dead at injector arm time, before the
+    exists in the topology (so the frozen medium holds its links from the
+    start) but is pre-marked dead at injector arm time, before the
     simulation starts.  At ``time_s`` it boots with a fresh
     scheduling-function instance and *no* DODAG state -- it either listens
     for a DIO to adopt it, or (cold-start-join scenarios) first scans for

@@ -222,8 +222,8 @@ class Network:
         self.medium.register_node(node_id, position)
         self._dirty_nodes.add(node)
         self._active_index_dirty = True
-        self._node_list = list(self.nodes.values())
-        self._node_order = {n.node_id: i for i, n in enumerate(self._node_list)}
+        self._node_order[node_id] = len(self._node_list)
+        self._node_list.append(node)
         return node
 
     def build_from_topology(
@@ -254,12 +254,11 @@ class Network:
             )
             created.append(node)
         if warm_start:
-            for spec in topology:
-                node = self.nodes[spec.node_id]
+            for spec, node in zip(topology, created):
                 dodag_id = spec.dodag_id if spec.dodag_id is not None else spec.node_id
                 node.rpl.warm_start(
                     parent=spec.parent,
-                    rank=topology.initial_rank(spec.node_id),
+                    rank=spec.initial_rank(),
                     dodag_id=dodag_id,
                 )
         return created
@@ -270,9 +269,9 @@ class Network:
     def start(self) -> None:
         """Start every node's protocol machinery (idempotent).
 
-        The topology is final once the network starts, so the medium's dense
-        PRR / interference tables are precomputed here in one pass (adding a
-        node later un-freezes and the next start of a slot run re-freezes).
+        The topology is final once the network starts, so the medium's
+        PRR / interference rows are precomputed here in one pass (adding a
+        node later un-freezes the medium and its next query re-freezes it).
         """
         self.medium.freeze()
         if self._started:
@@ -353,9 +352,6 @@ class Network:
         # 2b. the transmitters' interference audience completes the slot;
         # unreachable listeners -- and every listener that ends up decoding
         # nothing -- stay deferred.
-        if not self.medium.frozen:
-            # Normally done by start(); covers direct step_slot() use.
-            self.medium.freeze()
         if self._active_index_dirty:
             self._refresh_active_index()
         # This ASN's participant buckets from the inverted index: an audience

@@ -38,6 +38,12 @@ class NodeSpec:
     #: Identifier of the DODAG this node belongs to (its root's node id).
     dodag_id: Optional[int] = None
 
+    def initial_rank(self, initial_etx: float = 2.0) -> int:
+        """Rank to preset for warm-started runs (root rank + depth x ETX x MinHopRankIncrease)."""
+        if self.is_root:
+            return MIN_HOP_RANK_INCREASE
+        return int(MIN_HOP_RANK_INCREASE + self.depth * initial_etx * MIN_HOP_RANK_INCREASE)
+
 
 @dataclass
 class TopologyBuilder:
@@ -73,11 +79,8 @@ class TopologyBuilder:
         return max((spec.depth for spec in self.nodes), default=0)
 
     def initial_rank(self, node_id: int, initial_etx: float = 2.0) -> int:
-        """Rank to preset for warm-started runs (root rank + depth x ETX x MinHopRankIncrease)."""
-        spec = self.spec(node_id)
-        if spec.is_root:
-            return MIN_HOP_RANK_INCREASE
-        return int(MIN_HOP_RANK_INCREASE + spec.depth * initial_etx * MIN_HOP_RANK_INCREASE)
+        """Rank to preset for ``node_id`` in warm-started runs (see :meth:`NodeSpec.initial_rank`)."""
+        return self.spec(node_id).initial_rank(initial_etx)
 
     def __len__(self) -> int:
         return len(self.nodes)

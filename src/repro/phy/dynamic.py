@@ -7,8 +7,8 @@ PRR perturbations layered on top of the frozen tables: at every epoch
 boundary a fresh per-link scale-vector table is drawn from a stream derived
 purely from ``(policy seed, epoch index)`` and applied through
 :meth:`~repro.phy.medium.Medium.set_link_prr_scales`, which re-freezes the
-dense rows from the pristine base without unfreezing the medium.  After the
-last epoch the pristine tables are restored bit-exactly.
+PRR rows from the pristine ones without unfreezing the medium.  After the
+last epoch the pristine rows are restored bit-exactly.
 
 Determinism contract: the epoch boundaries are ordinary
 :class:`~repro.sim.events.EventQueue` callbacks at absolute times, drained at
@@ -16,15 +16,12 @@ slot boundaries by both slot loops through the same ``run_until`` calls, and
 each epoch's table is a pure function of the policy — no state is carried
 between epochs and no draw depends on the simulation's own streams.  The
 fast kernel therefore stays bit-identical to ``step_slot_reference`` under
-link drift (proven by ``TestDynamicEquivalence``), and the sweep engine's
-frozen-snapshot cache stays poison-free because
-:meth:`~repro.phy.medium.Medium.export_frozen` refuses to snapshot while an
-epoch is open and stamps every snapshot with the medium's epoch count.
+link drift (proven by ``TestDynamicEquivalence``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Optional
 
 from repro.sim.rng import RngRegistry
@@ -88,6 +85,12 @@ class DynamicMediumPolicy:
             raise ValueError(
                 f"link_fraction must be in [0, 1], got {self.link_fraction}"
             )
+
+    def __reduce__(self) -> tuple[type[DynamicMediumPolicy], tuple[object, ...]]:
+        # Pickle through the constructor: the default slotted-object
+        # protocol restores each field with setattr, which a frozen
+        # dataclass refuses, so pool workers could not receive a policy.
+        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
 
     def end_s(self) -> float:
         """Absolute time at which the last epoch closes."""

@@ -20,19 +20,20 @@ nothing.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Optional
 
 from repro.net.packet import BROADCAST_ADDRESS, Packet
 from repro.phy.propagation import Position, PropagationModel
-from repro.sim.accel import numpy_or_none
 
 if TYPE_CHECKING:
     import random  # reprolint: disable=RL001
 
-# Optional accelerator: the container ships numpy, CI may not (and
-# REPRO_NO_NUMPY=1 forces the pure-Python fallback for equivalence tests).
-_np = numpy_or_none()
+#: Relative widening of the freeze grid's cell side over the model's reach:
+#: two nodes exactly ``reach`` apart stay in neighbouring cells even when
+#: rounding nudges a coordinate / cell-side quotient across a cell boundary.
+_GRID_SLACK = 1e-9
 
 
 class TransmissionIntent:
@@ -123,51 +124,31 @@ class Medium:
         self.rng = rng
         self.ack_prr_scale = ack_prr_scale
         #: When False, arbitration always takes the general grouped path (the
-        #: reference implementation); the single-transmitter shortcut below is
-        #: identical in results and RNG draws, it only skips the bookkeeping.
+        #: reference implementation); the same-channel paths below are
+        #: identical in results and RNG draws, they only skip the bookkeeping.
         self.fast_paths = True
         self._positions: dict[int, Position] = {}
-        # Caches keyed by ordered node-id pair; the topology is static after
-        # build, so propagation queries are answered at most once per pair.
-        self._prr_cache: dict[tuple[int, int], float] = {}
-        self._interf_cache: dict[tuple[int, int], bool] = {}
-        self._neighbors_cache: dict[tuple[int, float], list[int]] = {}
-        #: Dense matrix state (populated by :meth:`freeze`): node id ->
-        #: contiguous index, and per-sender rows indexed by listener index.
+        #: Frozen tables (filled by :meth:`freeze`): node id -> registration
+        #: index, and one sparse row per sender mapping, in node-index order,
+        #: every listener whose PRR is > 0 or that lies within interference
+        #: range to its PRR (a listener missing from the row has PRR 0.0 and
+        #: hears nothing), plus the interfering subset of the row.
         self._frozen = False
         self._index_of: dict[int, int] = {}
-        self._ids: list[int] = []
-        self._prr_rows: dict[int, list[float]] = {}
-        self._interf_rows: dict[int, list[bool]] = {}
+        self._prr_rows: dict[int, dict[int, float]] = {}
         self._audience: dict[int, frozenset] = {}
-        #: Link-degradation epochs (fault injection): the pristine frozen
-        #: PRR rows, kept aside the first time :meth:`set_prr_scale`
-        #: degrades the medium so ending the last epoch restores them
-        #: bit-exactly, and the scale currently applied.
-        self._prr_base_rows: Optional[dict[int, list[float]]] = None
+        #: The pristine rows computed by :meth:`freeze`.  Link-degradation
+        #: epochs install scaled copies in ``_prr_rows`` and re-install these
+        #: very objects when the last epoch closes, so the pristine PRRs come
+        #: back bit-exactly.
+        self._prr_base_rows: dict[int, dict[int, float]] = {}
         self._prr_scale = 1.0
-        #: Per-link scale vectors (dynamic-medium epochs): sender id ->
-        #: per-listener multipliers composed on top of the scalar scale.
-        #: ``None`` means no per-link epoch is open.
+        #: Per-link scale epoch (dynamic medium): sender id -> multipliers
+        #: aligned with the sender's row, composed on top of the scalar
+        #: scale.  ``None`` means no per-link epoch is open.
         self._link_scale_rows: Optional[dict[int, list[float]]] = None
-        #: Monotonic count of per-link epoch transitions since freeze();
-        #: stamped into :meth:`export_frozen` snapshots so the sweep engine's
-        #: warm-pool frozen cache can prove it only ever serves epoch-0
-        #: (pristine) tables.
+        #: Count of per-link epoch transitions since freeze().
         self._link_epoch = 0
-        #: Dense boolean interference matrix (numpy, when available): row =
-        #: sender index, column = listener index.  Pure accelerator for the
-        #: audible-count scan of :meth:`_resolve_same_channel`; the list
-        #: tables above remain the source of truth (PRR floats in
-        #: particular are always read from them, so every RNG comparison
-        #: uses exactly the reference values).
-        self._np_interf = None
-        #: Dense float64 PRR matrix, same indexing.  Unlike ``_np_interf``
-        #: it is also an *RNG comparison* input on the batched broadcast
-        #: path, which stays bit-identical because float64 round-trips the
-        #: list values exactly; it is rebuilt whenever ``_prr_rows`` is
-        #: replaced (freeze, adopt, link-degradation epochs).
-        self._np_prr = None
         #: Counters for diagnostics / tests.
         self.total_transmissions = 0
         self.total_collisions = 0
@@ -176,153 +157,93 @@ class Medium:
     # topology registration
     # ------------------------------------------------------------------
     def register_node(self, node_id: int, position: Position) -> None:
-        """Register (or move) a node at ``position``."""
+        """Register (or move) a node at ``position``; the next query re-freezes."""
         self._positions[node_id] = position
-        self._prr_cache.clear()
-        self._interf_cache.clear()
-        self._neighbors_cache.clear()
-        # The dense tables are stale the moment the topology changes; the next
-        # freeze() recomputes them in one pass.
         self._frozen = False
-        self._index_of = {}
-        self._ids = []
-        self._prr_rows = {}
-        self._interf_rows = {}
-        self._audience = {}
-        self._prr_base_rows = None
         self._prr_scale = 1.0
         self._link_scale_rows = None
         self._link_epoch = 0
-        self._np_interf = None
-        self._np_prr = None
 
     @property
     def frozen(self) -> bool:
-        """Whether the dense PRR / interference tables are current."""
+        """Whether the sparse PRR / interference rows are current."""
         return self._frozen
 
     def freeze(self) -> None:
-        """Bulk-precompute every pairwise link query (idempotent).
+        """Precompute every link arbitration can touch (idempotent).
 
         Called when the topology is final (the network does this on
-        :meth:`~repro.net.network.Network.start`): one pass fills dense N x N
-        PRR and interference tables plus the default neighbor lists, so the
-        hot arbitration path never hits the lazy per-pair dict-miss path and
-        benchmarks see no cold-start jitter from first-use propagation
-        queries.  Registering (or moving) a node un-freezes the medium; the
-        values are exactly what the lazy path would have computed, so freezing
-        never changes simulation results.
+        :meth:`~repro.net.network.Network.start`); any query on an unfrozen
+        medium freezes it first, and registering (or moving) a node
+        un-freezes it.  Nodes are bucketed into a square grid whose cell
+        side is the propagation model's ``reach``, and the model's scalar
+        ``prr`` / ``in_interference_range`` are called only for pairs in
+        neighbouring cells: every other pair is 0.0 / False by the model's
+        contract.  Freezing is therefore linear in nodes times in-range
+        peers, not quadratic in nodes; a model with infinite reach puts
+        every node in one cell.  Each stored value comes from the same scalar
+        call a per-pair query would make, so freezing never changes results.
         """
         if self._frozen:
             return
-        ids = list(self._positions)
-        self._ids = ids
-        self._index_of = {node_id: index for index, node_id in enumerate(ids)}
+        positions = self._positions
+        index_of = {node_id: index for index, node_id in enumerate(positions)}
+        reach = self.propagation.reach
+        side = reach * (1.0 + _GRID_SLACK) if reach > 0.0 else math.inf
+        cell_of: dict[int, tuple[int, int]] = {}
+        cells: dict[tuple[int, int], list[int]] = {}
+        for node_id, (x, y) in positions.items():
+            cell = (math.floor(x / side), math.floor(y / side))
+            cell_of[node_id] = cell
+            cells.setdefault(cell, []).append(node_id)
         prr = self.propagation.prr
         in_range = self.propagation.in_interference_range
-        for a in ids:
-            position_a = self._positions[a]
-            prr_row: list[float] = []
-            interf_row: list[bool] = []
-            for b in ids:
-                if a == b:
-                    prr_row.append(0.0)
-                    interf_row.append(False)
-                else:
-                    prr_row.append(prr(position_a, self._positions[b]))
-                    interf_row.append(in_range(position_a, self._positions[b]))
-            self._prr_rows[a] = prr_row
-            self._interf_rows[a] = interf_row
-        for a in ids:
-            row = self._prr_rows[a]
-            self._neighbors_cache[(a, 0.0)] = [
-                b for index, b in enumerate(ids) if b != a and row[index] > 0.0
-            ]
-            interf_row = self._interf_rows[a]
-            self._audience[a] = frozenset(
-                b for index, b in enumerate(ids) if interf_row[index]
-            )
-        if _np is not None and ids:
-            self._np_interf = _np.array(
-                [self._interf_rows[a] for a in ids], dtype=bool
-            )
-            self._rebuild_np_prr()
+        near_cells: dict[tuple[int, int], list[int]] = {}
+        rows: dict[int, dict[int, float]] = {}
+        audience: dict[int, frozenset] = {}
+        for a, position_a in positions.items():
+            cell = cell_of[a]
+            near = near_cells.get(cell)
+            if near is None:
+                cx, cy = cell
+                near = sorted(
+                    (
+                        b
+                        for dx in (-1, 0, 1)
+                        for dy in (-1, 0, 1)
+                        for b in cells.get((cx + dx, cy + dy), ())
+                    ),
+                    key=index_of.__getitem__,
+                )
+                near_cells[cell] = near
+            row: dict[int, float] = {}
+            heard: list[int] = []
+            for b in near:
+                if b == a:
+                    continue
+                position_b = positions[b]
+                value = prr(position_a, position_b)
+                audible = in_range(position_a, position_b)
+                if value > 0.0 or audible:
+                    row[b] = value
+                    if audible:
+                        heard.append(b)
+            rows[a] = row
+            audience[a] = frozenset(heard)
+        self._index_of = index_of
+        self._prr_rows = self._prr_base_rows = rows
+        self._audience = audience
         self._frozen = True
-
-    def export_frozen(self) -> dict:
-        """Snapshot the dense tables computed by :meth:`freeze`.
-
-        The tables are a pure function of the node positions and the
-        propagation model (no RNG), so a snapshot taken from one network can
-        seed any other network with the same topology and model -- the sweep
-        engine's workers use this to freeze each distinct topology once per
-        process instead of once per scenario cell.  The snapshot shares the
-        row lists; callers must treat them as read-only (the simulator does).
-        """
-        if not self._frozen:
-            raise RuntimeError("export_frozen() requires a frozen medium")
-        if self._prr_scale != 1.0 or self._link_scale_rows is not None:
-            # A snapshot taken mid-epoch would poison every adopter with
-            # degraded tables; the sweep engine snapshots right after
-            # freeze(), before any fault fires, so this never triggers there.
-            raise RuntimeError("export_frozen() during a link-degradation epoch")
-        return {
-            "ids": self._ids,
-            "index_of": self._index_of,
-            "prr_rows": self._prr_rows,
-            "interf_rows": self._interf_rows,
-            "audience": self._audience,
-            "neighbors": {key: value for key, value in self._neighbors_cache.items()},
-            # Epoch stamp: snapshots are only ever taken at pristine tables
-            # (enforced above), so adopters can assert the stamp to prove the
-            # warm-pool frozen cache was never fed a mid-epoch table.
-            "link_epoch": self._link_epoch,
-        }
-
-    def adopt_frozen(self, state: dict) -> bool:
-        """Install a :meth:`export_frozen` snapshot instead of recomputing.
-
-        Returns False (leaving the medium untouched, to be frozen normally)
-        when the snapshot's node set does not match this medium's -- the
-        caller's cache key should make that impossible, but a silent mismatch
-        would corrupt every PRR draw, so it is checked.
-        """
-        if self._frozen:
-            return True
-        if state["ids"] != list(self._positions):
-            return False
-        self._ids = state["ids"]
-        self._index_of = state["index_of"]
-        self._prr_rows = state["prr_rows"]
-        self._interf_rows = state["interf_rows"]
-        self._audience = state["audience"]
-        self._neighbors_cache.update(state["neighbors"])
-        # Snapshots are always pristine (export_frozen refuses mid-epoch
-        # tables), so the adopter starts a fresh epoch history of its own.
-        self._link_epoch = 0
-        if _np is not None and self._ids:
-            # Rebuilt locally rather than shipped in the snapshot, keeping
-            # exported state portable to numpy-less interpreters.
-            self._np_interf = _np.array(
-                [self._interf_rows[a] for a in self._ids], dtype=bool
-            )
-            self._rebuild_np_prr()
-        self._frozen = True
-        return True
 
     def set_prr_scale(self, scale: float) -> None:
         """Enter (or leave) a link-degradation epoch on a frozen medium.
 
-        Rebuilds the dense PRR tables as ``pristine_row * scale`` without
-        unfreezing: interference ranges, audience sets and neighbor
-        reachability are untouched (``scale`` is strictly positive, so
-        ``prr > 0`` membership is preserved), which keeps the dispatch
-        kernel's participant planning valid across epochs.  The pristine
-        rows are kept aside on first use and re-installed -- the very same
-        list objects, bit-exact -- when the scale returns to 1.0.  Rows are
-        always *new* lists, never mutated in place, because snapshots from
-        :meth:`export_frozen` (the sweep engine's per-topology freeze
-        cache) share them.
+        Installs rows of ``pristine PRR * scale`` without unfreezing:
+        interference ranges, audience sets and neighbor reachability are
+        untouched (``scale`` is strictly positive, so ``prr > 0`` membership
+        is preserved), which keeps the dispatch kernel's participant
+        planning valid across epochs.  The pristine rows come back -- the
+        very same objects, bit-exact -- when the scale returns to 1.0.
         """
         if not self._frozen:
             raise RuntimeError("set_prr_scale() requires a frozen medium")
@@ -340,14 +261,13 @@ class Medium:
 
         The dynamic-medium policy (:mod:`repro.phy.dynamic`) perturbs
         individual links rather than the whole medium: ``scale_rows`` maps
-        every sender id to a per-listener multiplier vector (same indexing as
-        the frozen PRR rows, values in ``(0, 1]`` so audience membership is
-        preserved).  The vectors compose multiplicatively with the scalar
-        :meth:`set_prr_scale` epochs, and like them they rebuild *new* row
-        lists from the pristine base without unfreezing — snapshots from
-        :meth:`export_frozen` share the base rows and must never see them
-        mutate.  Every transition bumps the epoch stamp checked by
-        :meth:`export_frozen`.
+        every sender id to a per-listener multiplier vector indexed like
+        :meth:`node_ids` (values in ``(0, 1]`` so audience membership is
+        preserved).  Only the entries of links the sender's row holds can
+        change a PRR; every other link has PRR 0.0 whatever its scale.  The
+        vectors compose multiplicatively with the scalar
+        :meth:`set_prr_scale` epochs and, like them, install new rows
+        computed from the pristine ones without unfreezing.
         """
         if not self._frozen:
             raise RuntimeError("set_link_prr_scales() requires a frozen medium")
@@ -358,13 +278,13 @@ class Medium:
             self._link_epoch += 1
             self._recompute_scaled_rows()
             return
+        index_of = self._index_of
+        width = len(index_of)
         validated: dict[int, list[float]] = {}
-        width = len(self._ids)
-        for sender in self._ids:
-            row = scale_rows.get(sender)
-            if row is None:
+        for sender, row in self._prr_base_rows.items():
+            values = scale_rows.get(sender)
+            if values is None:
                 raise ValueError(f"per-link scale rows missing sender {sender}")
-            values = list(row)
             if len(values) != width:
                 raise ValueError(
                     f"per-link scale row for sender {sender} has "
@@ -375,22 +295,18 @@ class Medium:
                     raise ValueError(
                         f"per-link PRR scale must be in (0, 1], got {value}"
                     )
-            validated[sender] = values
+            validated[sender] = [values[index_of[listener]] for listener in row]
         self._link_scale_rows = validated
         self._link_epoch += 1
         self._recompute_scaled_rows()
 
     def _recompute_scaled_rows(self) -> None:
-        """Rebuild the effective PRR rows: ``base * scalar * per-link``.
+        """Install the effective PRR rows: ``pristine * scalar * per-link``.
 
-        Shared by the scalar and per-link epoch entry points.  The pristine
-        rows are kept aside on first use and re-installed — the very same
-        list objects, bit-exact — when both scales return to pristine; the
-        scalar-only branch keeps the exact historic ``value * scale``
-        expression so legacy link-degradation epochs stay bit-identical.
+        Shared by the scalar and per-link epoch entry points.  The operand
+        order of each product is part of the bit-identity contract: float
+        multiplication is not associative.
         """
-        if self._prr_base_rows is None:
-            self._prr_base_rows = self._prr_rows
         base = self._prr_base_rows
         scale = self._prr_scale
         link = self._link_scale_rows
@@ -398,32 +314,25 @@ class Medium:
             self._prr_rows = base
         elif link is None:
             self._prr_rows = {
-                sender: [value * scale for value in row]
+                sender: {listener: value * scale for listener, value in row.items()}
                 for sender, row in base.items()
             }
         elif scale == 1.0:
             self._prr_rows = {
-                sender: [value * s for value, s in zip(row, link[sender])]
+                sender: {
+                    listener: value * s
+                    for (listener, value), s in zip(row.items(), link[sender])
+                }
                 for sender, row in base.items()
             }
         else:
             self._prr_rows = {
-                sender: [value * scale * s for value, s in zip(row, link[sender])]
+                sender: {
+                    listener: value * scale * s
+                    for (listener, value), s in zip(row.items(), link[sender])
+                }
                 for sender, row in base.items()
             }
-        if self._np_interf is not None:
-            self._rebuild_np_prr()
-
-    def _rebuild_np_prr(self) -> None:
-        """Mirror ``_prr_rows`` into the dense numpy table (frozen media).
-
-        Always rebuilt *from* the list rows so every batched comparison uses
-        bit-exact copies of the reference values, including mid-epoch scaled
-        rows.
-        """
-        self._np_prr = _np.array(
-            [self._prr_rows[a] for a in self._ids], dtype=float
-        )
 
     @property
     def prr_scale(self) -> float:
@@ -441,12 +350,14 @@ class Medium:
         return self._link_scale_rows is not None
 
     def audience_of(self, sender: int) -> frozenset:
-        """Node ids within interference range of ``sender`` (frozen medium).
+        """Node ids within interference range of ``sender``.
 
         Exactly the listeners that could draw an RNG number or decode when
         ``sender`` transmits; everyone else provably hears nothing, which the
         network's dispatch kernel exploits to leave them unplanned.
         """
+        if not self._frozen:
+            self.freeze()
         return self._audience[sender]
 
     def position_of(self, node_id: int) -> Position:
@@ -460,47 +371,23 @@ class Medium:
     # ------------------------------------------------------------------
     def link_prr(self, sender: int, receiver: int) -> float:
         """Interference-free PRR of the directed link sender -> receiver."""
-        if self._frozen:
-            return self._prr_rows[sender][self._index_of[receiver]]
-        if sender == receiver:
-            return 0.0
-        key = (sender, receiver)
-        if key not in self._prr_cache:
-            self._prr_cache[key] = self.propagation.prr(
-                self._positions[sender], self._positions[receiver]
-            )
-        return self._prr_cache[key]
+        if not self._frozen:
+            self.freeze()
+        return self._prr_rows[sender].get(receiver, 0.0)
 
     def interferes(self, transmitter: int, listener: int) -> bool:
         """Whether energy from ``transmitter`` reaches ``listener`` at all."""
-        if self._frozen:
-            return self._interf_rows[transmitter][self._index_of[listener]]
-        if transmitter == listener:
-            return False
-        key = (transmitter, listener)
-        if key not in self._interf_cache:
-            self._interf_cache[key] = self.propagation.in_interference_range(
-                self._positions[transmitter], self._positions[listener]
-            )
-        return self._interf_cache[key]
+        if not self._frozen:
+            self.freeze()
+        return listener in self._audience[transmitter]
 
     def neighbors_of(self, node_id: int, min_prr: float = 0.0) -> list[int]:
-        """Node ids with a usable link from ``node_id`` (PRR > ``min_prr``).
-
-        Memoised per ``(node, threshold)``; the cache is dropped whenever a
-        node registers or moves.  Callers get the cached list itself and must
-        treat it as read-only.
-        """
-        key = (node_id, min_prr)
-        neighbors = self._neighbors_cache.get(key)
-        if neighbors is None:
-            neighbors = [
-                other
-                for other in self._positions
-                if other != node_id and self.link_prr(node_id, other) > min_prr
-            ]
-            self._neighbors_cache[key] = neighbors
-        return neighbors
+        """Node ids with a usable link from ``node_id`` (PRR > ``min_prr``)."""
+        if not self._frozen:
+            self.freeze()
+        return [
+            other for other, prr in self._prr_rows[node_id].items() if prr > min_prr
+        ]
 
     # ------------------------------------------------------------------
     # per-slot arbitration
@@ -526,8 +413,8 @@ class Medium:
             listeners, with each group preserving the iteration order of
             ``listeners``.  The network's dispatch loop builds it for free
             while planning; when absent it is derived here once per slot.
-            Either way both fast paths below share it instead of re-checking
-            every listener's channel per intent.
+            Either way both same-channel paths below share it instead of
+            re-checking every listener's channel per intent.
 
         Returns
         -------
@@ -537,6 +424,8 @@ class Medium:
         self.total_transmissions += len(intents)
         if not intents:
             return results
+        if not self._frozen:
+            self.freeze()
 
         channel = intents[0].channel
         if self.fast_paths and all(intent.channel == channel for intent in intents):
@@ -604,59 +493,13 @@ class Medium:
     ) -> None:
         """Resolve one transmitter against its channel's listeners (no collision)."""
         destination = intent.packet.link_destination
+        row = self._prr_rows[intent.sender]
+        audience = self._audience[intent.sender]
         rng_random = self.rng.random
-        if self._frozen:
-            interf_row = self._interf_rows[intent.sender]
-            prr_row = self._prr_rows[intent.sender]
-            index_of = self._index_of
-            if self._np_prr is not None and len(channel_listeners) >= 16:
-                # Broadcast-sized audiences (EB/DIO on the frozen topology):
-                # mask eligibility in one vectorised pass, then draw the RNG
-                # for exactly the eligible listeners, in listener order --
-                # the same scalar draws the loop below would make -- and
-                # compare the whole batch at once.  float64 copies of the
-                # list PRRs make the comparison bit-identical.
-                columns = _np.fromiter(
-                    (index_of[listener] for listener in channel_listeners),
-                    dtype=_np.intp,
-                    count=len(channel_listeners),
-                )
-                sender_row = index_of[intent.sender]
-                prr_sub = self._np_prr[sender_row, columns]
-                eligible = _np.flatnonzero(
-                    self._np_interf[sender_row, columns] & (prr_sub > 0.0)
-                )
-                if not len(eligible):
-                    return
-                draws = _np.fromiter(
-                    (rng_random() for _ in range(len(eligible))),
-                    dtype=float,
-                    count=len(eligible),
-                )
-                received = eligible[draws <= prr_sub[eligible]]
-                receivers = result.receivers
-                for position in received.tolist():
-                    listener = channel_listeners[position]
-                    receivers.append(listener)
-                    if destination == listener:
-                        result.delivered = True
-                return
-            for listener in channel_listeners:
-                index = index_of[listener]
-                if not interf_row[index]:
-                    continue
-                prr = prr_row[index]
-                if prr <= 0.0:
-                    continue
-                if rng_random() <= prr:
-                    result.receivers.append(listener)
-                    if destination == listener:
-                        result.delivered = True
-            return
         for listener in channel_listeners:
-            if not self.interferes(intent.sender, listener):
+            if listener not in audience:
                 continue
-            prr = self.link_prr(intent.sender, listener)
+            prr = row[listener]  # the row holds every audience member
             if prr <= 0.0:
                 continue
             if rng_random() <= prr:
@@ -670,137 +513,50 @@ class Medium:
         results: list[TransmissionResult],
         channel_listeners: Sequence[int],
     ) -> None:
-        """Resolve several same-channel transmitters (collisions possible)."""
-        if (
-            self._np_interf is not None
-            and len(intents) >= 3
-            and len(channel_listeners) >= 8
-        ):
-            # Vectorised audible counting (the dense matrix is a pure
-            # function of the list tables, and PRR values are still read
-            # from the reference lists): same collisions, same marks, same
-            # RNG draws in the same listener order as the scans below.
-            index_of = self._index_of
-            sub = self._np_interf[
-                _np.fromiter(
-                    (index_of[intent.sender] for intent in intents),
-                    dtype=_np.intp,
-                    count=len(intents),
-                )
-            ][
-                :,
-                _np.fromiter(
-                    (index_of[listener] for listener in channel_listeners),
-                    dtype=_np.intp,
-                    count=len(channel_listeners),
-                ),
-            ]
-            counts = sub.sum(axis=0)
-            collided_columns = counts > 1
-            collisions = int(collided_columns.sum())
-            if collisions:
-                self.total_collisions += collisions
-                # An intent audible at any collided listener it addresses is
-                # marked; broadcasts address every listener.
-                audible_at_collided = sub[:, collided_columns]
-                broadcast_hit = audible_at_collided.any(axis=1)
-                collided_listeners = None
-                for index, intent in enumerate(intents):
-                    destination = intent.packet.link_destination
-                    if destination == BROADCAST_ADDRESS:
-                        if broadcast_hit[index]:
-                            results[index].collided = True
-                    else:
-                        if collided_listeners is None:
-                            collided_listeners = {
-                                listener
-                                for listener, flag in zip(
-                                    channel_listeners, collided_columns.tolist()
-                                )
-                                if flag
-                            }
-                        if destination in collided_listeners:
-                            column = channel_listeners.index(destination)
-                            if sub[index][column]:
-                                results[index].collided = True
-            if bool((counts == 1).any()):
-                senders_of = sub.argmax(axis=0).tolist()
-                rng_random = self.rng.random
-                for column, count in enumerate(counts.tolist()):
-                    if count != 1:
-                        continue
-                    index = senders_of[column]
-                    intent = intents[index]
-                    listener = channel_listeners[column]
-                    prr = self._prr_rows[intent.sender][index_of[listener]]
-                    if prr <= 0.0:
-                        continue
-                    if rng_random() <= prr:
-                        results[index].receivers.append(listener)
-                        if intent.packet.link_destination == listener:
-                            results[index].delivered = True
-            return
-        if self._frozen:
-            # Dense-table path: per listener, test each sender's precomputed
-            # interference row directly -- no per-slot audible-map building,
-            # no set allocations.  Listener order equals ``channel_listeners``
-            # and audible senders keep intent order, so collisions, PRR draws
-            # and the RNG stream are exactly those of the general scan below.
-            index_of = self._index_of
-            interf = [self._interf_rows[intent.sender] for intent in intents]
-            prr_rows = [self._prr_rows[intent.sender] for intent in intents]
-            count = len(intents)
-            rng_random = self.rng.random
-            for listener in channel_listeners:
-                column = index_of[listener]
-                first = -1
-                audible = 0
-                for index in range(count):
-                    if interf[index][column]:
-                        audible += 1
-                        if audible == 1:
-                            first = index
-                if not audible:
-                    continue
-                if audible > 1:
-                    for index in range(count):
-                        if interf[index][column] and intents[
-                            index
-                        ].packet.link_destination in (listener, BROADCAST_ADDRESS):
-                            results[index].collided = True
-                    self.total_collisions += 1
-                    continue
-                prr = prr_rows[first][column]
-                if prr <= 0.0:
-                    continue
-                if rng_random() <= prr:
-                    results[first].receivers.append(listener)
-                    if intents[first].packet.link_destination == listener:
-                        results[first].delivered = True
-            return
+        """Resolve several same-channel transmitters (collisions possible).
+
+        Each intent's sparse row names the listeners it reaches, so the
+        audible senders of every listener are gathered in work proportional
+        to the rows, not to listeners x intents: the first one per listener,
+        and the full list only where a second one collides with it.
+        Listeners are then visited in ``channel_listeners`` order: the
+        collisions, marks and RNG draws of the general path.
+        """
+        rows = self._prr_rows
+        first: dict[int, int] = {}
+        collided: dict[int, list[int]] = {}
+        for index, intent in enumerate(intents):
+            audience = self._audience[intent.sender]
+            for listener in rows[intent.sender]:
+                if listener in audience:
+                    earlier = first.setdefault(listener, index)
+                    if earlier != index:
+                        heard = collided.get(listener)
+                        if heard is None:
+                            collided[listener] = [earlier, index]
+                        else:
+                            heard.append(index)
+        rng_random = self.rng.random
         for listener in channel_listeners:
-            audible = [
-                index
-                for index, intent in enumerate(intents)
-                if self.interferes(intent.sender, listener)
-            ]
-            if not audible:
+            sender_index = first.get(listener)
+            if sender_index is None:
                 continue
-            if len(audible) > 1:
-                for index in audible:
+            heard = collided.get(listener)
+            if heard is not None:
+                for index in heard:
                     if intents[index].packet.link_destination in (listener, BROADCAST_ADDRESS):
                         results[index].collided = True
                 self.total_collisions += 1
                 continue
-            index = audible[0]
-            intent = intents[index]
-            prr = self.link_prr(intent.sender, listener)
+            intent = intents[sender_index]
+            prr = rows[intent.sender][listener]
             if prr <= 0.0:
                 continue
-            if self.rng.random() <= prr:
-                results[index].receivers.append(listener)
+            if rng_random() <= prr:
+                result = results[sender_index]
+                result.receivers.append(listener)
                 if intent.packet.link_destination == listener:
-                    results[index].delivered = True
+                    result.delivered = True
 
     def _resolve_acks(self, results: list[TransmissionResult]) -> None:
         """Resolve ACKs for unicast frames that reached their destination."""

@@ -15,6 +15,10 @@ All models answer two questions about an ordered pair of positions:
 * ``in_interference_range(a, b)`` -- whether energy from a transmitter at
   ``a`` is strong enough at ``b`` to corrupt another reception (even if it is
   too weak to be decoded).
+
+and declare their ``reach``: the distance beyond which both answers are
+guaranteed to be ``0.0`` / ``False``, which bounds the pairs the medium has to
+ask about at all.
 """
 
 from __future__ import annotations
@@ -45,6 +49,16 @@ class PropagationModel:
     def in_communication_range(self, a: Position, b: Position) -> bool:
         """Whether a frame from ``a`` has a non-negligible chance of decoding at ``b``."""
         return self.prr(a, b) > 0.0
+
+    @property
+    def reach(self) -> float:
+        """Distance beyond which ``prr`` is 0.0 and ``in_interference_range`` False.
+
+        The medium only queries pairs at most this far apart.  ``math.inf``
+        (the default, for models whose answers do not depend on distance)
+        makes it query every pair.
+        """
+        return math.inf
 
 
 @dataclass
@@ -89,6 +103,12 @@ class UnitDiskLossyEdgeModel(PropagationModel):
     def in_interference_range(self, a: Position, b: Position) -> bool:
         return distance(a, b) <= self.interference_range
 
+    @property
+    def reach(self) -> float:
+        # PRR is zero from communication_range on, which __post_init__
+        # bounds by interference_range.
+        return self.interference_range
+
 
 @dataclass
 class LogisticPrrModel(PropagationModel):
@@ -108,13 +128,34 @@ class LogisticPrrModel(PropagationModel):
     #: PRRs below this value are clamped to zero (link considered unusable).
     prr_floor: float = 0.01
 
+    def _curve(self, d: float) -> float:
+        return self.prr_max / (1.0 + math.exp(self.steepness * (d - self.midpoint)))
+
     def prr(self, a: Position, b: Position) -> float:
-        d = distance(a, b)
-        value = self.prr_max / (1.0 + math.exp(self.steepness * (d - self.midpoint)))
+        value = self._curve(distance(a, b))
         return value if value >= self.prr_floor else 0.0
 
     def in_interference_range(self, a: Position, b: Position) -> bool:
         return distance(a, b) <= self.interference_range
+
+    @property
+    def reach(self) -> float:
+        if self.prr_max < self.prr_floor:
+            return self.interference_range  # the curve never reaches the floor
+        if self.steepness <= 0.0 or self.prr_floor <= 0.0:
+            return math.inf  # the curve never falls below the floor
+        # Where the curve crosses prr_floor, nudged outwards until the very
+        # float evaluation prr() uses is below the floor; the curve only
+        # decreases from there, so every farther pair has PRR 0.0.
+        ratio = self.prr_max / self.prr_floor - 1.0
+        tail = self.midpoint
+        if ratio > 0.0:
+            tail += math.log(ratio) / self.steepness
+        step = 1e-9 * max(1.0, abs(tail))
+        while self._curve(tail) >= self.prr_floor:
+            tail += step
+            step *= 2.0
+        return max(self.interference_range, tail)
 
 
 class FixedPrrModel(PropagationModel):

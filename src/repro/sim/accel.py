@@ -1,8 +1,8 @@
 """Shared gated-numpy detection for the optional accelerator paths.
 
-Several subsystems use :mod:`numpy` *only* as an accelerator: the frozen
-medium's same-channel arbitration, the struct-of-arrays node-state store
-(:mod:`repro.kernel.state`), and the experiment exporters.  None of them may
+Several subsystems use :mod:`numpy` *only* as an accelerator: the
+struct-of-arrays node-state store (:mod:`repro.kernel.state`) and the
+experiment exporters.  None of them may
 *require* it -- the package ships dependency-free and CI runs the full tier-1
 suite without numpy installed -- so each used to carry its own
 ``try: import numpy`` block.  This module is the single shared gate.

@@ -17,8 +17,14 @@ from repro.experiments.parallel import (
     scenario_fingerprint,
 )
 from repro.experiments.runner import run_figure8
-from repro.experiments.scenarios import GT_TSCH, ORCHESTRA, traffic_load_scenario
+from repro.experiments.scenarios import (
+    GT_TSCH,
+    ORCHESTRA,
+    churn_scenario,
+    traffic_load_scenario,
+)
 from repro.metrics.aggregate import MetricsAggregate
+from repro.phy.dynamic import default_drift_policy
 
 #: Short durations so the whole engine is exercised quickly.
 FAST = dict(measurement_s=5.0, warmup_s=8.0)
@@ -251,6 +257,20 @@ class TestParallelParity:
         pooled = run_scenarios(scenarios, jobs=4)
         assert [m.as_dict() for m in pooled] == [m.as_dict() for m in serial]
 
+    def test_link_drift_scenarios_pool_matches_serial(self):
+        """Drift policies must survive the trip to a pool worker (pickling)."""
+        drift = default_drift_policy(seed=4, start_s=9.0, epoch_s=1.5, num_epochs=2)
+        scenarios = [
+            churn_scenario(
+                1, scheduler, seed=2, link_drift=drift, warmup_s=8.0, measurement_s=6.0
+            )
+            for scheduler in (GT_TSCH, ORCHESTRA)
+        ]
+        serial = run_scenarios(scenarios, jobs=1)
+        pooled = run_scenarios(scenarios, jobs=2)
+        assert [m.as_dict() for m in pooled] == [m.as_dict() for m in serial]
+        assert [m.per_node for m in pooled] == [m.per_node for m in serial]
+
     def test_pool_path_still_fills_the_result_cache(self, tmp_path):
         cache = ResultCache(root=str(tmp_path))
         scenarios = [fast_scenario(seed=seed) for seed in (1, 2)]
@@ -262,58 +282,6 @@ class TestParallelParity:
 
 
 class TestFreezeCache:
-    def test_adopted_tables_equal_fresh_freeze(self):
-        """The per-topology frozen-medium cache is bit-identical to freeze()."""
-        from repro.experiments.parallel import _FREEZE_CACHE, _warm_freeze
-
-        scenario = fast_scenario()
-        _FREEZE_CACHE.clear()
-        first = scenario.build_network()
-        _warm_freeze(first, scenario)  # cold: computes and caches
-        second = scenario.build_network()
-        _warm_freeze(second, scenario)  # warm: adopts the snapshot
-        assert second.medium.frozen
-        fresh = scenario.build_network()
-        fresh.medium.freeze()
-        assert second.medium._prr_rows == fresh.medium._prr_rows
-        assert second.medium._interf_rows == fresh.medium._interf_rows
-        assert second.medium._audience == fresh.medium._audience
-
-    def test_mismatched_snapshot_is_rejected(self):
-        scenario = fast_scenario()
-        network = scenario.build_network()
-        network.medium.freeze()
-        state = network.medium.export_frozen()
-        state = dict(state, ids=[999])
-        other = fast_scenario(seed=2).build_network()
-        assert other.medium.adopt_frozen(state) is False
-        assert not other.medium.frozen
-
-    def test_same_topology_different_seed_shares_a_key(self):
-        from repro.experiments.parallel import _freeze_key
-
-        assert _freeze_key(fast_scenario(seed=1)) == _freeze_key(fast_scenario(seed=2))
-        assert _freeze_key(fast_scenario(scheduler=ORCHESTRA)) == _freeze_key(
-            fast_scenario()
-        )
-
-    def test_cache_stays_bounded(self):
-        import repro.experiments.parallel as engine
-
-        engine._FREEZE_CACHE.clear()
-        for extra in range(engine._FREEZE_CACHE_MAX + 3):
-            scenario = traffic_load_scenario(
-                rate_ppm=120.0,
-                scheduler=GT_TSCH,
-                seed=1,
-                nodes_per_dodag=3 + extra % 6,
-                num_dodags=1 + extra // 6,
-                **FAST,
-            )
-            network = scenario.build_network()
-            engine._warm_freeze(network, scenario)
-        assert len(engine._FREEZE_CACHE) <= engine._FREEZE_CACHE_MAX
-
     def test_figure_parallel_matches_serial_and_aggregates(self):
         kwargs = dict(
             rates_ppm=(60, 120), schedulers=(GT_TSCH,), seeds=(1, 2), **FAST

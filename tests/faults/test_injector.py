@@ -143,13 +143,19 @@ class TestRejoin:
 class TestLinkDegradation:
     def test_epoch_scales_then_restores_exactly(self):
         network, _scenario = build_network(PLAN)
+        medium = network.medium
+        ids = medium.node_ids()
+
+        def prrs():
+            return {(a, b): medium.link_prr(a, b) for a in ids for b in ids}
+
+        pristine = prrs()
         run_to(network, 13.0)  # inside the [12, 16) epoch
-        assert network.medium.prr_scale == 0.6
-        with pytest.raises(RuntimeError, match="link-degradation"):
-            network.medium.export_frozen()
+        assert medium.prr_scale == 0.6
+        assert prrs() == {link: value * 0.6 for link, value in pristine.items()}
         run_to(network, 17.0)  # epoch closed
-        assert network.medium.prr_scale == 1.0
-        network.medium.export_frozen()  # snapshots allowed again
+        assert medium.prr_scale == 1.0
+        assert prrs() == pristine
 
     def test_overlapping_epochs_multiply(self):
         plan = FaultPlan(

@@ -6,8 +6,8 @@ properties over the store columns -- so any mutation through the object views
 (``warm_start``, ``evict_neighbor``, the fault injector's crash/rejoin
 barriers) must be immediately visible in the arrays, and any bulk array write
 must be immediately visible through the objects.  These tests pin that
-contract on live networks, including after ``adopt_frozen`` in a warm-pool
-worker, plus the standalone-object path (``LocalBacking`` -> ``bind``).
+contract on live networks, including across fault barriers, plus the
+standalone-object path (``LocalBacking`` -> ``bind``).
 """
 
 from __future__ import annotations
@@ -207,23 +207,3 @@ class TestFaultBarrierCoherence:
         assert float(store.trickle_phase[row]) > network.events.now
         run_to(network, scenario.warmup_s + scenario.measurement_s)
         assert_coherent(network)
-
-
-class TestAdoptFrozenCoherence:
-    def test_warm_pool_adoption_keeps_views_coherent(self):
-        """A warm-pool worker adopts a frozen-medium snapshot from a previous
-        run of the same topology; the store and views must stay coherent."""
-        donor, scenario = build_network()
-        donor.start()
-        snapshot = donor.medium.export_frozen()
-        network, _ = build_network()
-        assert network.medium.adopt_frozen(snapshot)
-        run_to(network, scenario.warmup_s)
-        assert_coherent(network)
-        # Identical topology + seed: the adopted run equals the donor's.
-        run_to(donor, scenario.warmup_s)
-        for node_id in donor.nodes:
-            assert (
-                donor.state.tx_slots[donor.nodes[node_id]._row]
-                == network.state.tx_slots[network.nodes[node_id]._row]
-            )

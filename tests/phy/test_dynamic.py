@@ -1,7 +1,9 @@
-"""Unit tests for :mod:`repro.phy.dynamic`: policy validation, driver purity,
-per-link scale application and the frozen-snapshot epoch guard."""
+"""Unit tests for :mod:`repro.phy.dynamic`: policy validation and pickling,
+driver purity and per-link scale application."""
 
 from __future__ import annotations
+
+import pickle
 
 import pytest
 
@@ -10,6 +12,8 @@ from repro.phy.dynamic import (
     arm_link_drift,
     default_drift_policy,
 )
+
+
 class TestPolicyValidation:
     def test_defaults_factory_builds_a_valid_policy(self):
         policy = default_drift_policy()
@@ -50,9 +54,18 @@ class TestPolicyValidation:
         policy = default_drift_policy(start_s=10.0, epoch_s=4.0, num_epochs=5)
         assert policy.end_s() == 30.0
 
+    def test_pickle_round_trip(self):
+        """Pool workers receive policies by pickle (frozen + slotted class)."""
+        policy = default_drift_policy(seed=9, start_s=2.5, link_fraction=0.4)
+        restored = pickle.loads(pickle.dumps(policy))
+        assert restored == policy
+        assert hash(restored) == hash(policy)
+        with pytest.raises(AttributeError):
+            restored.seed = 2
 
-def _network(num_nodes=4, freeze=True):
-    """A tiny live network whose medium can be frozen."""
+
+def _network(num_nodes=4):
+    """A tiny live network with a frozen medium."""
     from repro.net.network import Network
     from repro.schedulers.minimal import MinimalScheduler, MinimalSchedulerConfig
 
@@ -64,8 +77,7 @@ def _network(num_nodes=4, freeze=True):
             scheduler=MinimalScheduler(MinimalSchedulerConfig()),
             is_root=node_id == 0,
         )
-    if freeze:
-        network.medium.freeze()
+    network.medium.freeze()
     return network
 
 
@@ -123,40 +135,19 @@ class TestDriver:
     def test_restore_is_bit_exact(self):
         network = _network()
         medium = network.medium
-        pristine = {
-            sender: list(medium._prr_rows[sender]) for sender in medium.node_ids()
+        ids = medium.node_ids()
+
+        def prrs():
+            return {(a, b): medium.link_prr(a, b) for a in ids for b in ids}
+
+        pristine = prrs()
+        # Every link drifts, so the epoch visibly changes every usable PRR.
+        policy = default_drift_policy(seed=2, link_fraction=1.0)
+        rows = DynamicMediumDriver(network, policy).draw_scale_rows(0)
+        medium.set_link_prr_scales(rows)
+        assert prrs() == {
+            (a, b): value * rows[a][ids.index(b)] for (a, b), value in pristine.items()
         }
-        driver = DynamicMediumDriver(network, default_drift_policy(seed=2))
-        medium.set_link_prr_scales(driver.draw_scale_rows(0))
-        assert medium._prr_rows != pristine or all(
-            value == 1.0 for row in driver.draw_scale_rows(0).values() for value in row
-        )
+        assert any(medium.link_prr(a, b) != value for (a, b), value in pristine.items())
         medium.set_link_prr_scales(None)
-        assert {
-            sender: list(medium._prr_rows[sender]) for sender in medium.node_ids()
-        } == pristine
-
-
-class TestFrozenSnapshotGuard:
-    def test_export_refused_mid_epoch(self):
-        network = _network()
-        driver = DynamicMediumDriver(network, default_drift_policy(seed=1))
-        network.medium.set_link_prr_scales(driver.draw_scale_rows(0))
-        with pytest.raises(RuntimeError, match="epoch"):
-            network.medium.export_frozen()
-        network.medium.set_link_prr_scales(None)
-        snapshot = network.medium.export_frozen()
-        assert snapshot["link_epoch"] == 2  # transitions since freeze()
-
-    def test_adopter_starts_a_fresh_epoch_history(self):
-        donor = _network()
-        # A transition history on the donor: open and close one epoch.
-        driver = DynamicMediumDriver(donor, default_drift_policy(seed=5))
-        donor.medium.set_link_prr_scales(driver.draw_scale_rows(0))
-        donor.medium.set_link_prr_scales(None)
-        snapshot = donor.medium.export_frozen()
-        assert snapshot["link_epoch"] == 2
-        adopter = _network(num_nodes=4, freeze=False)
-        assert adopter.medium.adopt_frozen(snapshot)
-        assert adopter.medium.link_epoch == 0
-        assert not adopter.medium.in_link_epoch
+        assert prrs() == pristine

@@ -1,12 +1,18 @@
 """Tests for per-slot medium arbitration (collisions, ACKs, hidden terminals)."""
 
+import math
 import random
 
 import pytest
 
 from repro.net.packet import BROADCAST_ADDRESS, Packet, PacketType, make_data_packet
 from repro.phy.medium import Medium, TransmissionIntent
-from repro.phy.propagation import FixedPrrModel, UnitDiskLossyEdgeModel
+from repro.phy.propagation import (
+    FixedPrrModel,
+    LogisticPrrModel,
+    UnitDiskLossyEdgeModel,
+    distance,
+)
 
 
 def perfect_medium(positions, interference_pairs=None):
@@ -174,15 +180,19 @@ class TestFreeze:
         return medium
 
     def test_frozen_tables_match_lazy_queries(self):
-        lazy = self._medium()
-        frozen = self._medium()
-        frozen.freeze()
-        assert frozen.frozen and not lazy.frozen
+        """A query on an unfrozen medium freezes it and answers as the model."""
+        medium = self._medium()
+        model = medium.propagation
+        assert not medium.frozen
         for a in range(4):
             for b in range(4):
-                assert frozen.link_prr(a, b) == lazy.link_prr(a, b)
-                assert frozen.interferes(a, b) == lazy.interferes(a, b)
-        assert frozen.neighbors_of(0) == lazy.neighbors_of(0)
+                pa, pb = medium.position_of(a), medium.position_of(b)
+                expected_prr = 0.0 if a == b else model.prr(pa, pb)
+                expected_interf = a != b and model.in_interference_range(pa, pb)
+                assert medium.link_prr(a, b) == expected_prr
+                assert medium.interferes(a, b) == expected_interf
+        assert medium.frozen
+        assert medium.neighbors_of(0) == [1]
 
     def test_freeze_is_idempotent_and_register_unfreezes(self):
         medium = self._medium()
@@ -241,20 +251,19 @@ class TestFreeze:
         assert run(fast_paths=True, frozen=True) == baseline
 
 
-class TestVectorisedSameChannelResolve:
-    """The numpy-accelerated audible scan must match the pure-Python scans."""
+class TestSameChannelResolve:
+    """The same-channel path must match the general grouped (reference) path."""
 
-    def _random_medium(self, seed):
+    def _random_medium(self, seed, fast_paths):
         rng = random.Random(seed)
-        positions = {node_id: (rng.uniform(0, 60), rng.uniform(0, 60)) for node_id in range(24)}
         model = UnitDiskLossyEdgeModel(
             reliable_range=15.0, communication_range=25.0, interference_range=40.0
         )
         medium = Medium(model, random.Random(seed + 1))
-        for node_id, position in positions.items():
-            medium.register_node(node_id, position)
-        medium.freeze()
-        return medium, rng
+        medium.fast_paths = fast_paths
+        for node_id in range(24):
+            medium.register_node(node_id, (rng.uniform(0, 60), rng.uniform(0, 60)))
+        return medium
 
     def _mixed_slot(self, rng):
         intents = []
@@ -272,14 +281,11 @@ class TestVectorisedSameChannelResolve:
         listeners = {n: 20 for n in range(24) if n not in senders}
         return intents, listeners
 
-    def test_numpy_path_matches_list_path(self):
-        pytest.importorskip("numpy")
+    def test_sparse_path_matches_general_path(self):
         for seed in range(6):
             outcomes = []
-            for use_numpy in (True, False):
-                medium, rng = self._random_medium(seed)
-                if not use_numpy:
-                    medium._np_interf = None
+            for fast_paths in (True, False):
+                medium = self._random_medium(seed, fast_paths)
                 intents, listeners = self._mixed_slot(random.Random(seed + 100))
                 results = medium.resolve_slot(intents, dict(listeners))
                 outcomes.append(
@@ -294,3 +300,134 @@ class TestVectorisedSameChannelResolve:
                     )
                 )
             assert outcomes[0] == outcomes[1], f"seed {seed}"
+
+
+def _fixed_model_with_interference(rng, positions):
+    model = FixedPrrModel(default_prr=0.0, symmetric=False)
+    for a in positions:
+        for b in positions:
+            if a != b and rng.random() < 0.1:
+                model.set_link(a, b, rng.choice([0.3, 0.8, 1.0]))
+            elif a != b and rng.random() < 0.05:
+                model.add_interference(a, b)
+    return model
+
+
+#: Models under the sparse-freeze property test; FixedPrrModel gets its
+#: random links and interference pairs from the layout.
+SPARSE_MODELS = {
+    "unit-disk": lambda rng, positions: UnitDiskLossyEdgeModel(),
+    "unit-disk-short": lambda rng, positions: UnitDiskLossyEdgeModel(
+        reliable_range=10.0, communication_range=20.0, interference_range=25.0
+    ),
+    "logistic": lambda rng, positions: LogisticPrrModel(),
+    # A long tail: PRR stays above the floor well past interference range.
+    "logistic-tail": lambda rng, positions: LogisticPrrModel(
+        midpoint=40.0, steepness=0.1, interference_range=50.0, prr_floor=0.001
+    ),
+    "fixed": _fixed_model_with_interference,
+}
+
+
+def _layout(seed, reach):
+    """Random positions plus the edge cases of the freeze grid."""
+    rng = random.Random(seed)
+    positions = [(rng.uniform(-150.0, 150.0), rng.uniform(-150.0, 150.0)) for _ in range(40)]
+    if math.isfinite(reach):
+        # Pairs exactly ``reach`` apart and nodes on cell boundaries, on
+        # both sides of the origin, plus one-ulp neighbours of a boundary.
+        positions += [(k * reach, 0.0) for k in range(-2, 3)]
+        positions += [(0.0, k * reach) for k in (-1, 1)]
+        positions += [(reach, reach), (-reach, -reach)]
+        positions += [(math.nextafter(reach, 0.0), 0.0), (math.nextafter(reach, 1e9), 0.0)]
+    positions += [positions[0]]  # two nodes at one spot
+    return positions
+
+
+class TestSparseFreeze:
+    """Frozen rows answer exactly as the model's scalar functions."""
+
+    @pytest.mark.parametrize("name", sorted(SPARSE_MODELS))
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_frozen_queries_equal_model_answers(self, name, seed):
+        finite = SPARSE_MODELS[name](random.Random(0), []).reach
+        positions = _layout(seed, finite)
+        model = SPARSE_MODELS[name](random.Random(seed), positions)
+        medium = Medium(model, random.Random(0))
+        ids = [100 - 3 * index for index in range(len(positions))]  # not sorted
+        for node_id, position in zip(ids, positions):
+            medium.register_node(node_id, position)
+        medium.freeze()
+        reach = model.reach
+        for a, pa in zip(ids, positions):
+            audience = set()
+            neighbors = []
+            for b, pb in zip(ids, positions):
+                prr = 0.0 if a == b else model.prr(pa, pb)
+                interferes = a != b and model.in_interference_range(pa, pb)
+                if prr > 0.0 or interferes:
+                    assert distance(pa, pb) <= reach, (a, b)
+                assert medium.link_prr(a, b) == prr, (a, b)
+                assert medium.interferes(a, b) == interferes, (a, b)
+                if interferes:
+                    audience.add(b)
+                if prr > 0.0:
+                    neighbors.append(b)
+            assert medium.audience_of(a) == frozenset(audience)
+            assert medium.neighbors_of(a) == neighbors
+
+    def test_reach_per_model(self):
+        assert UnitDiskLossyEdgeModel().reach == 70.0
+        assert FixedPrrModel().reach == math.inf
+        # The default logistic curve drops below its floor inside
+        # interference range; a long tail pushes reach past it.
+        assert LogisticPrrModel().reach == 80.0
+        tail = LogisticPrrModel(
+            midpoint=40.0, steepness=0.1, interference_range=50.0, prr_floor=0.001
+        )
+        assert tail.reach > 100.0
+        assert tail.prr((0.0, 0.0), (tail.reach, 0.0)) == 0.0
+        assert tail.prr((0.0, 0.0), (tail.reach - 1e-3, 0.0)) > 0.0
+        assert LogisticPrrModel(steepness=0.0).reach == math.inf
+
+
+class TestScaledRows:
+    def _medium(self):
+        medium = Medium(UnitDiskLossyEdgeModel(), random.Random(0))
+        for node_id, x in enumerate((0.0, 20.0, 40.0, 300.0)):
+            medium.register_node(node_id, (x, 0.0))
+        medium.freeze()
+        return medium
+
+    def test_per_link_scales_compose_with_the_scalar_scale(self):
+        medium = self._medium()
+        ids = medium.node_ids()
+        pristine = {(a, b): medium.link_prr(a, b) for a in ids for b in ids}
+        rows = {a: [0.5 + 0.1 * b for b in ids] for a in ids}
+        medium.set_link_prr_scales(rows)
+        medium.set_prr_scale(0.5)
+        for (a, b), value in pristine.items():
+            assert medium.link_prr(a, b) == value * 0.5 * rows[a][b]
+        medium.set_link_prr_scales(None)
+        medium.set_prr_scale(1.0)
+        assert {(a, b): medium.link_prr(a, b) for a in ids for b in ids} == pristine
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ({0: [1.0] * 4}, "missing sender"),
+            ({a: [1.0] * 3 for a in range(4)}, "expected 4"),
+            ({a: [1.0, 1.0, 0.0, 1.0] for a in range(4)}, r"\(0, 1\]"),
+        ],
+    )
+    def test_bad_scale_rows_rejected(self, rows, message):
+        medium = self._medium()
+        with pytest.raises(ValueError, match=message):
+            medium.set_link_prr_scales(rows)
+        assert not medium.in_link_epoch
+
+    def test_epochs_require_a_frozen_medium(self):
+        medium = Medium(UnitDiskLossyEdgeModel(), random.Random(0))
+        medium.register_node(0, (0.0, 0.0))
+        with pytest.raises(RuntimeError, match="frozen"):
+            medium.set_prr_scale(0.5)
