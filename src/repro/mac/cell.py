@@ -40,17 +40,22 @@ class CellPurpose(Enum):
     SHARED = "shared"
     SLEEP = "sleep"
 
-    @property
-    def priority(self) -> int:
-        """Smaller value = higher priority when several cells share a slot."""
-        order = {
-            CellPurpose.BROADCAST: 0,
-            CellPurpose.UNICAST_6P: 1,
-            CellPurpose.UNICAST_DATA: 2,
-            CellPurpose.SHARED: 3,
-            CellPurpose.SLEEP: 4,
-        }
-        return order[self]
+    #: Smaller value = higher priority when several cells share a slot.  Set
+    #: once per member below (its declaration index): it is the sort key of
+    #: every active-cell rebuild and of every listen-table update, so it is a
+    #: plain attribute read rather than a computed property.
+    priority: int
+
+
+for _priority, _purpose in enumerate(CellPurpose):
+    _purpose.priority = _priority
+
+#: Raw option bits, so the per-cell option tests below are integer
+#: operations instead of Python-level ``Flag`` arithmetic.
+_TX = CellOption.TX.value
+_RX = CellOption.RX.value
+_SHARED = CellOption.SHARED.value
+_BROADCAST = CellOption.BROADCAST.value
 
 
 class Cell:
@@ -103,7 +108,8 @@ class Cell:
             raise ValueError("slot_offset must be non-negative")
         if channel_offset < 0:
             raise ValueError("channel_offset must be non-negative")
-        if options == CellOption.NONE:
+        bits = options._value_
+        if not bits:
             raise ValueError("a cell must have at least one option")
         self.slot_offset = slot_offset
         self.channel_offset = channel_offset
@@ -115,12 +121,12 @@ class Cell:
         #: Free-form tag for debugging / tests (e.g. "eb", "orchestra-rbs-rx").
         self.label = label
         # Cells are immutable once installed, so the option tests the TSCH
-        # engine performs on every planned slot are resolved here once instead
-        # of going through Flag arithmetic per query.
-        self.is_tx = bool(options & CellOption.TX)
-        self.is_rx = bool(options & CellOption.RX)
-        self.is_shared = bool(options & CellOption.SHARED)
-        self.is_broadcast = bool(options & CellOption.BROADCAST)
+        # engine performs on every planned slot are resolved here once, on
+        # the raw option bits, instead of through Flag arithmetic per query.
+        self.is_tx = bool(bits & _TX)
+        self.is_rx = bool(bits & _RX)
+        self.is_shared = bool(bits & _SHARED)
+        self.is_broadcast = bool(bits & _BROADCAST)
 
     def _key(self) -> tuple:
         return (

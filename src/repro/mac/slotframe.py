@@ -8,7 +8,9 @@ by slotframe handle then by cell priority, mirroring Contiki-NG behaviour.
 
 Cells are stored in a dense per-offset lookup table, so :meth:`cells_at` is a
 single O(1) index with no allocation -- it runs for every node at every
-simulated timeslot.  Every mutation bumps :attr:`version`, which the TSCH
+simulated timeslot.  A parallel per-offset *listen table* holds the idle-listen
+decision of each offset (:meth:`listen_at`), recomputed for the touched offset
+by every mutation.  Every mutation bumps :attr:`version`, which the TSCH
 engine and the network's slot-skipping kernel use to invalidate their derived
 schedule caches (sorted active-cell lists, active-offset indexes).
 """
@@ -19,6 +21,26 @@ from collections.abc import Callable, Iterable, Iterator
 from typing import Optional
 
 from repro.mac.cell import Cell, CellOption, CellPurpose
+
+#: A listen-table entry: ``(purpose priority, channel offset)`` of an offset's
+#: first lowest-priority RX cell.
+ListenEntry = tuple[int, int]
+
+
+def _listen_entry(bucket: list[Cell]) -> Optional[ListenEntry]:
+    """The first RX cell of ``bucket`` in planning order, or None.
+
+    Planning order within one slotframe offset is purpose priority, ties
+    broken by insertion order (the stable sort of the active-cell list), so
+    this is the first RX cell with the lowest priority value.
+    """
+    entry: Optional[ListenEntry] = None
+    for cell in bucket:
+        if cell.is_rx:
+            priority = cell.purpose.priority
+            if entry is None or priority < entry[0]:
+                entry = (priority, cell.channel_offset)
+    return entry
 
 
 class Slotframe:
@@ -37,6 +59,10 @@ class Slotframe:
         #: Dense lookup table: ``_table[offset]`` lists the cells installed at
         #: that slot offset (insertion order).
         self._table: list[list[Cell]] = [[] for _ in range(length)]
+        #: Listen table: ``_listen[offset]`` is :func:`_listen_entry` of
+        #: ``_table[offset]``.  It changes only in the methods that mutate
+        #: ``_table``, each of which calls :meth:`_mutated`.
+        self._listen: list[Optional[ListenEntry]] = [None] * length
 
     def _mutated(self) -> None:
         self.version += 1
@@ -64,7 +90,9 @@ class Slotframe:
         )
         if existing is not None:
             return existing
-        self._table[cell.slot_offset].append(cell)
+        bucket = self._table[cell.slot_offset]
+        bucket.append(cell)
+        self._listen[cell.slot_offset] = _listen_entry(bucket)
         self._mutated()
         return cell
 
@@ -77,6 +105,7 @@ class Slotframe:
             bucket.remove(cell)
         except ValueError:
             return False
+        self._listen[cell.slot_offset] = _listen_entry(bucket)
         self._mutated()
         return True
 
@@ -87,8 +116,10 @@ class Slotframe:
             if not bucket:
                 continue
             keep = [c for c in bucket if c.neighbor != neighbor]
-            removed += len(bucket) - len(keep)
-            self._table[offset] = keep
+            if len(keep) < len(bucket):
+                removed += len(bucket) - len(keep)
+                self._table[offset] = keep
+                self._listen[offset] = _listen_entry(keep)
         if removed:
             self._mutated()
         return removed
@@ -96,6 +127,7 @@ class Slotframe:
     def clear(self) -> None:
         """Remove every cell."""
         self._table = [[] for _ in range(self.length)]
+        self._listen = [None] * self.length
         self._mutated()
 
     # ------------------------------------------------------------------
@@ -108,6 +140,15 @@ class Slotframe:
         treat it as read-only.
         """
         return self._table[asn % self.length]
+
+    def listen_at(self, asn: int) -> Optional[ListenEntry]:
+        """Idle-listen entry at ``asn``: ``(priority, channel offset)`` or None.
+
+        The first RX cell in planning order among :meth:`cells_at`, which a
+        node with nothing to send listens on; None when no cell there has
+        the RX option.
+        """
+        return self._listen[asn % self.length]
 
     def cells_at_offset(self, slot_offset: int) -> list[Cell]:
         """Cells installed at a given slot offset (read-only view)."""

@@ -32,7 +32,7 @@ from repro.mac.duty_cycle import DutyCycleMeter
 from repro.mac.hopping import DEFAULT_HOPPING_SEQUENCE, ChannelHopping
 from repro.kernel.state import LocalBacking, NodeStateStore, bind_backing
 from repro.mac.queue import TxQueue
-from repro.mac.slotframe import Slotframe
+from repro.mac.slotframe import ListenEntry, Slotframe
 from repro.net.packet import BROADCAST_ADDRESS, Packet
 from repro.phy.linkstats import EtxEstimator
 from repro.phy.medium import TransmissionIntent, TransmissionResult
@@ -633,12 +633,6 @@ class TschEngine:
         #: pure function of (slot-offset residue, hopping phase); this caches
         #: it so the common listen/sleep decision is one dict lookup.
         self._idle_plan_cache: dict[tuple[int, int], SlotPlan] = {}
-        #: Per-residue idle listen decision (channel *offset* of the winning
-        #: RX cell, or None for sleep), keyed by the slotframe residue(s).
-        #: The network's audience pass uses it to decide a non-backlogged
-        #: node's radio state without building a SlotPlan at all.
-        self._idle_rx_cache: dict[object, Optional[int]] = {}
-        self._idle_rx_version = -1
         self._hop_period = len(self.hopping.sequence)
         self._profile: Optional[ScheduleProfile] = None
         #: Neighbors towards which *data* transmissions on shared cells are
@@ -831,31 +825,21 @@ class TschEngine:
 
         Only valid for a node whose slot provably cannot involve its queue or
         CSMA state (empty queue in particular): the decision then reduces to
-        "first RX cell in planning order, if any", which is memoised per
-        slot-offset residue.  Exactly :meth:`plan_slot`'s fall-through
-        listen/sleep choice, without allocating or interning a plan.
+        "first RX cell in planning order, if any".  Planning order is purpose
+        priority, then slotframe handle, so that cell is the lowest-priority
+        entry of the slotframes' listen tables (:meth:`Slotframe.listen_at`),
+        the earliest handle winning ties.  Exactly :meth:`plan_slot`'s
+        fall-through listen/sleep choice, without allocating a plan.
         """
-        version = self._version
-        if version != self._idle_rx_version:
-            self._idle_rx_cache.clear()
-            self._idle_rx_version = version
         frames = self._frames
         if frames is None:
             frames = self._sorted_frames()
-        if len(frames) == 1:
-            key: object = asn % frames[0].length
-        else:
-            key = tuple(asn % frame.length for frame in frames)
-        cache = self._idle_rx_cache
-        if key in cache:
-            return cache[key]
-        offset: Optional[int] = None
-        for cell in self._active_cells(asn):
-            if cell.is_rx:
-                offset = cell.channel_offset
-                break
-        cache[key] = offset
-        return offset
+        best: Optional[ListenEntry] = None
+        for frame in frames:
+            entry = frame.listen_at(asn)
+            if entry is not None and (best is None or entry[0] < best[0]):
+                best = entry
+        return None if best is None else best[1]
 
     def schedule_profile(self) -> ScheduleProfile:
         """Current :class:`ScheduleProfile` (rebuilt when the schedule changes)."""

@@ -357,7 +357,7 @@ class Network:
         # This ASN's participant buckets from the inverted index: an audience
         # member with a cell in none of them provably sleeps, so it is
         # skipped without even being planned.  Each member's listen/sleep
-        # decision is served from its engine's per-residue memo
+        # decision is read from its slotframes' per-offset listen tables
         # (:meth:`~repro.mac.tsch.TschEngine.idle_listen_channel_offset`).
         # Crucially, nothing is settled here: an idle listener that decodes
         # nothing this slot is exactly the idle-listen slot its deferred
@@ -384,7 +384,6 @@ class Network:
         order = self._node_order
         nodes = self.nodes
         listeners: dict[int, int] = {}
-        by_channel: dict[int, list[int]] = {}
         backlogged = self._backlogged
         single_bucket = buckets[0] if len(buckets) == 1 else None
         if 4 * len(audience) >= len(nodes):
@@ -402,13 +401,7 @@ class Network:
                 # Scanning nodes have no cells (no participant bucket) and
                 # an empty queue; their slot is the pure ASN function of
                 # the scan-channel sequence.
-                channel = scanning[node_id].tsch.scan_channel(asn)
-                listeners[node_id] = channel
-                bucket = by_channel.get(channel)
-                if bucket is None:
-                    by_channel[channel] = [node_id]
-                else:
-                    bucket.append(node_id)
+                listeners[node_id] = scanning[node_id].tsch.scan_channel(asn)
                 continue
             plan = planned.get(node_id)
             if plan is None:
@@ -449,7 +442,7 @@ class Network:
                         channel: Optional[int] = plan.channel
                 if plan is None:
                     # Empty queue, or a backlog fully absorbed above: the
-                    # slot is the memoised per-residue listen/sleep decision.
+                    # slot is the schedule's pure listen/sleep decision.
                     offset = engine.idle_listen_channel_offset(asn)
                     if offset is None:
                         # Pure sleep, exactly what deferred settling credits.
@@ -462,15 +455,9 @@ class Network:
                     continue
                 channel = plan.channel
             listeners[node_id] = channel
-            bucket = by_channel.get(channel)
-            if bucket is None:
-                by_channel[channel] = [node_id]
-            else:
-                bucket.append(node_id)
 
-        # 3. the medium arbitrates (the per-channel listener grouping was
-        # built for free while planning).
-        results = self.medium.resolve_slot(intents, listeners, by_channel)
+        # 3. the medium arbitrates, walking only the transmitters' rows.
+        results = self.medium.resolve_slot(intents, listeners)
 
         # 4a. deliver decoded frames.  A unicast frame may be *decoded* by
         # overhearing neighbours (they listened on the same channel), but only
@@ -996,12 +983,11 @@ class Network:
         if fast is None:
             fast = self.fast
         # The naive loop doubles as the reference implementation: it visits
-        # every slot, plans with the uncached gather-and-sort and arbitrates
-        # through the general medium path, which is the ground truth the
+        # every slot, plans every node with the uncached gather-and-sort and
+        # offers every listener to the medium, which is the ground truth the
         # skip-equivalence tests compare the kernel against.
         for node in self.nodes.values():
             node.tsch.cache_enabled = fast
-        self.medium.fast_paths = fast
         if not fast:
             for _ in range(num_slots):
                 self.step_slot_reference()

@@ -5,9 +5,9 @@ the medium can be resolved slot-by-slot:
 
 1.  every node declares an *intent*: transmit a frame on a physical channel,
     listen on a physical channel, or sleep;
-2.  the medium groups transmissions per physical channel and decides, for
-    every listener, whether it decodes a frame, hears a collision, or hears
-    nothing;
+2.  the medium decides, for every listener, whether it decodes a frame,
+    hears a collision (two or more transmitters on its channel within
+    interference range), or hears nothing;
 3.  for unicast frames the medium also resolves the acknowledgement sent by
     the receiver in the same slot.
 
@@ -123,10 +123,6 @@ class Medium:
         self.propagation = propagation
         self.rng = rng
         self.ack_prr_scale = ack_prr_scale
-        #: When False, arbitration always takes the general grouped path (the
-        #: reference implementation); the same-channel paths below are
-        #: identical in results and RNG draws, they only skip the bookkeeping.
-        self.fast_paths = True
         self._positions: dict[int, Position] = {}
         #: Frozen tables (filled by :meth:`freeze`): node id -> registration
         #: index, and one sparse row per sender mapping, in node-index order,
@@ -396,7 +392,6 @@ class Medium:
         self,
         intents: Sequence[TransmissionIntent],
         listeners: dict[int, int],
-        listeners_by_channel: Optional[dict[int, list[int]]] = None,
     ) -> list[TransmissionResult]:
         """Arbitrate one timeslot.
 
@@ -408,13 +403,15 @@ class Medium:
             Mapping ``node_id -> physical channel`` for every node whose radio
             is in receive mode this slot.  Transmitting nodes must not appear
             here (half-duplex radios).
-        listeners_by_channel:
-            Optional ``channel -> listener ids`` grouping of the same
-            listeners, with each group preserving the iteration order of
-            ``listeners``.  The network's dispatch loop builds it for free
-            while planning; when absent it is derived here once per slot.
-            Either way both same-channel paths below share it instead of
-            re-checking every listener's channel per intent.
+
+        Each intent's sparse row names, in node-index order, the only
+        listeners it can reach, so every listener's audible senders are
+        gathered in work proportional to the transmitters' rows: the first
+        one per listener, and the full list only where a second one on the
+        same channel collides with it.  Listeners are then visited in
+        ``listeners`` order for collisions, PRR draws and receiver marks, so
+        the RNG stream is that of checking every listener against every
+        intent.
 
         Returns
         -------
@@ -426,109 +423,16 @@ class Medium:
             return results
         if not self._frozen:
             self.freeze()
-
-        channel = intents[0].channel
-        if self.fast_paths and all(intent.channel == channel for intent in intents):
-            # Fast path for the overwhelmingly common case of every
-            # transmission sharing one physical channel (a single transmitter
-            # in particular): listeners on other channels can neither decode
-            # nor collide, so only the matching channel group is visited.
-            # Within the group the listener order equals the order of
-            # ``listeners``, so arbitration and RNG draws are identical to
-            # the general path below.
-            if listeners_by_channel is not None:
-                channel_listeners: Sequence[int] = listeners_by_channel.get(channel, ())
-            else:
-                channel_listeners = [
-                    listener for listener, ch in listeners.items() if ch == channel
-                ]
-            if len(intents) == 1:
-                self._resolve_single(intents[0], results[0], channel_listeners)
-            else:
-                self._resolve_same_channel(intents, results, channel_listeners)
-            self._resolve_acks(results)
-            return results
-
-        # Group transmitting senders per physical channel.
-        per_channel: dict[int, list[int]] = {}
-        for index, intent in enumerate(intents):
-            per_channel.setdefault(intent.channel, []).append(index)
-
-        for listener, channel in listeners.items():
-            indices = per_channel.get(channel)
-            if not indices:
-                continue
-            # Which simultaneous transmitters does this listener hear energy from?
-            audible = [i for i in indices if self.interferes(intents[i].sender, listener)]
-            if not audible:
-                continue
-            if len(audible) > 1:
-                # Two or more frames overlap at this listener: collision, the
-                # listener decodes nothing.  This is exactly the failure mode
-                # of problems 1-4 in Section III of the paper.
-                for i in audible:
-                    if intents[i].packet.link_destination in (listener, BROADCAST_ADDRESS):
-                        results[i].collided = True
-                self.total_collisions += 1
-                continue
-            index = audible[0]
-            intent = intents[index]
-            prr = self.link_prr(intent.sender, listener)
-            if prr <= 0.0:
-                # Energy is audible (interference range) but too weak to decode.
-                continue
-            if self.rng.random() <= prr:
-                results[index].receivers.append(listener)
-                if intent.packet.link_destination == listener:
-                    results[index].delivered = True
-
-        self._resolve_acks(results)
-        return results
-
-    def _resolve_single(
-        self,
-        intent: TransmissionIntent,
-        result: TransmissionResult,
-        channel_listeners: Sequence[int],
-    ) -> None:
-        """Resolve one transmitter against its channel's listeners (no collision)."""
-        destination = intent.packet.link_destination
-        row = self._prr_rows[intent.sender]
-        audience = self._audience[intent.sender]
-        rng_random = self.rng.random
-        for listener in channel_listeners:
-            if listener not in audience:
-                continue
-            prr = row[listener]  # the row holds every audience member
-            if prr <= 0.0:
-                continue
-            if rng_random() <= prr:
-                result.receivers.append(listener)
-                if destination == listener:
-                    result.delivered = True
-
-    def _resolve_same_channel(
-        self,
-        intents: Sequence[TransmissionIntent],
-        results: list[TransmissionResult],
-        channel_listeners: Sequence[int],
-    ) -> None:
-        """Resolve several same-channel transmitters (collisions possible).
-
-        Each intent's sparse row names the listeners it reaches, so the
-        audible senders of every listener are gathered in work proportional
-        to the rows, not to listeners x intents: the first one per listener,
-        and the full list only where a second one collides with it.
-        Listeners are then visited in ``channel_listeners`` order: the
-        collisions, marks and RNG draws of the general path.
-        """
         rows = self._prr_rows
+        audiences = self._audience
+        channel_of = listeners.get
         first: dict[int, int] = {}
         collided: dict[int, list[int]] = {}
         for index, intent in enumerate(intents):
-            audience = self._audience[intent.sender]
+            channel = intent.channel
+            audience = audiences[intent.sender]
             for listener in rows[intent.sender]:
-                if listener in audience:
+                if listener in audience and channel_of(listener) == channel:
                     earlier = first.setdefault(listener, index)
                     if earlier != index:
                         heard = collided.get(listener)
@@ -537,12 +441,15 @@ class Medium:
                         else:
                             heard.append(index)
         rng_random = self.rng.random
-        for listener in channel_listeners:
+        for listener in listeners:
             sender_index = first.get(listener)
             if sender_index is None:
                 continue
             heard = collided.get(listener)
             if heard is not None:
+                # Two or more frames overlap at this listener: collision, the
+                # listener decodes nothing.  This is exactly the failure mode
+                # of problems 1-4 in Section III of the paper.
                 for index in heard:
                     if intents[index].packet.link_destination in (listener, BROADCAST_ADDRESS):
                         results[index].collided = True
@@ -551,12 +458,15 @@ class Medium:
             intent = intents[sender_index]
             prr = rows[intent.sender][listener]
             if prr <= 0.0:
+                # Energy is audible (interference range) but too weak to decode.
                 continue
             if rng_random() <= prr:
                 result = results[sender_index]
                 result.receivers.append(listener)
                 if intent.packet.link_destination == listener:
                     result.delivered = True
+        self._resolve_acks(results)
+        return results
 
     def _resolve_acks(self, results: list[TransmissionResult]) -> None:
         """Resolve ACKs for unicast frames that reached their destination."""

@@ -281,7 +281,7 @@ class TestParallelParity:
         assert rerun_cache.misses == 0
 
 
-class TestFreezeCache:
+class TestFigureSweeps:
     def test_figure_parallel_matches_serial_and_aggregates(self):
         kwargs = dict(
             rates_ppm=(60, 120), schedulers=(GT_TSCH,), seeds=(1, 2), **FAST

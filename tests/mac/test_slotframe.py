@@ -1,5 +1,7 @@
 """Tests for slotframes and CDU-matrix rendering."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -115,6 +117,99 @@ class TestSlotframeRemoval:
         for offset in offsets:
             sf.add_cell(tx_cell(offset))
         assert sorted(sf.used_slot_offsets() + sf.free_slot_offsets()) == list(range(32))
+
+
+def first_rx_entry(bucket):
+    """First RX cell of ``bucket`` sorted stably by purpose priority."""
+    for cell in sorted(bucket, key=lambda c: c.purpose.priority):
+        if cell.is_rx:
+            return (cell.purpose.priority, cell.channel_offset)
+    return None
+
+
+def rx_cell(slot, channel, purpose=CellPurpose.UNICAST_DATA, neighbor=None):
+    return Cell(
+        slot_offset=slot,
+        channel_offset=channel,
+        options=CellOption.RX,
+        neighbor=neighbor,
+        purpose=purpose,
+    )
+
+
+class TestListenTable:
+    """Each offset's entry is its first RX cell in planning order."""
+
+    OPTIONS = (
+        CellOption.TX,
+        CellOption.TX | CellOption.SHARED,
+        CellOption.RX,
+        CellOption.RX | CellOption.ALWAYS_ON,
+        CellOption.TX | CellOption.RX | CellOption.SHARED,
+        CellOption.TX | CellOption.BROADCAST,
+    )
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_entries_follow_random_mutations(self, seed):
+        rng = random.Random(seed)
+        sf = Slotframe(0, 4)
+        purposes = list(CellPurpose)
+        tied = 0
+        for _ in range(250):
+            installed = list(sf.all_cells())
+            draw = rng.random()
+            if draw < 0.55 or not installed:
+                sf.add_cell(
+                    Cell(
+                        slot_offset=rng.randrange(4),
+                        channel_offset=rng.randrange(3),
+                        options=rng.choice(self.OPTIONS),
+                        neighbor=rng.choice([None, 1, 2, 3]),
+                        purpose=rng.choice(purposes[:3]),
+                    )
+                )
+            elif draw < 0.85:
+                sf.remove_cell(rng.choice(installed))
+            elif draw < 0.98:
+                sf.remove_cells_with_neighbor(rng.choice([1, 2, 3]))
+            else:
+                sf.clear()
+            for asn in range(8):
+                bucket = sf.cells_at(asn)
+                assert sf.listen_at(asn) == first_rx_entry(bucket), (asn, bucket)
+                best = first_rx_entry(bucket)
+                if best is not None:
+                    tied += sum(
+                        1 for c in bucket if c.is_rx and c.purpose.priority == best[0]
+                    ) > 1
+        assert tied  # equal-priority RX cells shared an offset at some step
+
+    def test_insertion_order_breaks_priority_ties(self):
+        sf = Slotframe(0, 5)
+        first = sf.add_cell(rx_cell(2, channel=1))
+        sf.add_cell(rx_cell(2, channel=3))
+        sf.add_cell(tx_cell(2, channel=4))
+        assert sf.listen_at(7) == (CellPurpose.UNICAST_DATA.priority, 1)
+        sf.add_cell(rx_cell(2, channel=2, purpose=CellPurpose.BROADCAST))
+        assert sf.listen_at(2) == (CellPurpose.BROADCAST.priority, 2)
+        sf.remove_cells_with_neighbor(None)
+        assert sf.listen_at(2) is None  # only cells without a neighbor were there
+        sf.add_cell(first)
+        sf.add_cell(rx_cell(2, channel=3, neighbor=9))
+        sf.remove_cell(first)
+        assert sf.listen_at(2) == (CellPurpose.UNICAST_DATA.priority, 3)
+
+    def test_tx_only_offsets_and_clear(self):
+        sf = Slotframe(0, 3)
+        sf.add_cell(tx_cell(0))
+        sf.add_cell(rx_cell(1, channel=2))
+        assert [sf.listen_at(asn) for asn in range(3)] == [
+            None,
+            (CellPurpose.UNICAST_DATA.priority, 2),
+            None,
+        ]
+        sf.clear()
+        assert [sf.listen_at(asn) for asn in range(3)] == [None, None, None]
 
 
 class TestCduRendering:

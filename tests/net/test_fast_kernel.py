@@ -319,7 +319,6 @@ class TestReferenceLoop:
         manual.start()
         for node in manual.nodes.values():
             node.tsch.cache_enabled = False
-        manual.medium.fast_paths = False
         for _ in range(400):
             manual.step_slot_reference()
         assert manual.clock.asn == looped.clock.asn == 400
@@ -430,22 +429,39 @@ class TestParticipantDispatch:
         assert network._collect_transmitters(5) == []
 
     def test_idle_listen_channel_offset_matches_plan(self):
-        """The audience pass's per-residue listen table equals plan_slot."""
-        scenario = traffic_load_scenario(
-            rate_ppm=0.0, scheduler=ORCHESTRA, seed=6, measurement_s=5.0, warmup_s=5.0
-        )
-        network = scenario.build_network()
-        network.start()
-        for node in network.nodes.values():
-            engine = node.tsch
-            for asn in range(120):
-                plan = engine.plan_slot(asn)
-                offset = engine.idle_listen_channel_offset(asn)
-                if plan.action == "rx":
-                    assert offset is not None
-                    assert engine.hopping.channel_for(asn, offset) == plan.channel
-                else:
-                    assert offset is None
+        """The audience pass's listen decision, read from the slotframes'
+        listen tables, equals the reference plan of an empty-queue node:
+        on Orchestra's fresh schedule, beyond one hyperperiod of its
+        coprime 8/31/41 slotframes (10,168 slots), and on GT-TSCH and MSF
+        schedules that 6P has rewritten during warm-up."""
+        hyperperiod = 8 * 31 * 41
+        cases = [
+            (ORCHESTRA, 0.0, 0, [*range(120), *range(hyperperiod - 40, hyperperiod + 80)]),
+            (GT_TSCH, 120.0, 2500, range(2500, 2700)),
+            (MSF, 120.0, 2500, range(2500, 2700)),
+        ]
+        for scheduler, rate, warmup_slots, asns in cases:
+            network = traffic_load_scenario(
+                rate_ppm=rate, scheduler=scheduler, seed=6, measurement_s=20.0, warmup_s=6.0
+            ).build_network()
+            network.start()
+            network.run_slots(warmup_slots)
+            if warmup_slots:
+                # 6P transactions have rewritten the schedules.
+                assert sum(node.sixtop.requests_sent for node in network.nodes.values())
+            for node in network.nodes.values():
+                engine = node.tsch
+                engine.flush_queue()
+                engine.cache_enabled = False
+                for asn in asns:
+                    plan = engine.plan_slot(asn)
+                    offset = engine.idle_listen_channel_offset(asn)
+                    if plan.action == "rx":
+                        assert offset is not None, (scheduler, node.node_id, asn)
+                        assert engine.hopping.channel_for(asn, offset) == plan.channel
+                    else:
+                        assert plan.action == "sleep"
+                        assert offset is None, (scheduler, node.node_id, asn)
 
     def test_deferred_duty_cycle_settles_on_schedule_change(self):
         """A mid-run schedule mutation settles the pre-mutation window, so

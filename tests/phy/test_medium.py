@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.net.packet import BROADCAST_ADDRESS, Packet, PacketType, make_data_packet
-from repro.phy.medium import Medium, TransmissionIntent
+from repro.phy.medium import Medium, TransmissionIntent, TransmissionResult
 from repro.phy.propagation import (
     FixedPrrModel,
     LogisticPrrModel,
@@ -210,96 +210,175 @@ class TestFreeze:
         assert medium.audience_of(0) == frozenset({1, 2})
         assert medium.audience_of(3) == frozenset()
 
-    def test_resolve_slot_with_grouping_matches_without(self):
-        """Passing the precomputed per-channel grouping must not change
-        arbitration results or RNG draws."""
 
-        def run(grouped, fast_paths):
+def brute_force_resolve(medium, intents, listeners):
+    """Arbitrate by checking every listener against every intent.
+
+    The medium's former general loop, kept as the oracle: listeners are
+    visited in ``listeners`` order, each against every intent on its
+    channel, drawing from ``medium.rng`` and bumping its counters exactly as
+    ``Medium.resolve_slot`` must.
+    """
+    results = [TransmissionResult(intent=intent) for intent in intents]
+    medium.total_transmissions += len(intents)
+    per_channel = {}
+    for index, intent in enumerate(intents):
+        per_channel.setdefault(intent.channel, []).append(index)
+    for listener, channel in listeners.items():
+        indices = per_channel.get(channel)
+        if not indices:
+            continue
+        audible = [i for i in indices if medium.interferes(intents[i].sender, listener)]
+        if not audible:
+            continue
+        if len(audible) > 1:
+            for i in audible:
+                if intents[i].packet.link_destination in (listener, BROADCAST_ADDRESS):
+                    results[i].collided = True
+            medium.total_collisions += 1
+            continue
+        index = audible[0]
+        intent = intents[index]
+        prr = medium.link_prr(intent.sender, listener)
+        if prr <= 0.0:
+            continue
+        if medium.rng.random() <= prr:
+            results[index].receivers.append(listener)
+            if intent.packet.link_destination == listener:
+                results[index].delivered = True
+    for result in results:
+        intent = result.intent
+        if not intent.expects_ack or intent.packet.is_broadcast or not result.delivered:
+            continue
+        reverse = medium.link_prr(intent.packet.link_destination, intent.sender)
+        result.acked = medium.rng.random() <= min(1.0, reverse * medium.ack_prr_scale)
+    return results
+
+
+def broadcast(sender, channel):
+    packet = make_data_packet(sender, BROADCAST_ADDRESS, created_at=0.0)
+    packet.link_source = sender
+    packet.link_destination = BROADCAST_ADDRESS
+    return TransmissionIntent(sender=sender, packet=packet, channel=channel, expects_ack=False)
+
+
+def _dense_fixed_model(rng, positions):
+    """Random asymmetric links plus interference-only pairs (no usable link)."""
+    model = FixedPrrModel(default_prr=0.0, symmetric=False)
+    for a in positions:
+        for b in positions:
+            if a == b:
+                continue
+            draw = rng.random()
+            if draw < 0.3:
+                model.set_link(a, b, rng.choice([0.3, 0.8, 1.0]))
+            elif draw < 0.5:
+                model.add_interference(a, b)
+    return model
+
+
+#: Models under the arbitration property test.  The long logistic tail puts
+#: listeners with PRR > 0 outside interference range into the sparse rows.
+ARBITRATION_MODELS = {
+    "unit-disk": lambda rng, positions: UnitDiskLossyEdgeModel(
+        reliable_range=15.0, communication_range=25.0, interference_range=40.0
+    ),
+    "logistic-tail": lambda rng, positions: LogisticPrrModel(
+        midpoint=20.0, steepness=0.2, interference_range=25.0, prr_floor=0.001
+    ),
+    "fixed": _dense_fixed_model,
+}
+CHANNELS = (11, 15, 20)
+
+
+def _random_slot(rng, node_ids, channels):
+    """Broadcast/unicast intents over ``channels``, shuffled listeners."""
+    senders = rng.sample(node_ids, rng.randint(1, 6))
+    intents = []
+    for sender in senders:
+        channel = rng.choice(channels)
+        if rng.random() < 0.4:
+            intents.append(broadcast(sender, channel))
+        else:
+            receiver = rng.choice([n for n in node_ids if n != sender])
+            intents.append(unicast(sender, receiver, channel))
+    others = [n for n in node_ids if n not in senders]
+    chosen = rng.sample(others, rng.randint(0, len(others)))  # random order
+    return intents, {listener: rng.choice(channels) for listener in chosen}
+
+
+def _outcome(medium, results):
+    return (
+        [(r.receivers, r.delivered, r.acked, r.collided) for r in results],
+        medium.total_collisions,
+        medium.total_transmissions,
+        # The RNG stream must be consumed identically.
+        medium.rng.random(),
+    )
+
+
+def _assert_matches_brute_force(build, intents, listeners, freeze=True):
+    medium = build()
+    if freeze:
+        medium.freeze()
+    fast = _outcome(medium, medium.resolve_slot(intents, dict(listeners)))
+    oracle = build()
+    assert fast == _outcome(oracle, brute_force_resolve(oracle, intents, dict(listeners)))
+    return fast
+
+
+class TestArbitrationMatchesBruteForce:
+    """``resolve_slot`` equals checking every listener against every intent."""
+
+    @pytest.mark.parametrize("name", sorted(ARBITRATION_MODELS))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_slots(self, name, seed):
+        rng = random.Random(seed)
+        node_ids = list(range(24))
+        rng.shuffle(node_ids)  # registration order differs from id order
+        positions = {n: (rng.uniform(0, 60), rng.uniform(0, 60)) for n in node_ids}
+
+        def build():
+            model = ARBITRATION_MODELS[name](random.Random(seed), list(positions.values()))
+            medium = Medium(model, random.Random(seed + 1), ack_prr_scale=0.9)
+            for node_id, position in positions.items():
+                medium.register_node(node_id, position)
+            return medium
+
+        collisions = 0
+        for slot in range(12):
+            # Even slots put every intent and listener on one channel.
+            channels = CHANNELS if slot % 2 else CHANNELS[:1]
+            intents, listeners = _random_slot(rng, node_ids, channels)
+            outcome = _assert_matches_brute_force(build, intents, listeners)
+            collisions += outcome[1]
+        assert collisions > 0  # the layouts are dense enough to collide
+
+    def test_single_sender_with_listeners_on_several_channels(self):
+        def build():
             medium = perfect_medium({0: (0, 0), 1: (1, 0), 2: (2, 0), 3: (3, 0)})
-            medium.fast_paths = fast_paths
             medium.rng = random.Random(42)
-            listeners = {1: 15, 2: 20, 3: 15}
-            by_channel = {15: [1, 3], 20: [2]} if grouped else None
-            results = medium.resolve_slot(
-                [unicast(0, 1, channel=15)], listeners, by_channel
-            )
-            return [(r.receivers, r.delivered, r.acked) for r in results], medium.rng.random()
+            return medium
 
-        baseline = run(grouped=False, fast_paths=False)
-        assert run(grouped=True, fast_paths=True) == baseline
-        assert run(grouped=False, fast_paths=True) == baseline
+        outcome = _assert_matches_brute_force(
+            build, [unicast(0, 1, channel=15)], {1: 15, 2: 20, 3: 15}
+        )
+        assert outcome[0] == [([1, 3], True, True, False)]
 
-    def test_multi_transmitter_same_channel_fast_path_matches_reference(self):
-        def run(fast_paths, frozen):
+    @pytest.mark.parametrize("freeze", [False, True])
+    def test_interference_only_pairs_collide_on_one_channel(self, freeze):
+        def build():
             medium = perfect_medium(
                 {0: (0, 0), 1: (1, 0), 2: (2, 0), 3: (3, 0)},
                 interference_pairs=[(0, 3), (1, 3), (0, 2), (1, 2)],
             )
-            if frozen:
-                medium.freeze()
-            medium.fast_paths = fast_paths
             medium.rng = random.Random(7)
-            intents = [unicast(0, 2, channel=15), unicast(1, 3, channel=15)]
-            results = medium.resolve_slot(intents, {2: 15, 3: 15})
-            outcome = [
-                (r.receivers, r.delivered, r.acked, r.collided) for r in results
-            ]
-            return outcome, medium.total_collisions, medium.rng.random()
+            return medium
 
-        baseline = run(fast_paths=False, frozen=False)
-        assert run(fast_paths=True, frozen=False) == baseline
-        assert run(fast_paths=True, frozen=True) == baseline
-
-
-class TestSameChannelResolve:
-    """The same-channel path must match the general grouped (reference) path."""
-
-    def _random_medium(self, seed, fast_paths):
-        rng = random.Random(seed)
-        model = UnitDiskLossyEdgeModel(
-            reliable_range=15.0, communication_range=25.0, interference_range=40.0
-        )
-        medium = Medium(model, random.Random(seed + 1))
-        medium.fast_paths = fast_paths
-        for node_id in range(24):
-            medium.register_node(node_id, (rng.uniform(0, 60), rng.uniform(0, 60)))
-        return medium
-
-    def _mixed_slot(self, rng):
-        intents = []
-        senders = rng.sample(range(24), 5)
-        for sender in senders[:3]:
-            packet = make_data_packet(sender, BROADCAST_ADDRESS, created_at=0.0)
-            packet.link_source = sender
-            packet.link_destination = BROADCAST_ADDRESS
-            intents.append(
-                TransmissionIntent(sender=sender, packet=packet, channel=20, expects_ack=False)
-            )
-        for sender in senders[3:]:
-            receiver = rng.choice([n for n in range(24) if n not in senders])
-            intents.append(unicast(sender, receiver, channel=20))
-        listeners = {n: 20 for n in range(24) if n not in senders}
-        return intents, listeners
-
-    def test_sparse_path_matches_general_path(self):
-        for seed in range(6):
-            outcomes = []
-            for fast_paths in (True, False):
-                medium = self._random_medium(seed, fast_paths)
-                intents, listeners = self._mixed_slot(random.Random(seed + 100))
-                results = medium.resolve_slot(intents, dict(listeners))
-                outcomes.append(
-                    (
-                        [
-                            (sorted(r.receivers), r.delivered, r.acked, r.collided)
-                            for r in results
-                        ],
-                        medium.total_collisions,
-                        # The RNG stream must be consumed identically.
-                        medium.rng.random(),
-                    )
-                )
-            assert outcomes[0] == outcomes[1], f"seed {seed}"
+        intents = [unicast(0, 2, channel=15), unicast(1, 3, channel=15)]
+        outcome = _assert_matches_brute_force(build, intents, {2: 15, 3: 15}, freeze)
+        assert outcome[0] == [([], False, False, True), ([], False, False, True)]
+        assert outcome[1] == 2
 
 
 def _fixed_model_with_interference(rng, positions):

@@ -45,8 +45,11 @@ class VersionedClass:
 def _default_versioned_classes() -> dict[str, VersionedClass]:
     return {
         # Every cell add/remove must bump Slotframe.version (via _mutated),
-        # which pushes on_change up to the TSCH engine and the network kernel.
-        "Slotframe": VersionedClass(tracked_fields=("_table",), bump_names=("_mutated",)),
+        # which pushes on_change up to the TSCH engine and the network kernel;
+        # the per-offset listen table changes only together with the cells.
+        "Slotframe": VersionedClass(
+            tracked_fields=("_table", "_listen"), bump_names=("_mutated",)
+        ),
         # ETX estimate changes must bump the estimator's version counters or
         # RPL's rank memo serves stale candidate ranks.
         "EtxEstimator": VersionedClass(
