@@ -36,15 +36,15 @@ from repro.core.game import (
     payoff,
     payoff_second_derivative,
 )
-from repro.sim.accel import numpy_or_none
 
 # numpy is a hard dependency of the *numeric verification* functions below
 # (they exist to sample derivatives and quadratic forms), not of the
-# simulator: the shared gate keeps detection in one place, and
-# ``ignore_disable=True`` means the REPRO_NO_NUMPY escape hatch -- which
-# forces the kernel's pure-Python fallbacks -- does not break analyses that
-# have no fallback to force.
-np = numpy_or_none(ignore_disable=True)
+# simulator: without numpy this module still imports, and only calling an
+# analysis raises.
+try:
+    import numpy as np
+except ImportError:  # pragma: no cover - numpy-less installs only
+    np = None  # type: ignore[assignment]
 
 
 def _require_numpy() -> None:

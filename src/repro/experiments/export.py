@@ -2,8 +2,7 @@
 
 The figure runners return :class:`repro.experiments.runner.FigureResult`
 objects; these helpers serialise them so results can be archived, diffed
-across code versions, or plotted with external tooling (the repository itself
-stays dependency-free beyond numpy).
+across code versions, or plotted with external tooling.
 """
 
 from __future__ import annotations
@@ -12,25 +11,8 @@ import csv
 import json
 from typing import TYPE_CHECKING
 
-from repro.sim.accel import numpy_or_none
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.runner import FigureResult
-
-
-def _native(value):
-    """Coerce numpy scalars (from seed-averaged rows) to Python builtins.
-
-    Aggregated figure rows may carry ``numpy.float64`` means when the
-    optional accelerator is installed; ``json`` refuses them and CSV would
-    serialise their repr.  Detection goes through the shared
-    :func:`repro.sim.accel.numpy_or_none` gate so exports behave identically
-    on numpy-less installs.
-    """
-    np = numpy_or_none()
-    if np is not None and isinstance(value, np.generic):
-        return value.item()
-    return value
 
 
 #: Column order used for CSV export (sweep value + scheduler + panel metrics).
@@ -73,7 +55,7 @@ def figure_to_csv(result: "FigureResult", path: str) -> str:
         )
         writer.writeheader()
         for row in rows:
-            writer.writerow({key: _native(value) for key, value in row.items()})
+            writer.writerow(row)
     return path
 
 
@@ -85,10 +67,7 @@ def figure_to_json(result: "FigureResult", path: str) -> str:
         "sweep_values": list(result.sweep_values),
         "schedulers": list(result.results),
         "seeds": list(getattr(result, "seeds", []) or []),
-        "rows": [
-            {key: _native(value) for key, value in row.items()}
-            for row in result.rows()
-        ],
+        "rows": result.rows(),
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)

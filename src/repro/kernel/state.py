@@ -7,7 +7,7 @@ per-node Python objects: duty-cycle settlement walks hundreds of
 one attribute at a time, and the audience pass re-reads ``alive``/``joined``
 flags object by object.  This module moves those fields into contiguous
 columns indexed by a dense node *row*, so the dispatch kernel can operate on
-them as bulk (optionally numpy-vectorised) array operations.
+them as bulk column operations.
 
 Layout -- one column per field, all rows allocated by :meth:`NodeStateStore.add_row`:
 
@@ -44,24 +44,16 @@ in :mod:`repro.net.network` may *bulk*-write columns directly; every other
 writer goes through the views (see ``docs/soa.md``).
 
 Storage is a typed contiguous buffer per column (``array.array``, int64 /
-float64), *always* -- scalar view access then costs the same as a plain list
-index and yields native Python ints and floats.  numpy enters only in the
-bulk kernels: they wrap the very same buffers in zero-copy
-``numpy.frombuffer`` views for the vectorised fancy-index updates, so there
-is never a second copy to keep coherent.  The views are transient (created
-and dropped inside each bulk call); a cached view across :meth:`add_row`
-would raise ``BufferError`` on growth, by design.  The shared
-:func:`repro.sim.accel.numpy_or_none` gate (honouring ``REPRO_NO_NUMPY=1``)
-selects between the vectorised kernels and loop fallbacks with identical
-semantics; all counters stay integers either way (RL006).
+float64): scalar view access then costs the same as a plain list index and
+yields native Python ints and floats.  The bulk writers are plain loops over
+the same buffers, so there is never a second copy to keep coherent, and all
+counters stay integers (RL006).
 """
 
 from __future__ import annotations
 
 from array import array
 from typing import TYPE_CHECKING, Any
-
-from repro.sim.accel import numpy_or_none
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.packet import PacketType
@@ -155,16 +147,15 @@ class NodeStateStore:
     row index stable for the lifetime of the network.
 
     Growth may reallocate the column buffers, so any code caching a raw
-    column reference (or a numpy view of one) must refetch it when
-    :attr:`layout_version` changes; the views never cache (they index
-    through the store attribute on every access) and the bulk kernels build
-    their numpy views transiently per call.
+    column reference must refetch it when :attr:`layout_version` changes;
+    the views never cache (they index through the store attribute on every
+    access) and the bulk writers fetch their columns per call.
     """
 
     __slots__ = (
         tuple(_INT_COLUMNS)
         + tuple(_FLOAT_COLUMNS)
-        + ("ptype_counts", "np", "layout_version", "rows", "_capacity")
+        + ("ptype_counts", "layout_version", "rows", "_capacity")
     )
 
     tx_slots: Any
@@ -186,7 +177,6 @@ class NodeStateStore:
 
     def __init__(self, capacity: int = 64) -> None:
         _ensure_ptype_index()
-        self.np = numpy_or_none()
         #: Bumped whenever the column storage grows (capacity change);
         #: cached raw column references are invalid across bumps.
         self.layout_version = 0
@@ -222,7 +212,7 @@ class NodeStateStore:
         return row
 
     # ------------------------------------------------------------------
-    # Bulk kernels (numpy-vectorised with identical loop fallbacks)
+    # Bulk writers (the dispatch kernel's duty-cycle settlement)
     # ------------------------------------------------------------------
     def settle_idle_rx(
         self, rows: "list[int]", idles: "list[int]", windows: "list[int]", asn: int
@@ -235,22 +225,6 @@ class NodeStateStore:
         ``record_rx(False)`` / ``record_sleep`` calls (the meter's integer
         counters make bulk and one-by-one crediting indistinguishable).
         """
-        np = self.np
-        if np is not None and len(rows) >= 8:
-            row_index = np.asarray(rows, dtype=np.intp)
-            idle_arr = np.asarray(idles, dtype=np.int64)
-            window_arr = np.asarray(windows, dtype=np.int64)
-            # Zero-copy views over the column buffers; rows are unique (one
-            # entry per settled node), so fancy-indexed += has no collision
-            # hazard.
-            np.frombuffer(self.rx_slots, dtype=np.int64)[row_index] += idle_arr
-            np.frombuffer(self.idle_listen_slots, dtype=np.int64)[row_index] += idle_arr
-            np.frombuffer(self.sleep_slots, dtype=np.int64)[row_index] += (
-                window_arr - idle_arr
-            )
-            np.frombuffer(self.total_slots, dtype=np.int64)[row_index] += window_arr
-            np.frombuffer(self.duty_accounted_asn, dtype=np.int64)[row_index] = asn
-            return
         rx = self.rx_slots
         idle_col = self.idle_listen_slots
         sleep = self.sleep_slots
@@ -271,13 +245,6 @@ class NodeStateStore:
         one call (a node decodes at most one frame per slot), and callers
         settle each node's deferred window *before* this credit.
         """
-        np = self.np
-        if np is not None and len(rows) >= 8:
-            row_index = np.asarray(rows, dtype=np.intp)
-            np.frombuffer(self.rx_slots, dtype=np.int64)[row_index] += 1
-            np.frombuffer(self.total_slots, dtype=np.int64)[row_index] += 1
-            np.frombuffer(self.duty_accounted_asn, dtype=np.int64)[row_index] = asn + 1
-            return
         rx = self.rx_slots
         total = self.total_slots
         accounted = self.duty_accounted_asn
@@ -285,15 +252,6 @@ class NodeStateStore:
             rx[row] += 1
             total[row] += 1
             accounted[row] = asn + 1
-
-    def alive_rows(self) -> "list[int]":
-        """Rows whose node is currently powered, in row order."""
-        np = self.np
-        if np is not None and self.rows >= 8:
-            alive = np.frombuffer(self.alive, dtype=np.int64, count=self.rows)
-            return np.nonzero(alive)[0].tolist()
-        alive_col = self.alive
-        return [row for row in range(self.rows) if alive_col[row]]
 
 
 def bind_backing(

@@ -877,8 +877,8 @@ class TschEngine:
         if self._scanning:
             # Every scan slot is an idle listen (the reference loop records
             # record_rx(False) for each); slots in which the scanner decoded
-            # a frame are credited eagerly through account_rx_frame_slot /
-            # account_slot and never reach this window.
+            # a frame are credited eagerly (NodeStateStore.account_rx_frames
+            # / account_slot) and never reach this window.
             window = asn - accounted
             backing.rx_slots[row] += window
             backing.idle_listen_slots[row] += window
@@ -929,16 +929,6 @@ class TschEngine:
             self.settle_duty_cycle(asn)
         backing.duty_accounted_asn[row] = asn + 1
         backing.tx_slots[row] += 1
-        backing.total_slots[row] += 1
-
-    def account_rx_frame_slot(self, asn: int) -> None:
-        """Settle the deferred window and record slot ``asn`` as a busy RX slot."""
-        backing = self._backing
-        row = self._row
-        if backing.duty_accounted_asn[row] < asn:
-            self.settle_duty_cycle(asn)
-        backing.duty_accounted_asn[row] = asn + 1
-        backing.rx_slots[row] += 1
         backing.total_slots[row] += 1
 
     # ------------------------------------------------------------------

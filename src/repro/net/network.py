@@ -83,36 +83,15 @@ class Network:
         seed: int = 0,
         default_node_config: Optional[NodeConfig] = None,
         fast: bool = True,
-        timer_wheels: bool = True,
-        csma_pruning: bool = True,
-        rank_memo: bool = True,
-        soa: bool = True,
     ) -> None:
         self.rngs = RngRegistry(seed)
         self.default_node_config = default_node_config or NodeConfig()
         self.clock = SimClock(self.default_node_config.tsch.slot_duration_s)
-        #: ``timer_wheels=False`` schedules every protocol timer on the flat
-        #: event heap (the reference layout the wheel equivalence tests
-        #: compare against); results are bit-identical either way.
-        self.events = EventQueue(use_wheels=timer_wheels)
-        #: Enable shared-cell contention pruning in the slot-skipping kernel
-        #: (bulk CSMA back-off settlement; ``False`` keeps the per-slot
-        #: countdown of the reference loop -- results are identical).
-        self.csma_pruning = csma_pruning
-        #: Enable RPL candidate-rank memoisation on every node built through
-        #: :meth:`add_node` (``False`` is the debugging escape hatch that
-        #: re-ranks on every reception; results are bit-identical either way
-        #: and independent of the ``fast`` kernel flag -- the protocol code
-        #: is shared by both slot loops).
-        self.rank_memo = rank_memo
-        #: Struct-of-arrays node-state store (see :mod:`repro.kernel.state`).
-        #: Every node's hot counters/flags live here regardless of ``soa``;
-        #: the flag only selects between the kernel's bulk array settlement
-        #: paths (``True``) and the per-object loops the reference semantics
-        #: are defined by (``False`` is the escape hatch -- results are
-        #: bit-identical either way, only the cost differs).
+        self.events = EventQueue()
+        #: Struct-of-arrays node-state store (see :mod:`repro.kernel.state`):
+        #: every node's hot counters and flags live here, and the dispatch
+        #: kernel settles duty-cycle windows through its bulk writers.
         self.state = NodeStateStore()
-        self.soa = soa
         self.medium = Medium(
             propagation or UnitDiskLossyEdgeModel(), self.rngs.stream("phy")
         )
@@ -203,8 +182,6 @@ class Network:
             is_root=is_root,
         )
         node.set_metrics(self.metrics)
-        if not self.rank_memo:
-            node.rpl.memo_enabled = False
         if traffic is not None:
             node.set_traffic_generator(traffic)
         node.tsch.on_schedule_change = lambda bound=node: self._on_schedule_change(bound)
@@ -491,11 +468,10 @@ class Network:
         # left lazy.
         for node_id in intent_owners:
             engines[node_id].account_tx_slot(asn)
-        if self.soa and len(nodes_that_received) > 2:
-            # Bulk flavour of account_rx_frame_slot: settle each receiver's
-            # deferred window first (profile-dependent, per node), then
-            # credit the busy-RX slot and the advanced watermark for all of
-            # them in one array operation.
+        if nodes_that_received:
+            # Settle each receiver's deferred window first (profile-dependent,
+            # per node), then credit the busy-RX slot and the advanced
+            # watermark for all of them in one store call.
             rx_rows: list[int] = []
             for node_id in sorted(nodes_that_received):
                 engine = engines[node_id]
@@ -503,9 +479,6 @@ class Network:
                     engine.settle_duty_cycle(asn)
                 rx_rows.append(engine._row)
             self.state.account_rx_frames(rx_rows, asn)
-        else:
-            for node_id in sorted(nodes_that_received):
-                engines[node_id].account_rx_frame_slot(asn)
 
         self.clock.advance_slot()
 
@@ -737,60 +710,32 @@ class Network:
         unchanged over the window (schedule mutations settle eagerly): the
         node idle-listened exactly where its profile has an active RX cell
         and slept everywhere else, so integer bulk credits reproduce the
-        per-slot loop's counters exactly.
+        per-slot loop's counters exactly.  Each node's idle-listen count is
+        computed as :meth:`~repro.mac.tsch.TschEngine.settle_duty_cycle`
+        would, and all counters are credited in one store call.
         """
         asn = self.clock.asn
-        if not self.soa:
-            for node in self._node_list:
-                node.tsch.settle_duty_cycle(asn)
-            return
-        # Struct-of-arrays path: compute each node's idle-listen count under
-        # its (constant-over-the-window) profile exactly as
-        # :meth:`~repro.mac.tsch.TschEngine.settle_duty_cycle` would, then
-        # credit all counters in one bulk array operation.  Integer credits
-        # make the two orders indistinguishable (bit-identical).
-        store = self.state
-        accounted_col = store.duty_accounted_asn
+        accounted_col = self.state.duty_accounted_asn
         rows: list[int] = []
         idles: list[int] = []
         windows: list[int] = []
         for node in self._node_list:
             engine = node.tsch
             row = engine._row
-            accounted = int(accounted_col[row])
+            accounted = accounted_col[row]
             if accounted >= asn:
                 continue
             if engine._scanning:
                 # EB scan: every deferred slot was spent listening on the
-                # scan channel -- record_rx(False) per slot, which is
-                # exactly idle == window under settle_idle_rx.
-                window = asn - accounted
-                rows.append(row)
-                idles.append(window)
-                windows.append(window)
-                continue
-            profile = engine._profile
-            if profile is None or profile.version != engine._version:
-                profile = engine.schedule_profile()
-            window = asn - accounted
-            if not profile.has_rx:
-                idle = 0
-            elif profile._single:
-                length, _, prefix = profile._frames[0][:3]
-                full, rem = divmod(window, length)
-                idle = full * prefix[length]
-                start = accounted % length
-                if start + rem <= length:
-                    idle += prefix[start + rem] - prefix[start]
-                else:
-                    idle += (prefix[length] - prefix[start]) + prefix[start + rem - length]
+                # scan channel (record_rx(False) per slot), so idle == window.
+                idle = asn - accounted
             else:
-                idle = profile.count_idle_listen(accounted, asn)
+                idle = engine.schedule_profile().count_idle_listen(accounted, asn)
             rows.append(row)
             idles.append(idle)
-            windows.append(window)
+            windows.append(asn - accounted)
         if rows:
-            store.settle_idle_rx(rows, idles, windows, asn)
+            self.state.settle_idle_rx(rows, idles, windows, asn)
 
     def next_active_asn(self, asn: int) -> Optional[int]:
         """Smallest ASN >= ``asn`` at which any node has a cell installed.
@@ -836,15 +781,15 @@ class Network:
         backlog; the node re-enters the heap through :attr:`_risky_dirty`
         when its queue or schedule changes.
 
-        With contention pruning, a backlog gated entirely behind shared-cell
-        CSMA back-off is heaped at its *post-back-off* occurrence (the first
-        matching cell pass with the window expired) instead of the next
-        matching cell: the skipped passes are pure counter decrements that
+        A backlog gated entirely behind shared-cell CSMA back-off is heaped
+        at its *post-back-off* occurrence (the first matching cell pass with
+        the window expired) instead of the next matching cell: the skipped
+        passes are pure counter decrements that
         :meth:`~repro.mac.tsch.TschEngine.settle_csma` credits in bulk, so
         the losing slots need not be stepped at all.
         """
         engine = node.tsch
-        occurrence = engine.plan_csma_deferral(asn) if self.csma_pruning else None
+        occurrence = engine.plan_csma_deferral(asn)
         if occurrence is None:
             has_broadcast, has_unicast, destinations = engine.queue_signature()
             occurrence = engine.schedule_profile().next_tx_asn(

@@ -54,14 +54,6 @@ class RplConfig:
     dio_interval_min_s: float = 4.0
     dio_interval_doublings: int = 8
     dio_redundancy: int = 0
-    #: Memoise per-neighbor candidate ranks behind version counters on their
-    #: inputs (advertised rank / DODAG id / DODAG version, per-link ETX
-    #: state, neighbor-set and children-set membership), so a DIO that
-    #: changes nothing settles without re-ranking and evaluations re-score
-    #: only dirtied candidates.  Results are bit-identical either way;
-    #: ``False`` is the debugging escape hatch that re-scores everything on
-    #: every reception, as the seed engine did.
-    rank_memo: bool = True
     #: Delay between selecting a parent and sending the DAO announcing it.
     dao_delay_s: float = 1.0
     #: Period of DAO refreshes (keeps the parent's children set alive).
@@ -135,10 +127,6 @@ class RplEngine:
         #: ``rank`` / ``preferred_parent`` properties below are first set.
         self._backing = LocalBacking()
         self._row = 0
-        #: Rank-memo escape hatch (see :attr:`RplConfig.rank_memo`); may be
-        #: flipped at any time -- the memo stamps conservatively re-score on
-        #: the next evaluation after re-enabling.
-        self.memo_enabled = config.rank_memo
         #: Version counter over every non-ETX input of parent selection:
         #: material neighbor-table updates (advertised rank / DODAG id /
         #: DODAG version, insertion, eviction), children-set membership and
@@ -298,8 +286,7 @@ class RplEngine:
         if self.is_root:
             return
         if (
-            self.memo_enabled
-            and self._memo_fixed_point
+            self._memo_fixed_point
             and self._etx_state is not None
             and self._memo_evaluated_inputs == self._memo_inputs
             and self._memo_evaluated_etx == self._etx_state.version
@@ -372,7 +359,7 @@ class RplEngine:
         entry_parent = self.preferred_parent
         best: Optional[RplNeighbor] = None
         best_rank = INFINITE_RANK
-        memo = self.memo_enabled and self._etx_state is not None
+        memo = self._etx_state is not None
         etx_versions = self._etx_state.neighbor_versions if memo else None
         for neighbor in self.neighbors.values():
             # A child must never be selected as parent (avoids 2-node loops);

@@ -138,12 +138,11 @@ class EventQueue:
         "_now",
         "_cancelled",
         "compactions",
-        "use_wheels",
         "_wheel_map",
         "_wheels",
     )
 
-    def __init__(self, use_wheels: bool = True) -> None:
+    def __init__(self) -> None:
         self._heap: list[_QueueEntry] = []
         self._counter = itertools.count()
         self._now = 0.0
@@ -151,10 +150,6 @@ class EventQueue:
         self._cancelled = 0
         #: Total number of heap compactions performed (diagnostics / tests).
         self.compactions = 0
-        #: When False, :meth:`wheel` returns ``None`` and every timer family
-        #: falls back to flat scheduling on this queue -- the reference
-        #: configuration the wheel equivalence tests compare against.
-        self.use_wheels = use_wheels
         self._wheel_map: dict[str, "TimerWheel"] = {}
         self._wheels: list["TimerWheel"] = []
 
@@ -169,16 +164,14 @@ class EventQueue:
             live += len(wheel)
         return live
 
-    def wheel(self, name: str) -> Optional["TimerWheel"]:
-        """Get or create the cohort wheel ``name`` (``None`` when disabled).
+    def wheel(self, name: str) -> "TimerWheel":
+        """Get or create the cohort wheel ``name``.
 
         Timers of one family (same nominal period, phase-offset across nodes)
         share a wheel; callers pass the result straight to
         :class:`PeriodicTimer` / :class:`~repro.rpl.trickle.TrickleTimer`,
-        which fall back to flat scheduling when it is ``None``.
+        which fall back to flat scheduling when given ``None`` instead.
         """
-        if not self.use_wheels:
-            return None
         wheel = self._wheel_map.get(name)
         if wheel is None:
             wheel = TimerWheel(self, name)

@@ -188,7 +188,7 @@ class TestFaultBarrierCoherence:
         assert float(store.trickle_phase[row]) == -1.0
         assert float(store.traffic_phase[row]) == -1.0
         assert int(store.tx_horizon[row]) == -1
-        assert store.alive_rows() == [
+        assert [row for row in range(store.rows) if store.alive[row]] == [
             n._row for n in network.nodes.values() if n.node_id != VICTIM
         ]
         assert_coherent(network)

@@ -495,38 +495,11 @@ class TestParticipantDispatch:
 
 
 class TestContentionPruning:
-    """Shared-cell CSMA pruning: bulk-settled back-off vs per-slot countdown."""
+    """Shared-cell CSMA pruning: deferral records and their bulk settlement.
 
-    @pytest.mark.parametrize("scheduler", [MINIMAL, ORCHESTRA, GT_TSCH])
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_pruned_and_unpruned_kernels_bit_identical(self, scheduler, seed):
-        """Fig. 8 load (heavy shared-cell contention), pruning on vs off."""
-
-        def run(pruning):
-            scenario = traffic_load_scenario(
-                rate_ppm=60.0,
-                scheduler=scheduler,
-                seed=seed,
-                measurement_s=8.0,
-                warmup_s=6.0,
-            )
-            network = scenario.build_network()
-            network.csma_pruning = pruning
-            metrics = network.run_experiment(
-                warmup_s=6.0, measurement_s=8.0, drain_s=2.0, scheduler_name=scheduler
-            )
-            return network, metrics
-
-        pruned_net, pruned = run(True)
-        naive_net, naive = run(False)
-        assert dataclasses.asdict(pruned) == dataclasses.asdict(naive)
-        assert pruned_net.clock.asn == naive_net.clock.asn
-        assert pruned_net.medium.total_transmissions == naive_net.medium.total_transmissions
-        assert pruned_net.medium.total_collisions == naive_net.medium.total_collisions
-        for node_id in naive_net.nodes:
-            assert dataclasses.asdict(pruned_net.nodes[node_id].tsch.stats) == (
-                dataclasses.asdict(naive_net.nodes[node_id].tsch.stats)
-            )
+    The pruned kernel against the per-slot countdown of the reference loop
+    is covered by the fast-vs-reference suites above.
+    """
 
     def _blocked_minimal_node(self):
         """A two-node minimal network with node 2 backlogged and in back-off."""
@@ -637,115 +610,18 @@ class TestContentionPruning:
         network.clock.asn = 1
         network._risky_dirty.add(node)
         assert network._next_risky_asn(1, 10_000) == 21
-        # Without pruning the CSMA-blind horizon is the next occurrence.
-        network.csma_pruning = False
-        engine.settle_csma(1)
-        network._risky_dirty.add(node)
-        assert network._next_risky_asn(1, 10_000) == 7
-
-
-class TestSoaEquivalence:
-    """Struct-of-arrays bulk kernel: SoA-on vs SoA-off vs the reference loop.
-
-    Node state always lives in the :class:`repro.kernel.state.NodeStateStore`
-    columns (the views guarantee coherence by construction); the ``soa`` flag
-    only gates the *bulk* array paths of the dispatch kernel -- masked
-    duty-cycle settlement, batched broadcast rx accounting.  All three legs
-    must finalize bit-identical metrics, clocks, medium counters and per-node
-    MAC stats on every scenario family.
-    """
-
-    def _assert_triple(self, runs):
-        (soa_net, soa), (off_net, off), (ref_net, ref) = runs
-        assert dataclasses.asdict(soa) == dataclasses.asdict(off)
-        assert dataclasses.asdict(soa) == dataclasses.asdict(ref)
-        assert soa_net.clock.asn == off_net.clock.asn == ref_net.clock.asn
-        for other in (off_net, ref_net):
-            assert soa_net.medium.total_transmissions == other.medium.total_transmissions
-            assert soa_net.medium.total_collisions == other.medium.total_collisions
-            for node_id in soa_net.nodes:
-                assert dataclasses.asdict(soa_net.nodes[node_id].tsch.stats) == (
-                    dataclasses.asdict(other.nodes[node_id].tsch.stats)
-                )
-
-    def _triple(self, make_scenario):
-        def run(fast, soa):
-            scenario = make_scenario()
-            network = scenario.build_network()
-            network.fast = fast
-            network.soa = soa
-            metrics = network.run_experiment(
-                warmup_s=scenario.warmup_s,
-                measurement_s=scenario.measurement_s,
-                drain_s=2.0,
-                scheduler_name=scenario.scheduler,
-            )
-            return network, metrics
-
-        return run(True, True), run(True, False), run(False, True)
-
-    @pytest.mark.parametrize("scheduler", [MINIMAL, ORCHESTRA, GT_TSCH])
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_fig8_load_bit_identical(self, scheduler, seed):
-        self._assert_triple(
-            self._triple(
-                lambda: traffic_load_scenario(
-                    rate_ppm=60.0,
-                    scheduler=scheduler,
-                    seed=seed,
-                    measurement_s=8.0,
-                    warmup_s=6.0,
-                )
-            )
-        )
-
-    @pytest.mark.parametrize("scheduler", [MINIMAL, ORCHESTRA, GT_TSCH])
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_scale_bit_identical(self, scheduler, seed):
-        from repro.experiments.scenarios import scale_scenario
-
-        self._assert_triple(
-            self._triple(
-                lambda: scale_scenario(
-                    num_nodes=30,
-                    scheduler=scheduler,
-                    seed=seed,
-                    measurement_s=6.0,
-                    warmup_s=4.0,
-                )
-            )
-        )
-
-    @pytest.mark.parametrize("scheduler", [MINIMAL, ORCHESTRA, GT_TSCH])
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_churn_bit_identical(self, scheduler, seed):
-        """All four fault classes mutate mid-run; the bulk paths must still
-        settle through the same barriers as the per-object code."""
-        self._assert_triple(
-            self._triple(
-                lambda: churn_scenario(
-                    num_crashes=1,
-                    scheduler=scheduler,
-                    seed=seed,
-                    rate_ppm=60.0,
-                    measurement_s=12.0,
-                    warmup_s=8.0,
-                )
-            )
-        )
-
-    def test_soa_flag_defaults_on(self):
-        assert Network().soa is True
-        assert Network(soa=False).soa is False
 
 
 class TestRankMemoEquivalence:
-    """RPL candidate-rank memoisation: memo on vs the escape hatch.
+    """RPL candidate-rank memoisation: memo on vs every reception re-ranking.
 
     The memo applies to the protocol code shared by both slot loops, so the
     standard fast-vs-reference suites above already prove memo-on kernels
     bit-identical to ``step_slot_reference``; this adds the memo-on vs
-    memo-off comparison (same kernel, both directions of the escape hatch).
+    memo-off comparison on the same kernel.  The memo-off run detaches every
+    engine's ETX state: an engine without it cannot prove an estimate
+    unchanged, so it re-scores every candidate on every reception, as the
+    engine did before the memo.
     """
 
     @pytest.mark.parametrize("scheduler", [MINIMAL, ORCHESTRA, GT_TSCH])
@@ -761,9 +637,8 @@ class TestRankMemoEquivalence:
             )
             network = scenario.build_network()
             if not memo:
-                network.rank_memo = False
                 for node in network.nodes.values():
-                    node.rpl.memo_enabled = False
+                    node.rpl._etx_state = None
             metrics = network.run_experiment(
                 warmup_s=6.0, measurement_s=8.0, drain_s=2.0, scheduler_name=scheduler
             )
@@ -781,8 +656,8 @@ class TestRankMemoEquivalence:
             assert memo_rpl.rank == plain_rpl.rank
             assert memo_rpl.preferred_parent == plain_rpl.preferred_parent
             assert memo_rpl.parent_switches == plain_rpl.parent_switches
-        # The escape hatch really was off (no skips, full re-scoring) and the
-        # memo really was on.
+        # The memo really was off (no skips, full re-scoring) in one run and
+        # on in the other.
         assert all(
             node.rpl.evaluations_skipped == 0 for node in plain_net.nodes.values()
         )
@@ -791,17 +666,6 @@ class TestRankMemoEquivalence:
         assert memo_evals <= plain_evals
         memo_scores = sum(n.rpl.candidate_recomputes for n in memo_net.nodes.values())
         plain_scores = sum(n.rpl.candidate_recomputes for n in plain_net.nodes.values())
-        # Never more work than the escape hatch (strictly less whenever the
-        # scenario re-advertises anything, e.g. every minimal/GT-TSCH run).
+        # Never more work than re-scoring everything (strictly less whenever
+        # the scenario re-advertises anything, e.g. every minimal/GT-TSCH run).
         assert memo_scores <= plain_scores
-
-    def test_network_escape_hatch_flag(self):
-        assert Network().rank_memo is True
-        network = Network(rank_memo=False)
-        node = network.add_node(
-            1,
-            position=(0.0, 0.0),
-            scheduler=MinimalScheduler(MinimalSchedulerConfig()),
-            is_root=True,
-        )
-        assert node.rpl.memo_enabled is False

@@ -17,15 +17,17 @@ from repro.sim.events import EventQueue
 
 
 def make_engine(memo=True):
+    """An engine over a fresh estimator; ``memo=False`` withholds the ETX
+    state, which makes the engine re-rank on every reception."""
     estimator = EtxEstimator()
     engine = RplEngine(
         node_id=99,
-        config=RplConfig(rank_memo=memo),
+        config=RplConfig(),
         queue=EventQueue(),
         rng=random.Random(7),
         send_packet=lambda packet: None,
         etx_of=estimator.etx,
-        etx_state=estimator,
+        etx_state=estimator if memo else None,
     )
     return engine, estimator
 
@@ -216,6 +218,8 @@ class TestEvictionMemoInteraction:
 
 
 class TestEscapeHatch:
+    """An engine without ETX state has no memo: the seed engine's behaviour."""
+
     def test_memo_off_rescores_every_reception(self):
         engine, _ = make_engine(memo=False)
         deliver_dio(engine, sender=1, rank=256)

@@ -116,10 +116,6 @@ class TestWheelRegistry:
         assert queue.wheel("a") is queue.wheel("a")
         assert queue.wheel("a") is not queue.wheel("b")
 
-    def test_disabled_queue_returns_none(self):
-        queue = EventQueue(use_wheels=False)
-        assert queue.wheel("a") is None
-
     def test_stats_reports_wheels(self):
         queue = EventQueue()
         wheel = queue.wheel("eb")
@@ -216,10 +212,10 @@ class TestScenarioEquivalence:
 
     @pytest.mark.parametrize("scheduler", ["6TiSCH-minimal", "Orchestra", "GT-TSCH"])
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_metrics_bit_identical(self, scheduler, seed):
+    def test_metrics_bit_identical(self, scheduler, seed, monkeypatch):
         from repro.experiments.scenarios import traffic_load_scenario
 
-        def run(timer_wheels):
+        def run():
             scenario = traffic_load_scenario(
                 rate_ppm=60.0,
                 scheduler=scheduler,
@@ -228,31 +224,16 @@ class TestScenarioEquivalence:
                 warmup_s=6.0,
             )
             network = scenario.build_network()
-            network.events.use_wheels = timer_wheels
-            if not timer_wheels:
-                # Rebuild so every protocol timer lands on the flat heap.
-                from repro.net.network import Network
-
-                network = Network(
-                    propagation=scenario.propagation
-                    or type(network.medium.propagation)(),
-                    seed=scenario.seed,
-                    default_node_config=scenario.contiki.node_config(),
-                    timer_wheels=False,
-                )
-                network.build_from_topology(
-                    scenario.topology,
-                    scenario._scheduler_factory(),
-                    scenario._traffic_factory(),
-                    warm_start=scenario.warm_start,
-                )
             metrics = network.run_experiment(
                 warmup_s=6.0, measurement_s=8.0, drain_s=2.0, scheduler_name=scheduler
             )
             return network, metrics
 
-        wheel_net, with_wheels = run(True)
-        flat_net, without_wheels = run(False)
+        wheel_net, with_wheels = run()
+        # Every timer family takes its wheel from EventQueue.wheel and falls
+        # back to the flat heap when handed None instead.
+        monkeypatch.setattr(EventQueue, "wheel", lambda queue, name: None)
+        flat_net, without_wheels = run()
         assert dataclasses.asdict(with_wheels) == dataclasses.asdict(without_wheels)
         assert wheel_net.clock.asn == flat_net.clock.asn
         assert (
