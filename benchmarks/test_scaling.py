@@ -14,10 +14,11 @@ same in every kernel), plus the per-stepped-slot cost, which demonstrates
 that dispatch cost tracks the nodes that actually act in a slot rather than
 the network size.
 
-A second benchmark (``test_sweep_pool_wall_clock``) times the same scale
-sweep through the persistent warm worker pool and through the legacy
-fork-per-call engine, asserts the results identical, and records the
-wall-clock comparison under the record's ``"sweep"`` key.
+A second benchmark (``test_sweep_pool_wall_clock``) times a 12-cell scale
+sweep three ways -- serially (``jobs=1``), on a cold pool (the first call
+after ``shutdown_pool()``) and on the warm pool -- asserts the three results
+bit-identical, and records the wall-clocks under the record's ``"sweep"``
+key.
 
 Modes
 -----
@@ -416,10 +417,12 @@ def test_flatness_large_n():
 
 
 # ----------------------------------------------------------------------
-# sweep engine wall-clock: persistent warm pool vs fork-per-call
+# sweep engine wall-clock: serial vs cold pool vs warm pool
 # ----------------------------------------------------------------------
 #: Sweep-bench dimensions (independent of FULL/SMOKE: the point is engine
-#: overhead, not simulation depth).
+#: overhead, not simulation depth).  Three schedulers (12 cells) keep the
+#: three timed passes cheaper than the old two 24-cell passes.
+SWEEP_SCHEDULERS = (GT_TSCH, ORCHESTRA, MINIMAL)
 SWEEP_NODE_COUNTS = (100, 200)
 SWEEP_SEEDS = (1, 2)
 SWEEP_WARMUP_S = 4.0
@@ -427,7 +430,7 @@ SWEEP_MEASUREMENT_S = 6.0
 SWEEP_JOBS = 2
 
 
-def _sweep_cells(seeds=SWEEP_SEEDS):
+def _sweep_cells():
     return [
         replace(
             scale_scenario(
@@ -439,47 +442,44 @@ def _sweep_cells(seeds=SWEEP_SEEDS):
             seed=seed,
             drain_s=2.0,
         )
-        for scheduler in SCHEDULERS
+        for scheduler in SWEEP_SCHEDULERS
         for count in SWEEP_NODE_COUNTS
-        for seed in seeds
+        for seed in SWEEP_SEEDS
     ]
+
+
+def _timed_sweep(cells, jobs):
+    started = time.perf_counter()
+    results = run_scenarios(cells, jobs=jobs)
+    return results, time.perf_counter() - started
 
 
 @pytest.mark.benchmark(group="scaling")
 def test_sweep_pool_wall_clock():
-    """Scale-sweep wall-clock through both pool engines, recorded to the
-    scaling record.
+    """Scale-sweep wall-clock serially, on a cold pool and on the warm pool,
+    recorded to the scaling record.
 
-    Times the same (scheduler x N x seed) batch through the fork-per-call
-    engine (a fresh ``multiprocessing.Pool`` per ``run_scenarios``, the
-    pre-persistent-pool behaviour) and through the persistent pool after a
-    warm-up batch (workers already spawned, stack imported).  Results are
-    asserted bit-identical; the wall-clock
-    ratio is recorded, not gated -- it depends on core count (a single-core
-    runner shows pool overhead only) and machine load, unlike the kernel's
-    same-run speedup ratio.
+    The cold call is the first after ``shutdown_pool()``, so it pays for
+    forking the workers; the warm call reuses them.  Results are asserted
+    bit-identical; the wall-clocks are recorded, not gated -- they depend on
+    core count (a single-core runner shows pool overhead only) and machine
+    load, unlike the kernel's same-run speedup ratio.
     """
     cells = _sweep_cells()
-    started = time.perf_counter()
-    forked = run_scenarios(cells, jobs=SWEEP_JOBS, persistent_pool=False)
-    fork_s = time.perf_counter() - started
-
-    run_scenarios(_sweep_cells(seeds=(3,)), jobs=SWEEP_JOBS)  # spawn + warm
-    started = time.perf_counter()
-    warm = run_scenarios(cells, jobs=SWEEP_JOBS)
-    warm_s = time.perf_counter() - started
+    serial, serial_s = _timed_sweep(cells, jobs=1)
+    shutdown_pool()
+    cold, cold_s = _timed_sweep(cells, jobs=SWEEP_JOBS)
+    warm, warm_s = _timed_sweep(cells, jobs=SWEEP_JOBS)
     shutdown_pool()
 
-    for a, b in zip(forked, warm):
-        assert dataclasses.asdict(a) == dataclasses.asdict(b), (
-            "persistent pool diverged from the forking engine"
-        )
+    for a, b, c in zip(serial, cold, warm):
+        assert (
+            dataclasses.asdict(a) == dataclasses.asdict(b) == dataclasses.asdict(c)
+        ), "pooled sweep diverged from the serial run"
 
-    improvement = 100.0 * (1.0 - warm_s / fork_s)
     print(
-        f"[scaling/sweep] {len(cells)} cells x jobs={SWEEP_JOBS}: "
-        f"fork-per-call {fork_s:.2f}s, warm persistent pool {warm_s:.2f}s "
-        f"({improvement:+.0f}%)"
+        f"[scaling/sweep] {len(cells)} cells: serial {serial_s:.2f}s, "
+        f"jobs={SWEEP_JOBS} cold pool {cold_s:.2f}s, warm pool {warm_s:.2f}s"
     )
 
     # Merge into this run's fresh record when the throughput test already
@@ -495,9 +495,9 @@ def test_sweep_pool_wall_clock():
         "jobs": SWEEP_JOBS,
         "cpu_count": os.cpu_count(),
         "node_counts": list(SWEEP_NODE_COUNTS),
-        "fork_per_call_s": round(fork_s, 2),
+        "serial_s": round(serial_s, 2),
+        "cold_pool_s": round(cold_s, 2),
         "warm_pool_s": round(warm_s, 2),
-        "improvement_percent": round(improvement, 1),
     }
     _write_record(record, RESULT_FILE)
     if REBASELINE:

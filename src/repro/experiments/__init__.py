@@ -5,8 +5,9 @@
   length sweep).
 * :mod:`repro.experiments.runner` -- functions that run one scenario or a
   whole figure and return the metric series the paper plots.
-* :mod:`repro.experiments.parallel` -- the execution engine: multiprocessing
-  fan-out over scenarios plus an on-disk, content-addressed result cache.
+* :mod:`repro.experiments.parallel` -- the execution engine: process-pool
+  fan-out over scenarios plus an on-disk, content-addressed result cache
+  that stores each cell as it finishes.
 * :mod:`repro.experiments.ablation` -- ablations over GT-TSCH design choices
   that the paper fixes (payoff weights, EWMA smoothing, shared cells).
 

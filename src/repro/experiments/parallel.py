@@ -5,17 +5,16 @@ list of fully-specified :class:`~repro.experiments.scenarios.Scenario`
 objects and returns one :class:`~repro.metrics.collector.NetworkMetrics` per
 scenario, optionally
 
-* fanning the scenarios out over a **persistent** ``multiprocessing`` pool
-  (every scenario is an independent, seeded simulation, so workers are
+* fanning the scenarios out over one shared ``ProcessPoolExecutor`` (every
+  scenario is an independent, seeded simulation, so workers are
   embarrassingly parallel and the results are bit-identical to a serial
-  run).  The pool outlives individual ``run_scenarios`` calls: repeated
-  figure sweeps reuse warm workers instead of forking a fresh pool per
-  figure, and cells are dispatched with chunked ``imap_unordered`` so slow
-  cells (N=500 reference runs) do not serialise behind fast ones;
-* memoising each result on disk under a content hash of the scenario, so
-  re-running a figure, extending a sweep, or adding seeds only simulates the
-  cells that have never been run before.  Cache keys are untouched by the
-  pool mechanics.
+  run).  The pool outlives individual ``run_scenarios`` calls, so repeated
+  figure sweeps reuse warm workers, and every cell is its own future, so
+  slow cells (N=500 reference runs) do not serialise behind fast ones;
+* memoising each result on disk under a content hash of the scenario the
+  moment it finishes, so re-running a figure, extending a sweep, adding
+  seeds or re-running an aborted sweep only simulates the cells that never
+  finished.
 
 The figure-level fan-out (sweep value x scheduler x seed) lives in
 :mod:`repro.experiments.runner`; this module is deliberately ignorant of
@@ -24,16 +23,16 @@ figures and only sees scenarios.
 
 from __future__ import annotations
 
-import atexit
 import dataclasses
 import hashlib
 import json
 import logging
-import multiprocessing
 import os
 import pickle
 import tempfile
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from typing import Optional, Union
 
 from repro.experiments.scenarios import Scenario
@@ -269,11 +268,10 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-#: The persistent worker pool, shared by every ``run_scenarios`` call of this
+#: The shared worker pool, reused by every ``run_scenarios`` call of this
 #: process (one pool per worker count; resizing replaces it).
-_POOL: Optional[multiprocessing.pool.Pool] = None
+_POOL: Optional[ProcessPoolExecutor] = None
 _POOL_WORKERS = 0
-_POOL_ATEXIT_REGISTERED = False
 
 
 def _pool_initializer() -> None:
@@ -288,172 +286,128 @@ def _pool_initializer() -> None:
 
 
 def shutdown_pool() -> None:
-    """Dispose of the persistent pool (idempotent; a new one spawns on demand)."""
+    """Dispose of the shared pool (idempotent; a new one spawns on demand).
+
+    Cancels cells not yet started and returns once every worker has exited.
+    """
     global _POOL, _POOL_WORKERS
     if _POOL is not None:
-        _POOL.terminate()
-        _POOL.join()
+        _POOL.shutdown(wait=True, cancel_futures=True)
         _POOL = None
         _POOL_WORKERS = 0
 
 
-def get_pool(workers: int) -> multiprocessing.pool.Pool:
-    """The persistent pool with exactly ``workers`` processes.
+def get_pool(workers: int) -> ProcessPoolExecutor:
+    """The shared pool with exactly ``workers`` processes.
 
     Reused across calls (and figures) when the size matches; resized
-    otherwise.  Registered for interpreter-exit cleanup once.
+    otherwise.  The executor joins its own workers at interpreter exit.
     """
-    global _POOL, _POOL_WORKERS, _POOL_ATEXIT_REGISTERED
+    global _POOL, _POOL_WORKERS
     if _POOL is None or _POOL_WORKERS != workers:
         shutdown_pool()
-        _POOL = multiprocessing.Pool(processes=workers, initializer=_pool_initializer)
+        _POOL = ProcessPoolExecutor(max_workers=workers, initializer=_pool_initializer)
         _POOL_WORKERS = workers
-        if not _POOL_ATEXIT_REGISTERED:
-            atexit.register(shutdown_pool)
-            _POOL_ATEXIT_REGISTERED = True
     return _POOL
 
 
-class _TaskError:
-    """Picklable marker for a scenario that raised inside a pool worker.
-
-    Exceptions are not re-raised through ``imap_unordered`` directly because
-    a raised result breaks the iterator and loses every other in-flight cell;
-    wrapping lets the parent retry just the failing cell.
-    """
-
-    __slots__ = ("message",)
-
-    def __init__(self, message: str) -> None:
-        self.message = message
+def _run_cell(scenario: Scenario) -> NetworkMetrics:
+    """Pool task: pickles by name, and looks ``run_scenario`` up per call so a
+    replacement installed before the workers fork (tests inject crashes and
+    errors that way) takes effect in the workers."""
+    return run_scenario(scenario)
 
 
-def _run_indexed(
-    item: tuple[int, Scenario],
-) -> tuple[int, Union[NetworkMetrics, _TaskError]]:
-    """Pool task: run one scenario, tagged with its position in the batch."""
-    index, scenario = item
-    try:
-        return index, run_scenario(scenario)
-    except Exception as exc:  # noqa: BLE001 - reported and retried by parent
-        return index, _TaskError(f"{type(exc).__name__}: {exc}")
-
-
-#: Poll interval while waiting on pool results; every empty poll is an
-#: opportunity to notice a dead worker.
-_POOL_POLL_S = 0.2
 #: Times one cell may raise inside a worker before the whole run aborts.
 _MAX_CELL_ATTEMPTS = 2
 
 
-def _pool_alive_pids(pool: multiprocessing.pool.Pool) -> frozenset:
-    """Pids of the pool's live worker processes (the crash fingerprint)."""
-    processes = getattr(pool, "_pool", None) or []
-    return frozenset(process.pid for process in processes if process.is_alive())
+def _run_on_pool(
+    scenarios: Sequence[Scenario],
+    pending: Sequence[int],
+    workers: int,
+    land: Callable[[int, NetworkMetrics], None],
+) -> None:
+    """Run the ``pending`` cells on the shared pool; ``land`` gets each result
+    the moment it completes, so an abort keeps every finished cell.
 
-
-def _run_with_persistent_pool(
-    todo: Sequence[Scenario], workers: int
-) -> list[NetworkMetrics]:
-    """Run ``todo`` on the persistent pool, surviving one worker crash.
-
-    ``multiprocessing.Pool`` silently replaces a worker that dies (OOM kill,
-    segfault in a C extension, ``os._exit``) but never re-runs the tasks the
-    worker held, so a plain ``imap_unordered`` loop would block forever.
-    Results are therefore polled with a timeout, and every empty poll
-    compares the pool's live-worker pid set against the set captured at
-    dispatch: any change means tasks were lost.  Recovery rebuilds the pool
-    once and resubmits every not-yet-received cell -- scenarios are
-    deterministic, so recomputing a cell that finished but was never received
-    is bit-identical.  A second crash aborts.
-
-    Independently, a cell whose scenario *raises* is retried up to
-    ``_MAX_CELL_ATTEMPTS`` times and then reported with the failing cell's
-    name and position.
+    A dead worker (OOM kill, segfault, ``os._exit``) breaks the executor and
+    fails every unfinished future with ``BrokenProcessPool``: the pool is
+    rebuilt once and the unfinished cells resubmitted (cells are
+    deterministic, so a recomputation is bit-identical); a second crash
+    aborts.  A cell that *raises* is retried up to ``_MAX_CELL_ATTEMPTS``
+    times, then reported by name and index with the worker's exception as
+    ``__cause__``.  Any abort discards the pool, so the next call starts on a
+    fresh one.
     """
-    results: list[Optional[NetworkMetrics]] = [None] * len(todo)
-    outstanding = set(range(len(todo)))
-    failures = [0] * len(todo)
+    unfinished = set(pending)
+    failures = dict.fromkeys(pending, 0)
     rebuilt = False
-    pool = get_pool(workers)
-    while outstanding:
-        batch = sorted(outstanding)
-        known_pids = _pool_alive_pids(pool)
-        # chunksize stays 1: for chunksize > 1 ``imap_unordered`` returns a
-        # flattening *generator* without the ``next(timeout=...)`` method the
-        # crash-detection poll below depends on.  Each cell is a whole
-        # simulation, so per-task dispatch overhead is noise anyway.
-        iterator = pool.imap_unordered(
-            _run_indexed,
-            [(position, todo[position]) for position in batch],
-        )
-        remaining = len(batch)
-        crashed = False
-        while remaining:
-            try:
-                position, outcome = iterator.next(timeout=_POOL_POLL_S)
-            except multiprocessing.TimeoutError:
-                if _pool_alive_pids(pool) == known_pids:
-                    continue
-                crashed = True
-                break
-            except StopIteration:  # pragma: no cover - defensive
-                break
-            remaining -= 1
-            if isinstance(outcome, _TaskError):
-                failures[position] += 1
-                if failures[position] >= _MAX_CELL_ATTEMPTS:
-                    raise RuntimeError(
-                        f"scenario {todo[position].name!r} (cell {position}) "
-                        f"failed {failures[position]} times; last error: "
-                        f"{outcome.message}"
-                    )
-                _LOGGER.warning(
-                    "retrying scenario %r (cell %d) after worker error: %s",
-                    todo[position].name,
-                    position,
-                    outcome.message,
-                )
-                continue  # stays outstanding; resubmitted next round
-            results[position] = outcome
-            outstanding.discard(position)
-        if crashed:
-            if rebuilt:
-                raise RuntimeError(
-                    "experiment pool lost a worker twice; aborting with "
-                    f"{len(outstanding)} cells unfinished"
-                )
-            rebuilt = True
-            _LOGGER.warning(
-                "experiment pool lost a worker; rebuilding and resubmitting "
-                "%d cells",
-                len(outstanding),
-            )
-            shutdown_pool()
+    try:
+        while unfinished:
             pool = get_pool(workers)
-    return results  # type: ignore[return-value]
+            futures = {}
+            crashed = False
+            try:
+                for index in sorted(unfinished):
+                    futures[pool.submit(_run_cell, scenarios[index])] = index
+            except BrokenProcessPool:
+                crashed = True  # a worker died before every cell was queued
+            for future in as_completed(futures):
+                index = futures[future]
+                try:
+                    metrics = future.result()
+                except BrokenProcessPool:
+                    crashed = True
+                    continue
+                except Exception as exc:
+                    failures[index] += 1
+                    if failures[index] >= _MAX_CELL_ATTEMPTS:
+                        raise RuntimeError(
+                            f"scenario {scenarios[index].name!r} (cell {index}) "
+                            f"failed {failures[index]} times; last error: {exc!r}"
+                        ) from exc
+                    _LOGGER.warning(
+                        "retrying scenario %r (cell %d) after worker error: %r",
+                        scenarios[index].name,
+                        index,
+                        exc,
+                    )
+                    continue  # stays unfinished; resubmitted next round
+                land(index, metrics)
+                unfinished.discard(index)
+            if crashed:
+                if rebuilt:
+                    raise RuntimeError(
+                        "experiment pool lost a worker twice; aborting with "
+                        f"{len(unfinished)} cells unfinished"
+                    )
+                rebuilt = True
+                _LOGGER.warning(
+                    "experiment pool lost a worker; rebuilding and resubmitting "
+                    "%d cells",
+                    len(unfinished),
+                )
+                shutdown_pool()
+    except BaseException:
+        shutdown_pool()
+        raise
 
 
 def run_scenarios(
     scenarios: Sequence[Scenario],
     jobs: int = 1,
     cache: Union[None, bool, ResultCache] = None,
-    persistent_pool: bool = True,
 ) -> list[NetworkMetrics]:
     """Run many scenarios, returning metrics aligned with the input order.
 
-    ``jobs=1`` runs serially in-process; ``jobs>1`` fans out over a
-    ``multiprocessing`` pool (``jobs<=0`` / ``None`` use every core).  Each
-    scenario is a self-contained seeded simulation, so the parallel path is
-    bit-identical to the serial one.  With a cache, previously-computed
-    scenarios are loaded instead of re-run and fresh results are stored.
-
-    ``persistent_pool=True`` (default) reuses one long-lived pool across
-    calls with chunked unordered dispatch; ``False`` forks a fresh pool per
-    call and tears it down afterwards (the pre-existing behaviour, kept for
-    the warm-vs-fork benchmark and as an isolation escape hatch).  Results
-    are identical either way; completion order never leaks into the output,
-    which is re-assembled by index.
+    ``jobs=1`` runs serially in-process; ``jobs>1`` fans out over the shared
+    ``ProcessPoolExecutor`` (``jobs<=0`` / ``None`` use every core), which
+    outlives the call.  Each scenario is a self-contained seeded simulation,
+    so the parallel path is bit-identical to the serial one; completion order
+    never leaks into the output, which is re-assembled by index.  With a
+    cache, previously-computed scenarios are loaded instead of re-run and
+    each fresh result is stored as soon as it finishes.
     """
     cache = resolve_cache(cache)
     results: list[Optional[NetworkMetrics]] = [None] * len(scenarios)
@@ -465,42 +419,15 @@ def run_scenarios(
         else:
             pending.append(index)
 
-    if pending:
-        todo = [scenarios[index] for index in pending]
-        workers = min(resolve_jobs(jobs), len(todo))
-        if workers <= 1:
-            fresh = [run_scenario(scenario) for scenario in todo]
-            for index, metrics in zip(pending, fresh):
-                results[index] = metrics
-                if cache is not None:
-                    cache.put(scenarios[index], metrics)
-        elif persistent_pool:
-            fresh = _run_with_persistent_pool(todo, workers)
-            for index, metrics in zip(pending, fresh):
-                results[index] = metrics
-                if cache is not None:
-                    cache.put(scenarios[index], metrics)
-        else:
-            # Chunk size balances dispatch overhead against stragglers: small
-            # chunks keep slow cells from pinning a whole chunk to one worker.
-            chunksize = max(1, len(todo) // (workers * 4))
-            tagged = list(zip(range(len(todo)), todo))
-            with multiprocessing.Pool(
-                processes=workers, initializer=_pool_initializer
-            ) as pool:
-                for position, outcome in pool.imap_unordered(
-                    _run_indexed, tagged, chunksize=chunksize
-                ):
-                    index = pending[position]
-                    if isinstance(outcome, _TaskError):
-                        # The throwaway pool is the isolation escape hatch:
-                        # fail fast instead of retrying, but name the cell.
-                        raise RuntimeError(
-                            f"scenario {scenarios[index].name!r} failed in "
-                            f"worker: {outcome.message}"
-                        )
-                    results[index] = outcome
-                    if cache is not None:
-                        cache.put(scenarios[index], outcome)
+    def land(index: int, metrics: NetworkMetrics) -> None:
+        results[index] = metrics
+        if cache is not None:
+            cache.put(scenarios[index], metrics)
 
+    workers = min(resolve_jobs(jobs), len(pending))
+    if workers <= 1:
+        for index in pending:
+            land(index, run_scenario(scenarios[index]))
+    else:
+        _run_on_pool(scenarios, pending, workers, land)
     return results  # type: ignore[return-value]

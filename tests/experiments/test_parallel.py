@@ -5,6 +5,7 @@ import json
 import logging
 import os
 import pickle
+import time
 from dataclasses import replace
 
 import pytest
@@ -139,10 +140,18 @@ class TestCorruptCache:
         assert (cache.misses, cache.corrupt) == (1, 0)
 
 
-class TestWorkerCrashSurvival:
-    """The persistent pool survives one worker death and bounded cell errors.
+def _crash(scenario):
+    os._exit(1)  # hard worker death, no exception to catch
 
-    The pool uses the ``fork`` start method on Linux, so monkeypatching
+
+def _raise(scenario):
+    raise ValueError("always broken")
+
+
+class TestWorkerCrashSurvival:
+    """The shared pool survives one worker death and bounded cell errors.
+
+    The executor forks its workers on Linux, so monkeypatching
     ``run_scenario`` in the parent *before* the pool is (re)built patches
     the workers too -- each test tears the pool down first and after.
     """
@@ -212,17 +221,64 @@ class TestWorkerCrashSurvival:
         message = str(excinfo.value)
         assert scenarios[1].name in message
         assert "always broken" in message
+        # The worker's own exception is chained, not flattened to a string.
+        assert isinstance(excinfo.value.__cause__, ValueError)
+        assert str(excinfo.value.__cause__) == "always broken"
 
-    def test_throwaway_pool_fails_fast_with_cell_name(self, monkeypatch):
+    def test_finished_cells_are_cached_before_a_double_crash(
+        self, tmp_path, monkeypatch
+    ):
+        """An abort keeps every cell that finished: each landed in the cache."""
         from repro.experiments import parallel as engine
 
-        def broken(scenario):
-            raise ValueError("boom")
+        def doomed(scenario):
+            if scenario.seed != 1:
+                (tmp_path / f"done-{scenario.seed}").write_text("done")
+                return TestWorkerCrashSurvival._fake_metrics(scenario.seed)
+            # Die on every attempt, but only once the other three cells have
+            # finished, so any of them missing from the cache is lost work.
+            deadline = time.monotonic() + 30.0
+            while len(list(tmp_path.glob("done-*"))) < 3:
+                if time.monotonic() > deadline:
+                    break
+                time.sleep(0.01)
+            time.sleep(0.2)
+            os._exit(1)
 
-        monkeypatch.setattr(engine, "run_scenario", broken)
+        monkeypatch.setattr(engine, "run_scenario", doomed)
+        root = str(tmp_path / "cache")
+        scenarios = [fast_scenario(seed=seed) for seed in (1, 2, 3, 4)]
+        with pytest.raises(RuntimeError, match="lost a worker twice"):
+            engine.run_scenarios(scenarios, jobs=2, cache=ResultCache(root=root))
+        rerun = ResultCache(root=root)
+        served = [rerun.get(scenario) for scenario in scenarios]
+        assert served[0] is None
+        assert [getattr(m, "generated", None) for m in served[1:]] == [2, 3, 4]
+
+    @pytest.mark.parametrize(
+        "doomed, abort",
+        [(_crash, "lost a worker twice"), (_raise, "failed 2 times")],
+        ids=["double-crash", "cell-error"],
+    )
+    def test_next_call_after_an_abort_starts_a_fresh_pool(
+        self, monkeypatch, doomed, abort
+    ):
+        from repro.experiments import parallel as engine
+
+        monkeypatch.setattr(engine, "run_scenario", doomed)
         scenarios = [fast_scenario(seed=seed) for seed in (1, 2)]
-        with pytest.raises(RuntimeError, match="failed in worker"):
-            engine.run_scenarios(scenarios, jobs=2, persistent_pool=False)
+        with pytest.raises(RuntimeError, match=abort):
+            engine.run_scenarios(scenarios, jobs=2)
+
+        # Workers forked after this patch run it; a pool kept from the
+        # aborted call would still run ``doomed``.
+        monkeypatch.setattr(
+            engine,
+            "run_scenario",
+            lambda scenario: TestWorkerCrashSurvival._fake_metrics(scenario.seed),
+        )
+        results = engine.run_scenarios(scenarios, jobs=2)
+        assert [metrics.generated for metrics in results] == [1, 2]
 
 
 class TestParallelParity:
@@ -234,24 +290,24 @@ class TestParallelParity:
             assert a.as_dict() == b.as_dict()
             assert a.per_node == b.per_node
 
-    def test_persistent_pool_is_reused_and_bit_identical_to_fork(self):
+    def test_shared_pool_is_reused_and_matches_serial(self):
         from repro.experiments import parallel as engine
 
         scenarios = [fast_scenario(seed=seed) for seed in (1, 2, 3)]
-        forked = run_scenarios(scenarios, jobs=2, persistent_pool=False)
-        warm_a = run_scenarios(scenarios, jobs=2, persistent_pool=True)
+        serial = run_scenarios(scenarios, jobs=1)
+        warm_a = run_scenarios(scenarios, jobs=2)
         pool = engine._POOL
         assert pool is not None
-        warm_b = run_scenarios(scenarios, jobs=2, persistent_pool=True)
-        # The second persistent call reused the same pool object.
+        warm_b = run_scenarios(scenarios, jobs=2)
+        # The second pooled call reused the same pool object.
         assert engine._POOL is pool
-        for a, b, c in zip(forked, warm_a, warm_b):
+        for a, b, c in zip(serial, warm_a, warm_b):
             assert a.as_dict() == b.as_dict() == c.as_dict()
         engine.shutdown_pool()
         assert engine._POOL is None
 
     def test_pool_results_are_reassembled_in_input_order(self):
-        """imap_unordered completion order must never leak into the output."""
+        """Completion order must never leak into the output."""
         scenarios = [fast_scenario(seed=seed) for seed in (1, 2, 3, 4)]
         serial = run_scenarios(scenarios, jobs=1)
         pooled = run_scenarios(scenarios, jobs=4)
