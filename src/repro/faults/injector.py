@@ -277,10 +277,6 @@ class FaultInjector:
                 metrics.on_data_lost(node, packet, reason="crash")
         node.tsch.quiet_shared_neighbors.clear()
         node.tsch.clear_schedule()
-        # The store's TX-horizon mirror would otherwise keep advertising the
-        # pre-crash occurrence; the dispatch heap lazily drops its own stale
-        # entry, but array scanners have no such re-validation step.
-        self.network.state.tx_horizon[node._row] = -1
 
     def _detect(self, fault: NodeCrash) -> None:
         """Survivors react to the crash ``detect_after_s`` later.

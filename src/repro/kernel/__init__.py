@@ -1,13 +1,10 @@
-"""Struct-of-arrays node-state kernel.
+"""The dispatch kernel's bulk duty-cycle writers.
 
-:mod:`repro.kernel.state` holds the per-node hot counters and flags in
-contiguous columns indexed by node row, so the dispatch kernel in
-:mod:`repro.net.network` can settle duty cycles, account broadcast
-receptions and scan liveness/backlog state as bulk array operations instead
-of pointer-chasing across hundreds of per-node Python objects.  See
-``docs/soa.md`` for the array layout and the view contract.
+:mod:`repro.kernel.state` holds :class:`NodeStateStore`, whose two methods
+settle the duty-cycle meters of many nodes per call for the dispatch kernel
+in :mod:`repro.net.network`.
 """
 
-from repro.kernel.state import LocalBacking, NodeStateStore
+from repro.kernel.state import NodeStateStore
 
-__all__ = ["LocalBacking", "NodeStateStore"]
+__all__ = ["NodeStateStore"]

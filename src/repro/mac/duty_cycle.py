@@ -26,8 +26,6 @@ accumulator would drift with the order of additions.
 
 from __future__ import annotations
 
-from repro.kernel.state import LocalBacking, NodeStateStore, bind_backing
-
 #: Fraction of the timeslot the radio is on when transmitting a full frame
 #: and waiting for its ACK (about 4.3 ms data + 1 ms turnaround + 2.4 ms ACK
 #: window out of 15 ms).
@@ -40,20 +38,14 @@ IDLE_LISTEN_FRACTION = 0.15
 
 
 class DutyCycleMeter:
-    """Per-node Energest-style radio-on accounting at slot granularity.
-
-    The integer slot counters live in the struct-of-arrays node-state store
-    (:mod:`repro.kernel.state`) once the owning node joins a network: the
-    counter attributes are properties over the backing row, so per-object
-    accounting (this class) and the kernel's bulk settlement
-    (:meth:`repro.kernel.state.NodeStateStore.settle_idle_rx`) read and write
-    the same storage.  A standalone meter starts on a private single-row
-    :class:`~repro.kernel.state.LocalBacking`.
-    """
+    """Per-node Energest-style radio-on accounting at slot granularity."""
 
     __slots__ = (
-        "_backing",
-        "_row",
+        "tx_slots",
+        "rx_slots",
+        "idle_listen_slots",
+        "sleep_slots",
+        "total_slots",
         "tx_fraction",
         "rx_fraction",
         "idle_fraction",
@@ -70,8 +62,6 @@ class DutyCycleMeter:
         rx_fraction: float = RX_SLOT_FRACTION,
         idle_fraction: float = IDLE_LISTEN_FRACTION,
     ) -> None:
-        self._backing = LocalBacking()
-        self._row = 0
         self.tx_slots = tx_slots
         self.rx_slots = rx_slots
         self.idle_listen_slots = idle_listen_slots
@@ -80,55 +70,6 @@ class DutyCycleMeter:
         self.tx_fraction = tx_fraction
         self.rx_fraction = rx_fraction
         self.idle_fraction = idle_fraction
-
-    # ------------------------------------------------------------------
-    # Store view plumbing
-    # ------------------------------------------------------------------
-    _COLUMNS = ("tx_slots", "rx_slots", "idle_listen_slots", "sleep_slots", "total_slots")
-
-    def bind(self, store: NodeStateStore, row: int) -> None:
-        """Move this meter's counters onto ``store[row]`` (values preserved)."""
-        bind_backing(self, store, row, self._COLUMNS)
-
-    @property
-    def tx_slots(self) -> int:
-        return int(self._backing.tx_slots[self._row])
-
-    @tx_slots.setter
-    def tx_slots(self, value: int) -> None:
-        self._backing.tx_slots[self._row] = value
-
-    @property
-    def rx_slots(self) -> int:
-        return int(self._backing.rx_slots[self._row])
-
-    @rx_slots.setter
-    def rx_slots(self, value: int) -> None:
-        self._backing.rx_slots[self._row] = value
-
-    @property
-    def idle_listen_slots(self) -> int:
-        return int(self._backing.idle_listen_slots[self._row])
-
-    @idle_listen_slots.setter
-    def idle_listen_slots(self, value: int) -> None:
-        self._backing.idle_listen_slots[self._row] = value
-
-    @property
-    def sleep_slots(self) -> int:
-        return int(self._backing.sleep_slots[self._row])
-
-    @sleep_slots.setter
-    def sleep_slots(self, value: int) -> None:
-        self._backing.sleep_slots[self._row] = value
-
-    @property
-    def total_slots(self) -> int:
-        return int(self._backing.total_slots[self._row])
-
-    @total_slots.setter
-    def total_slots(self, value: int) -> None:
-        self._backing.total_slots[self._row] = value
 
     def _key(self) -> tuple:
         return (

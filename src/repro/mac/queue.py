@@ -15,8 +15,10 @@ from collections import deque
 from collections.abc import Iterable
 from typing import Optional
 
-from repro.kernel.state import PTYPE_INDEX, LocalBacking, NodeStateStore, bind_backing
 from repro.net.packet import BROADCAST_ADDRESS, Packet, PacketType
+
+#: Dense index of each :class:`PacketType` into a queue's per-type counts.
+PTYPE_INDEX = {ptype: index for index, ptype in enumerate(PacketType)}
 
 
 class TxQueue:
@@ -32,8 +34,7 @@ class TxQueue:
         "capacity",
         "prioritize_control",
         "_queue",
-        "_backing",
-        "_row",
+        "_ptype_counts",
         "drops",
         "data_drops",
         "max_occupancy",
@@ -45,24 +46,17 @@ class TxQueue:
         self.capacity = capacity
         self.prioritize_control = prioritize_control
         self._queue: deque[Packet] = deque()
-        #: Queued packets per :class:`PacketType` and the queue occupancy are
-        #: maintained in the struct-of-arrays backing row (see
-        #: :mod:`repro.kernel.state`): periodic protocol probes (the EB timer
-        #: in particular) ask "is one of mine queued?" every tick, which the
-        #: count row answers in O(1), and the dispatch kernel scans backlog
-        #: over the ``queue_len`` column without touching queue objects.
-        self._backing = LocalBacking()
-        self._row = 0
+        #: Queued packets per :class:`PacketType` (indexed by
+        #: :data:`PTYPE_INDEX`): periodic protocol probes (the EB timer in
+        #: particular) ask "is one of mine queued?" every tick, which this
+        #: answers in O(1).
+        self._ptype_counts = [0] * len(PTYPE_INDEX)
         #: Number of packets dropped because the queue was full.
         self.drops = 0
         #: Number of *data* packets dropped because the queue was full.
         self.data_drops = 0
         #: High-water mark, useful for tests and diagnostics.
         self.max_occupancy = 0
-
-    def bind(self, store: NodeStateStore, row: int) -> None:
-        """Move the occupancy/per-type counts onto ``store[row]``."""
-        bind_backing(self, store, row, ("queue_len", "ptype_counts"))
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -80,28 +74,15 @@ class TxQueue:
         """Enqueue ``packet``.
 
         Returns ``True`` on success and ``False`` when the packet was dropped
-        because the queue is full (queue loss).  When control prioritisation
-        is enabled and a control frame arrives at a full queue, the youngest
-        queued *data* packet is evicted instead (counted as queue loss), so
-        congestion cannot starve schedule and topology maintenance -- the same
-        policy Contiki-NG applies to keep the network alive under overload.
+        because the queue is full (queue loss).  A control frame that meets a
+        full queue first tries :meth:`evict_for`, so congestion cannot starve
+        schedule and topology maintenance.
         """
-        if self.is_full:
-            evicted = None
-            if self.prioritize_control and packet.is_control:
-                for queued in reversed(self._queue):
-                    if not queued.is_control:
-                        evicted = queued
-                        break
-            if evicted is None:
-                self.drops += 1
-                if packet.ptype is PacketType.DATA:
-                    self.data_drops += 1
-                return False
-            self._queue.remove(evicted)
-            self._backing.ptype_counts[self._row][PTYPE_INDEX[evicted.ptype]] -= 1
+        if self.is_full and self.evict_for(packet) is None:
             self.drops += 1
-            self.data_drops += 1
+            if packet.ptype is PacketType.DATA:
+                self.data_drops += 1
+            return False
         if self.prioritize_control and packet.is_control:
             # Insert control packets before the first data packet so schedule
             # maintenance is not starved by a deep data backlog.
@@ -115,10 +96,31 @@ class TxQueue:
                 self._queue.append(packet)
         else:
             self._queue.append(packet)
-        self._backing.ptype_counts[self._row][PTYPE_INDEX[packet.ptype]] += 1
-        self._backing.queue_len[self._row] = len(self._queue)
+        self._ptype_counts[PTYPE_INDEX[packet.ptype]] += 1
         self.max_occupancy = max(self.max_occupancy, len(self._queue))
         return True
+
+    def evict_for(self, packet: Packet) -> Optional[Packet]:
+        """Make room in a full queue for control frame ``packet``.
+
+        With control prioritisation enabled, the youngest queued *data*
+        packet is removed, counted as queue loss and returned -- the same
+        policy Contiki-NG applies to keep the network alive under overload.
+        Returns ``None``, removing nothing, when the queue has room,
+        ``packet`` is data, or no data packet is queued.
+        """
+        if not (self.prioritize_control and packet.is_control and self.is_full):
+            return None
+        if not self._ptype_counts[PTYPE_INDEX[PacketType.DATA]]:
+            return None
+        for queued in reversed(self._queue):
+            if not queued.is_control:
+                self._queue.remove(queued)
+                self._ptype_counts[PTYPE_INDEX[queued.ptype]] -= 1
+                self.drops += 1
+                self.data_drops += 1
+                return queued
+        return None
 
     def peek_for(self, neighbor: Optional[int], broadcast: bool = False) -> Optional[Packet]:
         """First packet addressed to ``neighbor`` (or any broadcast frame).
@@ -142,7 +144,7 @@ class TxQueue:
 
     def contains_ptype(self, ptype: PacketType) -> bool:
         """Whether any queued packet has the given type (O(1) count lookup)."""
-        return bool(self._backing.ptype_counts[self._row][PTYPE_INDEX[ptype]])
+        return bool(self._ptype_counts[PTYPE_INDEX[ptype]])
 
     def remove(self, packet: Packet) -> bool:
         """Remove a specific packet instance (after delivery or drop)."""
@@ -150,8 +152,7 @@ class TxQueue:
             self._queue.remove(packet)
         except ValueError:
             return False
-        self._backing.ptype_counts[self._row][PTYPE_INDEX[packet.ptype]] -= 1
-        self._backing.queue_len[self._row] = len(self._queue)
+        self._ptype_counts[PTYPE_INDEX[packet.ptype]] -= 1
         return True
 
     def pending_for(self, neighbor: Optional[int]) -> int:
@@ -190,7 +191,4 @@ class TxQueue:
 
     def clear(self) -> None:
         self._queue.clear()
-        counts = self._backing.ptype_counts[self._row]
-        for index in range(len(counts)):
-            counts[index] = 0
-        self._backing.queue_len[self._row] = 0
+        self._ptype_counts = [0] * len(PTYPE_INDEX)

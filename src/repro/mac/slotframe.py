@@ -8,7 +8,9 @@ by slotframe handle then by cell priority, mirroring Contiki-NG behaviour.
 
 Cells are stored in a dense per-offset lookup table, so :meth:`cells_at` is a
 single O(1) index with no allocation -- it runs for every node at every
-simulated timeslot.  A parallel per-offset *listen table* holds the idle-listen
+simulated timeslot.  Every empty offset of every slotframe points at one
+shared, never-mutated empty list, so a mostly idle schedule costs one list
+per *used* offset.  A parallel per-offset *listen table* holds the idle-listen
 decision of each offset (:meth:`listen_at`), recomputed for the touched offset
 by every mutation.  Every mutation bumps :attr:`version`, which the TSCH
 engine and the network's slot-skipping kernel use to invalidate their derived
@@ -25,6 +27,10 @@ from repro.mac.cell import Cell, CellOption, CellPurpose
 #: A listen-table entry: ``(purpose priority, channel offset)`` of an offset's
 #: first lowest-priority RX cell.
 ListenEntry = tuple[int, int]
+
+#: The bucket of every empty offset.  Never mutated: a cell added at an empty
+#: offset gets a fresh list, and an offset whose last cell goes points back here.
+_EMPTY: list[Cell] = []
 
 
 def _listen_entry(bucket: list[Cell]) -> Optional[ListenEntry]:
@@ -57,8 +63,8 @@ class Slotframe:
         #: invalidate its derived schedule caches without polling.
         self.on_change: Optional[Callable[[], None]] = None
         #: Dense lookup table: ``_table[offset]`` lists the cells installed at
-        #: that slot offset (insertion order).
-        self._table: list[list[Cell]] = [[] for _ in range(length)]
+        #: that slot offset (insertion order), or is :data:`_EMPTY`.
+        self._table: list[list[Cell]] = [_EMPTY] * length
         #: Listen table: ``_listen[offset]`` is :func:`_listen_entry` of
         #: ``_table[offset]``.  It changes only in the methods that mutate
         #: ``_table``, each of which calls :meth:`_mutated`.
@@ -91,7 +97,10 @@ class Slotframe:
         if existing is not None:
             return existing
         bucket = self._table[cell.slot_offset]
-        bucket.append(cell)
+        if bucket:
+            bucket.append(cell)
+        else:
+            bucket = self._table[cell.slot_offset] = [cell]
         self._listen[cell.slot_offset] = _listen_entry(bucket)
         self._mutated()
         return cell
@@ -105,6 +114,8 @@ class Slotframe:
             bucket.remove(cell)
         except ValueError:
             return False
+        if not bucket:
+            self._table[cell.slot_offset] = _EMPTY
         self._listen[cell.slot_offset] = _listen_entry(bucket)
         self._mutated()
         return True
@@ -118,7 +129,7 @@ class Slotframe:
             keep = [c for c in bucket if c.neighbor != neighbor]
             if len(keep) < len(bucket):
                 removed += len(bucket) - len(keep)
-                self._table[offset] = keep
+                self._table[offset] = keep if keep else _EMPTY
                 self._listen[offset] = _listen_entry(keep)
         if removed:
             self._mutated()
@@ -126,7 +137,7 @@ class Slotframe:
 
     def clear(self) -> None:
         """Remove every cell."""
-        self._table = [[] for _ in range(self.length)]
+        self._table = [_EMPTY] * self.length
         self._listen = [None] * self.length
         self._mutated()
 

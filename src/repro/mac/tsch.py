@@ -30,7 +30,6 @@ from repro.mac.cell import Cell, CellOption, CellPurpose
 from repro.mac.csma import CsmaBackoff
 from repro.mac.duty_cycle import DutyCycleMeter
 from repro.mac.hopping import DEFAULT_HOPPING_SEQUENCE, ChannelHopping
-from repro.kernel.state import LocalBacking, NodeStateStore, bind_backing
 from repro.mac.queue import TxQueue
 from repro.mac.slotframe import ListenEntry, Slotframe
 from repro.net.packet import BROADCAST_ADDRESS, Packet
@@ -603,19 +602,8 @@ class TschEngine:
         #: ``[duty_accounted_asn, clock.asn)`` not yet recorded on the meter
         #: are slots the node provably spent sleeping or idle-listening per
         #: its (constant-over-the-window) schedule, credited lazily in bulk
-        #: by :meth:`settle_duty_cycle`.  Stored in the struct-of-arrays
-        #: backing row (see :meth:`bind_state`) so the network's bulk
-        #: settlement reads the watermark column directly.
-        self._backing = LocalBacking()
-        self._row = 0
+        #: by :meth:`settle_duty_cycle`.
         self.duty_accounted_asn = 0
-        # Consolidate the sub-views onto this engine's own backing row, so a
-        # standalone engine (no network) behaves exactly like a bound one:
-        # the fused accounting paths below write the meter columns through
-        # ``self._backing`` unconditionally.
-        bind_backing(self.queue, self._backing, 0, ("queue_len", "ptype_counts"))
-        bind_backing(self.duty_cycle, self._backing, 0, DutyCycleMeter._COLUMNS)
-        bind_backing(self.etx, self._backing, 0, ("etx_version",))
         #: Slotframes sorted by handle (the planning precedence order).
         self._frames: Optional[list[Slotframe]] = None
         #: Memoised sorted active-cell lists keyed by slot-offset residue(s).
@@ -670,30 +658,6 @@ class TschEngine:
         #: Upper-layer callback invoked with (packet, success, asn) when a
         #: unicast packet leaves the MAC (delivered or dropped after retries).
         self.tx_done_callback: Optional[Callable[[Packet, bool, int], None]] = None
-
-    # ------------------------------------------------------------------
-    # struct-of-arrays view plumbing
-    # ------------------------------------------------------------------
-    @property
-    def duty_accounted_asn(self) -> int:
-        return int(self._backing.duty_accounted_asn[self._row])
-
-    @duty_accounted_asn.setter
-    def duty_accounted_asn(self, value: int) -> None:
-        self._backing.duty_accounted_asn[self._row] = value
-
-    def bind_state(self, store: NodeStateStore, row: int) -> None:
-        """Move this engine's hot state onto ``store[row]``.
-
-        Binds the engine's own deferred-accounting watermark plus its
-        queue's, meter's and ETX estimator's columns; values accumulated on
-        the standalone backings are preserved.  Called once per node by
-        :meth:`repro.net.network.Network.add_node`.
-        """
-        bind_backing(self, store, row, ("duty_accounted_asn",))
-        self.queue.bind(store, row)
-        self.duty_cycle.bind(store, row)
-        self.etx.bind(store, row)
 
     # ------------------------------------------------------------------
     # slotframe management (used by scheduling functions)
@@ -869,67 +833,30 @@ class TschEngine:
         recording.  Callers that just mutated the schedule must pass the
         pre-mutation profile (see :meth:`cached_profile`).
         """
-        backing = self._backing
-        row = self._row
-        accounted = backing.duty_accounted_asn[row]
+        accounted = self.duty_accounted_asn
         if accounted >= asn:
             return
+        meter = self.duty_cycle
+        window = asn - accounted
         if self._scanning:
             # Every scan slot is an idle listen (the reference loop records
             # record_rx(False) for each); slots in which the scanner decoded
             # a frame are credited eagerly (NodeStateStore.account_rx_frames
             # / account_slot) and never reach this window.
-            window = asn - accounted
-            backing.rx_slots[row] += window
-            backing.idle_listen_slots[row] += window
-            backing.total_slots[row] += window
-            backing.duty_accounted_asn[row] = asn
-            return
-        if profile is None:
-            # Inlined schedule_profile() version check (hot: one settle per
-            # visited node per stepped slot).
-            profile = self._profile
-            if profile is None or profile.version != self._version:
-                profile = self.schedule_profile()
-        window = asn - accounted
-        if not profile.has_rx:
-            idle = 0
-        elif profile._single:
-            # Inlined single-slotframe count (the audience pass settles every
-            # visited node per stepped slot, so this path is hot).
-            length, _, prefix = profile._frames[0][:3]
-            full, rem = divmod(window, length)
-            idle = full * prefix[length]
-            start = accounted % length
-            if start + rem <= length:
-                idle += prefix[start + rem] - prefix[start]
-            else:
-                idle += (prefix[length] - prefix[start]) + prefix[start + rem - length]
+            idle = window
         else:
+            if profile is None:
+                # Inlined schedule_profile() version check (hot: one settle
+                # per visited node per stepped slot).
+                profile = self._profile
+                if profile is None or profile.version != self._version:
+                    profile = self.schedule_profile()
             idle = profile.count_idle_listen(accounted, asn)
-        # The sub-views share this engine's backing (see __init__), so the
-        # meter columns are written directly -- the fused form of the
-        # meter's record_rx/record_sleep credits.
-        if idle:
-            backing.rx_slots[row] += idle
-            backing.idle_listen_slots[row] += idle
-        backing.sleep_slots[row] += window - idle
-        backing.total_slots[row] += window
-        backing.duty_accounted_asn[row] = asn
-
-    def account_tx_slot(self, asn: int) -> None:
-        """Settle the deferred window and record slot ``asn`` as a TX slot.
-
-        Fused eager-accounting helper for the dispatch kernel's per-slot
-        hot path (one call instead of settle + watermark + meter record).
-        """
-        backing = self._backing
-        row = self._row
-        if backing.duty_accounted_asn[row] < asn:
-            self.settle_duty_cycle(asn)
-        backing.duty_accounted_asn[row] = asn + 1
-        backing.tx_slots[row] += 1
-        backing.total_slots[row] += 1
+        meter.rx_slots += idle
+        meter.idle_listen_slots += idle
+        meter.sleep_slots += window - idle
+        meter.total_slots += window
+        self.duty_accounted_asn = asn
 
     # ------------------------------------------------------------------
     # cold-start EB scan (unsynchronised join)

@@ -57,7 +57,7 @@ from heapq import heappop, heappush
 from typing import Optional
 
 from repro.kernel.state import NodeStateStore
-from repro.mac.tsch import SlotPlan, next_offset_occurrence
+from repro.mac.tsch import SlotPlan, TschEngine, next_offset_occurrence
 from repro.metrics.collector import MetricsCollector, NetworkMetrics
 from repro.net.node import Node, NodeConfig
 from repro.net.topology import TopologyBuilder
@@ -88,9 +88,8 @@ class Network:
         self.default_node_config = default_node_config or NodeConfig()
         self.clock = SimClock(self.default_node_config.tsch.slot_duration_s)
         self.events = EventQueue()
-        #: Struct-of-arrays node-state store (see :mod:`repro.kernel.state`):
-        #: every node's hot counters and flags live here, and the dispatch
-        #: kernel settles duty-cycle windows through its bulk writers.
+        #: The dispatch kernel's bulk duty-cycle writers (see
+        #: :mod:`repro.kernel.state`).
         self.state = NodeStateStore()
         self.medium = Medium(
             propagation or UnitDiskLossyEdgeModel(), self.rngs.stream("phy")
@@ -188,9 +187,6 @@ class Network:
         node.tsch.on_queue_change = lambda bound=node: self._on_queue_change(bound)
         node.on_scan_state = self._on_scan_state
         node.clock = self.clock
-        # Adopt the node into the struct-of-arrays store: all of its views
-        # (liveness, timers, queue, meter, ETX, RPL rank) move onto one row.
-        node.bind_state(self.state, self.state.add_row())
         # A node created mid-run owes no duty-cycle accounting for the slots
         # that elapsed before it existed.
         node.tsch.duty_accounted_asn = self.clock.asn
@@ -467,18 +463,22 @@ class Network:
         # deferred profile settling will credit -- bit-identical, so it is
         # left lazy.
         for node_id in intent_owners:
-            engines[node_id].account_tx_slot(asn)
+            engine = engines[node_id]
+            if engine.duty_accounted_asn < asn:
+                engine.settle_duty_cycle(asn)
+            engine.duty_accounted_asn = asn + 1
+            engine.duty_cycle.record_tx()
         if nodes_that_received:
             # Settle each receiver's deferred window first (profile-dependent,
             # per node), then credit the busy-RX slot and the advanced
-            # watermark for all of them in one store call.
-            rx_rows: list[int] = []
+            # watermark for all of them in one bulk call.
+            receivers: list[TschEngine] = []
             for node_id in sorted(nodes_that_received):
                 engine = engines[node_id]
                 if engine.duty_accounted_asn < asn:
                     engine.settle_duty_cycle(asn)
-                rx_rows.append(engine._row)
-            self.state.account_rx_frames(rx_rows, asn)
+                receivers.append(engine)
+            self.state.account_rx_frames(receivers, asn)
 
         self.clock.advance_slot()
 
@@ -712,17 +712,14 @@ class Network:
         and slept everywhere else, so integer bulk credits reproduce the
         per-slot loop's counters exactly.  Each node's idle-listen count is
         computed as :meth:`~repro.mac.tsch.TschEngine.settle_duty_cycle`
-        would, and all counters are credited in one store call.
+        would, and all counters are credited in one bulk call.
         """
         asn = self.clock.asn
-        accounted_col = self.state.duty_accounted_asn
-        rows: list[int] = []
+        engines: list[TschEngine] = []
         idles: list[int] = []
-        windows: list[int] = []
         for node in self._node_list:
             engine = node.tsch
-            row = engine._row
-            accounted = accounted_col[row]
+            accounted = engine.duty_accounted_asn
             if accounted >= asn:
                 continue
             if engine._scanning:
@@ -731,11 +728,10 @@ class Network:
                 idle = asn - accounted
             else:
                 idle = engine.schedule_profile().count_idle_listen(accounted, asn)
-            rows.append(row)
+            engines.append(engine)
             idles.append(idle)
-            windows.append(asn - accounted)
-        if rows:
-            self.state.settle_idle_rx(rows, idles, windows, asn)
+        if engines:
+            self.state.settle_idle_rx(engines, idles, asn)
 
     def next_active_asn(self, asn: int) -> Optional[int]:
         """Smallest ASN >= ``asn`` at which any node has a cell installed.
@@ -795,7 +791,6 @@ class Network:
             occurrence = engine.schedule_profile().next_tx_asn(
                 asn, destinations, has_broadcast, has_unicast
             )
-        self.state.tx_horizon[engine._row] = -1 if occurrence is None else occurrence
         if occurrence is not None:
             heappush(
                 self._risky_heap,

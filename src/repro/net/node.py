@@ -27,7 +27,6 @@ from repro.mac.tsch import TschConfig, TschEngine
 from repro.net.packet import BROADCAST_ADDRESS, Packet, PacketType, make_data_packet
 from repro.rpl.engine import RplConfig, RplEngine
 from repro.rpl.rank import INFINITE_RANK
-from repro.kernel.state import LocalBacking, NodeStateStore, bind_backing
 from repro.sim.events import EventQueue, PeriodicTimer
 from repro.sixtop.layer import SixPConfig, SixPLayer
 from repro.sixtop.messages import SixPMessage, SixPReturnCode
@@ -86,12 +85,6 @@ class Node:
         self.config = config
         self.event_queue = event_queue
         self.rng_registry = rng_registry
-        #: Struct-of-arrays backing row for the liveness flag and the
-        #: EB/traffic/trickle timer phases; assigned before the ``alive``
-        #: property below is first set, and retargeted onto the network's
-        #: shared store by :meth:`bind_state`.
-        self._backing = LocalBacking()
-        self._row = 0
         self.stats = NodeStats()
         self.metrics: Optional["MetricsCollector"] = None
         self.traffic: Optional["TrafficGenerator"] = None
@@ -102,8 +95,7 @@ class Node:
         #: Crash state (fault injection): a dead node's MAC refuses every
         #: enqueue silently -- its timers are stopped by the injector, but
         #: already-scheduled protocol callbacks (6top retransmissions, the
-        #: periodic DAO refresh) may still fire and must not transmit.  The
-        #: flag lives in the backing row's ``alive`` column (property below).
+        #: periodic DAO refresh) may still fire and must not transmit.
         self.alive = True
         #: Cold-start join state (see :meth:`begin_scan`).  ``cold_start``
         #: selects the unsynchronised boot path; ``_cold_join_pending`` is
@@ -172,8 +164,6 @@ class Node:
             wheel=event_queue.wheel("eb"),
             idle_probe=self._eb_tick_provably_idle,
         )
-        self._eb_timer.on_phase = self._record_eb_phase
-        self.rpl.trickle.on_phase = self._record_trickle_phase
 
         # --- keepalive / desync watchdog ---------------------------------
         # Cold-start nodes lose synchronisation after a full window of
@@ -192,38 +182,6 @@ class Node:
             )
 
         self._app_seqno = 0
-
-    # ------------------------------------------------------------------
-    # struct-of-arrays view plumbing
-    # ------------------------------------------------------------------
-    @property
-    def alive(self) -> bool:
-        return bool(self._backing.alive[self._row])
-
-    @alive.setter
-    def alive(self, value: bool) -> None:
-        self._backing.alive[self._row] = 1 if value else 0
-
-    def _record_eb_phase(self, fire_time: float) -> None:
-        self._backing.eb_phase[self._row] = fire_time
-
-    def _record_trickle_phase(self, fire_time: float) -> None:
-        self._backing.trickle_phase[self._row] = fire_time
-
-    def _record_traffic_phase(self, fire_time: float) -> None:
-        self._backing.traffic_phase[self._row] = fire_time
-
-    def bind_state(self, store: NodeStateStore, row: int) -> None:
-        """Move this node's hot state onto ``store[row]``.
-
-        Binds the liveness flag and timer phases here plus the MAC's
-        (queue, duty meter, ETX, watermark) and RPL's (advertised rank,
-        joined flag) columns; values accumulated standalone are preserved.
-        Called once by :meth:`repro.net.network.Network.add_node`.
-        """
-        bind_backing(self, store, row, ("alive", "eb_phase", "traffic_phase", "trickle_phase"))
-        self.tsch.bind_state(store, row)
-        self.rpl.bind_state(store, row)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -352,15 +310,11 @@ class Node:
                 metrics.on_data_lost(self, packet, reason="desync")
         self.tsch.quiet_shared_neighbors.clear()
         self.tsch.clear_schedule()
-        # Reset the store's TX-horizon mirror, exactly as a crash does: the
-        # dispatch heap drops its stale entry lazily, array scanners don't.
-        self._backing.tx_horizon[self._row] = -1
         self.begin_scan()
 
     def set_traffic_generator(self, generator: "TrafficGenerator") -> None:
         """Attach an application traffic generator to this node."""
         self.traffic = generator
-        generator.phase_hook = self._record_traffic_phase
         generator.attach(self, self.event_queue, self.rng_registry.stream(f"traffic.{self.node_id}"))
 
     def set_metrics(self, collector: "MetricsCollector") -> None:
@@ -419,15 +373,24 @@ class Node:
             # Dead device: nothing is queued and nothing is loss-accounted
             # (the packet was never offered to a working stack).
             return False
+        # A control frame that meets a full queue takes the place of the
+        # youngest data packet, which is lost like a refused one.
+        evicted = self.tsch.queue.evict_for(packet)
         accepted = self.tsch.enqueue(packet, now=self.event_queue.now)
+        if evicted is not None:
+            self._on_queue_loss(evicted)
         if not accepted:
             if packet.ptype is PacketType.DATA:
-                self.stats.queue_drops += 1
-                if self.metrics is not None:
-                    self.metrics.on_data_lost(self, packet, reason="queue")
+                self._on_queue_loss(packet)
         else:
             self.scheduler.on_packet_enqueued(packet)
         return accepted
+
+    def _on_queue_loss(self, packet: Packet) -> None:
+        """A data packet overflowed the MAC queue: refused, or evicted by a control frame."""
+        self.stats.queue_drops += 1
+        if self.metrics is not None:
+            self.metrics.on_data_lost(self, packet, reason="queue")
 
     # ------------------------------------------------------------------
     # MAC callbacks

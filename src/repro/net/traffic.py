@@ -53,10 +53,6 @@ class TrafficGenerator:
         #: Number of generation events fired (whether or not the packet was
         #: accepted by the queue).
         self.generated = 0
-        #: Optional phase observer forwarded to the underlying timer (the
-        #: owning node mirrors generation phases into the struct-of-arrays
-        #: node-state columns, see :mod:`repro.kernel.state`).
-        self.phase_hook = None
         self._timer: Optional[PeriodicTimer] = None
 
     @property
@@ -98,7 +94,6 @@ class TrafficGenerator:
             wheel=self.queue.wheel("traffic"),
             idle_probe=self._tick_provably_idle,
         )
-        self._timer.on_phase = self.phase_hook
         self._timer.start()
 
     def _fire(self):

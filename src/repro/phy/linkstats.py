@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.kernel.state import LocalBacking, NodeStateStore, bind_backing
-
 #: Contiki-NG expresses ETX in fixed point with a divisor of 128; we keep
 #: floating point but bound the estimate the same way (1..16 transmissions).
 ETX_MIN = 1.0
@@ -64,28 +62,11 @@ class EtxEstimator:
         #: have changed (a transmission outcome or a reset; received frames
         #: leave the estimate untouched).  RPL's rank memoisation compares it
         #: to decide whether a reception can settle without re-ranking.
-        #: Stored in the node's struct-of-arrays row once bound (see
-        #: :meth:`bind`): neighbours' rank-memo stamps compare against the
-        #: ``etx_version`` column without touching this object.
-        self._backing = LocalBacking()
-        self._row = 0
         self.version = 0
         #: Per-neighbor flavour of :attr:`version`: bumped only when *that*
         #: link's estimate may have changed, so a stale candidate rank is
         #: re-scored for exactly the dirtied neighbor.
         self.neighbor_versions: dict[int, int] = {}
-
-    @property
-    def version(self) -> int:
-        return int(self._backing.etx_version[self._row])
-
-    @version.setter
-    def version(self, value: int) -> None:
-        self._backing.etx_version[self._row] = value
-
-    def bind(self, store: NodeStateStore, row: int) -> None:
-        """Move the estimator's version stamp onto ``store[row]``."""
-        bind_backing(self, store, row, ("etx_version",))
 
     def stats(self, neighbor: int) -> LinkStats:
         """Raw counters for the link towards ``neighbor`` (created on demand)."""

@@ -22,7 +22,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.kernel.state import LocalBacking, NodeStateStore, bind_backing
 from repro.net.packet import Packet
 from repro.rpl.messages import make_dao, make_dio
 from repro.rpl.rank import (
@@ -122,11 +121,6 @@ class RplEngine:
         self._etx_of = etx_of
         self._etx_state = etx_state
         self.is_root = is_root
-        #: Struct-of-arrays backing row for the node's own advertised rank
-        #: and joined flag (see :meth:`bind_state`); assigned before the
-        #: ``rank`` / ``preferred_parent`` properties below are first set.
-        self._backing = LocalBacking()
-        self._row = 0
         #: Version counter over every non-ETX input of parent selection:
         #: material neighbor-table updates (advertised rank / DODAG id /
         #: DODAG version, insertion, eviction), children-set membership and
@@ -152,9 +146,9 @@ class RplEngine:
         )
 
         self.dodag_id: Optional[int] = node_id if is_root else None
-        self.rank = config.root_rank if is_root else INFINITE_RANK
+        self.rank: int = config.root_rank if is_root else INFINITE_RANK
         self.version: int = 0
-        self.preferred_parent = None
+        self.preferred_parent: Optional[int] = None
         self.neighbors: dict[int, RplNeighbor] = {}
         self.children: set[int] = set()
 
@@ -184,34 +178,6 @@ class RplEngine:
         self.parent_evaluations = 0
         self.evaluations_skipped = 0
         self.candidate_recomputes = 0
-
-    # ------------------------------------------------------------------
-    # struct-of-arrays view plumbing
-    # ------------------------------------------------------------------
-    @property
-    def rank(self) -> int:
-        """The node's own advertised rank, stored in the ``adv_rank`` column."""
-        return int(self._backing.adv_rank[self._row])
-
-    @rank.setter
-    def rank(self, value: int) -> None:
-        self._backing.adv_rank[self._row] = value
-
-    @property
-    def preferred_parent(self) -> Optional[int]:
-        return self._preferred_parent
-
-    @preferred_parent.setter
-    def preferred_parent(self, value: Optional[int]) -> None:
-        self._preferred_parent = value
-        # The joined flag is a pure function of (is_root, parent); keeping it
-        # in the store lets the kernel bulk-scan membership without touching
-        # engine objects.
-        self._backing.joined[self._row] = 1 if (self.is_root or value is not None) else 0
-
-    def bind_state(self, store: NodeStateStore, row: int) -> None:
-        """Move the advertised-rank / joined columns onto ``store[row]``."""
-        bind_backing(self, store, row, ("adv_rank", "joined"))
 
     # ------------------------------------------------------------------
     # lifecycle

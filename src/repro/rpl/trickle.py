@@ -71,11 +71,6 @@ class TrickleTimer:
         self._fire_event: Optional[Event] = None
         self._interval_event: Optional[Event] = None
         self._running = False
-        #: Optional phase observer: called with the absolute time of the next
-        #: scheduled DIO fire decision whenever an interval begins, and with
-        #: ``-1.0`` when the timer stops.  Mirrors the Trickle phase into the
-        #: struct-of-arrays node-state columns (see :mod:`repro.kernel.state`).
-        self.on_phase: Optional[Callable[[float], None]] = None
         #: Diagnostics: transmissions vs suppressions.
         self.transmissions = 0
         self.suppressions = 0
@@ -99,8 +94,6 @@ class TrickleTimer:
                 event.cancel()
         self._fire_event = None
         self._interval_event = None
-        if self.on_phase is not None:
-            self.on_phase(-1.0)
 
     def hear_consistent(self) -> None:
         """Record a consistent message heard from a neighbor (suppression input)."""
@@ -133,8 +126,6 @@ class TrickleTimer:
         self._interval_event = self._scheduler.schedule_in(
             self.interval, self._end_interval, label="trickle-interval"
         )
-        if self.on_phase is not None:
-            self.on_phase(self._fire_event.time)
 
     def _fire(self) -> None:
         if not self._running:

@@ -515,7 +515,6 @@ class PeriodicTimer:
         "jitter",
         "rng",
         "idle_probe",
-        "on_phase",
         "_period_fn",
         "_scheduler",
         "settled_ticks",
@@ -567,11 +566,6 @@ class PeriodicTimer:
         self.jitter = jitter
         self.rng = rng
         self.idle_probe = idle_probe
-        #: Optional phase observer: called with the absolute next-fire time
-        #: whenever the timer (re)arms, and with ``-1.0`` when it stops.  The
-        #: struct-of-arrays kernel uses it to mirror per-node timer phases
-        #: into the node-state columns (see :mod:`repro.kernel.state`).
-        self.on_phase: Optional[Callable[[float], None]] = None
         self._period_fn = period_fn
         self._scheduler = wheel if wheel is not None else queue
         #: Ticks settled by the idle probe instead of fired (diagnostics).
@@ -590,8 +584,6 @@ class PeriodicTimer:
             return
         self._running = True
         self._event = self._scheduler.schedule_in(self._start_offset, self._tick, label=self.label)
-        if self.on_phase is not None:
-            self.on_phase(self._event.time)
 
     def stop(self) -> None:
         """Disarm the timer."""
@@ -599,8 +591,6 @@ class PeriodicTimer:
         if self._event is not None:
             self._event.cancel()
             self._event = None
-        if self.on_phase is not None:
-            self.on_phase(-1.0)
 
     def _next_period(self) -> float:
         if self._period_fn is not None:
@@ -629,8 +619,6 @@ class PeriodicTimer:
             result = self.callback()
             if result is False:
                 self._running = False
-                if self.on_phase is not None:
-                    self.on_phase(-1.0)
                 return
         event = self._event
         if event is not None and not event.cancelled:
@@ -639,8 +627,6 @@ class PeriodicTimer:
             # period (the sequence draw and firing order are unchanged).
             self._scheduler.reschedule_in(event, self._next_period())
         else:
-            event = self._event = self._scheduler.schedule_in(
+            self._event = self._scheduler.schedule_in(
                 self._next_period(), self._tick, label=self.label
             )
-        if self.on_phase is not None:
-            self.on_phase(event.time)

@@ -16,6 +16,7 @@ from repro.faults import (
     NodeRejoin,
     ParentLoss,
 )
+from repro.rpl.rank import INFINITE_RANK
 
 #: Victim of the canonical test plan (a non-root node of the Fig. 8
 #: topology, whose roots sit at ids 0 and 7).
@@ -93,6 +94,10 @@ class TestCrash:
         assert node.tsch.all_cells() == []
         assert node.rpl.preferred_parent is None
         assert node.rpl.dodag_id is None
+        assert node.rpl.rank == INFINITE_RANK
+        # A dead radio arms no advertisement timers.
+        assert not node._eb_timer.running
+        assert not node.rpl.trickle.running
 
     def test_dead_node_refuses_packets(self):
         from repro.net.packet import make_data_packet
@@ -130,6 +135,10 @@ class TestRejoin:
         # joined again without waiting for a Trickle-timed DIO.
         assert node.rpl.preferred_parent is not None
         assert node.rpl.dodag_id is not None
+        assert node.rpl.rank < INFINITE_RANK
+        # The reboot re-armed the advertisement timers.
+        assert node._eb_timer.running
+        assert node.rpl.trickle.running
 
     def test_rejoin_is_noop_for_alive_node(self):
         network, _scenario = build_network(PLAN)

@@ -1,0 +1,151 @@
+"""The cells of the golden behaviour lock.
+
+One cell per scenario that the fast == reference suites in
+``tests/net/test_fast_kernel.py`` simulate.  Those tests and the bless
+command (``python -m tests.golden.bless``) both build their scenarios here,
+so a cell cannot drift between the test that checks it and the command that
+records it.  Cell ids read ``<family>/<scheduler>/s<seed>``.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable
+
+from repro.experiments.scenarios import (
+    DEBRAS,
+    GT_TSCH,
+    MINIMAL,
+    MSF,
+    ORCHESTRA,
+    OTF,
+    Scenario,
+    churn_scenario,
+    scale_scenario,
+    traffic_load_scenario,
+)
+from repro.metrics.collector import NetworkMetrics
+from repro.net.network import Network
+from repro.phy.dynamic import default_drift_policy
+from repro.schedulers import registry
+
+#: Every registered scheduler must satisfy the bit-identity contract, so the
+#: headline equivalence proofs parameterize over the registry itself: a newly
+#: registered scheduler is covered without touching this file.
+ALL_REGISTERED = tuple(registry.available())
+
+#: ``(scheduler, seed, pytest id)`` of the fault-on suite.  The explicit ids
+#: let CI select a cheap subset with ``-k`` (e.g. ``-k "gt-s1 or orchestra-s1"``).
+FAULT_CASES = (
+    (MINIMAL, 1, "minimal-s1"),
+    (MINIMAL, 2, "minimal-s2"),
+    (ORCHESTRA, 1, "orchestra-s1"),
+    (ORCHESTRA, 2, "orchestra-s2"),
+    (GT_TSCH, 1, "gt-s1"),
+    (GT_TSCH, 2, "gt-s2"),
+    (MSF, 1, "msf-s1"),
+    (MSF, 2, "msf-s2"),
+    (DEBRAS, 1, "debras-s1"),
+    (OTF, 1, "otf-s1"),
+)
+
+#: ``(scheduler, seed, pytest id)`` of the dynamic-network suite.
+DYNAMIC_CASES = (
+    (MINIMAL, 1, "dyn-minimal-s1"),
+    (MINIMAL, 2, "dyn-minimal-s2"),
+    (ORCHESTRA, 1, "dyn-orchestra-s1"),
+    (ORCHESTRA, 2, "dyn-orchestra-s2"),
+    (GT_TSCH, 1, "dyn-gt-s1"),
+    (GT_TSCH, 2, "dyn-gt-s2"),
+    (MSF, 1, "dyn-msf-s1"),
+    (DEBRAS, 1, "dyn-debras-s1"),
+    (OTF, 1, "dyn-otf-s1"),
+)
+
+
+def skip_scenario(scheduler: str, seed: int) -> Scenario:
+    """The Fig. 8 cell of ``TestSkipEquivalence``."""
+    return traffic_load_scenario(
+        rate_ppm=60.0, scheduler=scheduler, seed=seed, measurement_s=12.0, warmup_s=8.0
+    )
+
+
+def fault_scenario(scheduler: str, seed: int) -> Scenario:
+    """The crash/rejoin/degrade/parent-loss cell of ``TestFaultEquivalence``."""
+    return churn_scenario(
+        num_crashes=1,
+        scheduler=scheduler,
+        seed=seed,
+        rate_ppm=60.0,
+        measurement_s=14.0,
+        warmup_s=8.0,
+    )
+
+
+def dynamic_scenario(scheduler: str, seed: int) -> Scenario:
+    """The cold-start, arrival and link-drift cell of ``TestDynamicEquivalence``.
+
+    Three drift epochs inside the short window; the restore barrier fires
+    at 16.8 s, before the measurement window closes at 22 s.
+    """
+    drift = default_drift_policy(seed=seed, start_s=10.8, epoch_s=2.0, num_epochs=3)
+    return churn_scenario(
+        num_crashes=1,
+        scheduler=scheduler,
+        seed=seed,
+        rate_ppm=60.0,
+        measurement_s=14.0,
+        warmup_s=8.0,
+        num_arrivals=1,
+        link_drift=drift,
+        cold_start=True,
+    )
+
+
+def scale_cell_scenario(scheduler: str, seed: int) -> Scenario:
+    """The multi-DODAG cell of ``TestParticipantDispatch``."""
+    return scale_scenario(
+        num_nodes=30, scheduler=scheduler, seed=seed, measurement_s=6.0, warmup_s=4.0
+    )
+
+
+#: ``family -> (scenario builder, drain seconds)``.
+FAMILIES: dict[str, tuple[Callable[[str, int], Scenario], float]] = {
+    "skip": (skip_scenario, 3.0),
+    "fault": (fault_scenario, 3.0),
+    "dynamic": (dynamic_scenario, 3.0),
+    "scale": (scale_cell_scenario, 2.0),
+}
+
+
+def cell_id(family: str, scheduler: str, seed: int) -> str:
+    return f"{family}/{scheduler}/s{seed}"
+
+
+def all_cells() -> list[tuple[str, str, int]]:
+    """Every golden cell as ``(family, scheduler, seed)``, ordered by id."""
+    registered = [(scheduler, seed) for seed in (1, 2) for scheduler in ALL_REGISTERED]
+    cases = {
+        "skip": registered,
+        "fault": [(scheduler, seed) for scheduler, seed, _ in FAULT_CASES],
+        "dynamic": [(scheduler, seed) for scheduler, seed, _ in DYNAMIC_CASES],
+        "scale": registered,
+    }
+    cells = [
+        (family, scheduler, seed) for family, pairs in cases.items() for scheduler, seed in pairs
+    ]
+    return sorted(cells, key=lambda cell: cell_id(*cell))
+
+
+def run_cell(family: str, scheduler: str, seed: int, fast: bool) -> tuple[Network, NetworkMetrics]:
+    """Build and run one cell on the fast kernel or the reference loop."""
+    build, drain_s = FAMILIES[family]
+    scenario = build(scheduler, seed)
+    network = scenario.build_network()
+    network.fast = fast
+    metrics = network.run_experiment(
+        warmup_s=scenario.warmup_s,
+        measurement_s=scenario.measurement_s,
+        drain_s=drain_s,
+        scheduler_name=scheduler,
+    )
+    return network, metrics

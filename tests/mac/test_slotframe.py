@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.mac.cell import Cell, CellOption, CellPurpose
-from repro.mac.slotframe import Slotframe, render_cdu_matrix
+from repro.mac.slotframe import _EMPTY, Slotframe, render_cdu_matrix
 
 
 def tx_cell(slot, channel=0, neighbor=None):
@@ -153,6 +153,9 @@ class TestListenTable:
     def test_entries_follow_random_mutations(self, seed):
         rng = random.Random(seed)
         sf = Slotframe(0, 4)
+        # Never mutated: a cell written into the shared empty bucket would
+        # appear at every empty offset of every slotframe, this one's too.
+        bystander = Slotframe(1, 3)
         purposes = list(CellPurpose)
         tied = 0
         for _ in range(250):
@@ -174,6 +177,11 @@ class TestListenTable:
                 sf.remove_cells_with_neighbor(rng.choice([1, 2, 3]))
             else:
                 sf.clear()
+            assert _EMPTY == []
+            assert all(bucket is _EMPTY for bucket in bystander._table)
+            for offset in range(sf.length):
+                bucket = sf.cells_at_offset(offset)
+                assert bucket or bucket is _EMPTY, offset
             for asn in range(8):
                 bucket = sf.cells_at(asn)
                 assert sf.listen_at(asn) == first_rx_entry(bucket), (asn, bucket)

@@ -14,47 +14,41 @@ import dataclasses
 
 import pytest
 
-from repro.experiments.scenarios import (
-    DEBRAS,
-    GT_TSCH,
-    MINIMAL,
-    MSF,
-    ORCHESTRA,
-    OTF,
-    churn_scenario,
-    traffic_load_scenario,
-)
-from repro.schedulers import registry
-from repro.phy.dynamic import default_drift_policy
+from repro.experiments.scenarios import GT_TSCH, MINIMAL, MSF, ORCHESTRA, traffic_load_scenario
 from repro.mac.cell import Cell, CellOption
 from repro.mac.tsch import next_offset_occurrence
 from repro.net.network import Network
 from repro.schedulers.minimal import MinimalScheduler, MinimalSchedulerConfig
+from tests.golden import assert_matches_golden
+from tests.golden.cells import (
+    ALL_REGISTERED,
+    DYNAMIC_CASES,
+    FAULT_CASES,
+    cell_id,
+    dynamic_scenario,
+    fault_scenario,
+    run_cell,
+)
 
 
-def _run(scheduler: str, seed: int, fast: bool):
-    scenario = traffic_load_scenario(
-        rate_ppm=60.0,
-        scheduler=scheduler,
-        seed=seed,
-        measurement_s=12.0,
-        warmup_s=8.0,
-    )
-    network = scenario.build_network()
-    network.fast = fast
-    metrics = network.run_experiment(
-        warmup_s=scenario.warmup_s,
-        measurement_s=scenario.measurement_s,
-        drain_s=3.0,
-        scheduler_name=scheduler,
-    )
-    return network, metrics
+def _assert_equivalent(family: str, scheduler: str, seed: int):
+    """Run one golden cell on both loops; they must agree, and match the file.
 
-
-#: Every registered scheduler must satisfy the bit-identity contract, so the
-#: headline equivalence proof parameterizes over the registry itself: a newly
-#: registered scheduler is covered without touching this file.
-ALL_REGISTERED = tuple(registry.available())
+    Returns both runs' ``(network, metrics)`` for family-specific checks.
+    """
+    naive_net, naive = run_cell(family, scheduler, seed, fast=False)
+    fast_net, fast = run_cell(family, scheduler, seed, fast=True)
+    assert dataclasses.asdict(fast) == dataclasses.asdict(naive)
+    # The clocks, MAC counters and medium statistics agree as well.
+    assert fast_net.clock.asn == naive_net.clock.asn
+    assert fast_net.medium.total_transmissions == naive_net.medium.total_transmissions
+    assert fast_net.medium.total_collisions == naive_net.medium.total_collisions
+    for node_id in naive_net.nodes:
+        assert dataclasses.asdict(fast_net.nodes[node_id].tsch.stats) == (
+            dataclasses.asdict(naive_net.nodes[node_id].tsch.stats)
+        )
+    assert_matches_golden(cell_id(family, scheduler, seed), fast)
+    return (naive_net, naive), (fast_net, fast)
 
 
 class TestSkipEquivalence:
@@ -63,37 +57,11 @@ class TestSkipEquivalence:
     @pytest.mark.parametrize("scheduler", ALL_REGISTERED)
     @pytest.mark.parametrize("seed", [1, 2])
     def test_metrics_bit_identical(self, scheduler, seed):
-        naive_net, naive = _run(scheduler, seed, fast=False)
-        fast_net, fast = _run(scheduler, seed, fast=True)
-        assert dataclasses.asdict(fast) == dataclasses.asdict(naive)
-        # The clocks, MAC counters and medium statistics agree as well.
-        assert fast_net.clock.asn == naive_net.clock.asn
-        assert fast_net.medium.total_transmissions == naive_net.medium.total_transmissions
-        assert fast_net.medium.total_collisions == naive_net.medium.total_collisions
-        for node_id in naive_net.nodes:
-            naive_stats = naive_net.nodes[node_id].tsch.stats
-            fast_stats = fast_net.nodes[node_id].tsch.stats
-            assert dataclasses.asdict(fast_stats) == dataclasses.asdict(naive_stats)
+        _assert_equivalent("skip", scheduler, seed)
 
     def test_fast_flag_defaults_on(self):
         assert Network().fast is True
         assert Network(fast=False).fast is False
-
-
-#: Explicit ids so CI can select a cheap subset with ``-k`` (e.g.
-#: ``-k "gt-s1 or orchestra-s1"`` for the churn-equivalence smoke job).
-_FAULT_CASES = [
-    pytest.param(MINIMAL, 1, id="minimal-s1"),
-    pytest.param(MINIMAL, 2, id="minimal-s2"),
-    pytest.param(ORCHESTRA, 1, id="orchestra-s1"),
-    pytest.param(ORCHESTRA, 2, id="orchestra-s2"),
-    pytest.param(GT_TSCH, 1, id="gt-s1"),
-    pytest.param(GT_TSCH, 2, id="gt-s2"),
-    pytest.param(MSF, 1, id="msf-s1"),
-    pytest.param(MSF, 2, id="msf-s2"),
-    pytest.param(DEBRAS, 1, id="debras-s1"),
-    pytest.param(OTF, 1, id="otf-s1"),
-]
 
 
 class TestFaultEquivalence:
@@ -106,65 +74,24 @@ class TestFaultEquivalence:
     The plan exercises all four fault classes inside the measurement window.
     """
 
-    def _run(self, scheduler: str, seed: int, fast: bool):
-        scenario = churn_scenario(
-            num_crashes=1,
-            scheduler=scheduler,
-            seed=seed,
-            rate_ppm=60.0,
-            measurement_s=14.0,
-            warmup_s=8.0,
-        )
+    @pytest.mark.parametrize(
+        "scheduler,seed", [pytest.param(s, seed, id=case) for s, seed, case in FAULT_CASES]
+    )
+    def test_metrics_bit_identical_under_faults(self, scheduler, seed):
         # The short windows must still contain every fault class.
-        plan = scenario.faults
+        plan = fault_scenario(scheduler, seed).faults
         assert plan is not None
         assert len(plan.crashes) >= 1
         assert len(plan.rejoins) >= 1
         assert len(plan.link_epochs) >= 1
         assert len(plan.parent_losses) >= 1
-        network = scenario.build_network()
-        network.fast = fast
-        metrics = network.run_experiment(
-            warmup_s=scenario.warmup_s,
-            measurement_s=scenario.measurement_s,
-            drain_s=3.0,
-            scheduler_name=scheduler,
-        )
-        return network, metrics
-
-    @pytest.mark.parametrize("scheduler,seed", _FAULT_CASES)
-    def test_metrics_bit_identical_under_faults(self, scheduler, seed):
-        naive_net, naive = self._run(scheduler, seed, fast=False)
-        fast_net, fast = self._run(scheduler, seed, fast=True)
-        assert dataclasses.asdict(fast) == dataclasses.asdict(naive)
-        assert fast_net.clock.asn == naive_net.clock.asn
-        assert fast_net.medium.total_transmissions == naive_net.medium.total_transmissions
-        assert fast_net.medium.total_collisions == naive_net.medium.total_collisions
-        for node_id in naive_net.nodes:
-            assert dataclasses.asdict(fast_net.nodes[node_id].tsch.stats) == (
-                dataclasses.asdict(naive_net.nodes[node_id].tsch.stats)
-            )
+        (naive_net, naive), (fast_net, _) = _assert_equivalent("fault", scheduler, seed)
         # The run actually injected the whole plan and measured recovery.
         assert naive.faults_injected == 4
         assert naive.time_to_reconverge_s > 0.0
         # The epoch closed: the medium is back to its pristine tables.
         assert naive_net.medium.prr_scale == 1.0
         assert fast_net.medium.prr_scale == 1.0
-
-
-#: Explicit ids so CI can select a cheap subset with ``-k`` (e.g.
-#: ``-k "dyn-gt-s1 or dyn-orchestra-s1"`` for the dynamic-equivalence leg).
-_DYNAMIC_CASES = [
-    pytest.param(MINIMAL, 1, id="dyn-minimal-s1"),
-    pytest.param(MINIMAL, 2, id="dyn-minimal-s2"),
-    pytest.param(ORCHESTRA, 1, id="dyn-orchestra-s1"),
-    pytest.param(ORCHESTRA, 2, id="dyn-orchestra-s2"),
-    pytest.param(GT_TSCH, 1, id="dyn-gt-s1"),
-    pytest.param(GT_TSCH, 2, id="dyn-gt-s2"),
-    pytest.param(MSF, 1, id="dyn-msf-s1"),
-    pytest.param(DEBRAS, 1, id="dyn-debras-s1"),
-    pytest.param(OTF, 1, id="dyn-otf-s1"),
-]
 
 
 class TestDynamicEquivalence:
@@ -181,55 +108,18 @@ class TestDynamicEquivalence:
     reference loop's metrics.
     """
 
-    def _run(self, scheduler: str, seed: int, fast: bool):
-        # Three drift epochs inside the short window; the restore barrier
-        # fires at 16.8s, before the measurement window closes at 22s.
-        drift = default_drift_policy(
-            seed=seed,
-            start_s=10.8,
-            epoch_s=2.0,
-            num_epochs=3,
-        )
-        scenario = churn_scenario(
-            num_crashes=1,
-            scheduler=scheduler,
-            seed=seed,
-            rate_ppm=60.0,
-            measurement_s=14.0,
-            warmup_s=8.0,
-            num_arrivals=1,
-            link_drift=drift,
-            cold_start=True,
-        )
-        plan = scenario.faults
+    @pytest.mark.parametrize(
+        "scheduler,seed", [pytest.param(s, seed, id=case) for s, seed, case in DYNAMIC_CASES]
+    )
+    def test_metrics_bit_identical_under_dynamics(self, scheduler, seed):
+        plan = dynamic_scenario(scheduler, seed).faults
         assert plan is not None
         assert len(plan.crashes) >= 1
         assert len(plan.rejoins) >= 1
         assert len(plan.link_epochs) >= 1
         assert len(plan.parent_losses) >= 1
         assert len(plan.arrivals) == 1
-        network = scenario.build_network()
-        network.fast = fast
-        metrics = network.run_experiment(
-            warmup_s=scenario.warmup_s,
-            measurement_s=scenario.measurement_s,
-            drain_s=3.0,
-            scheduler_name=scheduler,
-        )
-        return network, metrics
-
-    @pytest.mark.parametrize("scheduler,seed", _DYNAMIC_CASES)
-    def test_metrics_bit_identical_under_dynamics(self, scheduler, seed):
-        naive_net, naive = self._run(scheduler, seed, fast=False)
-        fast_net, fast = self._run(scheduler, seed, fast=True)
-        assert dataclasses.asdict(fast) == dataclasses.asdict(naive)
-        assert fast_net.clock.asn == naive_net.clock.asn
-        assert fast_net.medium.total_transmissions == naive_net.medium.total_transmissions
-        assert fast_net.medium.total_collisions == naive_net.medium.total_collisions
-        for node_id in naive_net.nodes:
-            assert dataclasses.asdict(fast_net.nodes[node_id].tsch.stats) == (
-                dataclasses.asdict(naive_net.nodes[node_id].tsch.stats)
-            )
+        (naive_net, naive), (fast_net, _) = _assert_equivalent("dynamic", scheduler, seed)
         # The whole dynamic plan fired: 4 legacy faults + 1 arrival + 3
         # link-drift epoch transitions.
         assert naive.faults_injected == 8
@@ -352,33 +242,7 @@ class TestParticipantDispatch:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_scale_scenario_bit_identical(self, scheduler, seed):
         """Equivalence proof on the multi-DODAG scaling workload."""
-        from repro.experiments.scenarios import scale_scenario
-
-        def run(fast):
-            scenario = scale_scenario(
-                num_nodes=30,
-                scheduler=scheduler,
-                seed=seed,
-                measurement_s=6.0,
-                warmup_s=4.0,
-            )
-            network = scenario.build_network()
-            network.fast = fast
-            metrics = network.run_experiment(
-                warmup_s=4.0, measurement_s=6.0, drain_s=2.0, scheduler_name=scheduler
-            )
-            return network, metrics
-
-        fast_net, fast = run(True)
-        naive_net, naive = run(False)
-        assert dataclasses.asdict(fast) == dataclasses.asdict(naive)
-        assert fast_net.clock.asn == naive_net.clock.asn
-        assert fast_net.medium.total_transmissions == naive_net.medium.total_transmissions
-        assert fast_net.medium.total_collisions == naive_net.medium.total_collisions
-        for node_id in naive_net.nodes:
-            assert dataclasses.asdict(fast_net.nodes[node_id].tsch.stats) == (
-                dataclasses.asdict(naive_net.nodes[node_id].tsch.stats)
-            )
+        _, (fast_net, _) = _assert_equivalent("scale", scheduler, seed)
         # The dispatch kernel visits a strict subset of the slots.
         assert 0 < fast_net.stepped_slots < fast_net.clock.asn
 

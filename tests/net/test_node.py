@@ -156,3 +156,22 @@ class TestControlPlane:
         node.generate_data()
         node.generate_data()
         assert node.stats.queue_drops >= 1
+
+    def test_data_packet_evicted_by_a_control_frame_is_reported_lost(self, gt_star_network):
+        """A DIO meeting a full queue evicts the youngest data packet: a queue loss."""
+        from repro.rpl.messages import make_dio
+
+        network = gt_star_network
+        network.start()
+        network.metrics.begin_measurement(network.nodes.values(), now=0.0)
+        node = network.nodes[1]
+        node.tsch.queue.clear()
+        node.tsch.queue.capacity = 2
+        first = node.generate_data()
+        node.generate_data()
+        assert node.tsch.queue.is_full
+        losses_before = dict(network.metrics._losses)
+        assert node.enqueue_packet(make_dio(sender=1, dodag_id=0, rank=512))
+        assert [packet.packet_id for packet in node.tsch.queue.data_packets()] == [first.packet_id]
+        assert network.metrics._losses["queue"] == losses_before["queue"] + 1
+        assert node.stats.queue_drops == 1

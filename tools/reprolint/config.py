@@ -64,12 +64,6 @@ def _default_versioned_classes() -> dict[str, VersionedClass]:
         "RplEngine": VersionedClass(
             tracked_fields=("neighbors", "children"), bump_names=("_memo_inputs",)
         ),
-        # Column growth reallocates the struct-of-arrays buffers; cached raw
-        # column references are invalid across a layout_version bump, so
-        # every capacity change must advertise one.
-        "NodeStateStore": VersionedClass(
-            tracked_fields=("_capacity",), bump_names=("layout_version",)
-        ),
     }
 
 
