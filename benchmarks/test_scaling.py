@@ -7,6 +7,9 @@ sparse-telemetry workload) once with the participant-dispatch kernel
 (``fast=False``) for every scheduler, verifies the finalized metrics are
 bit-identical at every size -- the skip-equivalence proof at scale -- and
 records throughput vs N to ``BENCH_scaling.json`` at the repository root.
+The scenarios come from :mod:`tests.golden.cells`, and a fast run whose
+cell is in ``tests/golden/digests.json`` (the smoke N=100/200 cells) must
+also match its golden digest.
 
 The headline series is **steady-state slots/s** (measurement + drain phases,
 after the one-off topology-formation storms of the warm-up, which cost the
@@ -76,6 +79,15 @@ from repro.experiments.scenarios import (
     scale_scenario,
 )
 from repro.schedulers import registry
+from tests import golden
+from tests.golden.cells import (
+    SCALING_MEASUREMENT_S,
+    SCALING_NODE_COUNTS,
+    SCALING_WARMUP_S,
+    cell_id,
+    scaling_family,
+    scaling_scenario,
+)
 
 #: The committed throughput record (repository root).
 BENCH_FILE = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_scaling.json")
@@ -99,9 +111,9 @@ _COUNT_OVERRIDE = tuple(
     for count in os.environ.get("REPRO_BENCH_NODE_COUNTS", "").split(",")
     if count.strip()
 )
-NODE_COUNTS = _COUNT_OVERRIDE or ((100, 200) if SMOKE else (100, 200, 500))
-WARMUP_S = 10.0 if SMOKE else 20.0
-MEASUREMENT_S = 15.0 if SMOKE else 40.0
+NODE_COUNTS = _COUNT_OVERRIDE or (SCALING_NODE_COUNTS if SMOKE else (100, 200, 500))
+WARMUP_S = SCALING_WARMUP_S if SMOKE else 20.0
+MEASUREMENT_S = SCALING_MEASUREMENT_S if SMOKE else 40.0
 DRAIN_S = DEFAULT_DRAIN_S
 # Every registered scheduler: a new plugin enters the sweep (and the
 # committed record, additively) without touching this file.  The original
@@ -144,11 +156,8 @@ def _run_phases(num_nodes: int, scheduler: str, fast: bool):
 def _run_phases_once(num_nodes: int, scheduler: str, fast: bool):
     """Run one scale scenario with per-phase timing (run_experiment's exact
     call sequence, so fast and reference runs stay comparable bit-for-bit)."""
-    scenario = scale_scenario(
-        num_nodes=num_nodes,
-        scheduler=scheduler,
-        measurement_s=MEASUREMENT_S,
-        warmup_s=WARMUP_S,
+    scenario = scaling_scenario(
+        num_nodes, scheduler, warmup_s=WARMUP_S, measurement_s=MEASUREMENT_S
     )
     network = scenario.build_network()
     network.fast = fast
@@ -167,6 +176,11 @@ def _run_phases_once(num_nodes: int, scheduler: str, fast: bool):
     network.run_seconds(DRAIN_S)
     metrics = network.metrics.finalize(network.nodes.values(), network.clock.now, scheduler)
     finished = time.perf_counter()
+    # Only smoke-mode windows were blessed: a full-mode or overridden-N run
+    # has no golden cell to compare against.
+    cell = cell_id(scaling_family(num_nodes), scheduler, scenario.seed)
+    if fast and SMOKE and cell in golden.load()["cells"]:
+        golden.assert_matches_golden(cell, metrics)
     steady_slots = network.clock.asn - warm_asn
     return {
         "metrics": metrics,

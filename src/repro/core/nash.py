@@ -25,9 +25,10 @@ analysis examples:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.game import (
     GameWeights,
@@ -36,24 +37,18 @@ from repro.core.game import (
     payoff,
     payoff_second_derivative,
 )
+from repro.sim.rng import RngRegistry
 
-# numpy is a hard dependency of the *numeric verification* functions below
-# (they exist to sample derivatives and quadratic forms), not of the
-# simulator: without numpy this module still imports, and only calling an
-# analysis raises.
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy-less installs only
-    np = None  # type: ignore[assignment]
+if TYPE_CHECKING:
+    import random  # reprolint: disable=RL001
 
 
-def _require_numpy() -> None:
-    if np is None:
-        raise ImportError(
-            "repro.core.nash numeric verification requires numpy; "
-            "install it to run the equilibrium analyses"
-        )
-
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """``num`` evenly spaced points from ``start`` to ``stop``, both included."""
+    if num < 2:
+        return [start] * num
+    step = (stop - start) / (num - 1)
+    return [start + index * step for index in range(num - 1)] + [stop]
 
 
 @dataclass
@@ -103,30 +98,28 @@ def verify_concavity(
     samples: int = 32,
 ) -> bool:
     """Check Eq. (10): the second derivative is negative across the strategy set."""
-    _require_numpy()
     weights = weights or GameWeights()
     lower = state.l_tx_min
     upper = max(state.l_rx_parent, lower + 1.0)
-    points = np.linspace(lower, upper, samples)
-    return all(payoff_second_derivative(float(x), state, weights) < 0.0 for x in points)
+    points = _linspace(lower, upper, samples)
+    return all(payoff_second_derivative(x, state, weights) < 0.0 for x in points)
 
 
 def pseudo_gradient_jacobian(
     players: Sequence[PlayerState],
     profile: Sequence[float],
     weights: Optional[GameWeights] = None,
-) -> np.ndarray:
-    """Jacobian of the pseudo-gradient ``∇v(s)`` (Eq. (12)).
+) -> list[list[float]]:
+    """Jacobian of the pseudo-gradient ``∇v(s)`` (Eq. (12)), as rows.
 
     Player ``i``'s payoff depends only on ``s_i``, so the Jacobian is diagonal
     with entries ``∂²v_i/∂s_i²``; the off-diagonal terms are exactly zero.
     """
-    _require_numpy()
     weights = weights or GameWeights()
     n = len(players)
-    jacobian = np.zeros((n, n))
+    jacobian = [[0.0] * n for _ in range(n)]
     for i, (player, s_i) in enumerate(zip(players, profile)):
-        jacobian[i, i] = payoff_second_derivative(float(s_i), player, weights)
+        jacobian[i][i] = payoff_second_derivative(float(s_i), player, weights)
     return jacobian
 
 
@@ -135,20 +128,21 @@ def verify_diagonal_strict_concavity(
     weights: Optional[GameWeights] = None,
     profiles: Optional[Sequence[Sequence[float]]] = None,
     num_random_vectors: int = 16,
-    rng: Optional[np.random.Generator] = None,
+    rng: Optional[random.Random] = None,
 ) -> bool:
     """Rosen's condition: ``x^T (J + J^T) x < 0`` for all non-zero ``x``.
 
     Checked at the strategy-set corners plus (optionally) caller-provided
-    profiles, with random probe vectors.  Because the Jacobian is diagonal
-    with strictly negative entries, the quadratic form is negative definite;
-    the numeric check documents that rather than assuming it.
+    profiles, with random unit probe vectors (Gaussian draws from ``rng``,
+    by default a fixed-seed registry stream).  Because the Jacobian is
+    diagonal with strictly negative entries, the quadratic form is negative
+    definite; the numeric check documents that rather than assuming it.
     """
-    _require_numpy()
     weights = weights or GameWeights()
-    rng = rng or np.random.default_rng(7)
+    rng = rng or RngRegistry(seed=7).stream("nash.probes")
     if not players:
         return True
+    n = len(players)
 
     candidate_profiles: list[list[float]] = [
         [p.l_tx_min for p in players],
@@ -160,14 +154,18 @@ def verify_diagonal_strict_concavity(
 
     for profile in candidate_profiles:
         jacobian = pseudo_gradient_jacobian(players, profile, weights)
-        symmetric = jacobian + jacobian.T
         for _ in range(num_random_vectors):
-            x = rng.normal(size=len(players))
-            norm = np.linalg.norm(x)
+            x = [rng.gauss(0.0, 1.0) for _ in range(n)]
+            norm = math.sqrt(sum(value * value for value in x))
             if norm == 0:  # pragma: no cover - probability zero
                 continue
-            x = x / norm
-            if float(x @ symmetric @ x) >= 0.0:
+            x = [value / norm for value in x]
+            form = sum(
+                x[i] * (jacobian[i][j] + jacobian[j][i]) * x[j]
+                for i in range(n)
+                for j in range(n)
+            )
+            if form >= 0.0:
                 return False
     return True
 
@@ -185,7 +183,6 @@ def is_nash_equilibrium(
     the check passes when no sampled deviation improves the player's payoff
     by more than ``tolerance``.
     """
-    _require_numpy()
     weights = weights or GameWeights()
     for player, strategy in zip(players, profile):
         lower = player.l_tx_min
@@ -194,7 +191,7 @@ def is_nash_equilibrium(
         if upper == lower:
             candidates = [lower]
         else:
-            candidates = list(np.linspace(lower, upper, grid_points))
+            candidates = _linspace(lower, upper, grid_points)
         for deviation in candidates:
             if payoff(float(deviation), player, weights) > current + tolerance:
                 return False

@@ -209,7 +209,7 @@ class GtTschScheduler(SchedulingFunction):
     def on_parent_changed(self, old_parent: Optional[int], new_parent: Optional[int]) -> None:
         if old_parent is not None:
             self._remove_cells_towards(old_parent)
-            self.node.tsch.quiet_shared_neighbors.discard(old_parent)
+            self.node.tsch.discard_quiet_neighbor(old_parent)
         self.parent_channel_offset = None
         self._shared_up_installed = False
         self._asked_channel = self.own_child_channel is not None
@@ -297,7 +297,7 @@ class GtTschScheduler(SchedulingFunction):
         request = self._request_queue.pop(0)
         # While the transaction is open, keep the shared cells towards the
         # parent available for the response (no data transmissions there).
-        self.node.tsch.quiet_shared_neighbors.add(parent)
+        self.node.tsch.add_quiet_neighbor(parent)
         metadata = {"purpose": request.purpose}
         if request.purpose == "data" and request.command is SixPCommand.ADD:
             # Tell the parent how many data Tx cells we actually hold towards
@@ -469,7 +469,7 @@ class GtTschScheduler(SchedulingFunction):
     def _on_ask_channel_response(
         self, peer: int, request: SixPMessage, response: Optional[SixPMessage]
     ) -> None:
-        self.node.tsch.quiet_shared_neighbors.discard(peer)
+        self.node.tsch.discard_quiet_neighbor(peer)
         if response is None or response.return_code is not SixPReturnCode.SUCCESS:
             # Timed out or the parent was not ready: retry at the next period.
             self._asked_channel = False
@@ -483,7 +483,7 @@ class GtTschScheduler(SchedulingFunction):
     def _on_add_response(
         self, peer: int, request: SixPMessage, response: Optional[SixPMessage]
     ) -> None:
-        self.node.tsch.quiet_shared_neighbors.discard(peer)
+        self.node.tsch.discard_quiet_neighbor(peer)
         purpose = request.metadata.get("purpose", "data")
         if response is None or response.return_code is not SixPReturnCode.SUCCESS:
             if purpose == "6p":
@@ -522,7 +522,7 @@ class GtTschScheduler(SchedulingFunction):
     def _on_delete_response(
         self, peer: int, request: SixPMessage, response: Optional[SixPMessage]
     ) -> None:
-        self.node.tsch.quiet_shared_neighbors.discard(peer)
+        self.node.tsch.discard_quiet_neighbor(peer)
         if response is None or response.return_code is not SixPReturnCode.SUCCESS:
             self._pump_requests()
             return

@@ -275,7 +275,7 @@ class FaultInjector:
         for packet in node.tsch.flush_queue():
             if packet.ptype is PacketType.DATA and metrics is not None:
                 metrics.on_data_lost(node, packet, reason="crash")
-        node.tsch.quiet_shared_neighbors.clear()
+        node.tsch.clear_quiet_neighbors()
         node.tsch.clear_schedule()
 
     def _detect(self, fault: NodeCrash) -> None:

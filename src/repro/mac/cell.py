@@ -42,8 +42,8 @@ class CellPurpose(Enum):
 
     #: Smaller value = higher priority when several cells share a slot.  Set
     #: once per member below (its declaration index): it is the sort key of
-    #: every active-cell rebuild and of every listen-table update, so it is a
-    #: plain attribute read rather than a computed property.
+    #: every slotframe bucket insert and of every multi-slotframe merge, so
+    #: it is a plain attribute read rather than a computed property.
     priority: int
 
 

@@ -4,17 +4,19 @@ A slotframe of length ``m`` repeats every ``m`` timeslots: the cell scheduled
 at slot offset ``o`` is active at every ASN with ``asn % m == o``.  A node may
 run several slotframes simultaneously (Orchestra runs three); when cells from
 different slotframes coincide at the same ASN, the TSCH engine breaks the tie
-by slotframe handle then by cell priority, mirroring Contiki-NG behaviour.
+by cell purpose priority, then by slotframe handle.
 
 Cells are stored in a dense per-offset lookup table, so :meth:`cells_at` is a
-single O(1) index with no allocation -- it runs for every node at every
-simulated timeslot.  Every empty offset of every slotframe points at one
-shared, never-mutated empty list, so a mostly idle schedule costs one list
-per *used* offset.  A parallel per-offset *listen table* holds the idle-listen
-decision of each offset (:meth:`listen_at`), recomputed for the touched offset
-by every mutation.  Every mutation bumps :attr:`version`, which the TSCH
-engine and the network's slot-skipping kernel use to invalidate their derived
-schedule caches (sorted active-cell lists, active-offset indexes).
+single O(1) index with no allocation.  Each offset's bucket is kept in
+planning order (stably sorted by purpose priority), so the TSCH engine plans
+a slot from it without sorting.  A parallel per-offset table holds the
+*listen entry* (:meth:`listen_at`, the idle-listen decision), which every
+mutation recomputes for each offset it touches.  Every empty offset points
+at one shared, never-mutated empty list, so a mostly idle schedule costs
+lists only for its *used* offsets.  Every mutation also bumps
+:attr:`version`, which the TSCH engine and the network's slot-skipping
+kernel use to invalidate their derived schedule facts
+(:class:`~repro.mac.tsch.ScheduleProfile`, the active-offset index).
 """
 
 from __future__ import annotations
@@ -33,20 +35,17 @@ ListenEntry = tuple[int, int]
 _EMPTY: list[Cell] = []
 
 
-def _listen_entry(bucket: list[Cell]) -> Optional[ListenEntry]:
-    """The first RX cell of ``bucket`` in planning order, or None.
+def planning_priority(cell: Cell) -> int:
+    """Sort key of planning order: GT-TSCH purpose priority, lower first."""
+    return cell.purpose.priority
 
-    Planning order within one slotframe offset is purpose priority, ties
-    broken by insertion order (the stable sort of the active-cell list), so
-    this is the first RX cell with the lowest priority value.
-    """
-    entry: Optional[ListenEntry] = None
+
+def _listen_entry(bucket: list[Cell]) -> Optional[ListenEntry]:
+    """The first RX cell of a bucket, or None."""
     for cell in bucket:
         if cell.is_rx:
-            priority = cell.purpose.priority
-            if entry is None or priority < entry[0]:
-                entry = (priority, cell.channel_offset)
-    return entry
+            return (cell.purpose.priority, cell.channel_offset)
+    return None
 
 
 class Slotframe:
@@ -63,7 +62,8 @@ class Slotframe:
         #: invalidate its derived schedule caches without polling.
         self.on_change: Optional[Callable[[], None]] = None
         #: Dense lookup table: ``_table[offset]`` lists the cells installed at
-        #: that slot offset (insertion order), or is :data:`_EMPTY`.
+        #: that slot offset in planning order (stably sorted by purpose
+        #: priority, ties in insertion order), or is :data:`_EMPTY`.
         self._table: list[list[Cell]] = [_EMPTY] * length
         #: Listen table: ``_listen[offset]`` is :func:`_listen_entry` of
         #: ``_table[offset]``.  It changes only in the methods that mutate
@@ -98,7 +98,12 @@ class Slotframe:
             return existing
         bucket = self._table[cell.slot_offset]
         if bucket:
-            bucket.append(cell)
+            # Stable insert: after every cell of equal or lower priority.
+            index = len(bucket)
+            priority = planning_priority(cell)
+            while index and planning_priority(bucket[index - 1]) > priority:
+                index -= 1
+            bucket.insert(index, cell)
         else:
             bucket = self._table[cell.slot_offset] = [cell]
         self._listen[cell.slot_offset] = _listen_entry(bucket)
@@ -145,7 +150,7 @@ class Slotframe:
     # queries
     # ------------------------------------------------------------------
     def cells_at(self, asn: int) -> list[Cell]:
-        """Cells active at the given absolute slot number.
+        """Cells active at the given absolute slot number, in planning order.
 
         Returns the internal per-offset bucket (O(1), no copy); callers must
         treat it as read-only.
@@ -174,7 +179,7 @@ class Slotframe:
         neighbor: Optional[int] = None,
         options: Optional[CellOption] = None,
     ) -> Optional[Cell]:
-        """First installed cell matching the given attributes, if any."""
+        """First cell (in planning order) matching the given attributes, if any."""
         if slot_offset >= self.length:
             return None
         for cell in self._table[slot_offset]:
@@ -188,7 +193,7 @@ class Slotframe:
         return None
 
     def all_cells(self) -> Iterator[Cell]:
-        """Iterate over every installed cell (slot order, then insertion order)."""
+        """Iterate over every installed cell (slot order, then planning order)."""
         for bucket in self._table:
             for cell in bucket:
                 yield cell

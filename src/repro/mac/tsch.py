@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -31,7 +31,7 @@ from repro.mac.csma import CsmaBackoff
 from repro.mac.duty_cycle import DutyCycleMeter
 from repro.mac.hopping import DEFAULT_HOPPING_SEQUENCE, ChannelHopping
 from repro.mac.queue import TxQueue
-from repro.mac.slotframe import ListenEntry, Slotframe
+from repro.mac.slotframe import ListenEntry, Slotframe, planning_priority
 from repro.net.packet import BROADCAST_ADDRESS, Packet
 from repro.phy.linkstats import EtxEstimator
 from repro.phy.medium import TransmissionIntent, TransmissionResult
@@ -103,12 +103,13 @@ class SlotPlan:
         return f"SlotPlan({self.action}, cell={self.cell!r}, channel={self.channel})"
 
 
-#: Shared immutable "do nothing" plan.  Most (node, slot) pairs in a sweep are
-#: idle, so :meth:`TschEngine.plan_slot` returns this singleton instead of
-#: allocating a fresh ``SlotPlan`` per idle slot.  Treat it as read-only.
+#: Shared immutable "do nothing" plan.  A node with no active cell, or with
+#: active cells that neither transmit nor listen, sleeps, so
+#: :meth:`TschEngine.plan_slot` returns this singleton instead of allocating
+#: a fresh ``SlotPlan``.  Treat it as read-only.
 SLEEP_PLAN = SlotPlan(action="sleep")
 
-#: Shared empty active-cell list (read-only) returned for idle residues.
+#: Shared empty active-cell list (read-only) returned for idle ASNs.
 _NO_CELLS: list["Cell"] = []
 
 
@@ -177,7 +178,6 @@ class ScheduleProfile:
         "frame_offsets",
         "_frames",
         "_single",
-        "_tx_match",
         "_rx_incexc",
         "_prune_frames",
     )
@@ -250,17 +250,6 @@ class ScheduleProfile:
             self.frame_offsets.append((sf.length, used))
             self._frames.append(
                 (sf.length, rx_offsets, prefix, broadcast_tx, anycast_tx, neighbor_tx)
-            )
-        #: Per frame: (length, broadcast offsets, anycast offsets, offset ->
-        #: dedicated neighbors) as set-based lookups for :meth:`matches_tx_at`.
-        self._tx_match = []
-        for length, _, _, broadcast_tx, anycast_tx, neighbor_tx in self._frames:
-            neighbors_at: dict[int, set] = {}
-            for neighbor, offsets in neighbor_tx.items():
-                for offset in offsets:
-                    neighbors_at.setdefault(offset, set()).add(neighbor)
-            self._tx_match.append(
-                (length, frozenset(broadcast_tx), frozenset(anycast_tx), neighbors_at)
             )
         self.has_cells = any(offsets for _, offsets in self.frame_offsets)
         self.has_rx = any(frame[1] for frame in self._frames)
@@ -347,34 +336,6 @@ class ScheduleProfile:
                         if occurrence is not None and (best is None or occurrence < best):
                             best = occurrence
         return best
-
-    def matches_tx_at(
-        self,
-        asn: int,
-        destinations: set,
-        has_broadcast: bool,
-        has_unicast: bool,
-    ) -> bool:
-        """Whether any TX cell active at ``asn`` could carry a queued packet.
-
-        The match rule is exactly :meth:`TschEngine._packet_for_cell`'s: a
-        broadcast cell carries a broadcast frame (or, when shared and
-        neighbor-less, any unicast frame), a dedicated cell carries frames to
-        its neighbor, a neighbor-less TX cell carries any unicast frame.
-        ``False`` proves the slot's plan cannot involve the queue or CSMA
-        state, so the engine may serve it from the interned idle plans.
-        """
-        for length, broadcast_set, anycast_set, neighbors_at in self._tx_match:
-            residue = asn % length
-            if has_broadcast and residue in broadcast_set:
-                return True
-            if has_unicast:
-                if residue in anycast_set:
-                    return True
-                neighbors = neighbors_at.get(residue)
-                if neighbors is not None and not destinations.isdisjoint(neighbors):
-                    return True
-        return False
 
     def shared_contention_progressions(self, destination: int) -> Optional[list[tuple]]:
         """TX opportunities of a unicast-only, single-destination backlog.
@@ -469,85 +430,6 @@ class ScheduleProfile:
         return count
 
 
-class _QuietSet(set):
-    """``quiet_shared_neighbors`` with mutation observation.
-
-    The kernel's deferred CSMA settlement assumes the quiet set is constant
-    over the deferred window (a quiet destination skips shared cells without
-    counting the back-off down), so every membership change must settle and
-    invalidate the deferral; schedulers mutate the set directly, hence the
-    observing subclass.
-    """
-
-    def __init__(self, engine: "TschEngine") -> None:
-        super().__init__()
-        self._engine = engine
-
-    def add(self, item: int) -> None:
-        if item not in self:
-            super().add(item)
-            self._engine._on_quiet_mutated()
-        else:
-            super().add(item)
-
-    def discard(self, item: int) -> None:
-        if item in self:
-            super().discard(item)
-            self._engine._on_quiet_mutated()
-
-    def remove(self, item: int) -> None:
-        super().remove(item)
-        self._engine._on_quiet_mutated()
-
-    def clear(self) -> None:
-        changed = bool(self)
-        super().clear()
-        if changed:
-            self._engine._on_quiet_mutated()
-
-    def pop(self) -> int:
-        item = super().pop()
-        self._engine._on_quiet_mutated()
-        return item
-
-    def _bulk(self, mutate: Callable[[], None]) -> None:
-        before = len(self)
-        mutate()
-        if len(self) != before:
-            self._engine._on_quiet_mutated()
-
-    def update(self, *others: Iterable[int]) -> None:
-        self._bulk(lambda: super(_QuietSet, self).update(*others))
-
-    def difference_update(self, *others: Iterable[int]) -> None:
-        self._bulk(lambda: super(_QuietSet, self).difference_update(*others))
-
-    def intersection_update(self, *others: Iterable[int]) -> None:
-        self._bulk(lambda: super(_QuietSet, self).intersection_update(*others))
-
-    def symmetric_difference_update(self, other: Iterable[int]) -> None:
-        # A symmetric difference can change membership while preserving the
-        # size, so it always counts as a mutation.
-        set.symmetric_difference_update(self, other)
-        self._engine._on_quiet_mutated()
-
-    def __ior__(self, other: Iterable[int]) -> "_QuietSet":
-        self.update(other)
-        return self
-
-    def __isub__(self, other: Iterable[int]) -> "_QuietSet":
-        self.difference_update(other)
-        return self
-
-    def __iand__(self, other: Iterable[int]) -> "_QuietSet":
-        self.intersection_update(other)
-        return self
-
-    def __ixor__(self, other: Iterable[int]) -> "_QuietSet":
-        self.symmetric_difference_update(other)
-        return self
-
-
 @dataclass
 class MacStats:
     """Link-layer counters exposed to the metrics layer."""
@@ -606,21 +488,11 @@ class TschEngine:
         self.duty_accounted_asn = 0
         #: Slotframes sorted by handle (the planning precedence order).
         self._frames: Optional[list[Slotframe]] = None
-        #: Memoised sorted active-cell lists keyed by slot-offset residue(s).
-        #: ``cache_enabled=False`` switches :meth:`plan_slot` to the reference
-        #: per-slot gather-and-sort (the naive kernel's ground truth; results
-        #: are identical either way, only the cost differs).
-        self.cache_enabled = True
-        self._active_cache: dict[object, list[Cell]] = {}
-        self._active_cache_version = -1
-        #: Interned RX slot plans keyed by (cell identity, physical channel):
-        #: a listening plan is fully determined by those two, so the engine
-        #: reuses one immutable SlotPlan per combination.
-        self._rx_plan_cache: dict[tuple[int, int], SlotPlan] = {}
-        #: For single-slotframe nodes with an empty queue, the whole plan is a
-        #: pure function of (slot-offset residue, hopping phase); this caches
-        #: it so the common listen/sleep decision is one dict lookup.
-        self._idle_plan_cache: dict[tuple[int, int], SlotPlan] = {}
+        #: True switches :meth:`plan_slot` to the reference planner: a fresh
+        #: per-slot gather-and-sort of the active cells and a TX scan even
+        #: with an empty queue (the naive loop's ground truth; plans are
+        #: identical either way, only the cost differs).
+        self.reference_planner = False
         self._hop_period = len(self.hopping.sequence)
         self._profile: Optional[ScheduleProfile] = None
         #: Neighbors towards which *data* transmissions on shared cells are
@@ -628,9 +500,10 @@ class TschEngine:
         #: awaits a 6P response from that neighbor: the response arrives on
         #: the same shared cells, so the node must spend them listening rather
         #: than pushing data (control frames are still allowed through).
-        #: Mutations are observed (see :class:`_QuietSet`): they invalidate
-        #: the kernel's deferred CSMA settlement.
-        self.quiet_shared_neighbors: set = _QuietSet(self)
+        #: Changed only through :meth:`add_quiet_neighbor`,
+        #: :meth:`discard_quiet_neighbor` and :meth:`clear_quiet_neighbors`,
+        #: which invalidate the kernel's deferred CSMA settlement.
+        self._quiet: set[int] = set()
         #: Armed bulk-settlement record of the slot-skipping kernel:
         #: ``(start_asn, destination, window, progressions, tx_asn)``.  While
         #: armed, the node's backlog is provably gated behind shared-cell
@@ -645,10 +518,10 @@ class TschEngine:
         #: Cold-start join state: while True the node is *unsynchronised* --
         #: it has no schedule, draws no RNG, and spends every slot listening
         #: on the scan channel (a pure function of the ASN) waiting for an
-        #: Enhanced Beacon.  Checked before every cache in
-        #: :meth:`plan_slot`, and by :meth:`settle_duty_cycle`, whose bulk
-        #: credit for a scanning window is all idle-listen instead of the
-        #: schedule-derived listen/sleep split.
+        #: Enhanced Beacon.  Checked first in :meth:`plan_slot`, and by
+        #: :meth:`settle_duty_cycle`, whose bulk credit for a scanning window
+        #: is all idle-listen instead of the schedule-derived listen/sleep
+        #: split.
         self._scanning = False
         #: Interned scan plans, one per physical channel (the scan plan is a
         #: pure function of the scan channel).
@@ -697,15 +570,11 @@ class TschEngine:
         self._on_schedule_mutated()
 
     # ------------------------------------------------------------------
-    # schedule caching (used by plan_slot and the slot-skipping kernel)
+    # schedule facts (used by plan_slot and the slot-skipping kernel)
     # ------------------------------------------------------------------
     def _on_schedule_mutated(self) -> None:
         """Record a schedule mutation and propagate it upwards."""
         self._version += 1
-        if self._rx_plan_cache:
-            self._rx_plan_cache.clear()
-        if self._idle_plan_cache:
-            self._idle_plan_cache.clear()
         if self.on_schedule_change is not None:
             self.on_schedule_change()
 
@@ -714,9 +583,9 @@ class TschEngine:
         """Monotonic counter covering every schedule mutation.
 
         Any cell installed or removed in any slotframe, and any slotframe
-        added or removed, strictly increases this value; derived caches (the
-        engine's own, and the network-wide active-offset index) compare it to
-        decide whether they are stale.
+        added or removed, strictly increases this value; derived facts (the
+        engine's :class:`ScheduleProfile`, and the network-wide active-offset
+        index) compare it to decide whether they are stale.
         """
         return self._version
 
@@ -728,14 +597,17 @@ class TschEngine:
         return frames
 
     def _active_cells(self, asn: int) -> list[Cell]:
-        """Sorted active cells at ``asn`` (memoised per offset residue).
+        """Active cells at ``asn`` in planning order.
 
-        The result is exactly what the planning loop historically built per
-        slot: cells of every slotframe at this ASN, ordered by GT-TSCH purpose
-        priority, then slotframe handle, then slot offset.  Treat as
-        read-only.
+        Ordered by GT-TSCH purpose priority, then slotframe handle, then
+        insertion order.  Almost always at most one slotframe has cells at
+        the ASN, and its bucket (:meth:`Slotframe.cells_at`, kept in
+        planning order) is the answer; otherwise the non-empty buckets,
+        concatenated in handle order, are stably sorted by priority.  Treat
+        as read-only: the single-slotframe answer is the slotframe's own
+        list.
         """
-        if not self.cache_enabled:
+        if self.reference_planner:
             active: list[Cell] = []
             for handle in sorted(self.slotframes):
                 # list() preserves the original cells_at contract (a fresh
@@ -745,44 +617,19 @@ class TschEngine:
                 key=lambda c: (c.purpose.priority, c.slotframe_handle, c.slot_offset)
             )
             return active
-        version = self._version
-        if version != self._active_cache_version:
-            self._active_cache.clear()
-            self._active_cache_version = version
-        frames = self._sorted_frames()
-        if len(frames) == 1:
-            frame = frames[0]
-            key: object = asn % frame.length
-            bucket = frame.cells_at(asn)
-            if not bucket:
-                return bucket
-        else:
-            # Key by the combination of non-empty buckets, not the raw residue
-            # tuple: with coprime slotframe lengths the residues cycle with
-            # the lcm of the lengths (thousands of slots), while the distinct
-            # non-empty combinations number a handful.
-            key_parts: list[tuple] = []
-            buckets: list[list[Cell]] = []
-            for frame in frames:
-                residue = asn % frame.length
-                bucket = frame.cells_at(residue)
-                if bucket:
-                    key_parts.append((frame.handle, residue))
-                    buckets.append(bucket)
-            if not buckets:
-                return _NO_CELLS
-            key = key_parts[0] if len(key_parts) == 1 else tuple(key_parts)
-        cached = self._active_cache.get(key)
-        if cached is None:
-            if len(frames) == 1:
-                cached = list(bucket)
-            else:
-                cached = [cell for bucket in buckets for cell in bucket]
-            cached.sort(
-                key=lambda c: (c.purpose.priority, c.slotframe_handle, c.slot_offset)
-            )
-            self._active_cache[key] = cached
-        return cached
+        active = _NO_CELLS
+        merged = False
+        for frame in self._sorted_frames():
+            cells = frame.cells_at(asn)
+            if cells:
+                if active:
+                    active = active + cells
+                    merged = True
+                else:
+                    active = cells
+        if merged:
+            active.sort(key=planning_priority)
+        return active
 
     def idle_listen_channel_offset(self, asn: int) -> Optional[int]:
         """Channel offset this node idle-listens on at ``asn`` (None = sleep).
@@ -942,7 +789,7 @@ class TschEngine:
         if has_broadcast or not has_unicast or len(destinations) != 1:
             return None
         (destination,) = destinations
-        if destination in self.quiet_shared_neighbors:
+        if destination in self._quiet:
             return None
         window = self.csma.window(destination)
         if window <= 0:
@@ -1040,14 +887,31 @@ class TschEngine:
         """
         self._advance_csma_deferral(asn + 1, asn + 1)
 
-    def _on_quiet_mutated(self) -> None:
-        """Quiet-set membership changed; the contention model is stale.
+    # ------------------------------------------------------------------
+    # quiet shared neighbors (used by scheduling functions)
+    # ------------------------------------------------------------------
+    # A membership change makes the contention model stale.  It propagates
+    # through the queue-mutation hook: the network settles the armed
+    # deferral (quiet skips do not count the window down, so the credit must
+    # stop at the mutation instant) and recomputes the horizon.  A call that
+    # changes nothing notifies nobody.
+    def add_quiet_neighbor(self, neighbor: int) -> None:
+        """Keep data off the shared cells towards ``neighbor``."""
+        if neighbor not in self._quiet:
+            self._quiet.add(neighbor)
+            self.mark_queue_mutated()
 
-        Propagated through the queue-mutation hook: the network settles the
-        armed deferral (quiet skips do not count the window down, so the
-        credit must stop at the mutation instant) and recomputes the horizon.
-        """
-        self.mark_queue_mutated()
+    def discard_quiet_neighbor(self, neighbor: int) -> None:
+        """Let data use the shared cells towards ``neighbor`` again."""
+        if neighbor in self._quiet:
+            self._quiet.discard(neighbor)
+            self.mark_queue_mutated()
+
+    def clear_quiet_neighbors(self) -> None:
+        """Lift every quiet suppression (schedule teardown)."""
+        if self._quiet:
+            self._quiet.clear()
+            self.mark_queue_mutated()
 
     # ------------------------------------------------------------------
     # queue interface (used by the node / upper layers)
@@ -1150,12 +1014,14 @@ class TschEngine:
         3. otherwise sleep.
 
         Ties between cells are broken by GT-TSCH purpose priority, then by
-        slotframe handle.
+        slotframe handle.  Both planners run the one scan below; the fast
+        one reads the slotframes' priority-ordered buckets and skips the TX
+        scan when the queue is empty.
         """
         if self._scanning:
-            # Unsynchronised: no schedule, no queue scan, no caches -- park
-            # on the scan channel.  Checked first on BOTH the cached and the
-            # reference path so the two loops agree slot for slot.
+            # Unsynchronised: no schedule, no queue scan -- park on the scan
+            # channel.  Checked first by BOTH planners so the two loops agree
+            # slot for slot.
             return self.scan_plan(asn)
         deferral = self._csma_deferral
         if deferral is not None:
@@ -1168,50 +1034,17 @@ class TschEngine:
                 self._advance_csma_deferral(asn, asn + 1)
             else:
                 self.settle_csma(asn)
-        if self.cache_enabled:
-            if len(self.queue):
-                has_broadcast, has_unicast, destinations = self.queue_signature()
-                if self.schedule_profile().matches_tx_at(
-                    asn, destinations, has_broadcast, has_unicast
-                ):
-                    return self._plan_slot_impl(asn)
-            # No queued packet can match any TX cell at this ASN (trivially so
-            # for an empty queue), so the decision cannot involve the queue or
-            # CSMA state: it is a pure function of the active cells and the
-            # hopping phase.
-            frames = self._frames
-            if frames is None:
-                frames = self._sorted_frames()
-            if len(frames) == 1:
-                key: tuple = (asn % frames[0].length, asn % self._hop_period)
-            else:
-                active = self._active_cells(asn)
-                if not active:
-                    return SLEEP_PLAN
-                # The memoised active-cell list is alive (and unique) for the
-                # current schedule version, so its identity keys the plan; the
-                # cache is dropped on every mutation together with it.
-                key = (id(active), asn % self._hop_period)
-            plan = self._idle_plan_cache.get(key)
-            if plan is None:
-                plan = self._plan_slot_impl(asn, scan_tx=False)
-                self._idle_plan_cache[key] = plan
-            return plan
         return self._plan_slot_impl(asn)
 
-    def _plan_slot_impl(self, asn: int, scan_tx: bool = True) -> SlotPlan:
+    def _plan_slot_impl(self, asn: int) -> SlotPlan:
         active = self._active_cells(asn)
         if not active:
             return SLEEP_PLAN
 
         tx_choice: Optional[tuple[Cell, Packet]] = None
         # An empty queue cannot feed any TX cell; skip straight to listening
-        # (the reference path scans every cell, as the seed loop did).
-        # ``scan_tx=False`` extends that shortcut to queues proven unmatchable
-        # at this ASN -- the scan would find no packet and touch nothing.
-        cells_to_scan = (
-            active if (scan_tx and (len(self.queue) or not self.cache_enabled)) else ()
-        )
+        # (the reference planner scans every cell, as the seed loop did).
+        cells_to_scan = active if (len(self.queue) or self.reference_planner) else ()
         for cell in cells_to_scan:
             if not cell.is_tx:
                 continue
@@ -1219,10 +1052,7 @@ class TschEngine:
             if packet is None:
                 continue
             if cell.is_shared and not packet.is_broadcast:
-                if (
-                    packet.link_destination in self.quiet_shared_neighbors
-                    and not packet.is_control
-                ):
+                if packet.link_destination in self._quiet and not packet.is_control:
                     # Awaiting a 6P response from this neighbor: keep the
                     # shared cells free (and our radio listening) for it.
                     continue
@@ -1241,14 +1071,7 @@ class TschEngine:
         for cell in active:
             if cell.is_rx:
                 channel = self.hopping.channel_for(asn, cell.channel_offset)
-                if not self.cache_enabled:
-                    return SlotPlan(action="rx", cell=cell, channel=channel)
-                key = (id(cell), channel)
-                plan = self._rx_plan_cache.get(key)
-                if plan is None:
-                    plan = SlotPlan(action="rx", cell=cell, channel=channel)
-                    self._rx_plan_cache[key] = plan
-                return plan
+                return SlotPlan(action="rx", cell=cell, channel=channel)
 
         return SLEEP_PLAN
 

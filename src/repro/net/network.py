@@ -486,8 +486,8 @@ class Network:
         """The seed's slot loop, preserved verbatim as the naive kernel.
 
         ``run_slots(fast=False)`` drives the network through this method with
-        every schedule cache disabled: each slot plans every node with the
-        original gather-and-sort, arbitrates the medium, and accounts every
+        every engine on its reference planner: each slot plans every node with
+        the original gather-and-sort, arbitrates the medium, and accounts every
         node through :meth:`~repro.mac.tsch.TschEngine.account_slot`.  It is
         the ground truth the skip-equivalence tests compare the kernel
         against, and the baseline the kernel-speed benchmark measures.
@@ -923,11 +923,12 @@ class Network:
         if fast is None:
             fast = self.fast
         # The naive loop doubles as the reference implementation: it visits
-        # every slot, plans every node with the uncached gather-and-sort and
-        # offers every listener to the medium, which is the ground truth the
-        # skip-equivalence tests compare the kernel against.
+        # every slot, plans every node with the reference planner (a fresh
+        # gather-and-sort and a full TX scan) and offers every listener to
+        # the medium, which is the ground truth the skip-equivalence tests
+        # compare the kernel against.
         for node in self.nodes.values():
-            node.tsch.cache_enabled = fast
+            node.tsch.reference_planner = not fast
         if not fast:
             for _ in range(num_slots):
                 self.step_slot_reference()

@@ -308,7 +308,7 @@ class Node:
         for packet in self.tsch.flush_queue():
             if packet.ptype is PacketType.DATA and metrics is not None:
                 metrics.on_data_lost(self, packet, reason="desync")
-        self.tsch.quiet_shared_neighbors.clear()
+        self.tsch.clear_quiet_neighbors()
         self.tsch.clear_schedule()
         self.begin_scan()
 

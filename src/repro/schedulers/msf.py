@@ -276,7 +276,7 @@ class MsfScheduler(SchedulingFunction):
         if old_parent is not None and slotframe is not None:
             # Drops the autonomous Tx cell and every negotiated Tx cell.
             slotframe.remove_cells_with_neighbor(old_parent)
-            self.node.tsch.quiet_shared_neighbors.discard(old_parent)
+            self.node.tsch.discard_quiet_neighbor(old_parent)
         self._parent_tx_cell = None
         self._tx_negotiated = [
             cell for cell in self._tx_negotiated if cell.neighbor == new_parent
@@ -371,7 +371,7 @@ class MsfScheduler(SchedulingFunction):
         request = self._request_queue.pop(0)
         # Keep the shared cells towards the parent open for the response
         # while the transaction is in flight.
-        self.node.tsch.quiet_shared_neighbors.add(parent)
+        self.node.tsch.add_quiet_neighbor(parent)
         if request.command is SixPCommand.ADD:
             self.add_requests_sent += 1
             # RFC 8480: propose offsets free on our side so the parent never
@@ -411,7 +411,7 @@ class MsfScheduler(SchedulingFunction):
     def _on_add_response(
         self, peer: int, request: SixPMessage, response: Optional[SixPMessage]
     ) -> None:
-        self.node.tsch.quiet_shared_neighbors.discard(peer)
+        self.node.tsch.discard_quiet_neighbor(peer)
         if response is None or response.return_code is not SixPReturnCode.SUCCESS:
             # Timeout or parent out of resources: retry from the next
             # housekeeping tick (via the reset bootstrap flag).
@@ -443,7 +443,7 @@ class MsfScheduler(SchedulingFunction):
     def _on_delete_response(
         self, peer: int, request: SixPMessage, response: Optional[SixPMessage]
     ) -> None:
-        self.node.tsch.quiet_shared_neighbors.discard(peer)
+        self.node.tsch.discard_quiet_neighbor(peer)
         if response is not None and response.return_code is SixPReturnCode.SUCCESS:
             slotframe = self.node.tsch.get_slotframe(self.SLOTFRAME_HANDLE)
             removed = {descriptor.slot_offset for descriptor in response.cell_list}

@@ -1,18 +1,21 @@
 """The cells of the golden behaviour lock.
 
 One cell per scenario that the fast == reference suites in
-``tests/net/test_fast_kernel.py`` simulate.  Those tests and the bless
-command (``python -m tests.golden.bless``) both build their scenarios here,
-so a cell cannot drift between the test that checks it and the command that
-records it.  Cell ids read ``<family>/<scheduler>/s<seed>``.
+``tests/net/test_fast_kernel.py`` simulate, plus the smoke cells of
+``benchmarks/test_scaling.py::test_scaling_slots_per_second``.  Those tests
+and the bless command (``python -m tests.golden.bless``) all build their
+scenarios here, so a cell cannot drift between the test that checks it and
+the command that records it.  Cell ids read ``<family>/<scheduler>/s<seed>``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import partial
 
 from repro.experiments.scenarios import (
     DEBRAS,
+    DEFAULT_DRAIN_S,
     GT_TSCH,
     MINIMAL,
     MSF,
@@ -108,12 +111,39 @@ def scale_cell_scenario(scheduler: str, seed: int) -> Scenario:
     )
 
 
+#: Node counts and windows of the scaling benchmark's smoke mode.
+SCALING_NODE_COUNTS = (100, 200)
+SCALING_WARMUP_S = 10.0
+SCALING_MEASUREMENT_S = 15.0
+
+
+def scaling_scenario(
+    num_nodes: int,
+    scheduler: str,
+    seed: int = 1,
+    warmup_s: float = SCALING_WARMUP_S,
+    measurement_s: float = SCALING_MEASUREMENT_S,
+) -> Scenario:
+    """A cell of the scaling benchmark; the default windows are its smoke mode."""
+    return scale_scenario(
+        num_nodes, scheduler, seed=seed, measurement_s=measurement_s, warmup_s=warmup_s
+    )
+
+
+def scaling_family(num_nodes: int) -> str:
+    return f"scaling{num_nodes}"
+
+
 #: ``family -> (scenario builder, drain seconds)``.
 FAMILIES: dict[str, tuple[Callable[[str, int], Scenario], float]] = {
     "skip": (skip_scenario, 3.0),
     "fault": (fault_scenario, 3.0),
     "dynamic": (dynamic_scenario, 3.0),
     "scale": (scale_cell_scenario, 2.0),
+    **{
+        scaling_family(count): (partial(scaling_scenario, count), DEFAULT_DRAIN_S)
+        for count in SCALING_NODE_COUNTS
+    },
 }
 
 
@@ -129,6 +159,10 @@ def all_cells() -> list[tuple[str, str, int]]:
         "fault": [(scheduler, seed) for scheduler, seed, _ in FAULT_CASES],
         "dynamic": [(scheduler, seed) for scheduler, seed, _ in DYNAMIC_CASES],
         "scale": registered,
+        **{
+            scaling_family(count): [(scheduler, 1) for scheduler in ALL_REGISTERED]
+            for count in SCALING_NODE_COUNTS
+        },
     }
     cells = [
         (family, scheduler, seed) for family, pairs in cases.items() for scheduler, seed in pairs

@@ -1,10 +1,8 @@
-"""numpy stays out of the simulator.
+"""numpy stays out of the package.
 
-The dispatch kernel's bulk writers are pure Python, and the only numpy user
-is the Nash-equilibrium analysis module, whose functions have no pure-Python
-counterpart.  This guard scans every ``import`` statement, at any nesting
-depth, of every module under ``repro`` so that a second, numpy-backed kernel
-path cannot come back unnoticed.
+The simulator and the Nash-equilibrium analyses are pure Python.  This guard
+scans every ``import`` statement, at any nesting depth, of every module
+under ``repro`` so that a numpy-backed path cannot come back unnoticed.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from pathlib import Path
 import repro
 
 PACKAGE_ROOT = Path(repro.__file__).resolve().parent
-ALLOWED = {"repro/core/nash.py"}
+ALLOWED: set[str] = set()
 
 
 def _imports_numpy(tree: ast.AST) -> bool:
@@ -31,7 +29,7 @@ def _imports_numpy(tree: ast.AST) -> bool:
     return False
 
 
-def test_only_nash_imports_numpy():
+def test_no_module_imports_numpy():
     importers = {
         f"repro/{path.relative_to(PACKAGE_ROOT).as_posix()}"
         for path in PACKAGE_ROOT.rglob("*.py")

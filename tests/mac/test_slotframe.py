@@ -138,7 +138,8 @@ def rx_cell(slot, channel, purpose=CellPurpose.UNICAST_DATA, neighbor=None):
 
 
 class TestListenTable:
-    """Each offset's entry is its first RX cell in planning order."""
+    """Each offset's bucket holds its cells in planning order, and its listen
+    entry is the first RX cell of that bucket."""
 
     OPTIONS = (
         CellOption.TX,
@@ -157,31 +158,40 @@ class TestListenTable:
         # appear at every empty offset of every slotframe, this one's too.
         bystander = Slotframe(1, 3)
         purposes = list(CellPurpose)
+        # The installed cells of each offset, in insertion order.
+        inserted: list[list[Cell]] = [[] for _ in range(sf.length)]
         tied = 0
         for _ in range(250):
             installed = list(sf.all_cells())
             draw = rng.random()
             if draw < 0.55 or not installed:
-                sf.add_cell(
-                    Cell(
-                        slot_offset=rng.randrange(4),
-                        channel_offset=rng.randrange(3),
-                        options=rng.choice(self.OPTIONS),
-                        neighbor=rng.choice([None, 1, 2, 3]),
-                        purpose=rng.choice(purposes[:3]),
-                    )
+                cell = Cell(
+                    slot_offset=rng.randrange(4),
+                    channel_offset=rng.randrange(3),
+                    options=rng.choice(self.OPTIONS),
+                    neighbor=rng.choice([None, 1, 2, 3]),
+                    purpose=rng.choice(purposes[:3]),
                 )
+                if sf.add_cell(cell) is cell:
+                    inserted[cell.slot_offset].append(cell)
             elif draw < 0.85:
-                sf.remove_cell(rng.choice(installed))
+                cell = rng.choice(installed)
+                sf.remove_cell(cell)
+                inserted[cell.slot_offset].remove(cell)
             elif draw < 0.98:
-                sf.remove_cells_with_neighbor(rng.choice([1, 2, 3]))
+                neighbor = rng.choice([1, 2, 3])
+                sf.remove_cells_with_neighbor(neighbor)
+                inserted = [[c for c in cells if c.neighbor != neighbor] for cells in inserted]
             else:
                 sf.clear()
+                inserted = [[] for _ in range(sf.length)]
             assert _EMPTY == []
             assert all(bucket is _EMPTY for bucket in bystander._table)
             for offset in range(sf.length):
                 bucket = sf.cells_at_offset(offset)
                 assert bucket or bucket is _EMPTY, offset
+                expected = sorted(inserted[offset], key=lambda c: c.purpose.priority)
+                assert [id(c) for c in bucket] == [id(c) for c in expected], offset
             for asn in range(8):
                 bucket = sf.cells_at(asn)
                 assert sf.listen_at(asn) == first_rx_entry(bucket), (asn, bucket)

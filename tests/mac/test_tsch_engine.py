@@ -184,7 +184,7 @@ class TestPlanSlot:
         engine = make_engine()
         sf = engine.add_slotframe(0, 10)
         sf.add_cell(Cell(1, 0, CellOption.TX | CellOption.RX | CellOption.SHARED, neighbor=1))
-        engine.quiet_shared_neighbors.add(1)
+        engine.add_quiet_neighbor(1)
         engine.enqueue(data_packet(destination=1))
         assert engine.plan_slot(1).is_rx
         sixp = Packet(
@@ -194,6 +194,42 @@ class TestPlanSlot:
         plan = engine.plan_slot(1)
         assert plan.is_tx
         assert plan.packet.ptype is PacketType.SIXP
+
+
+class TestActiveCells:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_reference_gather_and_sort(self, seed):
+        """Three slotframes with coprime lengths, mutated at random."""
+        rng = random.Random(seed)
+        engine = make_engine()
+        # Created out of handle order: planning precedence is by handle.
+        frames = [engine.add_slotframe(handle, size) for handle, size in ((2, 7), (0, 11), (1, 13))]
+        merged = 0
+        for _ in range(8):
+            for _ in range(12):
+                frame = rng.choice(frames)
+                installed = list(frame.all_cells())
+                if installed and rng.random() < 0.3:
+                    frame.remove_cell(rng.choice(installed))
+                    continue
+                options = rng.choice([CellOption.TX, CellOption.RX, CellOption.TX | CellOption.RX])
+                frame.add_cell(
+                    Cell(
+                        slot_offset=rng.randrange(frame.length),
+                        channel_offset=rng.randrange(4),
+                        options=options,
+                        neighbor=rng.choice([None, 1, 2]),
+                        purpose=rng.choice(list(CellPurpose)),
+                    )
+                )
+            for asn in rng.sample(range(7 * 11 * 13), 100):
+                fast = engine._active_cells(asn)
+                engine.reference_planner = True
+                reference = engine._active_cells(asn)
+                engine.reference_planner = False
+                assert [id(c) for c in fast] == [id(c) for c in reference], asn
+                merged += len({cell.slotframe_handle for cell in fast}) > 1
+        assert merged  # some ASNs drew cells from several slotframes
 
 
 class TestTransmissionOutcome:
@@ -355,7 +391,7 @@ class TestScheduleProfile:
 
         assert profile.count_idle_listen(3, 500) == brute(3, 500)
 
-    def test_matches_tx_at_mirrors_packet_for_cell(self):
+    def test_next_tx_asn_mirrors_packet_for_cell(self):
         engine = make_engine()
         frame = engine.add_slotframe(0, 8)
         frame.add_cell(
@@ -368,17 +404,33 @@ class TestScheduleProfile:
         frame.add_cell(
             Cell(slot_offset=5, channel_offset=0, options=CellOption.TX, neighbor=7)
         )
+        frame.add_cell(
+            Cell(slot_offset=6, channel_offset=0, options=CellOption.TX | CellOption.BROADCAST)
+        )
         profile = engine.schedule_profile()
-        # Broadcast frames match the shared broadcast cell only.
-        assert profile.matches_tx_at(2, set(), True, False)
-        assert not profile.matches_tx_at(5, set(), True, False)
-        # The shared neighbour-less broadcast cell also carries unicast.
-        assert profile.matches_tx_at(2, {9}, False, True)
-        # Dedicated cells match only their neighbour's packets.
-        assert profile.matches_tx_at(5, {7}, False, True)
-        assert not profile.matches_tx_at(5, {9}, False, True)
-        # Idle residues match nothing.
-        assert not profile.matches_tx_at(3, {7, 9}, True, True)
+        # Only the shared neighbour-less broadcast cell also carries unicast.
+        assert profile.next_tx_asn(3, {9}, False, True) == 10
+        # At every ASN and for every queue, the answer is the first ASN at
+        # which the planner's _packet_for_cell finds a packet for a TX cell.
+        queues = ([], [broadcast_packet()], [data_packet(7)], [data_packet(9)])
+        for packets in queues:
+            engine.flush_queue()
+            for packet in packets:
+                engine.enqueue(packet)
+            has_broadcast, has_unicast, destinations = engine.queue_signature()
+            for asn in range(8):
+                expected = next(
+                    (
+                        candidate
+                        for candidate in range(asn, asn + 8)
+                        for cell in frame.cells_at(candidate)
+                        if cell.is_tx and engine._packet_for_cell(cell) is not None
+                    ),
+                    None,
+                )
+                assert profile.next_tx_asn(asn, destinations, has_broadcast, has_unicast) == (
+                    expected
+                ), (packets, asn)
 
     def test_queue_signature_memoised_by_queue_version(self):
         engine = make_engine()

@@ -208,7 +208,7 @@ class TestReferenceLoop:
         manual = build()
         manual.start()
         for node in manual.nodes.values():
-            node.tsch.cache_enabled = False
+            node.tsch.reference_planner = True
         for _ in range(400):
             manual.step_slot_reference()
         assert manual.clock.asn == looped.clock.asn == 400
@@ -316,7 +316,7 @@ class TestParticipantDispatch:
             for node in network.nodes.values():
                 engine = node.tsch
                 engine.flush_queue()
-                engine.cache_enabled = False
+                engine.reference_planner = True
                 for asn in asns:
                     plan = engine.plan_slot(asn)
                     offset = engine.idle_listen_channel_offset(asn)
@@ -437,19 +437,34 @@ class TestContentionPruning:
         network, node = self._blocked_minimal_node()
         engine = node.tsch
         engine.csma._state(1).window = 3
-        engine.quiet_shared_neighbors.add(1)
+        engine.add_quiet_neighbor(1)
         assert engine.plan_csma_deferral(1) is None
 
     def test_quiet_mutation_settles_an_armed_deferral(self):
-        network, node = self._blocked_minimal_node()
-        engine = node.tsch
-        engine.csma._state(1).window = 3
-        engine.plan_csma_deferral(1)
-        network.clock.asn = 15
-        engine.quiet_shared_neighbors.add(1)
-        # The mutation reported through the queue hook settled passes 7, 14.
-        assert engine._csma_deferral is None
-        assert engine.csma.window(1) == 1
+        mutations = {
+            "add": lambda engine: engine.add_quiet_neighbor(1),
+            "discard": lambda engine: engine.discard_quiet_neighbor(5),
+            "clear": lambda engine: engine.clear_quiet_neighbors(),
+        }
+        for name, mutate in mutations.items():
+            network, node = self._blocked_minimal_node()
+            engine = node.tsch
+            engine.csma._state(1).window = 3
+            engine.add_quiet_neighbor(5)  # a bystander: the deferral towards 1 still arms
+            assert engine.plan_csma_deferral(1) == 28
+            network.clock.asn = 15
+            # Calls that change no membership notify nobody.
+            version = engine.queue_version
+            engine.add_quiet_neighbor(5)
+            engine.discard_quiet_neighbor(6)
+            assert engine.queue_version == version and engine._csma_deferral is not None
+            mutate(engine)
+            # The mutation reported through the queue hook settled passes 7, 14.
+            assert engine._csma_deferral is None, name
+            assert engine.csma.window(1) == 1
+        version = engine.queue_version
+        engine.clear_quiet_neighbors()  # already empty after the last mutation
+        assert engine.queue_version == version
 
     def test_dedicated_unshared_cell_disables_deferral(self):
         """GT-TSCH-style dedicated TX cells transmit regardless of back-off."""

@@ -311,6 +311,29 @@ class TestRL004:
         )
         assert violations == []
 
+    def test_bumps_pair_with_their_fields(self):
+        """A quiet method must call the queue bump: the schedule bump does not
+        cover a quiet-set change, nor the queue bump a slotframe change."""
+        violations = lint(
+            """
+            class TschEngine:
+                def add_quiet_neighbor(self, neighbor):
+                    self._quiet.add(neighbor)
+                    self._on_schedule_mutated()
+
+                def remove_slotframe(self, handle):
+                    self.slotframes.pop(handle)
+                    self.mark_queue_mutated()
+
+                def clear_quiet_neighbors(self):
+                    self._quiet.clear()
+                    self.mark_queue_mutated()
+            """,
+            "src/repro/mac/tsch.py",
+        )
+        assert sorted(violation.line for violation in violations) == [4, 8]
+        assert rule_ids(violations) == ["RL004", "RL004"]
+
     def test_unregistered_class_is_not_checked(self):
         violations = lint(
             """

@@ -23,7 +23,11 @@ from dataclasses import dataclass, field
 
 @dataclass(frozen=True)
 class VersionedClass:
-    """RL004 table entry: a class whose mutations must bump a version hook.
+    """RL004 table entry: fields whose mutations must bump a version hook.
+
+    A class may carry several entries, each pairing its fields with their
+    own bumps, so a method that mutates a field of one entry and calls only
+    another entry's bump is still reported.
 
     Attributes
     ----------
@@ -33,37 +37,34 @@ class VersionedClass:
         deletion, or calling a mutating container method on the field (or on
         a local alias of it / of one of its items).
     bump_names:
-        Names that count as "the bump": a method of ``self`` that is called
-        (``self._mutated()``) or an attribute of ``self`` that is assigned or
-        augmented (``self.version += 1``).
+        Names that count as "the bump" for these fields: a method of
+        ``self`` that is called (``self._mutated()``) or an attribute of
+        ``self`` that is assigned or augmented (``self.version += 1``).
     """
 
     tracked_fields: tuple[str, ...]
     bump_names: tuple[str, ...]
 
 
-def _default_versioned_classes() -> dict[str, VersionedClass]:
+def _default_versioned_classes() -> dict[str, tuple[VersionedClass, ...]]:
     return {
         # Every cell add/remove must bump Slotframe.version (via _mutated),
         # which pushes on_change up to the TSCH engine and the network kernel;
         # the per-offset listen table changes only together with the cells.
-        "Slotframe": VersionedClass(
-            tracked_fields=("_table", "_listen"), bump_names=("_mutated",)
-        ),
+        "Slotframe": (VersionedClass(("_table", "_listen"), ("_mutated",)),),
         # ETX estimate changes must bump the estimator's version counters or
         # RPL's rank memo serves stale candidate ranks.
-        "EtxEstimator": VersionedClass(
-            tracked_fields=("_etx",), bump_names=("version", "neighbor_versions")
-        ),
-        # Slotframe membership changes must propagate a schedule mutation.
-        "TschEngine": VersionedClass(
-            tracked_fields=("slotframes",), bump_names=("_on_schedule_mutated",)
+        "EtxEstimator": (VersionedClass(("_etx",), ("version", "neighbor_versions")),),
+        "TschEngine": (
+            # Slotframe membership changes must propagate a schedule mutation.
+            VersionedClass(("slotframes",), ("_on_schedule_mutated",)),
+            # Quiet-set changes must reach the network through the queue hook,
+            # which settles an armed CSMA deferral.
+            VersionedClass(("_quiet",), ("mark_queue_mutated",)),
         ),
         # Neighbor/children table membership is a parent-selection input; the
         # rank memo proves receptions input-free via _memo_inputs.
-        "RplEngine": VersionedClass(
-            tracked_fields=("neighbors", "children"), bump_names=("_memo_inputs",)
-        ),
+        "RplEngine": (VersionedClass(("neighbors", "children"), ("_memo_inputs",)),),
     }
 
 
@@ -122,7 +123,7 @@ class LintConfig:
     )
 
     # -- RL004: invalidation discipline on versioned classes ---------------
-    versioned_classes: dict[str, VersionedClass] = field(
+    versioned_classes: dict[str, tuple[VersionedClass, ...]] = field(
         default_factory=_default_versioned_classes
     )
     #: Container methods that mutate their receiver in place.

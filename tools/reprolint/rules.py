@@ -319,17 +319,15 @@ class VersionBumpRule(Rule):
     summary = "tracked-field mutation without a version bump"
 
     def check_class(self, node: ast.ClassDef, path: str, report) -> None:
-        info = self.config.versioned_classes.get(node.name)
-        if info is None:
-            return
-        tracked = set(info.tracked_fields)
-        bumps = set(info.bump_names)
-        for stmt in node.body:
-            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if stmt.name.startswith("__") and stmt.name.endswith("__"):
-                continue  # construction / dunder protocol, not API mutation
-            self._check_method(stmt, tracked, bumps, report)
+        for info in self.config.versioned_classes.get(node.name, ()):
+            tracked = set(info.tracked_fields)
+            bumps = set(info.bump_names)
+            for stmt in node.body:
+                if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if stmt.name.startswith("__") and stmt.name.endswith("__"):
+                    continue  # construction / dunder protocol, not API mutation
+                self._check_method(stmt, tracked, bumps, report)
 
     def _check_method(
         self, method: ast.AST, tracked: set[str], bumps: set[str], report
