@@ -316,10 +316,10 @@ def test_scaling_slots_per_second():
 
     # CI regression gate at the largest N of this mode: the same-run
     # speedup over the reference loop travels across machines; fail when it
-    # drops >30% below the committed record.  With the timer wheels and the
-    # shared-cell contention pruning on by default, this ratio gates those
-    # paths too: a correctness-preserving but slow regression in either
-    # shows up directly as a lower kernel-vs-reference speedup.
+    # drops >30% below the committed record.  Shared-cell contention pruning
+    # runs only in the kernel, so this ratio gates that path too: a
+    # correctness-preserving but slow regression in it shows up directly as
+    # a lower kernel-vs-reference speedup.
     if ENFORCE:
         largest = str(NODE_COUNTS[-1])
         baseline = (

@@ -133,16 +133,14 @@ class GtTschScheduler(SchedulingFunction):
 
         period = self.config.load_balance_period_s
         timer_rng = node.rng_registry.stream(f"gt.timer.{node.node_id}")
-        queue = node.event_queue
         self._load_timer = PeriodicTimer(
-            queue,
+            node.event_queue,
             period,
             self._load_balance_tick,
             start_offset=timer_rng.random() * period,
             label=f"gt-load-balance.{node.node_id}",
             jitter=0.1,
             rng=timer_rng,
-            wheel=queue.wheel("gt-load"),
         )
         self._load_timer.start()
 

@@ -253,17 +253,11 @@ def _print_queue_stats() -> None:
     stats = parallel.LAST_QUEUE_STATS
     if stats is None:
         return
-    wheels = ", ".join(
-        f"{name}: {info['members']} members / {info['fired']} fired"
-        for name, info in sorted(stats["wheels"].items())
-    )
     print(
         f"[event queue] live {stats['live']}, heap {stats['heap_entries']} "
         f"({stats['cancelled_in_heap']} cancelled), "
         f"{stats['compactions']} compactions"
     )
-    if wheels:
-        print(f"[timer wheels] {wheels}")
 
 
 def _run_figures(args: argparse.Namespace) -> int:

@@ -21,7 +21,8 @@ measurement window: ``warmup_s + delta``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from typing import List, Sequence, Tuple
 
 from repro.sim.rng import RngRegistry
@@ -148,6 +149,19 @@ class FaultPlan:
     arrivals: Tuple[NodeArrival, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        for event in (
+            *self.crashes,
+            *self.rejoins,
+            *self.link_epochs,
+            *self.parent_losses,
+            *self.arrivals,
+        ):
+            # Every ``*_s`` field (fire time, detection delay, epoch
+            # duration): a NaN slips past every sign check below and would
+            # fire at an arbitrary point of the event order.
+            for spec in fields(event):
+                if spec.name.endswith("_s") and not math.isfinite(getattr(event, spec.name)):
+                    raise ValueError(f"fault times must be finite: {event}")
         for crash in self.crashes:
             if crash.time_s < 0.0 or crash.detect_after_s < 0.0:
                 raise ValueError(f"crash times must be non-negative: {crash}")

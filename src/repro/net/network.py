@@ -51,7 +51,6 @@ bit-identical to the naive loop's.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Callable
 from heapq import heappop, heappush
 from typing import Optional
@@ -110,8 +109,6 @@ class Network:
         self._active_index_dirty = True
         #: Flat node list, kept in sync with :attr:`nodes` (hot-loop iteration).
         self._node_list: list[Node] = []
-        self._single_length = 0
-        self._single_offsets: list[int] = []
         #: Inverted participant index (maintained incrementally, see
         #: :meth:`_refresh_active_index`): ``slotframe length -> slot offset
         #: -> {node order index -> node}`` -- dicts make one node's
@@ -255,18 +252,6 @@ class Network:
             # injector arm time; their boot is the scheduled arrival event.
             if node.alive:
                 node.start()
-
-    def step_slot(self) -> None:
-        """Advance the whole network by one TSCH timeslot.
-
-        Public per-slot entry point: dispatches the slot through the
-        participant index and then settles every node's deferred sleep
-        accounting, so duty-cycle meters are exact after each call.  The
-        slot-skipping kernel calls :meth:`_step_slot_dispatch` directly and
-        settles once per :meth:`run_slots` instead.
-        """
-        self._step_slot_dispatch()
-        self._flush_duty_cycle()
 
     def _step_slot_dispatch(self) -> None:
         """Advance one timeslot, planning only the nodes that matter to it.
@@ -625,12 +610,6 @@ class Network:
                 self._active_index.pop(length, None)
                 self._offset_counts.pop(length, None)
                 self._part_tables.pop(length, None)
-        # Unpacked single-slotframe-length form for the kernel's hot loop.
-        if len(self._active_index) == 1:
-            ((self._single_length, self._single_offsets),) = self._active_index.items()
-        else:
-            self._single_length = 0
-            self._single_offsets = []
         self._active_index_dirty = False
 
     def _participants_at(self, asn: int) -> list[Node]:
@@ -933,58 +912,24 @@ class Network:
             for _ in range(num_slots):
                 self.step_slot_reference()
             return
-        # The loop below is the hot kernel; the helpers it inlines
-        # (_next_event_asn / next_active_asn / _next_risky_asn / _jump_slots)
-        # remain the readable reference for what each block computes.
         clock = self.clock
-        events = self.events
-        slot = clock.slot_duration_s
         end_asn = clock.asn + num_slots
         while clock.asn < end_asn:
             asn = clock.asn
-            # --- first slot boundary with a due timer (see _next_event_asn)
-            event_time = events.peek_time()
-            if event_time is None:
-                boundary = end_asn
-            else:
-                boundary = int(event_time / slot)
-                if boundary < asn:
-                    boundary = asn
-                while event_time > boundary * slot:
-                    boundary += 1
-                while boundary > asn and event_time <= (boundary - 1) * slot:
-                    boundary -= 1
-                if boundary > end_asn:
-                    boundary = end_asn
-                if boundary == asn:
-                    # Fire this slot boundary's timers up front, exactly as
-                    # step_slot would, then re-evaluate: the slot often stays
-                    # skippable (e.g. a traffic tick on a node whose TX cell
-                    # is slots away).  step_slot's own run_until is a no-op.
-                    events.run_until(asn * slot)
-                    boundary = self._next_event_asn(asn, end_asn)
+            boundary = self._next_event_asn(asn, end_asn)
+            if boundary == asn:
+                # Fire this slot boundary's timers up front, then
+                # re-evaluate: the slot often stays skippable (e.g. a traffic
+                # tick on a node whose TX cell is slots away).  The dispatch's
+                # own run_until is then a no-op.
+                self.events.run_until(asn * clock.slot_duration_s)
+                boundary = self._next_event_asn(asn, end_asn)
             if boundary > asn:
-                # --- next ASN with any installed cell (see next_active_asn)
-                if self._active_index_dirty:
-                    self._refresh_active_index()
-                length = self._single_length
-                if length:
-                    offsets = self._single_offsets
-                    residue = asn % length
-                    index = bisect_left(offsets, residue)
-                    if index < len(offsets):
-                        active = asn + (offsets[index] - residue)
-                    else:
-                        active = asn + (offsets[0] + length - residue)
-                    target = active if active < boundary else boundary
-                else:
-                    active = self.next_active_asn(asn)
-                    target = boundary if active is None else min(active, boundary)
+                active = self.next_active_asn(asn)
+                target = boundary if active is None else min(active, boundary)
                 if target > asn:
-                    # Fully idle run: every node sleeps.  Inlined _jump_slots
-                    # (this is the kernel's hottest jump).
-                    clock.asn = target
-                    events.advance_to((target - 1) * slot)
+                    # Fully idle run: every node sleeps.
+                    self._jump_slots(target)
                     continue
                 risky = self._next_risky_asn(asn, boundary)
                 if risky > asn:

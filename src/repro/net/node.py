@@ -149,9 +149,9 @@ class Node:
         self.rpl.dio_extra_provider = self.scheduler.dio_fields
 
         # --- Enhanced Beacon timer --------------------------------------
-        # Rides the "eb" cohort wheel; ticks that provably send nothing (the
-        # node has not joined, or the previous EB still waits for a broadcast
-        # cell) are settled by the probe without entering _send_eb.
+        # Ticks that provably send nothing (the node has not joined, or the
+        # previous EB still waits for a broadcast cell) are settled by the
+        # probe without entering _send_eb.
         eb_rng = rng_registry.stream(f"eb.{node_id}")
         self._eb_timer = PeriodicTimer(
             event_queue,
@@ -161,7 +161,6 @@ class Node:
             label=f"eb.{node_id}",
             jitter=0.25,
             rng=eb_rng,
-            wheel=event_queue.wheel("eb"),
             idle_probe=self._eb_tick_provably_idle,
         )
 

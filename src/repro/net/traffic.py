@@ -27,13 +27,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class TrafficGenerator:
     """Base class for application-level packet generators.
 
-    Generation rides a :class:`~repro.sim.events.PeriodicTimer` on the
-    queue's ``"traffic"`` cohort wheel (falling back to flat scheduling when
-    wheels are disabled): at hundreds of nodes the per-node generation events
-    would otherwise dominate the event heap.  The timer's idle probe settles
-    ticks that provably generate nothing -- the node has not joined a DODAG
-    yet, or the experiment's drain phase disabled generation -- while keeping
-    the exact rng draws and attempt counting of a fired tick.
+    Generation rides a :class:`~repro.sim.events.PeriodicTimer`.  The timer's
+    idle probe settles ticks that provably generate nothing -- the node has
+    not joined a DODAG yet, or the experiment's drain phase disabled
+    generation -- while keeping the exact rng draws and attempt counting of a
+    fired tick.
     """
 
     def __init__(self, rate_ppm: float, start_delay_s: float = 0.0) -> None:
@@ -91,7 +89,6 @@ class TrafficGenerator:
             start_offset=first_offset,
             label="app-traffic",
             period_fn=self._draw_interval,
-            wheel=self.queue.wheel("traffic"),
             idle_probe=self._tick_provably_idle,
         )
         self._timer.start()

@@ -21,6 +21,7 @@ link drift (proven by ``TestDynamicEquivalence``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Optional
 
@@ -70,10 +71,10 @@ class DynamicMediumPolicy:
     link_fraction: float
 
     def __post_init__(self) -> None:
-        if self.start_s < 0.0:
-            raise ValueError(f"start_s must be >= 0, got {self.start_s}")
-        if self.epoch_s <= 0.0:
-            raise ValueError(f"epoch_s must be positive, got {self.epoch_s}")
+        if not math.isfinite(self.start_s) or self.start_s < 0.0:
+            raise ValueError(f"start_s must be finite and >= 0, got {self.start_s}")
+        if not math.isfinite(self.epoch_s) or self.epoch_s <= 0.0:
+            raise ValueError(f"epoch_s must be finite and positive, got {self.epoch_s}")
         if self.num_epochs < 1:
             raise ValueError(f"num_epochs must be >= 1, got {self.num_epochs}")
         if not 0.0 < self.scale_low <= self.scale_high <= 1.0:

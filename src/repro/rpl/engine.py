@@ -166,7 +166,6 @@ class RplEngine:
             i_min=config.dio_interval_min_s,
             doublings=config.dio_interval_doublings,
             redundancy=config.dio_redundancy,
-            wheel=queue.wheel("trickle"),
         )
         self._dao_timer_started = False
         #: Diagnostics.

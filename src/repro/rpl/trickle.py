@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import TYPE_CHECKING, Optional
 
-from repro.sim.events import Event, EventQueue, TimerWheel
+from repro.sim.events import Event, EventQueue
 
 if TYPE_CHECKING:
     import random  # reprolint: disable=RL001
@@ -30,7 +30,6 @@ class TrickleTimer:
         i_min: float = 4.0,
         doublings: int = 8,
         redundancy: int = 10,
-        wheel: Optional[TimerWheel] = None,
     ) -> None:
         """
         Parameters
@@ -50,17 +49,12 @@ class TrickleTimer:
             Number of interval doublings (``i_max = i_min * 2**doublings``).
         redundancy:
             Suppression constant ``k``; 0 disables suppression.
-        wheel:
-            Optional cohort wheel the interval/fire events are placed on
-            (every node's Trickle instance shares it); firing times and
-            order are identical to flat scheduling on ``queue``.
         """
         if i_min <= 0:
             raise ValueError("i_min must be positive")
         if doublings < 0:
             raise ValueError("doublings must be non-negative")
         self.queue = queue
-        self._scheduler = wheel if wheel is not None else queue
         self.rng = rng
         self.callback = callback
         self.i_min = i_min
@@ -122,8 +116,8 @@ class TrickleTimer:
         self.counter = 0
         # Fire somewhere in the second half of the interval.
         offset = self.interval / 2.0 + self.rng.random() * (self.interval / 2.0)
-        self._fire_event = self._scheduler.schedule_in(offset, self._fire, label="trickle-fire")
-        self._interval_event = self._scheduler.schedule_in(
+        self._fire_event = self.queue.schedule_in(offset, self._fire, label="trickle-fire")
+        self._interval_event = self.queue.schedule_in(
             self.interval, self._end_interval, label="trickle-interval"
         )
 

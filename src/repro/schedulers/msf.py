@@ -259,7 +259,6 @@ class MsfScheduler(SchedulingFunction):
             label=f"msf-housekeeping.{node.node_id}",
             jitter=0.1,
             rng=timer_rng,
-            wheel=queue.wheel("msf-housekeeping"),
         )
         self._timer.start()
 

@@ -193,16 +193,14 @@ class OtfScheduler(SchedulingFunction):
             )
         period = self.config.allocation_period_s
         timer_rng = node.rng_registry.stream(f"otf.timer.{node.node_id}")
-        queue = node.event_queue
         self._timer = PeriodicTimer(
-            queue,
+            node.event_queue,
             period,
             self._allocation_tick,
             start_offset=timer_rng.random() * period,
             label=f"otf-allocation.{node.node_id}",
             jitter=0.1,
             rng=timer_rng,
-            wheel=queue.wheel("otf-allocation"),
         )
         self._timer.start()
 

@@ -60,9 +60,10 @@ class SimClock:
     def seconds_to_slots(self, seconds: float) -> int:
         """Convert a duration in seconds to a whole number of timeslots.
 
-        The result is rounded up so that a timer never fires early; a zero or
-        negative duration maps to a single slot (the earliest representable
-        future instant).
+        The result is rounded to the nearest slot count with :func:`round`
+        (an exact half-slot tie goes to the even count), so it may be up to
+        half a slot shorter or longer than ``seconds``; a zero or negative
+        duration, or one that rounds to zero slots, maps to a single slot.
         """
         if seconds <= 0:
             return 1

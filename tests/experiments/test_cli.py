@@ -120,7 +120,6 @@ class TestScaleFigureExport:
         assert main(_tiny_args(["--profile"])) == 0
         out = capsys.readouterr().out
         assert "[event queue]" in out
-        assert "[timer wheels]" in out
 
 
 class TestFigureRegistry:

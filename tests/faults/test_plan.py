@@ -15,6 +15,9 @@ from repro.faults import (
     ParentLoss,
 )
 
+NAN = float("nan")
+INF = float("inf")
+
 
 class TestValidation:
     def test_negative_crash_time_rejected(self):
@@ -74,6 +77,38 @@ class TestValidation:
                 rejoins=(NodeRejoin(time_s=8.0, node_id=3),),
                 arrivals=(NodeArrival(time_s=10.0, node_id=3),),
             )
+
+    @pytest.mark.parametrize(
+        "plan_kwargs",
+        [
+            {"crashes": (NodeCrash(time_s=NAN, node_id=3),)},
+            {"crashes": (NodeCrash(time_s=1.0, node_id=3, detect_after_s=NAN),)},
+            {
+                "crashes": (NodeCrash(time_s=1.0, node_id=3),),
+                "rejoins": (NodeRejoin(time_s=NAN, node_id=3),),
+            },
+            {"link_epochs": (LinkDegradation(time_s=NAN, prr_scale=0.5, duration_s=2.0),)},
+            {"link_epochs": (LinkDegradation(time_s=1.0, prr_scale=0.5, duration_s=NAN),)},
+            {"link_epochs": (LinkDegradation(time_s=1.0, prr_scale=0.5, duration_s=INF),)},
+            {"parent_losses": (ParentLoss(time_s=NAN, node_id=3),)},
+            {"parent_losses": (ParentLoss(time_s=INF, node_id=3),)},
+            {"arrivals": (NodeArrival(time_s=NAN, node_id=3),)},
+        ],
+        ids=[
+            "crash-time",
+            "crash-detect",
+            "rejoin-time",
+            "epoch-time",
+            "epoch-duration-nan",
+            "epoch-duration-inf",
+            "parent-loss-nan",
+            "parent-loss-inf",
+            "arrival-time",
+        ],
+    )
+    def test_non_finite_times_rejected(self, plan_kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            FaultPlan(**plan_kwargs)
 
     def test_crash_after_arrival_accepted(self):
         plan = FaultPlan(

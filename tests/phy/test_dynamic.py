@@ -29,6 +29,16 @@ class TestPolicyValidation:
         with pytest.raises(ValueError, match="epoch_s"):
             default_drift_policy(epoch_s=epoch_s)
 
+    @pytest.mark.parametrize("start_s", [float("nan"), float("inf")])
+    def test_non_finite_start_rejected(self, start_s):
+        with pytest.raises(ValueError, match="start_s must be finite"):
+            default_drift_policy(start_s=start_s)
+
+    @pytest.mark.parametrize("epoch_s", [float("nan"), float("inf")])
+    def test_non_finite_epoch_rejected(self, epoch_s):
+        with pytest.raises(ValueError, match="epoch_s must be finite"):
+            default_drift_policy(epoch_s=epoch_s)
+
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValueError, match="num_epochs"):
             default_drift_policy(num_epochs=0)

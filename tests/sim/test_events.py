@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.events import EventQueue, PeriodicTimer
 
@@ -91,20 +92,39 @@ class TestEventQueue:
         drop.cancel()
         assert len(queue) == 1
 
-    def test_clear(self):
+    def test_stats_count_live_and_cancelled_entries(self):
         queue = EventQueue()
         queue.schedule(1.0, lambda: None)
-        queue.run_until(0.5)
-        queue.clear()
-        assert len(queue) == 0
-        assert queue.now == 0.0
+        queue.schedule(2.0, lambda: None).cancel()
+        stats = queue.stats()
+        assert stats["live"] == 1
+        assert stats["heap_entries"] == 2
+        assert stats["cancelled_in_heap"] == 1
+        assert stats["compactions"] == 0
 
-    def test_kwargs_are_passed(self):
+
+class TestNaNRejection:
+    def test_schedule_rejects_nan_time(self):
         queue = EventQueue()
-        result = {}
-        queue.schedule(1.0, result.update, value=42)
+        with pytest.raises(ValueError, match="NaN"):
+            queue.schedule(float("nan"), lambda: None)
+        # Nothing was heaped, so the clock cannot be dragged to NaN.
+        assert len(queue) == 0
         queue.run_until(1.0)
-        assert result == {"value": 42}
+        assert queue.now == 1.0
+
+    def test_queue_schedule_in_rejects_nan(self):
+        queue = EventQueue()
+        with pytest.raises(ValueError, match="NaN"):
+            queue.schedule_in(float("nan"), lambda: None)
+
+    def test_negative_delay_still_clamps_to_now(self):
+        queue = EventQueue()
+        queue.run_until(5.0)
+        fired = []
+        queue.schedule_in(-1.0, fired.append, "x")
+        queue.run_until(5.0)
+        assert fired == ["x"]
 
 
 class TestPeriodicTimer:
@@ -188,6 +208,44 @@ class TestPeriodicTimer:
         assert len({round(gap, 6) for gap in gaps}) > 1
 
 
+class TestIdleProbe:
+    def test_idle_probe_settles_ticks_without_callback(self):
+        queue = EventQueue()
+        fired = []
+        gate = {"idle": True}
+        timer = PeriodicTimer(
+            queue,
+            1.0,
+            lambda: fired.append(queue.now),
+            start_offset=0.5,
+            idle_probe=lambda: gate["idle"],
+        )
+        timer.start()
+        queue.run_until(3.0)
+        assert fired == []
+        assert timer.settled_ticks == 3
+        # The cadence survives settling: once the probe releases, firing
+        # resumes at exactly the next period boundary.
+        gate["idle"] = False
+        queue.run_until(5.0)
+        assert fired == pytest.approx([3.5, 4.5])
+
+    def test_probe_side_is_not_consulted_after_stop(self):
+        queue = EventQueue()
+        probes = []
+        timer = PeriodicTimer(
+            queue,
+            1.0,
+            lambda: None,
+            idle_probe=lambda: probes.append(1) or True,
+        )
+        timer.start()
+        queue.run_until(2.5)
+        timer.stop()
+        queue.run_until(10.0)
+        assert len(probes) == 2
+
+
 class TestHeapCompaction:
     def test_cancelled_entries_are_compacted(self):
         queue = EventQueue()
@@ -244,3 +302,156 @@ class TestHeapCompaction:
         assert len(queue) == 20
         queue.run_until(100.0)
         assert len(queue) == 0
+
+    def test_compaction_inside_a_callback_fires_each_event_once(self):
+        # A callback that cancels most of the heap compacts the list
+        # run_until is draining; every survivor must still fire exactly once.
+        queue = EventQueue()
+        fired = []
+        later = [queue.schedule(2.0 + i, fired.append, i) for i in range(20)]
+
+        def cancel_most():
+            for event in later[:15]:
+                event.cancel()
+
+        queue.schedule(1.0, cancel_most)
+        assert queue.run_until(100.0) == 6
+        assert queue.compactions == 1
+        assert fired == [15, 16, 17, 18, 19]
+        assert len(queue) == 0
+        queue.run_until(200.0)
+        assert fired == [15, 16, 17, 18, 19]
+
+
+class _EagerQueue(EventQueue):
+    """Compacts from two heap entries on, so random runs compact often."""
+
+    COMPACT_MIN_SIZE = 2
+
+
+#: Half-second grid: many operations land on the same instant, so the
+#: creation-order tie-break is exercised constantly.
+_HALVES = st.integers(min_value=-2, max_value=12).map(lambda n: n / 2.0)
+
+_OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), _HALVES),
+        st.tuples(st.just("schedule_in"), _HALVES),
+        st.tuples(st.just("canceller"), _HALVES, st.integers(min_value=0)),
+        st.tuples(
+            st.just("timer"),
+            st.sampled_from([0.5, 1.0, 1.5]),
+            st.sampled_from([0.0, 0.5, 2.0]),
+        ),
+        st.tuples(st.just("cancel"), st.integers(min_value=0)),
+        st.tuples(st.just("run_until"), _HALVES),
+        st.tuples(st.just("peek")),
+    ),
+    max_size=40,
+)
+
+
+class TestHeapModel:
+    """The queue against a list sorted by (time, creation index).
+
+    Every schedule, ``schedule_in`` and periodic re-arm draws the next
+    creation index; the model fires its earliest (time, index) entry until
+    the window closes, so firing order, same-instant ties, ``len()``,
+    ``peek_time()`` and ``now`` must all match after every operation.
+    Cancellations come from the test and from callbacks ("canceller"
+    events), and the queue compacts from two heap entries on, so a
+    compaction that reordered or refired anything would show.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(_OPERATIONS)
+    def test_queue_matches_sorted_list_model(self, operations):
+        queue = _EagerQueue()
+        fired = []
+        handles = []  # Event or PeriodicTimer, by creation order
+        # Model: handle -> [time, index, action]; action is ("fire",),
+        # ("cancel", target) or ("tick", period).
+        pending = {}
+        model = {"now": 0.0, "index": 0, "fired": []}
+
+        def draw(time, action, handle):
+            pending[handle] = [time, model["index"], action]
+            model["index"] += 1
+
+        def cancel(handle):
+            item = handles[handle]
+            if isinstance(item, PeriodicTimer):
+                item.stop()
+            else:
+                item.cancel()
+
+        def model_run_until(time):
+            count = 0
+            while True:
+                due = [(entry[0], entry[1], handle) for handle, entry in pending.items()]
+                due = [key for key in due if key[0] <= time]
+                if not due:
+                    break
+                event_time, _, handle = min(due)
+                action = pending.pop(handle)[2]
+                model["now"] = event_time
+                model["fired"].append((handle, event_time))
+                count += 1
+                if action[0] == "cancel":
+                    pending.pop(action[1], None)
+                elif action[0] == "tick":
+                    draw(model["now"] + action[1], action, handle)
+            if time > model["now"]:
+                model["now"] = time
+            return count
+
+        def canceller(handle, target):
+            fired.append((handle, queue.now))
+            cancel(target)
+
+        for operation in operations:
+            kind = operation[0]
+            handle = len(handles)
+            if kind in ("schedule", "schedule_in"):
+                value = operation[1]
+                time = value if kind == "schedule" else model["now"] + value
+                schedule = queue.schedule if kind == "schedule" else queue.schedule_in
+                handles.append(schedule(value, lambda h=handle: fired.append((h, queue.now))))
+                draw(max(time, model["now"]), ("fire",), handle)
+            elif kind == "canceller":
+                if not handles:
+                    continue
+                target = operation[2] % len(handles)
+                handles.append(queue.schedule(operation[1], canceller, handle, target))
+                draw(max(operation[1], model["now"]), ("cancel", target), handle)
+            elif kind == "timer":
+                period, offset = operation[1], operation[2]
+                timer = PeriodicTimer(
+                    queue,
+                    period,
+                    lambda h=handle: fired.append((h, queue.now)),
+                    start_offset=offset,
+                )
+                handles.append(timer)
+                timer.start()
+                draw(model["now"] + offset, ("tick", period), handle)
+            elif kind == "cancel":
+                if not handles:
+                    continue
+                target = operation[1] % len(handles)
+                cancel(target)
+                pending.pop(target, None)
+            elif kind == "run_until":
+                time = model["now"] + operation[1]
+                assert queue.run_until(time) == model_run_until(time)
+            else:
+                times = [entry[0] for entry in pending.values()]
+                assert queue.peek_time() == (min(times) if times else None)
+            assert fired == model["fired"]
+            assert len(queue) == len(pending)
+            assert queue.now == model["now"]
+        # Drain past every one-shot event (timers keep re-arming).
+        horizon = max([model["now"]] + [entry[0] for entry in pending.values()])
+        assert queue.run_until(horizon) == model_run_until(horizon)
+        assert fired == model["fired"]
+        assert len(queue) == len(pending)

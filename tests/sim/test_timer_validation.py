@@ -1,11 +1,10 @@
 """Validation of delays and periods fed to the event-queue machinery.
 
 ``EventQueue.schedule_in`` has rejected NaN delays since the original NaN
-clamp bug; these tests cover the sibling hardening: ``reschedule_in`` (both
-the flat queue's and the timer wheel's) rejects non-finite and negative
-re-arm delays outright, and ``PeriodicTimer`` refuses non-finite periods at
-construction and validates each ``period_fn`` draw before it reaches the
-heap.
+clamp bug; these tests cover the sibling hardening: ``reschedule_in``
+rejects non-finite and negative re-arm delays outright, and
+``PeriodicTimer`` refuses non-finite periods at construction and validates
+each ``period_fn`` draw before it reaches the heap.
 """
 
 from __future__ import annotations
@@ -37,23 +36,6 @@ class TestRescheduleInValidation:
         event = self._popped_event(queue)
         with pytest.raises(ValueError, match="non-negative"):
             queue.reschedule_in(event, -0.5)
-
-    @pytest.mark.parametrize("delay", NON_FINITE)
-    def test_wheel_rejects_non_finite_delay(self, delay):
-        queue = EventQueue()
-        wheel = queue.wheel("test")
-        event = wheel.schedule_in(0.0, lambda: None)
-        queue.run_until(0.0)
-        with pytest.raises(ValueError, match="finite"):
-            wheel.reschedule_in(event, delay)
-
-    def test_wheel_rejects_negative_delay(self):
-        queue = EventQueue()
-        wheel = queue.wheel("test")
-        event = wheel.schedule_in(0.0, lambda: None)
-        queue.run_until(0.0)
-        with pytest.raises(ValueError, match="non-negative"):
-            wheel.reschedule_in(event, -1.0)
 
     def test_zero_delay_still_allowed(self):
         queue = EventQueue()
