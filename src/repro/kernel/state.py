@@ -2,7 +2,7 @@
 
 :mod:`repro.net.network` credits the duty-cycle meters of many nodes in one
 call in two places: settling deferred idle-listen/sleep windows, and
-crediting one received frame per receiver.  Both are plain loops over the
+correcting one decoded frame per receiver.  Both are plain loops over the
 nodes' TSCH engines, kept as methods of one class so that a tracer can wrap
 and count the bulk calls by name.
 """
@@ -39,15 +39,20 @@ class NodeStateStore:
             engine.duty_accounted_asn = asn
 
     def account_rx_frames(self, engines: list[TschEngine], asn: int) -> None:
-        """Account one frame-received slot for each engine, eagerly.
+        """Correct each engine's meter for the frame it decoded at ``asn``.
 
-        Equivalent to per-node ``DutyCycleMeter.record_rx(True)`` plus
-        advancing each watermark to ``asn + 1``; engines must be unique
-        within one call (a node decodes at most one frame per slot), and
-        callers settle each node's deferred window *before* this credit.
+        Slot ``asn`` stays in each node's deferred window, whose settlement
+        will credit it as idle-listen or sleep
+        (:meth:`~repro.mac.tsch.TschEngine.listens_lazily`, read at the end
+        of the slot).  Adding the difference to ``record_rx(True)`` now makes
+        the settled meter equal the per-slot loop's; no window is settled and
+        no watermark moves.  Engines must be unique within one call (a node
+        decodes at most one frame per slot).
         """
         for engine in engines:
             meter = engine.duty_cycle
-            meter.rx_slots += 1
-            meter.total_slots += 1
-            engine.duty_accounted_asn = asn + 1
+            if engine.listens_lazily(asn):
+                meter.idle_listen_slots -= 1
+            else:
+                meter.rx_slots += 1
+                meter.sleep_slots -= 1

@@ -16,7 +16,7 @@ at one shared, never-mutated empty list, so a mostly idle schedule costs
 lists only for its *used* offsets.  Every mutation also bumps
 :attr:`version`, which the TSCH engine and the network's slot-skipping
 kernel use to invalidate their derived schedule facts
-(:class:`~repro.mac.tsch.ScheduleProfile`, the active-offset index).
+(:class:`~repro.mac.tsch.ScheduleProfile`, the participant index).
 """
 
 from __future__ import annotations

@@ -162,9 +162,10 @@ class ScheduleProfile:
     uses it to answer, without planning the slot:
 
     * which ASNs the node has *any* cell at (:attr:`frame_offsets` feeds the
-      network-wide active-offset index),
+      network's participant index),
     * at which ASNs a node holding queued packets could possibly transmit
-      (:meth:`next_tx_asn`), and
+      (:meth:`next_tx_asn`, one bisect per slotframe into a table memoised
+      per queue signature), and
     * how many of a run of guaranteed transmission-free slots the node spends
       idle-listening rather than sleeping (:meth:`count_idle_listen`) -- the
       node listens whenever any active cell carries the RX option, exactly the
@@ -180,6 +181,8 @@ class ScheduleProfile:
         "_single",
         "_rx_incexc",
         "_prune_frames",
+        "_tx_tables",
+        "_contention",
     )
 
     #: Above this many RX progressions the 2^k inclusion-exclusion expansion
@@ -198,6 +201,11 @@ class ScheduleProfile:
         #: following exactly :meth:`TschEngine._packet_for_cell`'s match rule
         #: for a queue holding only unicast frames.
         self._prune_frames: list[tuple] = []
+        #: Memo of :meth:`next_tx_asn`: queue signature key -> per slotframe
+        #: ``(length, sorted TX offsets that could carry that backlog)``.
+        self._tx_tables: dict[tuple, list[tuple]] = {}
+        #: Memo of :meth:`shared_contention_progressions` per destination.
+        self._contention: dict[int, Optional[list[tuple]]] = {}
         for sf in slotframes:
             used: list[int] = []
             rx_offsets: list[int] = []
@@ -295,47 +303,39 @@ class ScheduleProfile:
                 terms.append((sign, merged[mask][0], merged[mask][1]))
         return terms
 
-    def next_tx_asn(
-        self,
-        asn: int,
-        destinations: Optional[set] = None,
-        has_broadcast: bool = True,
-        has_unicast: bool = True,
-    ) -> Optional[int]:
+    def next_tx_asn(self, asn: int, key: tuple) -> Optional[int]:
         """Earliest ASN >= ``asn`` at which a queued packet could be sent.
 
-        ``destinations`` is the set of unicast link destinations currently
-        queued (``None`` means "unknown; assume any"), and the two flags say
-        whether broadcast / unicast frames are pending at all.  A cell counts
-        when :meth:`TschEngine._packet_for_cell` could match one of those
-        packets to it; CSMA back-off state is deliberately ignored, which only
-        makes the answer conservative (earlier), never wrong.
+        ``key`` is the queue's :meth:`TschEngine.queue_signature`: whether a
+        broadcast frame is pending, and the sorted unicast link destinations.
+        A cell counts when :meth:`TschEngine._packet_for_cell` could match one
+        of those packets to it; CSMA back-off state is deliberately ignored,
+        which only makes the answer conservative (earlier), never wrong.
         """
+        table = self._tx_tables.get(key)
+        if table is None:
+            table = self._tx_table(key)
+            self._tx_tables[key] = table
         best: Optional[int] = None
-        for length, _, _, broadcast_tx, anycast_tx, neighbor_tx in self._frames:
-            if has_broadcast and broadcast_tx:
-                occurrence = next_offset_occurrence(asn, length, broadcast_tx)
-                if occurrence is not None and (best is None or occurrence < best):
-                    best = occurrence
-            if has_unicast:
-                if anycast_tx:
-                    occurrence = next_offset_occurrence(asn, length, anycast_tx)
-                    if occurrence is not None and (best is None or occurrence < best):
-                        best = occurrence
-                if neighbor_tx:
-                    if destinations is None:
-                        candidates = neighbor_tx.values()
-                    else:
-                        candidates = [
-                            neighbor_tx[d]
-                            for d in sorted(destinations)
-                            if d in neighbor_tx
-                        ]
-                    for offsets in candidates:
-                        occurrence = next_offset_occurrence(asn, length, offsets)
-                        if occurrence is not None and (best is None or occurrence < best):
-                            best = occurrence
+        for length, offsets in table:
+            occurrence = next_offset_occurrence(asn, length, offsets)
+            if occurrence is not None and (best is None or occurrence < best):
+                best = occurrence
         return best
+
+    def _tx_table(self, key: tuple) -> list[tuple]:
+        """Per slotframe, the sorted offsets whose TX cells match ``key``."""
+        has_broadcast, destinations = key
+        table: list[tuple] = []
+        for length, _, _, broadcast_tx, anycast_tx, neighbor_tx in self._frames:
+            offsets = set(broadcast_tx) if has_broadcast else set()
+            if destinations:
+                offsets.update(anycast_tx)
+                for destination in destinations:
+                    offsets.update(neighbor_tx.get(destination, ()))
+            if offsets:
+                table.append((length, sorted(offsets)))
+        return table
 
     def shared_contention_progressions(self, destination: int) -> Optional[list[tuple]]:
         """TX opportunities of a unicast-only, single-destination backlog.
@@ -351,8 +351,14 @@ class ScheduleProfile:
         Only valid for the queue signature the kernel checked: no broadcast
         frame pending and every queued unicast addressed to ``destination``
         -- exactly then does every matching cell resolve its packet (and its
-        CSMA state) to that one destination.
+        CSMA state) to that one destination.  Memoised per destination;
+        treat the list as read-only.
         """
+        if destination not in self._contention:
+            self._contention[destination] = self._contention_progressions(destination)
+        return self._contention[destination]
+
+    def _contention_progressions(self, destination: int) -> Optional[list[tuple]]:
         progressions: list[tuple] = []
         for length, anycast_census, neighbor_census in self._prune_frames:
             merged: dict[int, int] = {}
@@ -464,7 +470,7 @@ class TschEngine:
         #: slotframes' ``on_change`` hooks, so reading it is O(1).
         self._version = 0
         #: Invoked after every schedule mutation; the network hooks this to
-        #: invalidate its active-offset index.
+        #: invalidate its participant index.
         self.on_schedule_change: Optional[Callable[[], None]] = None
         #: Invoked after every MAC-queue mutation (packet accepted, removed,
         #: or re-addressed); the network hooks this to maintain its backlog
@@ -477,14 +483,15 @@ class TschEngine:
         self.queue_version = 0
         #: Memoised :meth:`queue_signature` and the queue version it was
         #: computed at.
-        self._signature: tuple[bool, bool, set] = (False, False, set())
+        self._signature: tuple[bool, tuple] = (False, ())
         self._signature_version = -1
         #: ASN up to which this node's duty-cycle accounting is complete.
-        #: Owned by the network's dispatch kernel: slots in
-        #: ``[duty_accounted_asn, clock.asn)`` not yet recorded on the meter
-        #: are slots the node provably spent sleeping or idle-listening per
-        #: its (constant-over-the-window) schedule, credited lazily in bulk
-        #: by :meth:`settle_duty_cycle`.
+        #: Owned by the network's dispatch kernel: every slot in
+        #: ``[duty_accounted_asn, clock.asn)`` is credited lazily in bulk by
+        #: :meth:`settle_duty_cycle` as the idle-listen or sleep slot of the
+        #: node's (constant-over-the-window) schedule.  The kernel corrects
+        #: the meter in advance for the slots in that range that deviate from
+        #: it (transmissions, decoded frames; see :meth:`listens_lazily`).
         self.duty_accounted_asn = 0
         #: Slotframes sorted by handle (the planning precedence order).
         self._frames: Optional[list[Slotframe]] = None
@@ -584,7 +591,7 @@ class TschEngine:
 
         Any cell installed or removed in any slotframe, and any slotframe
         added or removed, strictly increases this value; derived facts (the
-        engine's :class:`ScheduleProfile`, and the network-wide active-offset
+        engine's :class:`ScheduleProfile`, and the network-wide participant
         index) compare it to decide whether they are stale.
         """
         return self._version
@@ -670,15 +677,28 @@ class TschEngine:
         """
         return self._profile
 
+    def listens_lazily(self, asn: int) -> bool:
+        """Whether deferred settling credits ``asn`` as idle-listen, not sleep.
+
+        True while scanning, else when an RX cell is active at ``asn`` -- the
+        credit :meth:`settle_duty_cycle` will give the slot as long as the
+        schedule stays as it is now.  The dispatch kernel corrects a TX or
+        busy-RX slot against it at the end of that slot.
+        """
+        return self._scanning or self.idle_listen_channel_offset(asn) is not None
+
     def settle_duty_cycle(self, asn: int, profile: Optional[ScheduleProfile] = None) -> None:
         """Credit the deferred window ``[duty_accounted_asn, asn)`` in bulk.
 
-        The kernel guarantees every slot in the window was spent according to
-        ``profile`` (the engine's current one when not given): idle-listening
-        where the profile has an active RX cell, sleeping everywhere else.
-        Integer bulk credits make the meter bit-identical to per-slot
-        recording.  Callers that just mutated the schedule must pass the
-        pre-mutation profile (see :meth:`cached_profile`).
+        Every slot in the window is credited as ``profile`` (the engine's
+        current one when not given) spends it: idle-listening where the
+        profile has an active RX cell, sleeping everywhere else.  The kernel
+        guarantees the schedule was constant over the window and has already
+        corrected the meter for the window's TX and busy-RX slots (see
+        :meth:`listens_lazily`), so integer bulk credits make the meter
+        bit-identical to per-slot recording.  Callers that just mutated the
+        schedule must pass the pre-mutation profile (see
+        :meth:`cached_profile`).
         """
         accounted = self.duty_accounted_asn
         if accounted >= asn:
@@ -688,8 +708,7 @@ class TschEngine:
         if self._scanning:
             # Every scan slot is an idle listen (the reference loop records
             # record_rx(False) for each); slots in which the scanner decoded
-            # a frame are credited eagerly (NodeStateStore.account_rx_frames
-            # / account_slot) and never reach this window.
+            # a frame were corrected by NodeStateStore.account_rx_frames.
             idle = window
         else:
             if profile is None:
@@ -785,8 +804,8 @@ class TschEngine:
             # A deferral should never outlive its TX slot (the kernel steps
             # it); settle defensively and rebuild from live state below.
             self.settle_csma(asn)
-        has_broadcast, has_unicast, destinations = self.queue_signature()
-        if has_broadcast or not has_unicast or len(destinations) != 1:
+        has_broadcast, destinations = self.queue_signature()
+        if has_broadcast or len(destinations) != 1:
             return None
         (destination,) = destinations
         if destination in self._quiet:
@@ -972,12 +991,13 @@ class TschEngine:
         """Current number of queued packets (the game's ``q_i(t)``)."""
         return len(self.queue)
 
-    def queue_signature(self) -> tuple[bool, bool, set]:
-        """``(has_broadcast, has_unicast, unicast destinations)`` of the queue.
+    def queue_signature(self) -> tuple[bool, tuple]:
+        """``(has_broadcast, sorted unicast destinations)`` of the queue.
 
-        Memoised per :attr:`queue_version`; the slot planner and the network
-        kernel use it to decide which TX cells could carry the current
-        backlog without walking the queue on every slot.
+        Memoised per :attr:`queue_version`; the network kernel uses it to
+        decide which TX cells could carry the current backlog without
+        walking the queue on every slot.  Hashable: it keys the memo of
+        :meth:`ScheduleProfile.next_tx_asn`.
         """
         if self._signature_version != self.queue_version:
             has_broadcast = False
@@ -991,7 +1011,7 @@ class TschEngine:
                     has_broadcast = True
                 else:
                     destinations.add(destination)
-            self._signature = (has_broadcast, bool(destinations), destinations)
+            self._signature = (has_broadcast, tuple(sorted(destinations)))
             self._signature_version = self.queue_version
         return self._signature
 

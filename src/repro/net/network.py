@@ -24,24 +24,28 @@ that the schedule is periodic and mutations are observable (every
 :class:`~repro.mac.slotframe.Slotframe` mutation bumps a version counter),
 and that only nodes with queued packets can put energy on the air:
 
-* a network-wide *active-offset index* (the union of installed slot offsets
-  modulo each slotframe length, with an inverted ``(length, offset) ->
-  participants`` view, maintained incrementally per mutated node) answers
-  :meth:`Network.next_active_asn`;
 * a *horizon heap* of per-node "earliest ASN whose TX cells match my queued
   packets" entries -- guarded by queue/schedule version stamps and
   maintained push-style through the engines' queue hooks -- answers "who
   could transmit, and when is the next slot anyone can?";
-* both combine with :meth:`EventQueue.peek_time` to jump the clock in O(1)
-  over idle and transmission-free runs alike, and each *stepped* slot is
-  dispatched transmitter-centrically: only the due transmitters plus their
-  interference audience (precomputed by :meth:`Medium.freeze`) are planned,
-  everyone else's radio activity being a pure function of its schedule;
-* duty-cycle accounting is *deferred*: per-node windows of untouched slots
-  are settled in integer bulk (idle-listen where the schedule has an active
-  RX cell, sleep elsewhere) by
+* one jump rule: the clock leaps in O(1) to the earlier of that slot and
+  the next slot boundary that fires a timer (:meth:`EventQueue.peek_time`),
+  or to the end of the run.  A slot without a possible transmission and
+  without a timer changes nothing but duty-cycle counters, whether or not
+  cells are active in it;
+* each *stepped* slot is dispatched transmitter-centrically: only the due
+  transmitters plus their interference audience (precomputed by
+  :meth:`Medium.freeze`) are planned, and an inverted ``(length, offset) ->
+  participants`` index, maintained incrementally per mutated node, skips
+  audience members without a cell; everyone else's radio activity is a
+  pure function of its schedule;
+* duty-cycle accounting is *deferred*: per-node windows of slots are
+  settled in integer bulk (idle-listen where the schedule has an active RX
+  cell, sleep elsewhere) by
   :meth:`~repro.mac.tsch.TschEngine.settle_duty_cycle`, with schedule
-  mutations as settlement barriers.
+  mutations as settlement barriers.  A transmitter or decoder gets an
+  integer correction against that credit at the end of its slot, so no
+  stepped slot settles a window.
 
 Jumped slots and unvisited nodes provably fire no callbacks, draw no random
 numbers and touch nothing but integer counters, and visited nodes are
@@ -56,7 +60,7 @@ from heapq import heappop, heappush
 from typing import Optional
 
 from repro.kernel.state import NodeStateStore
-from repro.mac.tsch import SlotPlan, TschEngine, next_offset_occurrence
+from repro.mac.tsch import SlotPlan, TschEngine
 from repro.metrics.collector import MetricsCollector, NetworkMetrics
 from repro.net.node import Node, NodeConfig
 from repro.net.topology import TopologyBuilder
@@ -103,25 +107,19 @@ class Network:
         #: Use the slot-skipping kernel in :meth:`run_slots` (bit-identical to
         #: the naive loop; ``fast=False`` is the escape hatch).
         self.fast = fast
-        #: slotframe length -> sorted union of installed slot offsets, across
-        #: every node; rebuilt whenever any schedule version changes.
-        self._active_index: dict[int, list[int]] = {}
-        self._active_index_dirty = True
         #: Flat node list, kept in sync with :attr:`nodes` (hot-loop iteration).
         self._node_list: list[Node] = []
         #: Inverted participant index (maintained incrementally, see
-        #: :meth:`_refresh_active_index`): ``slotframe length -> slot offset
+        #: :meth:`_refresh_participants`): ``slotframe length -> slot offset
         #: -> {node order index -> node}`` -- dicts make one node's
         #: contribution removable in O(its cells) when only that node's
         #: schedule changed, and keying by order index lets dispatch restore
-        #: node insertion order.  Queried per slot by the dispatch loop and
-        #: through :meth:`_participants_at`.
+        #: node insertion order.  An offset, and then a length, leaves the
+        #: index when its last node does.  Queried per slot by the dispatch
+        #: loop and through :meth:`_participants_at`.
         self._part_tables: dict[int, dict[int, dict[int, Node]]] = {}
         #: node id -> set of (length, offset) pairs it currently contributes.
         self._node_contrib: dict[int, set] = {}
-        #: Reference counts behind the active-offset union: ``length ->
-        #: offset -> number of contributing nodes``.
-        self._offset_counts: dict[int, dict[int, int]] = {}
         #: Nodes whose schedule changed since the last index refresh; only
         #: their contributions are recomputed.
         self._dirty_nodes: set = set()
@@ -144,10 +142,12 @@ class Network:
         #: Min-heap of per-node TX horizons: ``(occurrence, order index,
         #: node, queue version, schedule version)``.  An entry is authoritative
         #: only while both versions still match its node (stale entries are
-        #: discarded lazily when they surface); nodes listed in
-        #: :attr:`_risky_dirty` need their horizon (re)computed.
+        #: discarded lazily when they surface).  The order index makes every
+        #: live entry's key unique, so pops never depend on push order.
+        #: Nodes in :attr:`_risky_dirty` (node id -> node, insertion-ordered)
+        #: need their horizon (re)computed.
         self._risky_heap: list[tuple] = []
-        self._risky_dirty: set = set()
+        self._risky_dirty: dict[int, Node] = {}
         #: Slots actually stepped (planned + arbitrated) by the dispatch
         #: kernel, as opposed to slots jumped in bulk; the scaling benchmark
         #: divides wall-clock by this to report per-active-slot cost.
@@ -191,7 +191,6 @@ class Network:
         self._engines[node_id] = node.tsch
         self.medium.register_node(node_id, position)
         self._dirty_nodes.add(node)
-        self._active_index_dirty = True
         self._node_order[node_id] = len(self._node_list)
         self._node_list.append(node)
         return node
@@ -310,8 +309,8 @@ class Network:
         # 2b. the transmitters' interference audience completes the slot;
         # unreachable listeners -- and every listener that ends up decoding
         # nothing -- stay deferred.
-        if self._active_index_dirty:
-            self._refresh_active_index()
+        if self._dirty_nodes:
+            self._refresh_participants()
         # This ASN's participant buckets from the inverted index: an audience
         # member with a cell in none of them provably sleeps, so it is
         # skipped without even being planned.  Each member's listen/sleep
@@ -321,7 +320,7 @@ class Network:
         # nothing this slot is exactly the idle-listen slot its deferred
         # profile settling credits, so only the nodes whose slot *deviates*
         # from the pure schedule function (transmitters, and listeners that
-        # actually receive energy) are accounted eagerly in step 4c.
+        # actually decode a frame) are corrected in step 4c.
         buckets: list[dict[int, Node]] = []
         for length, table in self._part_tables.items():
             bucket = table.get(asn % length)
@@ -421,48 +420,46 @@ class Network:
         # overhearing neighbours (they listened on the same channel), but only
         # the link-layer destination processes it -- real radios filter on the
         # destination address before handing the frame to the MAC.
+        # A node decodes at most one frame per slot, so each receiver is
+        # listed once.
         engines = self._engines
-        nodes_that_received = set()
+        receivers: list[TschEngine] = []
         for result in results:
             packet = result.intent.packet
             if packet.is_broadcast:
                 for receiver in result.receivers:
-                    nodes_that_received.add(receiver)
-                    engines[receiver].on_frame_received(packet, asn, now)
+                    engine = engines[receiver]
+                    receivers.append(engine)
+                    engine.on_frame_received(packet, asn, now)
             else:
                 destination = packet.link_destination
                 for receiver in result.receivers:
-                    nodes_that_received.add(receiver)
+                    engine = engines[receiver]
+                    receivers.append(engine)
                     if destination == receiver:
-                        engines[receiver].on_frame_received(packet, asn, now)
+                        engine.on_frame_received(packet, asn, now)
 
         # 4b. transmitters process their outcome (ACK, retransmission, drop).
         for node_id, plan, result in zip(intent_owners, tx_plans, results):
             engines[node_id].on_transmission_result(plan, result, asn, now)
 
-        # 4c. eager duty-cycle accounting for exactly the nodes whose slot
+        # 4c. duty-cycle corrections for exactly the nodes whose slot
         # deviated from the pure function of their schedule: transmitters
-        # (the profile would credit idle-listen/sleep, not TX) and listeners
-        # that received energy (a frame beats the idle-listen credit).
-        # Every other listener idle-listened, which is exactly what its
-        # deferred profile settling will credit -- bit-identical, so it is
-        # left lazy.
+        # and decoders.  The slot stays in their deferred window, whose
+        # settlement will credit it as idle-listen or sleep under the
+        # schedule left at the end of this slot; adding the difference now
+        # costs O(1) per node and settles nothing.  Every other listener
+        # idle-listened, which is exactly that credit.
         for node_id in intent_owners:
             engine = engines[node_id]
-            if engine.duty_accounted_asn < asn:
-                engine.settle_duty_cycle(asn)
-            engine.duty_accounted_asn = asn + 1
-            engine.duty_cycle.record_tx()
-        if nodes_that_received:
-            # Settle each receiver's deferred window first (profile-dependent,
-            # per node), then credit the busy-RX slot and the advanced
-            # watermark for all of them in one bulk call.
-            receivers: list[TschEngine] = []
-            for node_id in sorted(nodes_that_received):
-                engine = engines[node_id]
-                if engine.duty_accounted_asn < asn:
-                    engine.settle_duty_cycle(asn)
-                receivers.append(engine)
+            meter = engine.duty_cycle
+            meter.tx_slots += 1
+            if engine.listens_lazily(asn):
+                meter.rx_slots -= 1
+                meter.idle_listen_slots -= 1
+            else:
+                meter.sleep_slots -= 1
+        if receivers:
             self.state.account_rx_frames(receivers, asn)
 
         self.clock.advance_slot()
@@ -552,65 +549,45 @@ class Network:
                 meter.total_slots += debt
                 engine.duty_accounted_asn = asn
         self._dirty_nodes.add(node)
-        self._active_index_dirty = True
         if node.node_id in self._backlogged:
-            self._risky_dirty.add(node)
+            self._risky_dirty[node.node_id] = node
 
-    def _refresh_active_index(self) -> None:
+    def _refresh_participants(self) -> None:
         """Re-index the nodes whose schedule changed since the last refresh.
 
-        Both kernel indexes are derived from the per-node
-        :class:`ScheduleProfile`: the active-offset union (``length -> sorted
-        offsets``, feeding :meth:`next_active_asn`) and the inverted
-        participant index (``length -> offset -> nodes``, feeding
-        :meth:`_participants_at`).  Maintenance is incremental -- a schedule
-        mutation re-indexes only that node's cells, so a 6top ADD/DELETE or a
-        GT-TSCH load-balancing move costs O(that node's cells), not O(network
-        size) -- while participant buckets are kept in node insertion order so
-        dispatch plans nodes exactly as the full per-node scan would.
+        The inverted participant index (``length -> offset -> nodes``,
+        feeding dispatch and :meth:`_participants_at`) is derived from the
+        per-node :class:`ScheduleProfile`.  Maintenance is incremental -- a
+        schedule mutation re-indexes only that node's cells, so a 6top
+        ADD/DELETE or a GT-TSCH load-balancing move costs O(that node's
+        cells), not O(network size).  Rebuilding each mutated node's profile
+        here also keeps :meth:`~repro.mac.tsch.TschEngine.cached_profile`
+        current whenever :meth:`run_slots` starts a slot, which the
+        settlement barrier in :meth:`_on_schedule_change` relies on.
         """
-        if not self._active_index_dirty:
-            return
-        stale_lengths: set = set()
+        tables = self._part_tables
         node_order = self._node_order
         for node in sorted(self._dirty_nodes, key=lambda n: node_order[n.node_id]):
             node_id = node.node_id
             order = node_order[node_id]
             old_contrib = self._node_contrib.get(node_id, frozenset())
-            profile = node.tsch.schedule_profile()
-            new_contrib = set()
-            for length, offsets in profile.frame_offsets:
-                for offset in offsets:
-                    new_contrib.add((length, offset))
+            new_contrib = {
+                (length, offset)
+                for length, offsets in node.tsch.schedule_profile().frame_offsets
+                for offset in offsets
+            }
             for length, offset in sorted(old_contrib - new_contrib):
-                del self._part_tables[length][offset][order]
-                counts = self._offset_counts[length]
-                counts[offset] -= 1
-                if not counts[offset]:
-                    del counts[offset]
-                    del self._part_tables[length][offset]
-                    stale_lengths.add(length)
+                table = tables[length]
+                bucket = table[offset]
+                del bucket[order]
+                if not bucket:
+                    del table[offset]
+                    if not table:
+                        del tables[length]
             for length, offset in sorted(new_contrib - old_contrib):
-                table = self._part_tables.setdefault(length, {})
-                table.setdefault(offset, {})[order] = node
-                counts = self._offset_counts.setdefault(length, {})
-                if offset not in counts:
-                    counts[offset] = 1
-                    stale_lengths.add(length)
-                else:
-                    counts[offset] += 1
+                tables.setdefault(length, {}).setdefault(offset, {})[order] = node
             self._node_contrib[node_id] = new_contrib
         self._dirty_nodes.clear()
-        # Re-sort only the per-length offset unions whose membership changed.
-        for length in sorted(stale_lengths):
-            offsets = self._offset_counts.get(length)
-            if offsets:
-                self._active_index[length] = sorted(offsets)
-            else:
-                self._active_index.pop(length, None)
-                self._offset_counts.pop(length, None)
-                self._part_tables.pop(length, None)
-        self._active_index_dirty = False
 
     def _participants_at(self, asn: int) -> list[Node]:
         """Nodes with any installed cell active at ``asn``, in insertion order.
@@ -619,8 +596,8 @@ class Network:
         those directly; this is the introspection/test query).  Only these
         nodes can plan anything but ``sleep`` at this ASN.
         """
-        if self._active_index_dirty:
-            self._refresh_active_index()
+        if self._dirty_nodes:
+            self._refresh_participants()
         merged: dict[int, Node] = {}
         for length, table in self._part_tables.items():
             bucket = table.get(asn % length)
@@ -639,10 +616,10 @@ class Network:
         node.tsch.settle_csma(self.clock.asn)
         if len(node.tsch.queue):
             self._backlogged[node.node_id] = node
-            self._risky_dirty.add(node)
+            self._risky_dirty[node.node_id] = node
         else:
             self._backlogged.pop(node.node_id, None)
-            self._risky_dirty.discard(node)
+            self._risky_dirty.pop(node.node_id, None)
 
     def _on_scan_state(self, node: Node, scanning: bool) -> None:
         """``node`` entered or left the unsynchronised EB scan.
@@ -688,8 +665,10 @@ class Network:
         recorded, which the kernel only allows while the node's schedule is
         unchanged over the window (schedule mutations settle eagerly): the
         node idle-listened exactly where its profile has an active RX cell
-        and slept everywhere else, so integer bulk credits reproduce the
-        per-slot loop's counters exactly.  Each node's idle-listen count is
+        and slept everywhere else, except in its TX and busy-RX slots, which
+        step 4c of the dispatch already corrected against that credit, so
+        integer bulk credits reproduce the per-slot loop's counters exactly.
+        Each node's idle-listen count is
         computed as :meth:`~repro.mac.tsch.TschEngine.settle_duty_cycle`
         would, and all counters are credited in one bulk call.
         """
@@ -711,23 +690,6 @@ class Network:
             idles.append(idle)
         if engines:
             self.state.settle_idle_rx(engines, idles, asn)
-
-    def next_active_asn(self, asn: int) -> Optional[int]:
-        """Smallest ASN >= ``asn`` at which any node has a cell installed.
-
-        ``None`` means no node has any cell at all (every future slot is
-        idle).  Derived from the per-network active-offset index, which is
-        invalidated automatically when any scheduler adds or removes cells.
-        """
-        self._refresh_active_index()
-        best: Optional[int] = None
-        for length, offsets in self._active_index.items():
-            occurrence = next_offset_occurrence(asn, length, offsets)
-            if occurrence is not None and (best is None or occurrence < best):
-                best = occurrence
-                if best == asn:
-                    break
-        return best
 
     def _next_event_asn(self, asn: int, limit: int) -> int:
         """First ASN in [``asn``, ``limit``] whose slot boundary fires a timer.
@@ -761,15 +723,19 @@ class Network:
         the window expired) instead of the next matching cell: the skipped
         passes are pure counter decrements that
         :meth:`~repro.mac.tsch.TschEngine.settle_csma` credits in bulk, so
-        the losing slots need not be stepped at all.
+        the losing slots need not be stepped at all.  Only an armed deferral
+        or a unicast backlog towards exactly one destination can be gated
+        that way, so no other backlog asks for one.
         """
         engine = node.tsch
-        occurrence = engine.plan_csma_deferral(asn)
+        key = engine.queue_signature()
+        occurrence = None
+        if engine._csma_deferral is not None or (not key[0] and len(key[1]) == 1):
+            occurrence = engine.plan_csma_deferral(asn)
         if occurrence is None:
-            has_broadcast, has_unicast, destinations = engine.queue_signature()
-            occurrence = engine.schedule_profile().next_tx_asn(
-                asn, destinations, has_broadcast, has_unicast
-            )
+            # Settling an expired deferral above re-dirties the node but
+            # leaves the queue, and so its key, as it was.
+            occurrence = engine.schedule_profile().next_tx_asn(asn, key)
         if occurrence is not None:
             heappush(
                 self._risky_heap,
@@ -787,16 +753,18 @@ class Network:
 
         Iterates a snapshot: arming or settling a CSMA deferral inside
         :meth:`_push_horizon` may re-dirty a node through the queue hook,
-        which must land in the next refresh, not mutate this one.
+        which must land in the next refresh, not mutate this one.  Each
+        node's horizon depends on that node alone, and the heap's keys are
+        unique, so the order of the snapshot does not matter.
         """
         if not self._risky_dirty:
             return
         asn = self.clock.asn
         backlogged = self._backlogged
         dirty = self._risky_dirty
-        self._risky_dirty = set()
-        for node in sorted(dirty, key=lambda n: self._node_order[n.node_id]):
-            if node.node_id in backlogged:
+        self._risky_dirty = {}
+        for node_id, node in dirty.items():
+            if node_id in backlogged:
                 self._push_horizon(node, asn)
 
     def _next_risky_asn(self, asn: int, limit: int) -> int:
@@ -869,7 +837,7 @@ class Network:
                 continue
             matched.append(node)
             matched_ids.add(node.node_id)
-            self._risky_dirty.add(node)
+            self._risky_dirty[node.node_id] = node
         if len(matched) > 1:
             order = self._node_order
             matched.sort(key=lambda node: order[node.node_id])
@@ -878,13 +846,12 @@ class Network:
     def _jump_slots(self, target_asn: int) -> None:
         """Leap the clock to ``target_asn`` without visiting any slot.
 
-        Valid over runs the kernel has proven boring -- fully idle (no cell
-        anywhere) or transmission-free (cells active but no backlogged node
-        reaches a matching TX cell): no callbacks fire, no random numbers are
-        drawn, and every node's radio activity over the run is a pure
-        function of its (unchanged) schedule, so the accounting is deferred
-        entirely to the next settle.  O(1) regardless of run length or
-        network size.
+        Valid over runs the kernel has proven transmission-free and timer-free
+        (no backlogged node reaches a matching TX cell, no event is due): no
+        callbacks fire, no random numbers are drawn, and every node's radio
+        activity over the run is a pure function of its (unchanged)
+        schedule, so the accounting is deferred entirely to the next settle.
+        O(1) regardless of run length or network size.
         """
         self.clock.asn = target_asn
         # The naive loop's run_until() advances the event clock at every slot
@@ -915,6 +882,11 @@ class Network:
         clock = self.clock
         end_asn = clock.asn + num_slots
         while clock.asn < end_asn:
+            if self._dirty_nodes:
+                # Re-profile the schedules the last slot mutated before this
+                # slot's timers can mutate them again: that barrier settles
+                # the window behind it under the cached profile.
+                self._refresh_participants()
             asn = clock.asn
             boundary = self._next_event_asn(asn, end_asn)
             if boundary == asn:
@@ -925,15 +897,10 @@ class Network:
                 self.events.run_until(asn * clock.slot_duration_s)
                 boundary = self._next_event_asn(asn, end_asn)
             if boundary > asn:
-                active = self.next_active_asn(asn)
-                target = boundary if active is None else min(active, boundary)
-                if target > asn:
-                    # Fully idle run: every node sleeps.
-                    self._jump_slots(target)
-                    continue
                 risky = self._next_risky_asn(asn, boundary)
                 if risky > asn:
-                    # Transmission-free run: active cells idle-listen, which
+                    # Transmission-free run up to the next possible
+                    # transmission or timer: active cells idle-listen, which
                     # deferred accounting settles in bulk later.
                     self._jump_slots(risky)
                     continue

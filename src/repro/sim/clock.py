@@ -46,17 +46,6 @@ class SimClock:
         self.asn += 1
         return self.asn
 
-    def advance_slots(self, count: int) -> int:
-        """Jump the clock forward by ``count`` timeslots and return the new ASN.
-
-        Used by the slot-skipping simulation kernel to leap over runs of
-        guaranteed-idle slots in one step.
-        """
-        if count < 0:
-            raise ValueError("cannot advance the clock backwards")
-        self.asn += count
-        return self.asn
-
     def seconds_to_slots(self, seconds: float) -> int:
         """Convert a duration in seconds to a whole number of timeslots.
 

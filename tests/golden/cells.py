@@ -72,6 +72,21 @@ def skip_scenario(scheduler: str, seed: int) -> Scenario:
     )
 
 
+#: Schedulers of the high-load Fig. 8 cells.
+HIGH_LOAD_SCHEDULERS = (GT_TSCH, MSF, ORCHESTRA)
+
+
+def high_load_scenario(scheduler: str, seed: int) -> Scenario:
+    """The 165 ppm Fig. 8 cell of ``TestHighLoadEquivalence``.
+
+    The top of the paper's load axis: CSMA back-off, queue drops and slots
+    with several decoders all peak here.
+    """
+    return traffic_load_scenario(
+        rate_ppm=165.0, scheduler=scheduler, seed=seed, measurement_s=10.0, warmup_s=10.0
+    )
+
+
 def fault_scenario(scheduler: str, seed: int) -> Scenario:
     """The crash/rejoin/degrade/parent-loss cell of ``TestFaultEquivalence``."""
     return churn_scenario(
@@ -137,6 +152,7 @@ def scaling_family(num_nodes: int) -> str:
 #: ``family -> (scenario builder, drain seconds)``.
 FAMILIES: dict[str, tuple[Callable[[str, int], Scenario], float]] = {
     "skip": (skip_scenario, 3.0),
+    "load165": (high_load_scenario, 3.0),
     "fault": (fault_scenario, 3.0),
     "dynamic": (dynamic_scenario, 3.0),
     "scale": (scale_cell_scenario, 2.0),
@@ -156,6 +172,7 @@ def all_cells() -> list[tuple[str, str, int]]:
     registered = [(scheduler, seed) for seed in (1, 2) for scheduler in ALL_REGISTERED]
     cases = {
         "skip": registered,
+        "load165": [(scheduler, 1) for scheduler in HIGH_LOAD_SCHEDULERS],
         "fault": [(scheduler, seed) for scheduler, seed, _ in FAULT_CASES],
         "dynamic": [(scheduler, seed) for scheduler, seed, _ in DYNAMIC_CASES],
         "scale": registered,

@@ -323,11 +323,11 @@ class TestParticipantIndexInvalidation:
             Cell(slot_offset=3, channel_offset=0, options=CellOption.TX, neighbor=1)
         )
         assert network._participants_at(3) == [network.nodes[2]]
-        assert network.next_active_asn(0) == 3
+        assert [asn for asn in range(20) if network._participants_at(asn)] == [3, 13]
         # 6top DELETE: the cell disappears from the index immediately too.
         frame.remove_cell(cell)
         assert network._participants_at(3) == []
-        assert network.next_active_asn(0) is None
+        assert not any(network._participants_at(asn) for asn in range(20))
 
     def test_add_mid_run_is_visible_at_the_very_next_slot(self):
         network = self._network()

@@ -405,42 +405,81 @@ class TestScheduleProfile:
             Cell(slot_offset=5, channel_offset=0, options=CellOption.TX, neighbor=7)
         )
         frame.add_cell(
+            Cell(slot_offset=1, channel_offset=0, options=CellOption.TX, neighbor=8)
+        )
+        frame.add_cell(
             Cell(slot_offset=6, channel_offset=0, options=CellOption.TX | CellOption.BROADCAST)
         )
         profile = engine.schedule_profile()
         # Only the shared neighbour-less broadcast cell also carries unicast.
-        assert profile.next_tx_asn(3, {9}, False, True) == 10
-        # At every ASN and for every queue, the answer is the first ASN at
-        # which the planner's _packet_for_cell finds a packet for a TX cell.
-        queues = ([], [broadcast_packet()], [data_packet(7)], [data_packet(9)])
+        assert profile.next_tx_asn(3, (False, (9,))) == 10
+
+        def first_match(asn):
+            """The first ASN at which _packet_for_cell finds a packet."""
+            return next(
+                (
+                    candidate
+                    for candidate in range(asn, asn + 8)
+                    for cell in frame.cells_at(candidate)
+                    if cell.is_tx and engine._packet_for_cell(cell) is not None
+                ),
+                None,
+            )
+
+        # At every ASN and for every queue -- broadcast and unicast mixed,
+        # and several destinations -- the table-backed answer is the first
+        # ASN at which the planner's _packet_for_cell finds a packet.
+        queues = (
+            [],
+            [broadcast_packet()],
+            [data_packet(7)],
+            [data_packet(9)],
+            [broadcast_packet(), data_packet(7)],
+            [data_packet(8), broadcast_packet()],
+            [data_packet(7), data_packet(8)],
+            [data_packet(9), data_packet(8), data_packet(9)],
+        )
         for packets in queues:
             engine.flush_queue()
             for packet in packets:
                 engine.enqueue(packet)
-            has_broadcast, has_unicast, destinations = engine.queue_signature()
+            key = engine.queue_signature()
             for asn in range(8):
-                expected = next(
-                    (
-                        candidate
-                        for candidate in range(asn, asn + 8)
-                        for cell in frame.cells_at(candidate)
-                        if cell.is_tx and engine._packet_for_cell(cell) is not None
-                    ),
-                    None,
-                )
-                assert profile.next_tx_asn(asn, destinations, has_broadcast, has_unicast) == (
-                    expected
-                ), (packets, asn)
+                assert profile.next_tx_asn(asn, key) == first_match(asn), (packets, asn)
+        assert engine.queue_signature() == (False, (8, 9))
+        assert (False, (8, 9)) in profile._tx_tables
+
+    def test_next_tx_asn_table_follows_schedule_mutations(self):
+        engine = make_engine()
+        frame = engine.add_slotframe(0, 8)
+        frame.add_cell(
+            Cell(slot_offset=5, channel_offset=0, options=CellOption.TX, neighbor=7)
+        )
+        engine.enqueue(data_packet(7))
+        key = engine.queue_signature()
+        assert engine.schedule_profile().next_tx_asn(3, key) == 5
+        # The same signature after a mutation reads the new schedule's table.
+        extra = frame.add_cell(
+            Cell(slot_offset=4, channel_offset=0, options=CellOption.TX, neighbor=7)
+        )
+        assert engine.queue_signature() is key
+        assert engine.schedule_profile().next_tx_asn(3, key) == 4
+        frame.remove_cell(extra)
+        assert engine.schedule_profile().next_tx_asn(3, key) == 5
+        frame.remove_cell(frame.cells_at(5)[0])
+        assert engine.schedule_profile().next_tx_asn(3, key) is None
 
     def test_queue_signature_memoised_by_queue_version(self):
         engine = make_engine()
-        assert engine.queue_signature() == (False, False, set())
+        assert engine.queue_signature() == (False, ())
         engine.enqueue(data_packet(destination=4))
-        has_broadcast, has_unicast, destinations = engine.queue_signature()
-        assert (has_broadcast, has_unicast, destinations) == (False, True, {4})
+        signature = engine.queue_signature()
+        assert signature == (False, (4,))
+        # Same queue version: the memoised tuple itself.
+        assert engine.queue_signature() is signature
+        engine.enqueue(data_packet(destination=2))
         engine.enqueue(broadcast_packet())
-        has_broadcast, has_unicast, destinations = engine.queue_signature()
-        assert has_broadcast and has_unicast and destinations == {4}
+        assert engine.queue_signature() == (True, (2, 4))
 
     def test_settle_duty_cycle_credits_idle_listen_and_sleep(self):
         engine = self._engine_with_frames()

@@ -1,7 +1,7 @@
 """Skip-equivalence and unit tests for the slot-skipping simulation kernel.
 
 The kernel's contract is *bit-identical metrics*: for any scenario, running
-with ``fast=True`` (active-offset index + bulk-accounted idle/listen runs)
+with ``fast=True`` (participant index, horizon heap + bulk-accounted runs)
 must finalize exactly the same :class:`NetworkMetrics` as the naive
 slot-by-slot reference loop (``fast=False``), for every scheduler, because
 skipped slots provably fire no callbacks, draw no random numbers and touch
@@ -24,6 +24,7 @@ from tests.golden.cells import (
     ALL_REGISTERED,
     DYNAMIC_CASES,
     FAULT_CASES,
+    HIGH_LOAD_SCHEDULERS,
     cell_id,
     dynamic_scenario,
     fault_scenario,
@@ -62,6 +63,16 @@ class TestSkipEquivalence:
     def test_fast_flag_defaults_on(self):
         assert Network().fast is True
         assert Network(fast=False).fast is False
+
+
+class TestHighLoadEquivalence:
+    """The 165 ppm end of the Fig. 8 axis, where CSMA back-off, queue drops
+    and slots with several decoders peak."""
+
+    @pytest.mark.parametrize("scheduler", HIGH_LOAD_SCHEDULERS)
+    def test_metrics_bit_identical_at_165_ppm(self, scheduler):
+        (_, naive), _ = _assert_equivalent("load165", scheduler, 1)
+        assert naive.queue_loss_total + naive.mac_drop_total > 0
 
 
 class TestFaultEquivalence:
@@ -131,6 +142,8 @@ class TestDynamicEquivalence:
 
 
 class TestNextActiveAsn:
+    """Which ASNs have an active cell, read from the participant index."""
+
     def _network(self):
         network = Network()
         for node_id in (1, 2):
@@ -142,19 +155,30 @@ class TestNextActiveAsn:
             )
         return network
 
+    @staticmethod
+    def _next_active(network, asn, horizon=100):
+        """First ASN in [``asn``, ``asn + horizon``) with a participant."""
+        return next(
+            (candidate for candidate in range(asn, asn + horizon)
+             if network._participants_at(candidate)),
+            None,
+        )
+
     def test_no_cells_means_no_active_asn(self):
         network = self._network()
-        assert network.next_active_asn(0) is None
+        assert self._next_active(network, 0) is None
+        assert network._part_tables == {}
 
     def test_union_of_offsets_modulo_length(self):
         network = self._network()
         engine = network.nodes[1].tsch
         slotframe = engine.add_slotframe(0, 10)
         slotframe.add_cell(Cell(slot_offset=3, channel_offset=0, options=CellOption.RX))
-        assert network.next_active_asn(0) == 3
-        assert network.next_active_asn(3) == 3
-        assert network.next_active_asn(4) == 13
-        assert network.next_active_asn(23) == 23
+        assert self._next_active(network, 0) == 3
+        assert self._next_active(network, 3) == 3
+        assert self._next_active(network, 4) == 13
+        assert self._next_active(network, 23) == 23
+        assert network._participants_at(13) == [network.nodes[1]]
 
     def test_index_invalidated_on_cell_add_and_remove(self):
         network = self._network()
@@ -163,11 +187,13 @@ class TestNextActiveAsn:
         cell = slotframe.add_cell(
             Cell(slot_offset=5, channel_offset=0, options=CellOption.TX)
         )
-        assert network.next_active_asn(0) == 5
+        assert self._next_active(network, 0) == 5
         slotframe.add_cell(Cell(slot_offset=2, channel_offset=0, options=CellOption.RX))
-        assert network.next_active_asn(0) == 2
+        assert self._next_active(network, 0) == 2
         slotframe.remove_cell(cell)
-        assert network.next_active_asn(3) == 10  # only offset 2 mod 8 remains
+        assert self._next_active(network, 3) == 10  # only offset 2 mod 8 remains
+        # The emptied offset left the index; the length stays with offset 2.
+        assert network._part_tables == {8: {2: {1: network.nodes[2]}}}
 
     def test_multiple_slotframe_lengths(self):
         network = self._network()
@@ -176,9 +202,150 @@ class TestNextActiveAsn:
         second = network.nodes[2].tsch.add_slotframe(0, 5)
         second.add_cell(Cell(slot_offset=4, channel_offset=0, options=CellOption.TX))
         # offsets: asn % 7 == 6 -> 6, 13, 20...; asn % 5 == 4 -> 4, 9, 14...
-        assert network.next_active_asn(0) == 4
-        assert network.next_active_asn(5) == 6
-        assert network.next_active_asn(7) == 9
+        assert self._next_active(network, 0) == 4
+        assert self._next_active(network, 5) == 6
+        assert self._next_active(network, 7) == 9
+        # ASN 34 is 6 mod 7 and 4 mod 5: both nodes, in insertion order.
+        assert network._participants_at(34) == [network.nodes[1], network.nodes[2]]
+        # Emptying a slotframe drops its length from the index.
+        second.clear()
+        assert network._participants_at(34) == [network.nodes[1]]
+        assert set(network._part_tables) == {7}
+
+
+class TestJumpRule:
+    """The kernel jumps only to slots that need visiting.
+
+    Every jump target is a slot the loop then steps, a slot boundary that
+    fires at least one timer, or the end of the run; anything else is a
+    wasted loop iteration.  Work counts, not clocks, so the gate is exact.
+    """
+
+    @pytest.mark.parametrize("scheduler", [GT_TSCH, MSF, ORCHESTRA])
+    def test_every_jump_lands_on_work_or_the_end(self, scheduler, monkeypatch):
+        from repro.sim.events import EventQueue
+
+        network = traffic_load_scenario(
+            rate_ppm=60.0, scheduler=scheduler, seed=1, measurement_s=6.0, warmup_s=8.0
+        ).build_network()
+        targets: list[int] = []
+        stepped: set = set()
+        fired: set = set()
+        ends: set = set()
+        jump = Network._jump_slots
+        step = Network._step_slot_dispatch
+        run_until = EventQueue.run_until
+        run_slots = Network.run_slots
+
+        def record_jump(self, target_asn):
+            targets.append(target_asn)
+            jump(self, target_asn)
+
+        def record_step(self):
+            stepped.add(self.clock.asn)
+            step(self)
+
+        def record_events(self, time):
+            count = run_until(self, time)
+            if count and self is network.events:
+                fired.add(network.clock.asn)
+            return count
+
+        def record_run(self, num_slots, fast=None):
+            ends.add(self.clock.asn + num_slots)
+            run_slots(self, num_slots, fast)
+
+        monkeypatch.setattr(Network, "_jump_slots", record_jump)
+        monkeypatch.setattr(Network, "_step_slot_dispatch", record_step)
+        monkeypatch.setattr(EventQueue, "run_until", record_events)
+        monkeypatch.setattr(Network, "run_slots", record_run)
+        network.run_experiment(warmup_s=8.0, measurement_s=6.0, drain_s=2.0)
+        assert targets and stepped and fired
+        wasted = [asn for asn in targets if asn not in stepped | fired | ends]
+        assert not wasted, f"{len(wasted)} of {len(targets)} jumps land on no work: {wasted[:5]}"
+
+
+class TestSameSlotMutation:
+    """A transmitter or decoder that rewrites its schedule in its own slot.
+
+    The kernel credits a TX or busy-RX slot against what the lazy profile
+    will give that slot, which depends on the schedule left at the end of
+    the slot.  Here node 2 sends to node 1 over a dedicated TX -> RX link,
+    and every transmission outcome and every decoded frame toggles an RX
+    cell at exactly that slot's offset of the link slotframe, so the lazy
+    credit of the active slot flips between sleep and idle-listen.
+    """
+
+    LINK_HANDLE = 3
+    LINK_LENGTH = 4
+
+    def _run(self, fast: bool) -> tuple[Network, list]:
+        from repro.net.packet import make_data_packet
+
+        network = Network()
+        for node_id in (1, 2, 3):
+            network.add_node(
+                node_id,
+                position=(float(node_id), 0.0),
+                scheduler=MinimalScheduler(MinimalSchedulerConfig()),
+                is_root=node_id == 1,
+            )
+        network.start()
+        links = {
+            node_id: network.nodes[node_id].tsch.add_slotframe(self.LINK_HANDLE, self.LINK_LENGTH)
+            for node_id in (1, 2, 3)
+        }
+        links[2].add_cell(Cell(slot_offset=1, channel_offset=1, options=CellOption.TX, neighbor=1))
+        links[1].add_cell(Cell(slot_offset=1, channel_offset=1, options=CellOption.RX))
+        toggles: list = []
+
+        def toggle(node_id, asn, kind):
+            frame = links[node_id]
+            listening = [cell for cell in frame.cells_at(asn) if not cell.is_tx]
+            if listening:
+                frame.remove_cell(listening[0])
+            else:
+                frame.add_cell(
+                    Cell(
+                        slot_offset=asn % self.LINK_LENGTH,
+                        channel_offset=1,
+                        options=CellOption.RX,
+                    )
+                )
+            toggles.append((node_id, asn, kind, not listening))
+
+        for node_id, node in network.nodes.items():
+            engine = node.tsch
+            on_rx, on_tx_done = engine.rx_callback, engine.tx_done_callback
+
+            def rx(packet, asn, node_id=node_id, on_rx=on_rx):
+                toggle(node_id, asn, "rx")
+                on_rx(packet, asn)
+
+            def tx_done(packet, success, asn, node_id=node_id, on_tx_done=on_tx_done):
+                toggle(node_id, asn, "tx")
+                on_tx_done(packet, success, asn)
+
+            engine.rx_callback = rx
+            engine.tx_done_callback = tx_done
+        for source in (2, 3):
+            for _ in range(10):
+                packet = make_data_packet(source, 1, created_at=0.0)
+                packet.link_destination = 1
+                network.nodes[source].tsch.enqueue(packet)
+        network.run_slots(800, fast=fast)
+        return network, toggles
+
+    def test_meters_match_the_reference_loop(self):
+        reference, reference_toggles = self._run(fast=False)
+        fast, fast_toggles = self._run(fast=True)
+        assert fast_toggles == reference_toggles
+        kinds = {(kind, added) for _, _, kind, added in fast_toggles}
+        assert kinds == {("rx", True), ("rx", False), ("tx", True), ("tx", False)}
+        assert fast.stepped_slots < fast.clock.asn
+        for node_id, node in reference.nodes.items():
+            expected = node.tsch.duty_cycle.snapshot()
+            assert fast.nodes[node_id].tsch.duty_cycle.snapshot() == expected, node_id
 
 
 class TestNextOffsetOccurrence:
@@ -326,6 +493,35 @@ class TestParticipantDispatch:
                     else:
                         assert plan.action == "sleep"
                         assert offset is None, (scheduler, node.node_id, asn)
+
+    def test_timer_mutations_across_a_jump_settle_under_the_live_schedule(self):
+        """Timers mutate a schedule at slots 10, 20 and 30, and no slot
+        between them is stepped: each barrier must settle the window behind
+        it under the schedule the previous barrier left."""
+
+        def run(fast):
+            network = Network()
+            node = network.add_node(
+                1,
+                position=(0.0, 0.0),
+                scheduler=MinimalScheduler(MinimalSchedulerConfig()),
+            )
+            frame = node.tsch.add_slotframe(5, 4)
+            slot = network.clock.slot_duration_s
+            for asn, offset in ((10, 1), (20, 2), (30, 3)):
+                network.events.schedule(
+                    asn * slot,
+                    frame.add_cell,
+                    Cell(slot_offset=offset, channel_offset=0, options=CellOption.RX),
+                )
+            network.run_slots(40, fast=fast)
+            return network
+
+        fast, reference = run(True), run(False)
+        assert fast.stepped_slots == 0
+        assert fast.nodes[1].tsch.duty_cycle.snapshot() == (
+            reference.nodes[1].tsch.duty_cycle.snapshot()
+        )
 
     def test_deferred_duty_cycle_settles_on_schedule_change(self):
         """A mid-run schedule mutation settles the pre-mutation window, so
@@ -487,7 +683,7 @@ class TestContentionPruning:
         # Horizons are derived from the clock's slot: from ASN 1 the losing
         # passes land at 7 and 14, so the heap names 21.
         network.clock.asn = 1
-        network._risky_dirty.add(node)
+        engine.mark_queue_mutated()
         assert network._next_risky_asn(1, 10_000) == 21
 
 
