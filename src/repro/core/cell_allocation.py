@@ -153,7 +153,7 @@ class UnicastCellAllocator:
         if same_child_offsets:
             distance = min(
                 min((offset - other) % length, (other - offset) % length)
-                for other in same_child_offsets
+                for other in sorted(same_child_offsets)
             )
         else:
             distance = length

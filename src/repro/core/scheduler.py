@@ -23,7 +23,6 @@ function that runs on every node of the simulated network:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.core.cell_allocation import (
@@ -46,16 +45,7 @@ from repro.net.packet import Packet, PacketType
 from repro.schedulers.base import SchedulingFunction
 from repro.sim.events import PeriodicTimer
 from repro.sixtop.messages import CellDescriptor, SixPCommand, SixPMessage, SixPReturnCode
-
-
-@dataclass
-class _PendingRequest:
-    """A 6P request waiting for its turn (one transaction per peer at a time)."""
-
-    command: SixPCommand
-    num_cells: int = 0
-    cell_list: list[CellDescriptor] = field(default_factory=list)
-    purpose: str = "data"
+from repro.sixtop.negotiation import NegotiationClient, SixPRequest, proposed_offsets
 
 
 class GtTschScheduler(SchedulingFunction):
@@ -80,14 +70,21 @@ class GtTschScheduler(SchedulingFunction):
         self._eb_channel_cache: dict[int, int] = {}
 
         # Cell bookkeeping.
-        self._tx_data_cells: list[Cell] = []
-        self._tx_sixp_cells: list[Cell] = []
-        self._rx_cells_by_child: dict[int, list[Cell]] = {}
         self._shared_up_installed = False
         self._shared_down_installed = False
+        #: 6P transactions with the parent and the children.  Its books hold
+        #: the negotiated Unicast-6P (``"6p"``) and Unicast-Data (``"data"``)
+        #: cells, and ``cells_relocated`` counts their churn: the paper's game
+        #: re-evaluates demand every load-balancing period, so sustained
+        #: relocations per period measure how far the Nash equilibrium is
+        #: from converging.
+        self.sixp = NegotiationClient(
+            self,
+            self.builder.SLOTFRAME_HANDLE,
+            {"6p": ("gt-tx-6p", "gt-rx-6p"), "data": ("gt-tx-data", "gt-rx-data")},
+        )
 
-        # Bootstrap / request management.
-        self._request_queue: list[_PendingRequest] = []
+        # Bootstrap.
         self._asked_channel = False
         self._requested_sixp_cells = False
         self._requested_initial_data = False
@@ -98,23 +95,14 @@ class GtTschScheduler(SchedulingFunction):
         self._child_outstanding: dict[int, int] = {}
 
         #: Diagnostics.
-        self.add_requests_sent = 0
-        self.delete_requests_sent = 0
-        self.cells_granted_to_children = 0
         self.last_game_request = 0
-        #: 6P-driven schedule churn: every cell this node installed or
-        #: removed as the outcome of a 6P transaction (ADD grants applied on
-        #: either side, DELETE removals, consistency-repair GC).  The paper's
-        #: game re-evaluates demand every load-balancing period, so sustained
-        #: relocations per period measure how far the Nash equilibrium is
-        #: from converging (ROADMAP: GT-TSCH convergence investigation).
-        self.cells_relocated = 0
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
         node = self.node
+        self.sixp.node = node
         self.channels = ChannelAllocator(
             num_channels=min(self.config.num_channels, node.tsch.hopping.num_channels),
             broadcast_offset=self.config.broadcast_channel_offset,
@@ -205,15 +193,12 @@ class GtTschScheduler(SchedulingFunction):
     # RPL events
     # ------------------------------------------------------------------
     def on_parent_changed(self, old_parent: Optional[int], new_parent: Optional[int]) -> None:
-        if old_parent is not None:
-            self._remove_cells_towards(old_parent)
-            self.node.tsch.discard_quiet_neighbor(old_parent)
+        self.sixp.switch_parent(old_parent, keep=lambda cell: cell.neighbor != old_parent)
         self.parent_channel_offset = None
         self._shared_up_installed = False
         self._asked_channel = self.own_child_channel is not None
         self._requested_sixp_cells = False
         self._requested_initial_data = False
-        self._request_queue.clear()
         if new_parent is not None and new_parent in self._eb_channel_cache:
             self._learn_parent_channel(self._eb_channel_cache[new_parent])
 
@@ -245,10 +230,7 @@ class GtTschScheduler(SchedulingFunction):
             )
 
     def on_child_removed(self, child: int) -> None:
-        cells = self._rx_cells_by_child.pop(child, [])
-        slotframe = self.node.tsch.get_slotframe(self.builder.SLOTFRAME_HANDLE)
-        for cell in cells:
-            slotframe.remove_cell(cell)
+        self.sixp.release_child(child)
         if self.channels is not None:
             self.channels.release_child(child)
 
@@ -262,78 +244,58 @@ class GtTschScheduler(SchedulingFunction):
         2. 6P ``ADD`` for the fixed number of Unicast-6P cells;
         3. 6P ``ADD`` for the initial Unicast-Data cells.
         """
+        queue = self.sixp.queue
         if not self._asked_channel and self.own_child_channel is None:
             self._asked_channel = True
-            self._request_queue.append(_PendingRequest(command=SixPCommand.ASK_CHANNEL))
+            queue.append(SixPRequest(SixPCommand.ASK_CHANNEL))
         if not self._requested_sixp_cells:
             self._requested_sixp_cells = True
-            self._request_queue.append(
-                _PendingRequest(
-                    command=SixPCommand.ADD,
-                    num_cells=self.config.sixp_cells_per_neighbor,
-                    purpose="6p",
-                )
+            queue.append(
+                SixPRequest(SixPCommand.ADD, self.config.sixp_cells_per_neighbor, purpose="6p")
             )
         if not self._requested_initial_data:
             self._requested_initial_data = True
-            self._request_queue.append(
-                _PendingRequest(
-                    command=SixPCommand.ADD,
-                    num_cells=self.config.initial_tx_cells,
-                    purpose="data",
-                )
-            )
-        self._pump_requests()
+            queue.append(SixPRequest(SixPCommand.ADD, self.config.initial_tx_cells))
+        self.sixp.pump()
 
-    def _pump_requests(self) -> None:
-        """Send the next queued 6P request if none is in flight."""
-        parent = self.node.rpl.preferred_parent
-        if parent is None or not self._request_queue:
-            return
-        if self.node.sixtop.has_pending_transaction(parent):
-            return
-        request = self._request_queue.pop(0)
-        # While the transaction is open, keep the shared cells towards the
-        # parent available for the response (no data transmissions there).
-        self.node.tsch.add_quiet_neighbor(parent)
-        metadata = {"purpose": request.purpose}
+    # ------------------------------------------------------------------
+    # negotiation policy (the hooks of repro.sixtop.negotiation)
+    # ------------------------------------------------------------------
+    def candidate_offsets(self) -> list[int]:
+        # RFC 8480 semantics: propose the offsets that are free on *our* side
+        # so the parent never grants a timeslot we already use (which would
+        # recreate interference problem 1 of Section III).
+        return self._schedule_view().free_offsets()
+
+    def request_metadata(self, request: SixPRequest) -> dict[str, Any]:
+        if request.command is SixPCommand.ASK_CHANNEL:
+            return {}
+        metadata: dict[str, Any] = {"purpose": request.purpose}
         if request.purpose == "data" and request.command is SixPCommand.ADD:
             # Tell the parent how many data Tx cells we actually hold towards
             # it, so it can detect and garbage-collect Rx cells whose grant
             # response we never received (schedule-consistency repair).
-            metadata["owned"] = len(self._tx_data_cells)
-        if request.command is SixPCommand.ASK_CHANNEL:
-            self.node.sixtop.send_request(
-                parent,
-                SixPCommand.ASK_CHANNEL,
-                callback=self._on_ask_channel_response,
-            )
-        elif request.command is SixPCommand.ADD:
-            self.add_requests_sent += 1
-            # RFC 8480 semantics: propose the offsets that are free on *our*
-            # side so the parent never grants a timeslot we already use (which
-            # would recreate interference problem 1 of Section III).
-            candidates = [
-                CellDescriptor(offset, 0) for offset in self._schedule_view().free_offsets()
-            ]
-            self.node.sixtop.send_request(
-                parent,
-                SixPCommand.ADD,
-                num_cells=request.num_cells,
-                cell_list=candidates,
-                metadata=metadata,
-                callback=self._on_add_response,
-            )
-        elif request.command is SixPCommand.DELETE:
-            self.delete_requests_sent += 1
-            self.node.sixtop.send_request(
-                parent,
-                SixPCommand.DELETE,
-                num_cells=request.num_cells,
-                cell_list=request.cell_list,
-                metadata=metadata,
-                callback=self._on_delete_response,
-            )
+            metadata["owned"] = len(self.sixp.tx["data"])
+        return metadata
+
+    def transaction_settled(self, request: SixPMessage, granted: Optional[SixPMessage]) -> None:
+        command = request.command
+        if granted is None:
+            # Timed out or refused: the next load-balancing tick re-queues
+            # the bootstrap step whose flag is reset here.
+            if command is SixPCommand.ASK_CHANNEL:
+                self._asked_channel = False
+            elif command is SixPCommand.ADD:
+                purpose = request.metadata.get("purpose", "data")
+                if purpose == "6p":
+                    self._requested_sixp_cells = False
+                elif purpose == "data" and not self.sixp.tx["data"]:
+                    self._requested_initial_data = False
+        elif command is SixPCommand.ASK_CHANNEL and granted.channel_offset is not None:
+            self.own_child_channel = granted.channel_offset
+            if self.channels is not None:
+                self.channels.child_facing_offset = granted.channel_offset
+            self._install_shared_cells_for_children()
 
     # ------------------------------------------------------------------
     # 6P responder side (the parent's role)
@@ -348,9 +310,9 @@ class GtTschScheduler(SchedulingFunction):
         if message.command is SixPCommand.ASK_CHANNEL:
             return self._answer_ask_channel(peer)
         if message.command is SixPCommand.ADD:
-            return self._answer_add(peer, message)
+            return self._grant(peer, message)
         if message.command is SixPCommand.DELETE:
-            return self._answer_delete(peer, message)
+            return self.sixp.answer_delete(peer, message)
         return SixPReturnCode.ERR, {}
 
     def _answer_ask_channel(self, peer: int) -> tuple[SixPReturnCode, dict[str, Any]]:
@@ -363,7 +325,8 @@ class GtTschScheduler(SchedulingFunction):
             return SixPReturnCode.ERR_NORES, {}
         return SixPReturnCode.SUCCESS, {"channel_offset": granted}
 
-    def _answer_add(self, peer: int, message: SixPMessage) -> tuple[SixPReturnCode, dict[str, Any]]:
+    def _grant(self, peer: int, message: SixPMessage) -> tuple[SixPReturnCode, dict[str, Any]]:
+        """Answer a child's ADD: its Rx offsets under the Section V rules."""
         if self.own_child_channel is None:
             return SixPReturnCode.ERR_BUSY, {}
         purpose = message.metadata.get("purpose", "data")
@@ -371,12 +334,7 @@ class GtTschScheduler(SchedulingFunction):
         if purpose == "data" and "owned" in message.metadata:
             self._reconcile_child_cells(peer, int(message.metadata["owned"]))
         view = self._schedule_view()
-        allocator = UnicastCellAllocator(view)
-        allowed = (
-            {descriptor.slot_offset for descriptor in message.cell_list}
-            if message.cell_list
-            else None
-        )
+        allowed = proposed_offsets(message)
         try:
             if purpose == "6p":
                 offsets = [
@@ -385,7 +343,7 @@ class GtTschScheduler(SchedulingFunction):
                     if allowed is None or offset in allowed
                 ][:count]
             else:
-                offsets = allocator.pick_rx_offsets(peer, count, allowed=allowed)
+                offsets = UnicastCellAllocator(view).pick_rx_offsets(peer, count, allowed=allowed)
         except CellAllocationError:
             offsets = []
         if purpose == "data":
@@ -395,32 +353,7 @@ class GtTschScheduler(SchedulingFunction):
             # more Tx cells from its own parent) until the child can be served.
             self.observation.child_requested_cells += count
             self._child_outstanding[peer] = max(0, count - len(offsets))
-        if not offsets:
-            return SixPReturnCode.ERR_NORES, {}
-
-        slotframe = self.node.tsch.get_slotframe(self.builder.SLOTFRAME_HANDLE)
-        cell_purpose = CellPurpose.UNICAST_6P if purpose == "6p" else CellPurpose.UNICAST_DATA
-        granted: list[CellDescriptor] = []
-        for offset in offsets:
-            cell = slotframe.add_cell(
-                Cell(
-                    slot_offset=offset,
-                    channel_offset=self.own_child_channel,
-                    options=CellOption.RX | CellOption.ALWAYS_ON,
-                    neighbor=peer,
-                    purpose=cell_purpose,
-                    label=f"gt-rx-{purpose}",
-                )
-            )
-            self._rx_cells_by_child.setdefault(peer, []).append(cell)
-            granted.append(CellDescriptor(offset, self.own_child_channel))
-        self.cells_granted_to_children += len(granted)
-        self.cells_relocated += len(granted)
-        return SixPReturnCode.SUCCESS, {
-            "cell_list": granted,
-            "num_cells": len(granted),
-            "metadata": {"purpose": purpose},
-        }
+        return self.sixp.answer_add(peer, purpose, offsets, self.own_child_channel)
 
     def _reconcile_child_cells(self, peer: int, child_owned: int) -> None:
         """Drop Rx data cells the child does not know about.
@@ -432,106 +365,12 @@ class GtTschScheduler(SchedulingFunction):
         """
         cells = [
             cell
-            for cell in self._rx_cells_by_child.get(peer, [])
+            for cell in self.sixp.rx_by_child.get(peer, [])
             if cell.purpose is CellPurpose.UNICAST_DATA
         ]
         surplus = len(cells) - child_owned
-        if surplus <= 0:
-            return
-        slotframe = self.node.tsch.get_slotframe(self.builder.SLOTFRAME_HANDLE)
-        for cell in sorted(cells, key=lambda c: c.slot_offset)[-surplus:]:
-            slotframe.remove_cell(cell)
-            self._rx_cells_by_child[peer].remove(cell)
-            self.cells_relocated += 1
-
-    def _answer_delete(
-        self, peer: int, message: SixPMessage
-    ) -> tuple[SixPReturnCode, dict[str, Any]]:
-        slotframe = self.node.tsch.get_slotframe(self.builder.SLOTFRAME_HANDLE)
-        my_cells = self._rx_cells_by_child.get(peer, [])
-        requested = {descriptor.slot_offset for descriptor in message.cell_list}
-        if not requested and message.num_cells > 0:
-            requested = {cell.slot_offset for cell in my_cells[-message.num_cells:]}
-        removed: list[CellDescriptor] = []
-        for cell in list(my_cells):
-            if cell.slot_offset in requested:
-                slotframe.remove_cell(cell)
-                my_cells.remove(cell)
-                removed.append(CellDescriptor(cell.slot_offset, cell.channel_offset))
-        self.cells_relocated += len(removed)
-        return SixPReturnCode.SUCCESS, {"cell_list": removed, "num_cells": len(removed)}
-
-    # ------------------------------------------------------------------
-    # 6P initiator-side response handling (the child's role)
-    # ------------------------------------------------------------------
-    def _on_ask_channel_response(
-        self, peer: int, request: SixPMessage, response: Optional[SixPMessage]
-    ) -> None:
-        self.node.tsch.discard_quiet_neighbor(peer)
-        if response is None or response.return_code is not SixPReturnCode.SUCCESS:
-            # Timed out or the parent was not ready: retry at the next period.
-            self._asked_channel = False
-        elif response.channel_offset is not None:
-            self.own_child_channel = response.channel_offset
-            if self.channels is not None:
-                self.channels.child_facing_offset = response.channel_offset
-            self._install_shared_cells_for_children()
-        self._pump_requests()
-
-    def _on_add_response(
-        self, peer: int, request: SixPMessage, response: Optional[SixPMessage]
-    ) -> None:
-        self.node.tsch.discard_quiet_neighbor(peer)
-        purpose = request.metadata.get("purpose", "data")
-        if response is None or response.return_code is not SixPReturnCode.SUCCESS:
-            if purpose == "6p":
-                self._requested_sixp_cells = False
-            elif purpose == "data" and not self._tx_data_cells:
-                self._requested_initial_data = False
-            self._pump_requests()
-            return
-        slotframe = self.node.tsch.get_slotframe(self.builder.SLOTFRAME_HANDLE)
-        cell_purpose = CellPurpose.UNICAST_6P if purpose == "6p" else CellPurpose.UNICAST_DATA
-        for descriptor in response.cell_list:
-            if slotframe.cells_at_offset(descriptor.slot_offset):
-                # Between our request and the parent's response we committed
-                # this offset to something else (typically an Rx grant to one
-                # of our own children).  Skip it: the parent's extra Rx cell
-                # becomes an orphan that the next request's ``owned`` count
-                # garbage-collects.
-                continue
-            cell = slotframe.add_cell(
-                Cell(
-                    slot_offset=descriptor.slot_offset,
-                    channel_offset=descriptor.channel_offset,
-                    options=CellOption.TX,
-                    neighbor=peer,
-                    purpose=cell_purpose,
-                    label=f"gt-tx-{purpose}",
-                )
-            )
-            if purpose == "6p":
-                self._tx_sixp_cells.append(cell)
-            else:
-                self._tx_data_cells.append(cell)
-            self.cells_relocated += 1
-        self._pump_requests()
-
-    def _on_delete_response(
-        self, peer: int, request: SixPMessage, response: Optional[SixPMessage]
-    ) -> None:
-        self.node.tsch.discard_quiet_neighbor(peer)
-        if response is None or response.return_code is not SixPReturnCode.SUCCESS:
-            self._pump_requests()
-            return
-        slotframe = self.node.tsch.get_slotframe(self.builder.SLOTFRAME_HANDLE)
-        removed_offsets = {descriptor.slot_offset for descriptor in response.cell_list}
-        for cell in list(self._tx_data_cells):
-            if cell.slot_offset in removed_offsets:
-                slotframe.remove_cell(cell)
-                self._tx_data_cells.remove(cell)
-                self.cells_relocated += 1
-        self._pump_requests()
+        if surplus > 0:
+            self.sixp.revoke(peer, sorted(cells, key=lambda c: c.slot_offset)[-surplus:])
 
     # ------------------------------------------------------------------
     # the periodic load-balancing / game round (Sections VI-VII)
@@ -560,7 +399,8 @@ class GtTschScheduler(SchedulingFunction):
             self.config.slotframe_length,
             node.config.tsch.slot_duration_s,
         )
-        current_tx = len(self._tx_data_cells)
+        tx_data = self.sixp.tx["data"]
+        current_tx = len(tx_data)
         current_rx = self.rx_data_cell_count()
         outstanding = sum(self._child_outstanding.values())
         # Eq. (1): the demand is the node's own generation (``l^g``) plus
@@ -585,33 +425,20 @@ class GtTschScheduler(SchedulingFunction):
         self.last_game_request = request_size
 
         if request_size > 0:
-            # Replace any stale queued data-ADD with the freshly computed one
-            # so slow 6P rounds do not pile up outdated requests.
-            self._request_queue = [
-                request
-                for request in self._request_queue
-                if not (request.command is SixPCommand.ADD and request.purpose == "data")
-            ]
-            self._request_queue.append(
-                _PendingRequest(command=SixPCommand.ADD, num_cells=request_size, purpose="data")
-            )
+            self.sixp.replace_add(request_size)
         else:
             # Over-provisioning check: release cells we clearly no longer need.
             surplus = current_tx - required_tx - self.config.overprovision_slack
-            if surplus > 0 and self.queue_metric.value < 1.0 and self._tx_data_cells:
-                victims = sorted(self._tx_data_cells, key=lambda c: c.slot_offset)[-surplus:]
-                self._request_queue.append(
-                    _PendingRequest(
-                        command=SixPCommand.DELETE,
-                        num_cells=len(victims),
-                        cell_list=[
-                            CellDescriptor(cell.slot_offset, cell.channel_offset)
-                            for cell in victims
-                        ],
-                        purpose="data",
+            if surplus > 0 and self.queue_metric.value < 1.0 and tx_data:
+                victims = sorted(tx_data, key=lambda c: c.slot_offset)[-surplus:]
+                self.sixp.queue.append(
+                    SixPRequest(
+                        SixPCommand.DELETE,
+                        len(victims),
+                        tuple(CellDescriptor(cell.slot_offset, cell.channel_offset) for cell in victims),
                     )
                 )
-        self._pump_requests()
+        self.sixp.pump()
 
     # ------------------------------------------------------------------
     # MAC events
@@ -635,14 +462,6 @@ class GtTschScheduler(SchedulingFunction):
         for child in sorted(self.node.rpl.children):
             self._install_shared_tx_towards_child(child)
 
-    def _remove_cells_towards(self, neighbor: int) -> None:
-        slotframe = self.node.tsch.get_slotframe(self.builder.SLOTFRAME_HANDLE)
-        if slotframe is None:
-            return
-        slotframe.remove_cells_with_neighbor(neighbor)
-        self._tx_data_cells = [c for c in self._tx_data_cells if c.neighbor != neighbor]
-        self._tx_sixp_cells = [c for c in self._tx_sixp_cells if c.neighbor != neighbor]
-
     def _schedule_view(self) -> ScheduleView:
         """Snapshot of this node's schedule for the cell-allocation rules."""
         group_owners = [self.node.node_id]
@@ -650,10 +469,10 @@ class GtTschScheduler(SchedulingFunction):
         if parent is not None:
             group_owners.append(parent)
         reserved = set(self.builder.reserved_offsets(group_owners))
-        for cell in self._tx_sixp_cells:
+        for cell in self.sixp.tx["6p"]:
             reserved.add(cell.slot_offset)
         rx_by_child: dict[int, set[int]] = {}
-        for child, cells in self._rx_cells_by_child.items():
+        for child, cells in self.sixp.rx_by_child.items():
             for cell in cells:
                 if cell.purpose is CellPurpose.UNICAST_DATA:
                     rx_by_child.setdefault(child, set()).add(cell.slot_offset)
@@ -662,7 +481,7 @@ class GtTschScheduler(SchedulingFunction):
         return ScheduleView(
             slotframe_length=self.config.slotframe_length,
             reserved_offsets=reserved,
-            tx_offsets={cell.slot_offset for cell in self._tx_data_cells},
+            tx_offsets={cell.slot_offset for cell in self.sixp.tx["data"]},
             rx_offsets_by_child=rx_by_child,
             is_root=self.node.is_root,
         )
@@ -671,21 +490,21 @@ class GtTschScheduler(SchedulingFunction):
     # introspection (used by examples / tests)
     # ------------------------------------------------------------------
     def relocation_count(self) -> int:
-        return self.cells_relocated
+        return self.sixp.cells_relocated
 
     def load_balance_period_s(self) -> float:
         return self.config.load_balance_period_s
 
     def tx_data_cell_count(self) -> int:
-        return len(self._tx_data_cells)
+        return len(self.sixp.tx["data"])
 
     def rx_data_cell_count(self) -> int:
         return sum(
             1
-            for cells in self._rx_cells_by_child.values()
+            for cells in self.sixp.rx_by_child.values()
             for cell in cells
             if cell.purpose is CellPurpose.UNICAST_DATA
         )
 
     def children_with_cells(self) -> list[int]:
-        return sorted(self._rx_cells_by_child)
+        return sorted(self.sixp.rx_by_child)

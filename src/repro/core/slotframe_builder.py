@@ -12,7 +12,7 @@ This module computes the deterministic parts of the layout --
 -- and installs them into a node's TSCH engine.  Unicast-6P and Unicast-Data
 cells are *negotiated* (6P ADD/DELETE), so their placement is handled by
 :mod:`repro.core.cell_allocation`; the builder only reports which offsets
-remain available for them.
+are reserved, so that they never hold one.
 """
 
 from __future__ import annotations
@@ -175,16 +175,6 @@ class GtSlotframeBuilder:
             )
         return cells
 
-    def remove_shared_cells_towards_parent(self, tsch_engine, parent: int) -> int:
-        """Remove the child-side shared cells after a parent switch."""
-        slotframe = tsch_engine.get_slotframe(self.SLOTFRAME_HANDLE)
-        removed = 0
-        for cell in list(slotframe.cells_with_neighbor(parent)):
-            if cell.purpose is CellPurpose.SHARED:
-                slotframe.remove_cell(cell)
-                removed += 1
-        return removed
-
     # ------------------------------------------------------------------
     def reserved_offsets(self, group_owners: Optional[list[int]] = None) -> set[int]:
         """Offsets that can never hold negotiated (6P / data) cells.
@@ -199,12 +189,3 @@ class GtSlotframeBuilder:
         for owner in group_owners or []:
             reserved.update(self.shared_cell_offsets(owner))
         return reserved
-
-    def negotiable_offsets(self, group_owners: Optional[list[int]] = None) -> list[int]:
-        """Offsets available for Unicast-6P and Unicast-Data cells."""
-        reserved = self.reserved_offsets(group_owners)
-        return [
-            offset
-            for offset in range(self.config.slotframe_length)
-            if offset not in reserved
-        ]

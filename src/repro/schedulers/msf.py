@@ -18,10 +18,12 @@ cell-usage counters against the standard ``MAX_NUMCELLS`` /
   once ``MAX_NUMCELLS`` cell opportunities have elapsed, which is the RFC's
   hysteresis against reacting to bursts.
 
-This is the only scheduler besides GT-TSCH that exercises
-:mod:`repro.sixtop.layer`, including the timeout/retry path: a timed-out ADD
-resets the bootstrap flag and the next housekeeping tick re-queues it
-(self-healing, same contract as GT-TSCH's bootstrap).
+This is the only scheduler besides GT-TSCH that negotiates over 6P.  Like
+GT-TSCH it leaves the transaction mechanics to a
+:class:`~repro.sixtop.negotiation.NegotiationClient` and keeps only the
+policy, including the timeout/retry path: a timed-out ADD resets the
+bootstrap flag and the next housekeeping tick re-queues it (self-healing,
+same contract as GT-TSCH's bootstrap).
 
 Fast-kernel compliance: there are **no per-slot hooks**.  Elapsed cell
 opportunities are computed arithmetically from the time delta between
@@ -41,6 +43,7 @@ from repro.schedulers.base import SchedulingFunction
 from repro.schedulers.registry import register_scheduler
 from repro.sim.events import PeriodicTimer
 from repro.sixtop.messages import CellDescriptor, SixPCommand, SixPMessage, SixPReturnCode
+from repro.sixtop.negotiation import NegotiationClient, SixPRequest, proposed_offsets
 
 #: RFC 9033 Section 5.3 defaults: evaluate the usage ratio every
 #: ``MAX_NUMCELLS`` elapsed cell opportunities; add a cell above the high
@@ -130,17 +133,6 @@ def msf_config_from(contiki: Any) -> MsfConfig:
     )
 
 
-@dataclass
-class _MsfRequest:
-    """A queued 6P request (one transaction towards the parent at a time)."""
-
-    __slots__ = ("command", "num_cells", "cell_list")
-
-    command: SixPCommand
-    num_cells: int
-    cell_list: list
-
-
 class MsfScheduler(SchedulingFunction):
     """RFC 9033 Minimal Scheduling Function over autonomous + negotiated cells."""
 
@@ -153,30 +145,25 @@ class MsfScheduler(SchedulingFunction):
     __slots__ = (
         "config",
         "_timer",
-        "_request_queue",
+        "sixp",
         "_requested_initial",
-        "_tx_negotiated",
-        "_rx_cells_by_child",
         "_downward_cells",
         "_parent_tx_cell",
         "_num_cells_elapsed",
         "_num_cells_used",
         "_last_tick_now",
-        "add_requests_sent",
-        "delete_requests_sent",
-        "cells_relocated",
     )
 
     def __init__(self, config: MsfConfig) -> None:
         super().__init__()
         self.config = config
         self._timer: Optional[PeriodicTimer] = None
-        self._request_queue: list[_MsfRequest] = []
+        #: 6P transactions with the parent and the children; its ``"data"``
+        #: book holds the negotiated dedicated Tx cells towards the parent.
+        self.sixp = NegotiationClient(
+            self, self.SLOTFRAME_HANDLE, {"data": ("msf-negotiated-tx", "msf-negotiated-rx")}
+        )
         self._requested_initial = False
-        #: Negotiated dedicated Tx cells towards the parent.
-        self._tx_negotiated: list[Cell] = []
-        #: Negotiated Rx cells granted to each child.
-        self._rx_cells_by_child: dict[int, list[Cell]] = {}
         #: Autonomous shared Tx cells towards children (6P response path).
         self._downward_cells: dict[int, Cell] = {}
         self._parent_tx_cell: Optional[Cell] = None
@@ -184,11 +171,6 @@ class MsfScheduler(SchedulingFunction):
         self._num_cells_elapsed = 0
         self._num_cells_used = 0
         self._last_tick_now = 0.0
-        #: Diagnostics.
-        self.add_requests_sent = 0
-        self.delete_requests_sent = 0
-        #: 6P-driven schedule churn (same meaning as GT-TSCH's counter).
-        self.cells_relocated = 0
 
     # ------------------------------------------------------------------
     # autonomous cell coordinates (SAX hash, RFC 9033 Section 3)
@@ -214,6 +196,7 @@ class MsfScheduler(SchedulingFunction):
     # ------------------------------------------------------------------
     def start(self) -> None:
         node = self.node
+        self.sixp.node = node
         slotframe = node.tsch.add_slotframe(
             self.SLOTFRAME_HANDLE, self.config.slotframe_length
         )
@@ -271,19 +254,14 @@ class MsfScheduler(SchedulingFunction):
     # RPL events
     # ------------------------------------------------------------------
     def on_parent_changed(self, old_parent: Optional[int], new_parent: Optional[int]) -> None:
-        slotframe = self.node.tsch.get_slotframe(self.SLOTFRAME_HANDLE)
-        if old_parent is not None and slotframe is not None:
-            # Drops the autonomous Tx cell and every negotiated Tx cell.
-            slotframe.remove_cells_with_neighbor(old_parent)
-            self.node.tsch.discard_quiet_neighbor(old_parent)
+        # Drops the autonomous Tx cell and every negotiated Tx cell towards
+        # the old parent; the book keeps only cells towards the new one.
+        self.sixp.switch_parent(old_parent, keep=lambda cell: cell.neighbor == new_parent)
         self._parent_tx_cell = None
-        self._tx_negotiated = [
-            cell for cell in self._tx_negotiated if cell.neighbor == new_parent
-        ]
-        self._request_queue.clear()
         self._requested_initial = False
         self._num_cells_elapsed = 0
         self._num_cells_used = 0
+        slotframe = self.node.tsch.get_slotframe(self.SLOTFRAME_HANDLE)
         if new_parent is None or slotframe is None:
             return
         slot, channel = self._autonomous_cell(new_parent)
@@ -331,9 +309,7 @@ class MsfScheduler(SchedulingFunction):
         cell = self._downward_cells.pop(child, None)
         if cell is not None:
             slotframe.remove_cell(cell)
-        for rx_cell in self._rx_cells_by_child.pop(child, []):
-            slotframe.remove_cell(rx_cell)
-            self.cells_relocated += 1
+        self.sixp.cells_relocated += self.sixp.release_child(child)
 
     # ------------------------------------------------------------------
     # 6P initiator side (this node's role as a child)
@@ -345,60 +321,19 @@ class MsfScheduler(SchedulingFunction):
         tick lands back here, so the bootstrap self-heals exactly like
         GT-TSCH's.
         """
-        if not self._requested_initial and not self._tx_negotiated:
+        if not self._requested_initial and not self.sixp.tx["data"]:
             self._requested_initial = True
-            self._queue_add(1)
-        self._pump_requests()
+            self.sixp.replace_add(1)
+        self.sixp.pump()
 
-    def _queue_add(self, num_cells: int) -> None:
-        # Replace any stale queued ADD so slow 6P rounds cannot pile up
-        # outdated requests (same rule as GT-TSCH's load-balance tick).
-        self._request_queue = [
-            request
-            for request in self._request_queue
-            if request.command is not SixPCommand.ADD
-        ]
-        self._request_queue.append(_MsfRequest(SixPCommand.ADD, num_cells, []))
+    # ------------------------------------------------------------------
+    # negotiation policy (the hooks of repro.sixtop.negotiation)
+    # ------------------------------------------------------------------
+    def candidate_offsets(self) -> list[int]:
+        """Slot offsets with no cell of ours (slot 0 is the shared cell).
 
-    def _pump_requests(self) -> None:
-        """Send the next queued 6P request if none is in flight."""
-        parent = self.node.rpl.preferred_parent
-        if parent is None or not self._request_queue:
-            return
-        if self.node.sixtop.has_pending_transaction(parent):
-            return
-        request = self._request_queue.pop(0)
-        # Keep the shared cells towards the parent open for the response
-        # while the transaction is in flight.
-        self.node.tsch.add_quiet_neighbor(parent)
-        if request.command is SixPCommand.ADD:
-            self.add_requests_sent += 1
-            # RFC 8480: propose offsets free on our side so the parent never
-            # grants a timeslot we already use.
-            candidates = [
-                CellDescriptor(offset, 0) for offset in self._free_offsets()
-            ]
-            self.node.sixtop.send_request(
-                parent,
-                SixPCommand.ADD,
-                num_cells=request.num_cells,
-                cell_list=candidates,
-                metadata={"purpose": "data"},
-                callback=self._on_add_response,
-            )
-        else:
-            self.delete_requests_sent += 1
-            self.node.sixtop.send_request(
-                parent,
-                SixPCommand.DELETE,
-                num_cells=request.num_cells,
-                cell_list=request.cell_list,
-                metadata={"purpose": "data"},
-                callback=self._on_delete_response,
-            )
-
-    def _free_offsets(self) -> list:
-        """Slot offsets with no cell of ours (slot 0 is the shared cell)."""
+        An ADD proposes them, and a grant to a child picks from them.
+        """
         slotframe = self.node.tsch.get_slotframe(self.SLOTFRAME_HANDLE)
         occupied = {cell.slot_offset for cell in slotframe.all_cells()}
         return [
@@ -407,51 +342,14 @@ class MsfScheduler(SchedulingFunction):
             if offset not in occupied
         ]
 
-    def _on_add_response(
-        self, peer: int, request: SixPMessage, response: Optional[SixPMessage]
-    ) -> None:
-        self.node.tsch.discard_quiet_neighbor(peer)
-        if response is None or response.return_code is not SixPReturnCode.SUCCESS:
-            # Timeout or parent out of resources: retry from the next
-            # housekeeping tick (via the reset bootstrap flag).
-            if not self._tx_negotiated:
-                self._requested_initial = False
-            self._pump_requests()
-            return
-        slotframe = self.node.tsch.get_slotframe(self.SLOTFRAME_HANDLE)
-        for descriptor in response.cell_list:
-            if slotframe.cells_at_offset(descriptor.slot_offset):
-                # The offset was committed between request and response
-                # (typically an Rx grant to one of our own children); the
-                # parent's orphan Rx cell is deleted by the low-usage path.
-                continue
-            cell = slotframe.add_cell(
-                Cell(
-                    slot_offset=descriptor.slot_offset,
-                    channel_offset=descriptor.channel_offset,
-                    options=CellOption.TX,
-                    neighbor=peer,
-                    purpose=CellPurpose.UNICAST_DATA,
-                    label="msf-negotiated-tx",
-                )
-            )
-            self._tx_negotiated.append(cell)
-            self.cells_relocated += 1
-        self._pump_requests()
+    def request_metadata(self, request: SixPRequest) -> dict[str, Any]:
+        return {"purpose": request.purpose}
 
-    def _on_delete_response(
-        self, peer: int, request: SixPMessage, response: Optional[SixPMessage]
-    ) -> None:
-        self.node.tsch.discard_quiet_neighbor(peer)
-        if response is not None and response.return_code is SixPReturnCode.SUCCESS:
-            slotframe = self.node.tsch.get_slotframe(self.SLOTFRAME_HANDLE)
-            removed = {descriptor.slot_offset for descriptor in response.cell_list}
-            for cell in list(self._tx_negotiated):
-                if cell.slot_offset in removed:
-                    slotframe.remove_cell(cell)
-                    self._tx_negotiated.remove(cell)
-                    self.cells_relocated += 1
-        self._pump_requests()
+    def transaction_settled(self, request: SixPMessage, granted: Optional[SixPMessage]) -> None:
+        # A timed-out or refused first ADD retries from the next housekeeping
+        # tick (via the reset bootstrap flag).
+        if granted is None and request.command is SixPCommand.ADD and not self.sixp.tx["data"]:
+            self._requested_initial = False
 
     # ------------------------------------------------------------------
     # 6P responder side (this node's role as a parent)
@@ -463,64 +361,16 @@ class MsfScheduler(SchedulingFunction):
         # response has a way back even before its DAO is processed.
         self._ensure_downward_cell(peer)
         if message.command is SixPCommand.ADD:
-            return self._answer_add(peer, message)
+            allowed = proposed_offsets(message)
+            offsets = [
+                offset
+                for offset in self.candidate_offsets()
+                if allowed is None or offset in allowed
+            ][: max(1, message.num_cells)]
+            return self.sixp.answer_add(peer, "data", offsets, self._pair_channel(peer))
         if message.command is SixPCommand.DELETE:
-            return self._answer_delete(peer, message)
+            return self.sixp.answer_delete(peer, message)
         return SixPReturnCode.ERR, {}
-
-    def _answer_add(self, peer: int, message: SixPMessage) -> tuple[SixPReturnCode, dict[str, Any]]:
-        count = max(1, message.num_cells)
-        allowed = (
-            {descriptor.slot_offset for descriptor in message.cell_list}
-            if message.cell_list
-            else None
-        )
-        offsets = [
-            offset
-            for offset in self._free_offsets()
-            if allowed is None or offset in allowed
-        ][:count]
-        if not offsets:
-            return SixPReturnCode.ERR_NORES, {}
-        slotframe = self.node.tsch.get_slotframe(self.SLOTFRAME_HANDLE)
-        channel = self._pair_channel(peer)
-        granted: list[CellDescriptor] = []
-        for offset in offsets:
-            cell = slotframe.add_cell(
-                Cell(
-                    slot_offset=offset,
-                    channel_offset=channel,
-                    options=CellOption.RX | CellOption.ALWAYS_ON,
-                    neighbor=peer,
-                    purpose=CellPurpose.UNICAST_DATA,
-                    label="msf-negotiated-rx",
-                )
-            )
-            self._rx_cells_by_child.setdefault(peer, []).append(cell)
-            granted.append(CellDescriptor(offset, channel))
-        self.cells_relocated += len(granted)
-        return SixPReturnCode.SUCCESS, {
-            "cell_list": granted,
-            "num_cells": len(granted),
-            "metadata": {"purpose": "data"},
-        }
-
-    def _answer_delete(
-        self, peer: int, message: SixPMessage
-    ) -> tuple[SixPReturnCode, dict[str, Any]]:
-        slotframe = self.node.tsch.get_slotframe(self.SLOTFRAME_HANDLE)
-        my_cells = self._rx_cells_by_child.get(peer, [])
-        requested = {descriptor.slot_offset for descriptor in message.cell_list}
-        if not requested and message.num_cells > 0:
-            requested = {cell.slot_offset for cell in my_cells[-message.num_cells:]}
-        removed: list[CellDescriptor] = []
-        for cell in list(my_cells):
-            if cell.slot_offset in requested:
-                slotframe.remove_cell(cell)
-                my_cells.remove(cell)
-                removed.append(CellDescriptor(cell.slot_offset, cell.channel_offset))
-        self.cells_relocated += len(removed)
-        return SixPReturnCode.SUCCESS, {"cell_list": removed, "num_cells": len(removed)}
 
     # ------------------------------------------------------------------
     # cell-usage adaptation (RFC 9033 Section 5.1)
@@ -552,42 +402,40 @@ class MsfScheduler(SchedulingFunction):
         # counting slots, which the fast kernel skips.
         slot_s = node.config.tsch.slot_duration_s
         elapsed_frames = int(delta_s / (slot_s * self.config.slotframe_length))
-        self._num_cells_elapsed += elapsed_frames * max(1, len(self._tx_negotiated))
+        negotiated = self.sixp.tx["data"]
+        self._num_cells_elapsed += elapsed_frames * max(1, len(negotiated))
         if self._num_cells_elapsed < self.config.max_numcells:
             return
         used = self._num_cells_used
         self._num_cells_elapsed = 0
         self._num_cells_used = 0
-        if (
-            used >= self.config.lim_numcells_high
-            and len(self._tx_negotiated) < self.config.max_negotiated_tx
-        ):
-            self._queue_add(1)
-        elif used <= self.config.lim_numcells_low and len(self._tx_negotiated) > 1:
-            victim = max(self._tx_negotiated, key=lambda cell: cell.slot_offset)
-            self._request_queue.append(
-                _MsfRequest(
+        if used >= self.config.lim_numcells_high and len(negotiated) < self.config.max_negotiated_tx:
+            self.sixp.replace_add(1)
+        elif used <= self.config.lim_numcells_low and len(negotiated) > 1:
+            victim = max(negotiated, key=lambda cell: cell.slot_offset)
+            self.sixp.queue.append(
+                SixPRequest(
                     SixPCommand.DELETE,
                     1,
-                    [CellDescriptor(victim.slot_offset, victim.channel_offset)],
+                    (CellDescriptor(victim.slot_offset, victim.channel_offset),),
                 )
             )
-        self._pump_requests()
+        self.sixp.pump()
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
     def relocation_count(self) -> int:
-        return self.cells_relocated
+        return self.sixp.cells_relocated
 
     def load_balance_period_s(self) -> float:
         return self.config.housekeeping_period_s
 
     def negotiated_tx_cell_count(self) -> int:
-        return len(self._tx_negotiated)
+        return len(self.sixp.tx["data"])
 
     def negotiated_rx_cell_count(self) -> int:
-        return sum(len(cells) for cells in self._rx_cells_by_child.values())
+        return sum(len(cells) for cells in self.sixp.rx_by_child.values())
 
 
 @register_scheduler(MsfScheduler.name)

@@ -9,9 +9,11 @@ three commands:
   with which a node asks its parent which channel it should use towards its
   own children.
 
-:mod:`repro.sixtop.messages` defines the message model, and
+:mod:`repro.sixtop.messages` defines the message model,
 :mod:`repro.sixtop.layer` implements the per-node transaction state machine
-(sequence numbers, matching of responses to requests, timeouts).
+(sequence numbers, matching of responses to requests, timeouts), and
+:mod:`repro.sixtop.negotiation` the request queue and cell books a
+negotiating scheduling function builds on.
 """
 
 from repro.sixtop.layer import SixPConfig, SixPLayer, SixPTransaction

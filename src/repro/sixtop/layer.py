@@ -156,8 +156,10 @@ class SixPLayer:
         if transaction.callback is not None:
             transaction.callback(peer, transaction.request, None)
 
-    def has_pending_transaction(self, peer: int) -> bool:
-        return peer in self._pending
+    def pending_request(self, peer: int) -> Optional[SixPMessage]:
+        """The request of the transaction in flight towards ``peer``, if any."""
+        transaction = self._pending.get(peer)
+        return None if transaction is None else transaction.request
 
     # ------------------------------------------------------------------
     # packet reception (called by the node for every SIXP packet)

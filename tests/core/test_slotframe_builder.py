@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.cell_allocation import ScheduleView
 from repro.core.config import GtTschConfig
 from repro.core.slotframe_builder import (
     GtSlotframeBuilder,
@@ -133,21 +134,17 @@ class TestGtSlotframeBuilder:
             assert cell.is_rx and cell.is_shared and not cell.is_tx
             assert cell.neighbor is None
 
-    def test_remove_shared_cells_towards_parent(self):
-        config = GtTschConfig()
-        builder = GtSlotframeBuilder(config)
-        engine = make_engine()
-        builder.build(engine)
-        builder.install_shared_cells_towards_parent(engine, parent=3, parent_channel_offset=5)
-        removed = builder.remove_shared_cells_towards_parent(engine, parent=3)
-        assert removed == config.num_shared_cells
-        assert engine.count_cells(neighbor=3) == 0
-
     def test_reserved_and_negotiable_offsets_partition_slotframe(self):
         config = GtTschConfig(slotframe_length=32, num_broadcast_cells=4)
         builder = GtSlotframeBuilder(config)
         reserved = builder.reserved_offsets(group_owners=[0, 7])
-        negotiable = builder.negotiable_offsets(group_owners=[0, 7])
+        assert reserved == (
+            set(broadcast_offsets(32, 4))
+            | set(builder.shared_cell_offsets(0))
+            | set(builder.shared_cell_offsets(7))
+        )
+        # Negotiated cells take the rest: the free offsets of an empty schedule.
+        negotiable = ScheduleView(slotframe_length=32, reserved_offsets=reserved).free_offsets()
         assert not set(negotiable) & reserved
         assert sorted(set(negotiable) | reserved) == list(range(32))
 

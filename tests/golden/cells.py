@@ -60,6 +60,9 @@ DYNAMIC_CASES = (
     (GT_TSCH, 1, "dyn-gt-s1"),
     (GT_TSCH, 2, "dyn-gt-s2"),
     (MSF, 1, "dyn-msf-s1"),
+    # An MSF ADD response arrives from a former parent, in the drain; its
+    # one offset is taken, so it installs nothing.
+    (MSF, 7, "dyn-msf-s7"),
     (DEBRAS, 1, "dyn-debras-s1"),
     (OTF, 1, "dyn-otf-s1"),
 )
@@ -72,8 +75,14 @@ def skip_scenario(scheduler: str, seed: int) -> Scenario:
     )
 
 
-#: Schedulers of the high-load Fig. 8 cells.
-HIGH_LOAD_SCHEDULERS = (GT_TSCH, MSF, ORCHESTRA)
+#: ``(scheduler, seed, pytest id)`` of the high-load Fig. 8 cells.
+HIGH_LOAD_CASES = (
+    (GT_TSCH, 1, "GT-TSCH"),
+    (MSF, 1, "MSF"),
+    (ORCHESTRA, 1, "Orchestra"),
+    # One GT-TSCH DELETE runs here at both ends, in the drain.
+    (GT_TSCH, 2, "GT-TSCH-s2"),
+)
 
 
 def high_load_scenario(scheduler: str, seed: int) -> Scenario:
@@ -172,7 +181,7 @@ def all_cells() -> list[tuple[str, str, int]]:
     registered = [(scheduler, seed) for seed in (1, 2) for scheduler in ALL_REGISTERED]
     cases = {
         "skip": registered,
-        "load165": [(scheduler, 1) for scheduler in HIGH_LOAD_SCHEDULERS],
+        "load165": [(scheduler, seed) for scheduler, seed, _ in HIGH_LOAD_CASES],
         "fault": [(scheduler, seed) for scheduler, seed, _ in FAULT_CASES],
         "dynamic": [(scheduler, seed) for scheduler, seed, _ in DYNAMIC_CASES],
         "scale": registered,

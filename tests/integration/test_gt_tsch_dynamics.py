@@ -39,7 +39,7 @@ class TestAdaptationToLoad:
         leaf.traffic_enabled = False
         network.run_seconds(40.0)
         assert leaf.scheduler.tx_data_cell_count() < peak
-        assert leaf.scheduler.delete_requests_sent >= 1
+        assert leaf.scheduler.sixp.delete_requests_sent >= 1
 
     def test_queue_metric_tracks_congestion(self):
         network = make_gt_network(star_topology(2), rate_ppm=240, seed=33)

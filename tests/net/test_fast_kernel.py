@@ -24,7 +24,7 @@ from tests.golden.cells import (
     ALL_REGISTERED,
     DYNAMIC_CASES,
     FAULT_CASES,
-    HIGH_LOAD_SCHEDULERS,
+    HIGH_LOAD_CASES,
     cell_id,
     dynamic_scenario,
     fault_scenario,
@@ -69,9 +69,11 @@ class TestHighLoadEquivalence:
     """The 165 ppm end of the Fig. 8 axis, where CSMA back-off, queue drops
     and slots with several decoders peak."""
 
-    @pytest.mark.parametrize("scheduler", HIGH_LOAD_SCHEDULERS)
-    def test_metrics_bit_identical_at_165_ppm(self, scheduler):
-        (_, naive), _ = _assert_equivalent("load165", scheduler, 1)
+    @pytest.mark.parametrize(
+        "scheduler,seed", [pytest.param(s, seed, id=case) for s, seed, case in HIGH_LOAD_CASES]
+    )
+    def test_metrics_bit_identical_at_165_ppm(self, scheduler, seed):
+        (_, naive), _ = _assert_equivalent("load165", scheduler, seed)
         assert naive.queue_loss_total + naive.mac_drop_total > 0
 
 

@@ -18,6 +18,7 @@ from repro.sixtop.messages import (
     SixPMessage,
     SixPMessageType,
     SixPReturnCode,
+    make_sixp_packet,
 )
 
 from tests.conftest import make_registry_network
@@ -136,7 +137,7 @@ class TestResponder:
     def test_add_grants_requested_free_offset(self, msf_network):
         msf_network.start()
         root = msf_network.nodes[0].scheduler
-        free = root._free_offsets()
+        free = root.candidate_offsets()
         wanted = free[0]
         code, fields = root.on_sixp_request(1, add_request(1, [CellDescriptor(wanted, 0)]))
         assert code is SixPReturnCode.SUCCESS
@@ -149,7 +150,7 @@ class TestResponder:
     def test_add_without_free_candidates_returns_norres(self, msf_network):
         msf_network.start()
         root = msf_network.nodes[0].scheduler
-        taken = next(iter(root._free_offsets()))
+        taken = next(iter(root.candidate_offsets()))
         root.on_sixp_request(1, add_request(1, [CellDescriptor(taken, 0)]))
         code, fields = root.on_sixp_request(2, add_request(1, [CellDescriptor(taken, 0)]))
         assert code is SixPReturnCode.ERR_NORES
@@ -186,60 +187,56 @@ class TestResponder:
 
 
 class TestUsageAdaptation:
-    def _install_negotiated(self, scheduler, offsets):
-        """Install negotiated Tx cells as a successful ADD response would."""
+    def _install_negotiated(self, network, offsets):
+        """Answer node 1's bootstrap ADD (seqnum 0) with ``offsets``, as its
+        parent's 6P layer would; returns node 1's scheduler."""
         descriptors = [CellDescriptor(offset, 3) for offset in offsets]
-        scheduler._on_add_response(0, add_request(len(offsets)), add_response(descriptors))
-        return scheduler
+        network.nodes[1].sixtop.process_packet(make_sixp_packet(0, 1, add_response(descriptors)))
+        return network.nodes[1].scheduler
 
     def test_high_usage_queues_add(self, msf_network):
         msf_network.start()
-        child = msf_network.nodes[1].scheduler
-        self._install_negotiated(child, [10])
+        child = self._install_negotiated(msf_network, [10])
         child._num_cells_elapsed = child.config.max_numcells
         child._num_cells_used = child.config.lim_numcells_high
-        before = child.add_requests_sent
+        before = child.sixp.add_requests_sent
         child._housekeeping_tick()
-        queued = any(r.command is SixPCommand.ADD for r in child._request_queue)
-        assert queued or child.add_requests_sent > before
+        queued = any(r.command is SixPCommand.ADD for r in child.sixp.queue)
+        assert queued or child.sixp.add_requests_sent > before
         # Counters reset after an evaluation (the RFC's sliding window).
         assert child._num_cells_elapsed == 0 and child._num_cells_used == 0
 
     def test_low_usage_deletes_highest_offset_cell(self, msf_network):
         msf_network.start()
-        child = msf_network.nodes[1].scheduler
-        self._install_negotiated(child, [10, 20])
+        child = self._install_negotiated(msf_network, [10, 20])
         child._num_cells_elapsed = child.config.max_numcells
         child._num_cells_used = child.config.lim_numcells_low
-        before = child.delete_requests_sent
+        before = child.sixp.delete_requests_sent
         child._housekeeping_tick()
-        queued = [r for r in child._request_queue if r.command is SixPCommand.DELETE]
-        if queued:
-            assert queued[0].cell_list[0].slot_offset == 20
-        else:
-            assert child.delete_requests_sent > before
+        assert child.sixp.delete_requests_sent == before + 1
+        request = msf_network.nodes[1].sixtop.pending_request(0)
+        assert request.command is SixPCommand.DELETE
+        assert [d.slot_offset for d in request.cell_list] == [20]
 
     def test_no_evaluation_before_max_numcells_elapsed(self, msf_network):
         msf_network.start()
-        child = msf_network.nodes[1].scheduler
-        self._install_negotiated(child, [10])
-        child._request_queue.clear()
+        child = self._install_negotiated(msf_network, [10])
         child._num_cells_elapsed = child.config.max_numcells - 2
         child._num_cells_used = child.config.lim_numcells_high
+        before = child.sixp.add_requests_sent
         child._housekeeping_tick()
-        assert not child._request_queue
+        assert not child.sixp.queue
+        assert child.sixp.add_requests_sent == before
 
     def test_last_negotiated_cell_never_deleted(self, msf_network):
         msf_network.start()
-        child = msf_network.nodes[1].scheduler
-        self._install_negotiated(child, [10])
-        child._request_queue.clear()
+        child = self._install_negotiated(msf_network, [10])
         child._num_cells_elapsed = child.config.max_numcells
         child._num_cells_used = 0
-        before = child.delete_requests_sent
+        before = child.sixp.delete_requests_sent
         child._housekeeping_tick()
-        assert not [r for r in child._request_queue if r.command is SixPCommand.DELETE]
-        assert child.delete_requests_sent == before
+        assert not [r for r in child.sixp.queue if r.command is SixPCommand.DELETE]
+        assert child.sixp.delete_requests_sent == before
 
 
 class TestTimeoutSelfHealing:
@@ -247,11 +244,10 @@ class TestTimeoutSelfHealing:
         msf_network.start()
         child = msf_network.nodes[1].scheduler
         assert child._requested_initial  # bootstrap queued on parent change
-        # Simulate the 6P layer reporting a timeout (response is None).
-        child._request_queue.clear()
-        child._on_add_response(0, add_request(1), None)
+        # The client reports the bootstrap ADD as timed out.
+        child.transaction_settled(add_request(1), None)
         assert not child._requested_initial
-        child._bootstrap_with_parent()
+        child._housekeeping_tick()
         assert child._requested_initial
 
 

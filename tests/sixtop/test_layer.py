@@ -62,7 +62,7 @@ class TestTransactions:
         assert peer == 2
         assert response.return_code is SixPReturnCode.SUCCESS
         assert response.cell_list == granted
-        assert not h.layers[1].has_pending_transaction(2)
+        assert h.layers[1].pending_request(2) is None
 
     def test_one_transaction_per_peer(self):
         h = TwoNodeHarness()
@@ -118,7 +118,7 @@ class TestTimeoutsAndRetries:
         h.queue.run_until(5.0)
         assert outcomes == [None]
         assert h.layers[1].timeouts == 1
-        assert not h.layers[1].has_pending_transaction(2)
+        assert h.layers[1].pending_request(2) is None
 
     def test_retry_after_timeout_succeeds(self):
         h = TwoNodeHarness(timeout_s=1.0, max_retries=1)

@@ -108,6 +108,8 @@ class LintConfig:
         "repro/faults/",
         "repro/kernel/",
         "repro/schedulers/",
+        "repro/sixtop/",
+        "repro/core/",
     )
     #: Zero-argument methods known (cross-module) to return a set/frozenset.
     known_set_returning_methods: frozenset[str] = frozenset(
