@@ -83,11 +83,12 @@ class UnicastCellAllocator:
         ``tx > rx``, i.e. they can accept at most ``tx - rx - 1`` additional
         Rx cells (and never more than the free offsets available).
         """
-        free = len(self.view.free_offsets())
-        if self.view.is_root:
-            return free
-        margin = self.view.tx_count() - self.view.rx_count() - 1
-        return max(0, min(free, margin))
+        view = self.view
+        if view.is_root:
+            return len(view.free_offsets())
+        margin = view.tx_count() - view.rx_count() - 1
+        # Most nodes have no margin left; they need no scan of free offsets.
+        return min(len(view.free_offsets()), margin) if margin > 0 else 0
 
     # ------------------------------------------------------------------
     # offset selection
@@ -125,23 +126,23 @@ class UnicastCellAllocator:
             return []
 
         chosen: list[int] = []
-        child_existing = set(self.view.rx_offsets_by_child.get(child, set()))
+        child_existing = self.view.rx_offsets_by_child.get(child, set())
         all_rx = self.view.all_rx_offsets()
         for _ in range(granted_target):
             candidates = [o for o in free if o not in chosen]
             if not candidates:
                 break
+            # Built once per round; penalties end with the offset, so are unique.
+            rx_offsets = all_rx.union(chosen)
+            same_child = sorted(child_existing.union(chosen))
             best = min(
-                candidates,
-                key=lambda offset: self._offset_penalty(
-                    offset, all_rx | set(chosen), child_existing | set(chosen)
-                ),
+                self._offset_penalty(offset, rx_offsets, same_child) for offset in candidates
             )
-            chosen.append(best)
+            chosen.append(best[-1])
         return sorted(chosen)
 
     def _offset_penalty(
-        self, offset: int, rx_offsets: set[int], same_child_offsets: set[int]
+        self, offset: int, rx_offsets: set[int], same_child_offsets: list[int]
     ) -> tuple:
         """Smaller is better.  Encodes rules 2 and 3 as a lexicographic score."""
         length = self.view.slotframe_length
@@ -153,7 +154,7 @@ class UnicastCellAllocator:
         if same_child_offsets:
             distance = min(
                 min((offset - other) % length, (other - offset) % length)
-                for other in sorted(same_child_offsets)
+                for other in same_child_offsets
             )
         else:
             distance = length

@@ -47,6 +47,9 @@ from repro.sim.events import PeriodicTimer
 from repro.sixtop.messages import CellDescriptor, SixPCommand, SixPMessage, SixPReturnCode
 from repro.sixtop.negotiation import NegotiationClient, SixPRequest, proposed_offsets
 
+#: Options of the shared TX cells a parent keeps towards each child.
+SHARED_TX_OPTIONS = CellOption.TX | CellOption.SHARED
+
 
 class GtTschScheduler(SchedulingFunction):
     """GT-TSCH: game-theoretic distributed TSCH scheduling function."""
@@ -212,22 +215,23 @@ class GtTschScheduler(SchedulingFunction):
         self._install_shared_tx_towards_child(child)
 
     def _install_shared_tx_towards_child(self, child: int) -> None:
-        if self.own_child_channel is None:
-            return
+        channel = self.own_child_channel
         slotframe = self.node.tsch.get_slotframe(self.builder.SLOTFRAME_HANDLE)
-        if slotframe is None:
+        if channel is None or slotframe is None:
             return
         for offset in self.builder.shared_cell_offsets(self.node.node_id):
-            slotframe.add_cell(
-                Cell(
-                    slot_offset=offset,
-                    channel_offset=self.own_child_channel,
-                    options=CellOption.TX | CellOption.SHARED,
-                    neighbor=child,
-                    purpose=CellPurpose.SHARED,
-                    label="gt-shared-down-tx",
+            # Every 6P request re-asserts this path, so look before building.
+            if slotframe.find_cell(offset, channel, child, SHARED_TX_OPTIONS) is None:
+                slotframe.add_cell(
+                    Cell(
+                        slot_offset=offset,
+                        channel_offset=channel,
+                        options=SHARED_TX_OPTIONS,
+                        neighbor=child,
+                        purpose=CellPurpose.SHARED,
+                        label="gt-shared-down-tx",
+                    )
                 )
-            )
 
     def on_child_removed(self, child: int) -> None:
         self.sixp.release_child(child)
@@ -468,7 +472,7 @@ class GtTschScheduler(SchedulingFunction):
         parent = self.node.rpl.preferred_parent
         if parent is not None:
             group_owners.append(parent)
-        reserved = set(self.builder.reserved_offsets(group_owners))
+        reserved = self.builder.reserved_offsets(group_owners)
         for cell in self.sixp.tx["6p"]:
             reserved.add(cell.slot_offset)
         rx_by_child: dict[int, set[int]] = {}

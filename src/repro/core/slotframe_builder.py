@@ -17,6 +17,7 @@ are reserved, so that they never hold one.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 from repro.core.config import GtTschConfig
@@ -78,6 +79,22 @@ def shared_offsets(
     return sorted(chosen)
 
 
+@lru_cache(maxsize=None)
+def broadcast_layout(slotframe_length: int, num_broadcast_cells: int) -> tuple[int, ...]:
+    """:func:`broadcast_offsets`, computed once per argument pair and shared as a tuple."""
+    return tuple(broadcast_offsets(slotframe_length, num_broadcast_cells))
+
+
+@lru_cache(maxsize=None)
+def shared_layout(
+    slotframe_length: int, num_broadcast_cells: int, num_shared_cells: int, group_owner: int
+) -> tuple[int, ...]:
+    """:func:`shared_offsets`, computed once per argument tuple and shared as a tuple."""
+    return tuple(
+        shared_offsets(slotframe_length, num_broadcast_cells, num_shared_cells, group_owner)
+    )
+
+
 class GtSlotframeBuilder:
     """Installs the deterministic part of a node's GT-TSCH slotframe."""
 
@@ -97,9 +114,7 @@ class GtSlotframeBuilder:
         as soon as it can have children (:meth:`install_shared_cells_for_children`).
         """
         slotframe = tsch_engine.add_slotframe(self.SLOTFRAME_HANDLE, self.config.slotframe_length)
-        for offset in broadcast_offsets(
-            self.config.slotframe_length, self.config.num_broadcast_cells
-        ):
+        for offset in self.broadcast_cell_offsets():
             # Broadcast timeslots carry *only* broadcast control frames
             # (EB/DIO); unicast traffic stays on shared and dedicated cells so
             # the control plane cannot be crowded out by data (no SHARED flag,
@@ -117,13 +132,17 @@ class GtSlotframeBuilder:
         return slotframe
 
     # ------------------------------------------------------------------
-    def shared_cell_offsets(self, group_owner: int) -> list[int]:
+    def broadcast_cell_offsets(self) -> tuple[int, ...]:
+        """Broadcast-cell offsets of this configuration."""
+        return broadcast_layout(self.config.slotframe_length, self.config.num_broadcast_cells)
+
+    def shared_cell_offsets(self, group_owner: int) -> tuple[int, ...]:
         """Shared-cell offsets of the group owned by node ``group_owner``."""
-        return shared_offsets(
+        return shared_layout(
             self.config.slotframe_length,
             self.config.num_broadcast_cells,
             self.config.num_shared_cells,
-            group_owner=group_owner,
+            group_owner,
         )
 
     def install_shared_cells_towards_parent(
@@ -183,9 +202,7 @@ class GtSlotframeBuilder:
         in (its own id as a parent, plus its parent's id as a child); the
         broadcast timeslots are always reserved.
         """
-        reserved = set(
-            broadcast_offsets(self.config.slotframe_length, self.config.num_broadcast_cells)
-        )
+        reserved = set(self.broadcast_cell_offsets())
         for owner in group_owners or []:
             reserved.update(self.shared_cell_offsets(owner))
         return reserved

@@ -24,6 +24,7 @@ import math
 from bisect import bisect_left
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING, Optional
 
 from repro.mac.cell import Cell, CellOption, CellPurpose
@@ -174,13 +175,11 @@ class ScheduleProfile:
 
     __slots__ = (
         "version",
-        "has_cells",
         "has_rx",
         "frame_offsets",
         "_frames",
         "_single",
         "_rx_incexc",
-        "_prune_frames",
         "_tx_tables",
         "_contention",
     )
@@ -193,73 +192,50 @@ class ScheduleProfile:
         self.version = version
         #: ``(length, sorted offsets with any cell)`` per slotframe.
         self.frame_offsets: list[tuple] = []
-        #: Per slotframe: (length, rx offsets, rx prefix counts, TX offsets).
+        #: Per slotframe: ``(length, rx offsets, rx prefix counts, broadcast
+        #: TX offsets, anycast TX cells, neighbor -> dedicated TX cells)``.
         self._frames: list[tuple] = []
-        #: Per slotframe: unicast-match TX cell census for the kernel's
-        #: shared-cell contention pruning -- ``(length, anycast offset ->
-        #: (count, all shared), neighbor -> offset -> (count, all shared))``,
-        #: following exactly :meth:`TschEngine._packet_for_cell`'s match rule
-        #: for a queue holding only unicast frames.
-        self._prune_frames: list[tuple] = []
         #: Memo of :meth:`next_tx_asn`: queue signature key -> per slotframe
         #: ``(length, sorted TX offsets that could carry that backlog)``.
         self._tx_tables: dict[tuple, list[tuple]] = {}
         #: Memo of :meth:`shared_contention_progressions` per destination.
         self._contention: dict[int, Optional[list[tuple]]] = {}
         for sf in slotframes:
-            used: list[int] = []
-            rx_offsets: list[int] = []
+            length = sf.length
+            used = sf.used_slot_offsets()
+            # An offset listens exactly when its bucket holds an RX cell.
+            rx_offsets = [offset for offset in used if sf.listen_at(offset) is not None]
             #: Offsets whose cells can carry a link-layer broadcast frame.
             broadcast_tx: list[int] = []
-            #: Offsets whose cells can carry a unicast frame to *any* neighbor
-            #: (shared neighbor-less cells, e.g. Orchestra's common cell).
-            anycast_tx: list[int] = []
-            #: neighbor id -> offsets of cells dedicated to that neighbor.
-            neighbor_tx: dict[int, list[int]] = {}
-            anycast_census: dict[int, tuple] = {}
-            neighbor_census: dict[int, dict[int, tuple]] = {}
-            for offset in range(sf.length):
-                bucket = sf.cells_at_offset(offset)
-                if not bucket:
-                    continue
-                used.append(offset)
-                if any(cell.is_rx for cell in bucket):
-                    rx_offsets.append(offset)
-                for cell in bucket:
+            #: ``(offset, shared)`` of every cell that can carry a unicast
+            #: frame to *any* neighbor (shared neighbor-less cells, e.g.
+            #: Orchestra's common cell), in planning order.
+            anycast_tx: list[tuple] = []
+            #: neighbor id -> ``(offset, shared)`` of its dedicated cells.
+            neighbor_tx: dict[int, list[tuple]] = {}
+            for offset in used:
+                for cell in sf.cells_at_offset(offset):
                     if not cell.is_tx:
                         continue
                     # Mirror _packet_for_cell: which queued packet kinds could
                     # this cell carry?
-                    census: Optional[dict[int, tuple]] = None
+                    neighbor = cell.neighbor
                     if cell.is_broadcast:
-                        if offset not in broadcast_tx:
-                            broadcast_tx.append(offset)
-                        if cell.is_shared and cell.neighbor is None:
-                            if offset not in anycast_tx:
-                                anycast_tx.append(offset)
-                            census = anycast_census
-                    elif cell.neighbor is None:
-                        if offset not in anycast_tx:
-                            anycast_tx.append(offset)
-                        census = anycast_census
+                        broadcast_tx.append(offset)
+                        if cell.is_shared and neighbor is None:
+                            anycast_tx.append((offset, True))
+                    elif neighbor is None:
+                        anycast_tx.append((offset, cell.is_shared))
                     else:
-                        bucket_offsets = neighbor_tx.setdefault(cell.neighbor, [])
-                        if offset not in bucket_offsets:
-                            bucket_offsets.append(offset)
-                        census = neighbor_census.setdefault(cell.neighbor, {})
-                    if census is not None:
-                        count, all_shared = census.get(offset, (0, True))
-                        census[offset] = (count + 1, all_shared and cell.is_shared)
-            self._prune_frames.append((sf.length, anycast_census, neighbor_census))
-            rx_set = set(rx_offsets)
-            prefix = [0] * (sf.length + 1)
-            for offset in range(sf.length):
-                prefix[offset + 1] = prefix[offset] + (1 if offset in rx_set else 0)
-            self.frame_offsets.append((sf.length, used))
+                        neighbor_tx.setdefault(neighbor, []).append((offset, cell.is_shared))
+            marks = [0] * length
+            for offset in rx_offsets:
+                marks[offset] = 1
+            self.frame_offsets.append((length, used))
+            prefix = list(accumulate(marks, initial=0))
             self._frames.append(
-                (sf.length, rx_offsets, prefix, broadcast_tx, anycast_tx, neighbor_tx)
+                (length, rx_offsets, prefix, broadcast_tx, anycast_tx, neighbor_tx)
             )
-        self.has_cells = any(offsets for _, offsets in self.frame_offsets)
         self.has_rx = any(frame[1] for frame in self._frames)
         self._single = len(self._frames) == 1
         self._rx_incexc = None if self._single else self._build_rx_incexc()
@@ -330,9 +306,9 @@ class ScheduleProfile:
         for length, _, _, broadcast_tx, anycast_tx, neighbor_tx in self._frames:
             offsets = set(broadcast_tx) if has_broadcast else set()
             if destinations:
-                offsets.update(anycast_tx)
+                offsets.update(offset for offset, _ in anycast_tx)
                 for destination in destinations:
-                    offsets.update(neighbor_tx.get(destination, ()))
+                    offsets.update(offset for offset, _ in neighbor_tx.get(destination, ()))
             if offsets:
                 table.append((length, sorted(offsets)))
         return table
@@ -359,19 +335,17 @@ class ScheduleProfile:
         return self._contention[destination]
 
     def _contention_progressions(self, destination: int) -> Optional[list[tuple]]:
+        # The unicast-match rule of TschEngine._packet_for_cell for a queue
+        # holding only unicast frames to ``destination``: its anycast cells
+        # and the cells dedicated to it, counted per offset.
         progressions: list[tuple] = []
-        for length, anycast_census, neighbor_census in self._prune_frames:
+        for length, _, _, _, anycast_tx, neighbor_tx in self._frames:
             merged: dict[int, int] = {}
-            for offset, (count, all_shared) in anycast_census.items():
-                if not all_shared:
-                    return None
-                merged[offset] = merged.get(offset, 0) + count
-            dedicated = neighbor_census.get(destination)
-            if dedicated:
-                for offset, (count, all_shared) in dedicated.items():
-                    if not all_shared:
+            for cells in (anycast_tx, neighbor_tx.get(destination, ())):
+                for offset, shared in cells:
+                    if not shared:
                         return None
-                    merged[offset] = merged.get(offset, 0) + count
+                    merged[offset] = merged.get(offset, 0) + 1
             for offset, count in merged.items():
                 progressions.append((offset, length, count))
         return progressions

@@ -160,7 +160,7 @@ class Packet:
         per-copy so a forwarded packet does not mutate the original object
         still referenced by metrics collectors.
         """
-        clone = Packet(
+        return Packet(
             ptype=self.ptype,
             source=self.source,
             destination=self.destination,
@@ -172,12 +172,12 @@ class Packet:
             hops=self.hops,
             retransmissions=self.retransmissions,
             size_bytes=self.size_bytes,
+            # The end-to-end identity of the packet, kept across hops so the
+            # metrics layer can match deliveries against generations (and
+            # no fresh id is drawn for a copy).
+            packet_id=self.packet_id,
             app_seqno=self.app_seqno,
         )
-        # Preserve the end-to-end identity of the packet across hops so the
-        # metrics layer can match deliveries against generations.
-        clone.packet_id = self.packet_id
-        return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -9,24 +9,27 @@ and reported to the scheduling function so it can retry.
 
 The layer is transport-agnostic: it hands fully-formed packets to a send
 callback (the node enqueues them on the MAC) and is fed received 6P packets by
-the node.  Which cells to grant is the scheduling function's decision -- the
-layer only runs the transaction bookkeeping.
+the node.  A packet carries the sender's immutable :class:`SixPMessage`, which
+the receiving layer reads as it is.  Which cells to grant is the scheduling
+function's decision -- the layer only runs the transaction bookkeeping.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.net.packet import Packet
 from repro.sim.events import Event, EventQueue
 from repro.sixtop.messages import (
+    CellDescriptor,
     SixPCommand,
     SixPMessage,
     SixPMessageType,
     SixPReturnCode,
     make_sixp_packet,
+    sixp_message,
 )
 
 #: Callback signature a scheduling function registers to answer requests:
@@ -101,7 +104,7 @@ class SixPLayer:
         peer: int,
         command: SixPCommand,
         num_cells: int = 0,
-        cell_list=None,
+        cell_list: Iterable[CellDescriptor] = (),
         metadata: Optional[dict[str, Any]] = None,
         callback: Optional[ResponseCallback] = None,
     ) -> bool:
@@ -120,8 +123,8 @@ class SixPLayer:
             seqnum=seqnum,
             sf_id=self.config.sf_id,
             num_cells=num_cells,
-            cell_list=list(cell_list or []),
-            metadata=dict(metadata or {}),
+            cell_list=cell_list,
+            metadata=metadata,
         )
         transaction = SixPTransaction(
             peer=peer,
@@ -165,7 +168,7 @@ class SixPLayer:
     # packet reception (called by the node for every SIXP packet)
     # ------------------------------------------------------------------
     def process_packet(self, packet: Packet) -> None:
-        message = SixPMessage.from_payload(packet.payload)
+        message = sixp_message(packet)
         peer = packet.link_source
         if message.message_type is SixPMessageType.REQUEST:
             self._handle_request(peer, message)
@@ -201,10 +204,10 @@ class SixPLayer:
             seqnum=message.seqnum,
             sf_id=self.config.sf_id,
             num_cells=fields.get("num_cells", 0),
-            cell_list=list(fields.get("cell_list", [])),
+            cell_list=fields.get("cell_list", ()),
             return_code=return_code,
             channel_offset=fields.get("channel_offset"),
-            metadata=dict(fields.get("metadata", {})),
+            metadata=fields.get("metadata"),
         )
         self._last_response[peer] = response
         packet = make_sixp_packet(self.node_id, peer, response, now=self.queue.now)

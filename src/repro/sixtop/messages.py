@@ -1,27 +1,26 @@
 """6P message model (RFC 8480 subset + the paper's ASK-CHANNEL command).
 
-Real 6P messages are byte-encoded IEs inside 802.15.4 frames; here they are
-structured payloads carried by :class:`repro.net.packet.Packet` objects with
-``ptype == PacketType.SIXP``.  The fields mirror the message formats shown in
-Fig. 4 of the paper: version, type (request/response), command code, sequence
-number, scheduling function identifier, and -- for ASK-CHANNEL responses --
-the channel offset granted by the parent.
+Real 6P messages are byte-encoded IEs inside 802.15.4 frames; here an
+immutable :class:`SixPMessage` rides in a :class:`repro.net.packet.Packet`
+with ``ptype == PacketType.SIXP`` and the receiver reads the sender's object
+as it is.  The fields mirror the message formats shown in Fig. 4 of the
+paper: type (request/response), command code, sequence number, scheduling
+function identifier, and -- for ASK-CHANNEL responses -- the channel offset
+granted by the parent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
 from enum import Enum
-from typing import Any, Optional
+from types import MappingProxyType
+from typing import Any, NamedTuple, Optional
 
 from repro.net.packet import Packet, PacketType
 
 
 #: Command code the paper assigns to ASK-CHANNEL (Fig. 4).
 ASK_CHANNEL_COMMAND_CODE = 0x0A
-
-#: 6P version used by RFC 8480.
-SIXP_VERSION = 0
 
 
 class SixPCommand(Enum):
@@ -49,8 +48,7 @@ class SixPReturnCode(Enum):
     ERR = "RC_ERR"
 
 
-@dataclass(frozen=True)
-class CellDescriptor:
+class CellDescriptor(NamedTuple):
     """A (slot offset, channel offset) pair exchanged inside ADD/DELETE messages."""
 
     slot_offset: int
@@ -60,70 +58,65 @@ class CellDescriptor:
         return (self.slot_offset, self.channel_offset)
 
 
-@dataclass
-class SixPMessage:
-    """A decoded 6P message."""
-
+class _SixPFields(NamedTuple):
     message_type: SixPMessageType
     command: SixPCommand
     seqnum: int
-    sf_id: int = 0
+    #: Scheduling function identifier.
+    sf_id: int
     #: Number of cells requested (ADD/DELETE requests).
-    num_cells: int = 0
+    num_cells: int
     #: Candidate or granted cells.
-    cell_list: list[CellDescriptor] = field(default_factory=list)
+    cell_list: tuple[CellDescriptor, ...]
     #: Response code (responses only).
-    return_code: Optional[SixPReturnCode] = None
+    return_code: Optional[SixPReturnCode]
     #: Channel offset granted by an ASK-CHANNEL response.
-    channel_offset: Optional[int] = None
-    #: Additional scheduler-specific fields.
-    metadata: dict[str, Any] = field(default_factory=dict)
+    channel_offset: Optional[int]
+    #: Additional scheduler-specific fields, read-only.
+    metadata: Mapping[str, Any]
 
-    def to_payload(self) -> dict[str, Any]:
-        """Serialise to the packet payload dictionary."""
-        payload: dict[str, Any] = {
-            "version": SIXP_VERSION,
-            "type": self.message_type.value,
-            "command": self.command.value,
-            "seqnum": self.seqnum,
-            "sf_id": self.sf_id,
-            "num_cells": self.num_cells,
-            "cell_list": [cell.as_tuple() for cell in self.cell_list],
-            "metadata": dict(self.metadata),
-        }
-        if self.return_code is not None:
-            payload["return_code"] = self.return_code.value
-        if self.channel_offset is not None:
-            payload["channel_offset"] = self.channel_offset
-        return payload
 
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "SixPMessage":
-        """Parse a packet payload dictionary back into a message."""
-        return cls(
-            message_type=SixPMessageType(payload["type"]),
-            command=SixPCommand(payload["command"]),
-            seqnum=payload["seqnum"],
-            sf_id=payload.get("sf_id", 0),
-            num_cells=payload.get("num_cells", 0),
-            cell_list=[CellDescriptor(*pair) for pair in payload.get("cell_list", [])],
-            return_code=(
-                SixPReturnCode(payload["return_code"]) if "return_code" in payload else None
-            ),
-            channel_offset=payload.get("channel_offset"),
-            metadata=dict(payload.get("metadata", {})),
+class SixPMessage(_SixPFields):
+    """A 6P message, immutable once built.
+
+    The cell list is stored as a tuple and the metadata as a read-only copy,
+    so the sender, the receiver and a replayed response share one object.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        message_type: SixPMessageType,
+        command: SixPCommand,
+        seqnum: int,
+        sf_id: int = 0,
+        num_cells: int = 0,
+        cell_list: Iterable[CellDescriptor] = (),
+        return_code: Optional[SixPReturnCode] = None,
+        channel_offset: Optional[int] = None,
+        metadata: Optional[Mapping[str, Any]] = None,
+    ) -> SixPMessage:
+        return super().__new__(
+            cls, message_type, command, seqnum, sf_id, num_cells, tuple(cell_list),
+            return_code, channel_offset, MappingProxyType(dict(metadata or {})),
         )
 
 
 def make_sixp_packet(sender: int, receiver: int, message: SixPMessage, now: float = 0.0) -> Packet:
-    """Wrap a 6P message into a unicast link-layer packet."""
+    """Wrap a 6P message into a unicast link-layer packet (see :func:`sixp_message`)."""
     return Packet(
         ptype=PacketType.SIXP,
         source=sender,
         destination=receiver,
         link_source=sender,
         link_destination=receiver,
-        payload=message.to_payload(),
+        payload={"sixp": message},
         created_at=now,
         size_bytes=40,
     )
+
+
+def sixp_message(packet: Packet) -> SixPMessage:
+    """The message a 6P packet carries: the sender's object itself."""
+    return packet.payload["sixp"]

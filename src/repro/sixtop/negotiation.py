@@ -39,6 +39,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Response fields of a 6P answer, as :class:`~repro.sixtop.layer.SixPLayer` reads them.
 Answer = tuple[SixPReturnCode, dict[str, Any]]
 
+#: Options of a negotiated cell at the parent (its RX end).
+RX_OPTIONS = CellOption.RX | CellOption.ALWAYS_ON
+
 
 class SixPRequest(NamedTuple):
     """A request waiting in the queue (one transaction per peer at a time)."""
@@ -252,7 +255,7 @@ class NegotiationClient:
                     Cell(
                         slot_offset=offset,
                         channel_offset=channel,
-                        options=CellOption.RX | CellOption.ALWAYS_ON,
+                        options=RX_OPTIONS,
                         neighbor=peer,
                         purpose=cell_purpose,
                         label=label,

@@ -1,6 +1,14 @@
 """Tests for the GT-TSCH scheduling function integrated with the node stack."""
 
-from repro.mac.cell import CellPurpose
+from collections import Counter
+
+import pytest
+
+import repro.core.slotframe_builder as slotframe_builder
+from repro.experiments.scenarios import GT_TSCH, scale_scenario
+from repro.mac.cell import Cell, CellPurpose
+from repro.mac.slotframe import Slotframe
+from repro.mac.tsch import ScheduleProfile
 from repro.net.topology import line_topology, star_topology
 from repro.sixtop.messages import CellDescriptor, SixPCommand, SixPMessage, SixPMessageType, SixPReturnCode
 
@@ -200,10 +208,8 @@ class TestSixPResponder:
         class FakeCommand:
             pass
 
-        message = SixPMessage(
-            message_type=SixPMessageType.REQUEST, command=SixPCommand.ADD, seqnum=0
-        )
-        message.command = "bogus"
+        # Messages are immutable, so the unknown command is built in.
+        message = SixPMessage(message_type=SixPMessageType.REQUEST, command="bogus", seqnum=0)
         code, _ = root.scheduler.on_sixp_request(1, message)
         assert code is SixPReturnCode.ERR
 
@@ -276,3 +282,76 @@ class TestDataPlaneConvergence:
         leaf = gt_star_network.nodes[2]
         # No traffic at all: the game should not keep requesting cells.
         assert leaf.scheduler.last_game_request <= 1
+
+
+class TestControlPlaneWorkOnce:
+    """GT-TSCH's control plane does each piece of work once.
+
+    A short 100-node cell counts the work that changes no decision: cells
+    built only to be dropped as duplicates, shared-offset layouts computed
+    again, and schedule profiles.  Work counts, not clocks, so the gates are
+    exact.
+    """
+
+    #: ``ScheduleProfile`` builds in the cell below.  Each mutated schedule
+    #: still gets its rebuild; the rebuild just costs less.
+    PROFILE_BUILDS = 205
+
+    @pytest.fixture(scope="class")
+    def work(self):
+        counts: Counter = Counter()
+        layouts: Counter = Counter()
+        build_cell = Cell.__init__
+        add_cell = Slotframe.add_cell
+        build_profile = ScheduleProfile.__init__
+        compute_layout = slotframe_builder.shared_offsets
+
+        def record_cell(self, *args, **kwargs):
+            build_cell(self, *args, **kwargs)
+            if self.label == "gt-shared-down-tx":
+                counts["shared_tx_built"] += 1
+
+        def record_add(self, cell):
+            installed = add_cell(self, cell)
+            if cell.label == "gt-shared-down-tx":
+                counts["shared_tx_installed"] += installed is cell
+            return installed
+
+        def record_profile(self, *args):
+            counts["profiles"] += 1
+            build_profile(self, *args)
+
+        def record_layout(*args):
+            layouts[args] += 1
+            return compute_layout(*args)
+
+        slotframe_builder.shared_layout.cache_clear()
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(Cell, "__init__", record_cell)
+                patch.setattr(Slotframe, "add_cell", record_add)
+                patch.setattr(ScheduleProfile, "__init__", record_profile)
+                patch.setattr(slotframe_builder, "shared_offsets", record_layout)
+                scenario = scale_scenario(100, GT_TSCH, warmup_s=5.0, measurement_s=5.0)
+                network = scenario.build_network()
+                network.run_experiment(scenario.warmup_s, scenario.measurement_s)
+        finally:
+            slotframe_builder.shared_layout.cache_clear()
+        return counts, layouts
+
+    def test_every_shared_tx_cell_built_is_installed(self, work):
+        counts, _ = work
+        assert counts["shared_tx_installed"] > 0
+        assert counts["shared_tx_built"] == counts["shared_tx_installed"]
+
+    def test_each_shared_layout_is_computed_once(self, work):
+        _, layouts = work
+        assert layouts, "the cell computed no shared-cell layout"
+        repeated = {key: n for key, n in layouts.items() if n > 1}
+        assert not repeated, (
+            f"{len(repeated)} layouts computed more than once: {sorted(repeated.items())[:3]}"
+        )
+
+    def test_every_profile_rebuild_still_happens(self, work):
+        counts, _ = work
+        assert counts["profiles"] == self.PROFILE_BUILDS

@@ -56,6 +56,10 @@ class TestPerHopCopies:
         assert hop.created_at == 1.0
         assert hop.hops == 2
         assert hop.retransmissions == 1
+        # The copy draws no id of its own: the next packet gets the next one.
+        assert make_data_packet(source=5, destination=0, created_at=1.0).packet_id == (
+            packet.packet_id + 1
+        )
 
     def test_for_next_hop_does_not_mutate_original(self):
         packet = make_data_packet(source=5, destination=0, created_at=1.0)

@@ -5,8 +5,8 @@ from repro.sixtop.layer import SixPConfig, SixPLayer
 from repro.sixtop.messages import (
     CellDescriptor,
     SixPCommand,
-    SixPMessage,
     SixPReturnCode,
+    sixp_message,
 )
 
 
@@ -35,8 +35,7 @@ class TwoNodeHarness:
             for sender, outbox in self.outboxes.items():
                 while outbox:
                     packet = outbox.pop(0)
-                    message = SixPMessage.from_payload(packet.payload)
-                    kind = message.message_type.value
+                    kind = sixp_message(packet).message_type.value
                     if (sender, kind) in self.drop:
                         continue
                     self.layers[packet.link_destination].process_packet(packet)
@@ -61,7 +60,7 @@ class TestTransactions:
         peer, response = outcomes[0]
         assert peer == 2
         assert response.return_code is SixPReturnCode.SUCCESS
-        assert response.cell_list == granted
+        assert response.cell_list == tuple(granted)
         assert h.layers[1].pending_request(2) is None
 
     def test_one_transaction_per_peer(self):
@@ -93,6 +92,30 @@ class TestTransactions:
         )
         h.deliver_all()
         assert seen == [(1, SixPCommand.DELETE, 2, [CellDescriptor(1, 1)])]
+
+    def test_responder_reads_the_senders_message_object(self):
+        h = TwoNodeHarness()
+        seen = []
+        h.layers[2].request_handler = lambda peer, msg: (
+            seen.append(msg),
+            (SixPReturnCode.SUCCESS, {"cell_list": [CellDescriptor(5, 3)]}),
+        )[1]
+        outcomes = []
+        h.layers[1].send_request(
+            2, SixPCommand.ADD, num_cells=1, cell_list=[CellDescriptor(5, 0)],
+            metadata={"purpose": "data"},
+            callback=lambda peer, req, resp: outcomes.append((req, resp)),
+        )
+        request = h.layers[1].pending_request(2)
+        response_packets = h.outboxes[2]
+        h.layers[2].process_packet(h.outboxes[1].pop(0))
+        response = sixp_message(response_packets[0])
+        h.deliver_all()
+        assert seen == [request] and seen[0] is request
+        assert request.cell_list == (CellDescriptor(5, 0),)
+        assert dict(request.metadata) == {"purpose": "data"}
+        assert outcomes[0][0] is request and outcomes[0][1] is response
+        assert response.cell_list == (CellDescriptor(5, 3),)
 
     def test_sequence_numbers_increment(self):
         h = TwoNodeHarness()
@@ -157,7 +180,30 @@ class TestTimeoutsAndRetries:
         h.queue.run_until(1.5)
         h.deliver_all()
         assert len(calls) == 1, "the command must be applied exactly once"
-        assert outcomes and outcomes[0].cell_list == [CellDescriptor(7, 1)]
+        assert outcomes and outcomes[0].cell_list == (CellDescriptor(7, 1),)
+
+    def test_duplicate_request_replays_the_cached_response_object(self):
+        h = TwoNodeHarness(timeout_s=1.0, max_retries=1)
+        h.layers[2].request_handler = lambda peer, msg: (
+            SixPReturnCode.SUCCESS,
+            {"cell_list": [CellDescriptor(7, 1)], "num_cells": 1},
+        )
+        outcomes = []
+        h.layers[1].send_request(
+            2, SixPCommand.ADD, num_cells=1,
+            callback=lambda peer, req, resp: outcomes.append(resp),
+        )
+        h.layers[2].process_packet(h.outboxes[1].pop(0))
+        lost = sixp_message(h.outboxes[2].pop(0))
+        h.queue.run_until(1.5)  # the initiator retransmits the same seqnum
+        retry = h.outboxes[1].pop(0)
+        assert sixp_message(retry).seqnum == lost.seqnum
+        h.layers[2].process_packet(retry)
+        replayed = h.outboxes[2][0]
+        assert sixp_message(replayed) is lost
+        assert h.layers[2].responses_sent == 2
+        h.deliver_all()
+        assert outcomes == [lost]
 
     def test_stale_response_ignored(self):
         h = TwoNodeHarness(timeout_s=1.0, max_retries=0)

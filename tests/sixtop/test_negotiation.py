@@ -10,7 +10,7 @@ from repro.mac.cell import Cell, CellOption, CellPurpose
 from repro.net.network import Network
 from repro.net.topology import line_topology
 from repro.schedulers.base import SchedulingFunction
-from repro.sixtop.messages import CellDescriptor, SixPCommand, SixPReturnCode
+from repro.sixtop.messages import CellDescriptor, SixPCommand, SixPReturnCode, sixp_message
 from repro.sixtop.negotiation import NegotiationClient, SixPRequest, proposed_offsets
 from tests.golden.cells import cell_id, run_cell
 
@@ -181,3 +181,85 @@ DRAIN_PATHS = {
 def test_negotiated_books_after_drain_only_paths(cell):
     network, _ = run_cell(*cell, fast=True)
     assert mismatches(network.nodes) == DRAIN_PATHS[cell]
+
+
+# ----------------------------------------------------------------------
+# Known 6P consistency faults.  Each test asserts the fault's symptom, not a
+# fix, so it starts passing (and, being strict, fails as XPASS) once the
+# fault is mended; then drop its marker.
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def gt_165ppm_seed4():
+    """``traffic_load_scenario(165, GT-TSCH, seed=4)`` run to window close,
+    with every ADD grant made at an offset where the child holds a cell."""
+    scenario = traffic_load_scenario(165.0, GT_TSCH, seed=4)
+    network = scenario.build_network()
+    clashes = []
+    answer_add = NegotiationClient.answer_add
+
+    def record_answer(self, peer, purpose, offsets, channel):
+        child = network.nodes[peer].tsch.get_slotframe(self.handle)
+        for offset in offsets:
+            if child.cells_at_offset(offset):
+                clashes.append((network.events.now, self.node.node_id, peer, offset))
+        return answer_add(self, peer, purpose, offsets, channel)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(NegotiationClient, "answer_add", record_answer)
+        network.run_experiment(scenario.warmup_s, scenario.measurement_s)
+    return network, clashes
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="an ADD with an empty cell list is granted anywhere: parent 7 grants "
+    "child 8 its own shared offset 18 at 27.6 s, then offset 31, where 8 already "
+    "receives, in every round from 31.1 s",
+)
+def test_no_add_grants_an_offset_the_child_already_uses(gt_165ppm_seed4):
+    _, clashes = gt_165ppm_seed4
+    assert clashes == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the owned-count repair frees RX data cells highest offset first, "
+    "so child 8's TX cell at offset 30 towards parent 7 loses its twin",
+)
+def test_every_tx_cell_has_its_rx_twin_at_window_close(gt_165ppm_seed4):
+    network, _ = gt_165ppm_seed4
+    dangling, deleting, _ = mismatches(network.nodes)
+    assert len(dangling) == deleting, f"TX cells without an RX twin: {dangling}"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="an ADD response from a former parent still installs TX cells towards it",
+)
+def test_add_response_after_a_parent_switch_installs_nothing_towards_the_old_parent():
+    network = Network(seed=3)
+    network.build_from_topology(
+        line_topology(2), scheduler_factory=lambda node_id, is_root: FixedCellsScheduler()
+    )
+    network.start()
+    network.run_seconds(10.0)
+    parent, child = network.nodes[0], network.nodes[1]
+    assert [cell.slot_offset for cell in child.scheduler.sixp.tx["data"]] == [5, 9]
+    child.scheduler.sixp.queue.append(SixPRequest(SixPCommand.DELETE, 1, (CellDescriptor(9, 3),)))
+    child.scheduler.sixp.pump()
+    network.run_seconds(10.0)
+    # Carry the next transaction by hand, so the child can switch parents
+    # while the parent's response is on the way.
+    sent = {0: [], 1: []}
+    for node_id, node in network.nodes.items():
+        node.sixtop._send_packet = sent[node_id].append
+    child.scheduler.sixp.queue.append(SixPRequest(SixPCommand.ADD, 1))
+    child.scheduler.sixp.pump()
+    parent.sixtop.process_packet(sent[1].pop())
+    (response,) = sent[0]
+    assert [d.slot_offset for d in sixp_message(response).cell_list] == [9]
+    child.rpl.preferred_parent = None
+    child.scheduler.on_parent_changed(0, None)
+    child.sixtop.process_packet(response)
+    towards_old_parent = [cell.slot_offset for cell in child.tsch.all_cells() if cell.neighbor == 0]
+    assert towards_old_parent == []

@@ -397,6 +397,36 @@ class TestRL005:
         )
         assert violations == []
 
+    def test_named_tuple_is_exempt(self):
+        """A ``typing.NamedTuple`` class gets a generated ``__slots__ = ()``."""
+        violations = lint(
+            """
+            import typing
+            from typing import NamedTuple
+
+            class CellDescriptor(NamedTuple):
+                slot_offset: int
+                channel_offset: int
+
+            class SixPRequest(typing.NamedTuple):
+                num_cells: int = 0
+            """,
+            "src/repro/sixtop/messages.py",
+        )
+        assert violations == []
+
+    def test_sixtop_message_modules_are_checked(self):
+        for path in ("src/repro/sixtop/messages.py", "src/repro/sixtop/negotiation.py"):
+            violations = lint(
+                """
+                class SixPMessage:
+                    def __init__(self):
+                        self.seqnum = 0
+                """,
+                path,
+            )
+            assert rule_ids(violations) == ["RL005"], path
+
     def test_cold_module_is_not_checked(self):
         violations = lint(
             """

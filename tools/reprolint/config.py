@@ -163,11 +163,23 @@ class LintConfig:
         "repro/schedulers/msf.py",
         "repro/schedulers/debras.py",
         "repro/schedulers/otf.py",
+        "repro/sixtop/messages.py",
+        "repro/sixtop/negotiation.py",
     )
     #: Base classes that exempt a class from the __slots__ requirement
-    #: (enum members live on the class; exceptions are cold by definition).
+    #: (enum members live on the class; exceptions are cold by definition; a
+    #: ``typing.NamedTuple`` class is a tuple with a generated ``__slots__ = ()``).
     slots_exempt_bases: frozenset[str] = frozenset(
-        {"Enum", "IntEnum", "Flag", "IntFlag", "Exception", "BaseException", "Protocol"}
+        {
+            "Enum",
+            "IntEnum",
+            "Flag",
+            "IntFlag",
+            "Exception",
+            "BaseException",
+            "Protocol",
+            "NamedTuple",
+        }
     )
 
     # -- RL006: integer counters stay integer ------------------------------
