@@ -161,8 +161,25 @@ class GtTschScheduler(SchedulingFunction):
         be satisfied even if another child asked first within the same DIO
         interval.
         """
-        budget = UnicastCellAllocator(self._schedule_view()).rx_budget()
+        if self.node.is_root or self._rule1_margin() > 0:
+            budget = UnicastCellAllocator(self._schedule_view()).rx_budget()
+        else:
+            # Most non-root nodes have spent their margin: the budget is 0
+            # without building the view.
+            budget = 0
         return max(0, budget - self.config.parent_budget_margin)
+
+    def _rule1_margin(self) -> int:
+        """``tx - rx - 1`` over distinct data-cell offsets, counted exactly as
+        :class:`ScheduleView` counts them for ``rx_budget``."""
+        tx = {cell.slot_offset for cell in self.sixp.tx["data"]}
+        rx = {
+            cell.slot_offset
+            for cells in self.sixp.rx_by_child.values()
+            for cell in cells
+            if cell.purpose is CellPurpose.UNICAST_DATA
+        }
+        return len(tx) - len(rx) - 1
 
     # ------------------------------------------------------------------
     # EB handling: learn the parent-facing channel (Section III)

@@ -16,9 +16,12 @@ are already settlement barriers for the fast kernel:
 * queue flushes run through ``TschEngine.flush_queue``, whose
   ``mark_queue_mutated`` hook settles deferred CSMA state and maintains
   the backlog index;
-* RPL detach/re-attach runs through the public ``evict_neighbor`` /
-  ``remove_child`` / ``warm_start`` APIs, which bump the rank memo's
-  input counter themselves;
+* RPL state changes only through :class:`~repro.rpl.engine.RplEngine`'s
+  own methods: a crashing node detaches silently (``detach``, called by
+  ``Node.power_down``, the teardown a keepalive desync shares), survivors
+  learn of the crash through ``remove_child`` / ``evict_neighbor``, a late
+  arrival's presets are erased with ``detach`` / ``forget``, and a warm
+  rejoin re-attaches with ``warm_start``;
 * link-quality epochs rebuild the frozen ``Medium`` PRR rows through
   ``Medium.set_prr_scale`` without unfreezing, so the dispatch kernel's
   audience/interference tables stay valid.
@@ -178,15 +181,14 @@ class FaultInjector:
     def _mark_absent(self, node: "Node") -> None:
         """Strip a late arrival's presence before the simulation starts.
 
-        Runs at arm time, before any timer is armed and before any
-        scheduler starts, so every mutation is hook-free by construction:
-        there are no installed cells to tear down, no queued packets to
-        flush, and no running timer to stop.  The node keeps its medium row
-        (the medium stays frozen); only its liveness and any
-        warm-started DODAG state -- its own and every reference other
-        nodes' presets hold to it -- are erased.
+        Runs at arm time, before any scheduler starts, so every mutation is
+        hook-free by construction: there are no installed cells to tear
+        down and no queued packets to flush.  The node keeps its medium row
+        (the medium stays frozen); only its liveness and any warm-started
+        DODAG state -- its own and every reference other nodes' presets
+        hold to it -- are erased.  The Trickle timer its preset armed keeps
+        running, with no rank to advertise.
         """
-        rpl = node.rpl
         self._records[node.node_id] = _CrashRecord(
             parent=None,
             rank=INFINITE_RANK,
@@ -195,35 +197,12 @@ class FaultInjector:
         )
         node.alive = False
         node.traffic_enabled = False
-        rpl.preferred_parent = None
-        rpl.rank = INFINITE_RANK
-        if not rpl.is_root:
-            rpl.dodag_id = None
-        rpl.neighbors.clear()
-        rpl.children.clear()
-        rpl._memo_inputs += 1
-        absent = node.node_id
+        node.rpl.detach()
+        # A survivor whose warm-start preset routed through the absent node
+        # boots detached and joins through DIO exchange like any cold node.
         for survivor in self.network.nodes.values():
-            if survivor.node_id == absent:
-                continue
-            survivor_rpl = survivor.rpl
-            changed = False
-            if absent in survivor_rpl.children:
-                survivor_rpl.children.discard(absent)
-                changed = True
-            if survivor_rpl.neighbors.pop(absent, None) is not None:
-                changed = True
-            if survivor_rpl.preferred_parent == absent:
-                # The warm-start preset routed through a node that is not
-                # there yet: the survivor boots detached and joins through
-                # DIO exchange like any cold node.
-                survivor_rpl.preferred_parent = None
-                survivor_rpl.rank = INFINITE_RANK
-                if not survivor_rpl.is_root:
-                    survivor_rpl.dodag_id = None
-                changed = True
-            if changed:
-                survivor_rpl._memo_inputs += 1
+            if survivor is not node:
+                survivor.rpl.forget(node.node_id)
 
     # ------------------------------------------------------------------
     # node crash / detection / rejoin
@@ -233,8 +212,6 @@ class FaultInjector:
         node = self.network.nodes[fault.node_id]
         if not node.alive:
             return
-        now = self.network.events.now
-        metrics = self.network.metrics
         rpl = node.rpl
         self._records[fault.node_id] = _CrashRecord(
             parent=rpl.preferred_parent,
@@ -242,41 +219,11 @@ class FaultInjector:
             dodag_id=rpl.dodag_id,
             traffic_enabled=node.traffic_enabled,
         )
-        if metrics is not None:
-            metrics.on_fault_injected("crash", now)
-            if rpl.preferred_parent is not None:
-                metrics.on_node_orphaned(node.node_id, now)
         node.alive = False
         node.traffic_enabled = False
-        if node.traffic is not None:
-            node.traffic.stop()
-        node._eb_timer.stop()
-        if node._keepalive_timer is not None:
-            node._keepalive_timer.stop()
-        # A cold-start node may die mid-scan: settle the listen window it
-        # accumulated and drop it from the dispatch kernel's scan registry
-        # (a dead radio listens to nothing).
-        node.abort_scan()
-        node.scheduler.stop()
-        # Silent RPL detach: the node's own state dies with it, but nothing
-        # is advertised (it is *off*) -- neighbors only find out at
-        # detection time.  The memo-input bump keeps the rank memo honest.
-        rpl.trickle.stop()
-        rpl.preferred_parent = None
-        rpl.rank = INFINITE_RANK
-        if not rpl.is_root:
-            rpl.dodag_id = None
-        rpl.neighbors.clear()
-        rpl.children.clear()
-        rpl._memo_inputs += 1
-        # Everything still queued is lost with the device (loss-accounted),
-        # then the whole schedule goes: clear_schedule's mutation hook is
-        # the settlement barrier that keeps the fast kernel bit-identical.
-        for packet in node.tsch.flush_queue():
-            if packet.ptype is PacketType.DATA and metrics is not None:
-                metrics.on_data_lost(node, packet, reason="crash")
-        node.tsch.clear_quiet_neighbors()
-        node.tsch.clear_schedule()
+        # RPL detaches without advertising anything: neighbors only find
+        # out at detection time.
+        node.power_down("crash")
 
     def _detect(self, fault: NodeCrash) -> None:
         """Survivors react to the crash ``detect_after_s`` later.
@@ -318,10 +265,7 @@ class FaultInjector:
         record = self._records.get(fault.node_id)
         node.alive = True
         assert self._scheduler_factory is not None  # enforced by arm()
-        scheduler = self._scheduler_factory(node.node_id, node.is_root)
-        node.scheduler = scheduler
-        scheduler.attach(node)
-        node.rpl.dio_extra_provider = scheduler.dio_fields
+        node.install_scheduler(self._scheduler_factory(node.node_id, node.is_root))
         if node.cold_start:
             # A cold reboot loses TSCH synchronisation with the rest of the
             # state: the node re-scans for an Enhanced Beacon, and the rest
@@ -334,7 +278,7 @@ class FaultInjector:
                 metrics.on_fault_injected("rejoin", now)
             node.begin_scan()
             return
-        scheduler.start()
+        node.scheduler.start()
         parent = record.parent if record is not None else None
         if (
             record is not None
@@ -371,10 +315,7 @@ class FaultInjector:
         record = self._records.get(fault.node_id)
         node.alive = True
         assert self._scheduler_factory is not None  # enforced by arm()
-        scheduler = self._scheduler_factory(node.node_id, node.is_root)
-        node.scheduler = scheduler
-        scheduler.attach(node)
-        node.rpl.dio_extra_provider = scheduler.dio_fields
+        node.install_scheduler(self._scheduler_factory(node.node_id, node.is_root))
         if record is None or record.traffic_enabled:
             node.traffic_enabled = True
         if metrics is not None:
@@ -386,14 +327,7 @@ class FaultInjector:
             return
         # Synchronised arrival (the idealisation matching warm rejoin):
         # the stack boots immediately and waits for a DIO.
-        node._cold_join_pending = True
-        if metrics is not None:
-            metrics.on_join_pending(node.node_id, now)
-        scheduler.start()
-        node.rpl.start()
-        node._eb_timer.start()
-        if node.traffic_enabled and node.traffic is not None:
-            node.traffic.start()
+        node.boot_detached()
         # A booting RPL node multicasts a DIS solicitation; audible joined
         # neighbors react per RFC 6206 by resetting their Trickle timers
         # (prompt DIO).  The reaction is modelled without simulating the

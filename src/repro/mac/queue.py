@@ -17,9 +17,6 @@ from typing import Optional
 
 from repro.net.packet import BROADCAST_ADDRESS, Packet, PacketType
 
-#: Dense index of each :class:`PacketType` into a queue's per-type counts.
-PTYPE_INDEX = {ptype: index for index, ptype in enumerate(PacketType)}
-
 
 class TxQueue:
     """FIFO transmission queue with a hard capacity.
@@ -34,7 +31,6 @@ class TxQueue:
         "capacity",
         "prioritize_control",
         "_queue",
-        "_ptype_counts",
         "drops",
         "data_drops",
         "max_occupancy",
@@ -46,11 +42,6 @@ class TxQueue:
         self.capacity = capacity
         self.prioritize_control = prioritize_control
         self._queue: deque[Packet] = deque()
-        #: Queued packets per :class:`PacketType` (indexed by
-        #: :data:`PTYPE_INDEX`): periodic protocol probes (the EB timer in
-        #: particular) ask "is one of mine queued?" every tick, which this
-        #: answers in O(1).
-        self._ptype_counts = [0] * len(PTYPE_INDEX)
         #: Number of packets dropped because the queue was full.
         self.drops = 0
         #: Number of *data* packets dropped because the queue was full.
@@ -96,7 +87,6 @@ class TxQueue:
                 self._queue.append(packet)
         else:
             self._queue.append(packet)
-        self._ptype_counts[PTYPE_INDEX[packet.ptype]] += 1
         self.max_occupancy = max(self.max_occupancy, len(self._queue))
         return True
 
@@ -111,12 +101,9 @@ class TxQueue:
         """
         if not (self.prioritize_control and packet.is_control and self.is_full):
             return None
-        if not self._ptype_counts[PTYPE_INDEX[PacketType.DATA]]:
-            return None
         for queued in reversed(self._queue):
             if not queued.is_control:
                 self._queue.remove(queued)
-                self._ptype_counts[PTYPE_INDEX[queued.ptype]] -= 1
                 self.drops += 1
                 self.data_drops += 1
                 return queued
@@ -143,8 +130,8 @@ class TxQueue:
         return self.peek_for(neighbor, broadcast=broadcast) is not None
 
     def contains_ptype(self, ptype: PacketType) -> bool:
-        """Whether any queued packet has the given type (O(1) count lookup)."""
-        return bool(self._ptype_counts[PTYPE_INDEX[ptype]])
+        """Whether any queued packet has the given type."""
+        return any(packet.ptype is ptype for packet in self._queue)
 
     def remove(self, packet: Packet) -> bool:
         """Remove a specific packet instance (after delivery or drop)."""
@@ -152,7 +139,6 @@ class TxQueue:
             self._queue.remove(packet)
         except ValueError:
             return False
-        self._ptype_counts[PTYPE_INDEX[packet.ptype]] -= 1
         return True
 
     def pending_for(self, neighbor: Optional[int]) -> int:
@@ -191,4 +177,3 @@ class TxQueue:
 
     def clear(self) -> None:
         self._queue.clear()
-        self._ptype_counts = [0] * len(PTYPE_INDEX)

@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 from repro.mac.tsch import TschConfig, TschEngine
 from repro.net.packet import BROADCAST_ADDRESS, Packet, PacketType, make_data_packet
 from repro.rpl.engine import RplConfig, RplEngine
-from repro.rpl.rank import INFINITE_RANK
 from repro.sim.events import EventQueue, PeriodicTimer
 from repro.sixtop.layer import SixPConfig, SixPLayer
 from repro.sixtop.messages import SixPMessage, SixPReturnCode
@@ -93,7 +92,7 @@ class Node:
         #: at the end of the measurement window).
         self.traffic_enabled = True
         #: Crash state (fault injection): a dead node's MAC refuses every
-        #: enqueue silently -- its timers are stopped by the injector, but
+        #: enqueue silently -- its timers are stopped by power_down, but
         #: already-scheduled protocol callbacks (6top retransmissions, the
         #: periodic DAO refresh) may still fire and must not transmit.
         self.alive = True
@@ -128,7 +127,6 @@ class Node:
             send_packet=self.enqueue_packet,
             etx_of=self.tsch.etx.etx,
             is_root=is_root,
-            etx_state=self.tsch.etx,
         )
         self.rpl.on_parent_changed = self._on_parent_changed
         self.rpl.on_child_added = self._on_child_added
@@ -144,14 +142,9 @@ class Node:
         self.sixtop.request_handler = self._on_sixp_request
 
         # --- scheduling function ----------------------------------------
-        self.scheduler = scheduler
-        self.scheduler.attach(self)
-        self.rpl.dio_extra_provider = self.scheduler.dio_fields
+        self.install_scheduler(scheduler)
 
         # --- Enhanced Beacon timer --------------------------------------
-        # Ticks that provably send nothing (the node has not joined, or the
-        # previous EB still waits for a broadcast cell) are settled by the
-        # probe without entering _send_eb.
         eb_rng = rng_registry.stream(f"eb.{node_id}")
         self._eb_timer = PeriodicTimer(
             event_queue,
@@ -161,7 +154,6 @@ class Node:
             label=f"eb.{node_id}",
             jitter=0.25,
             rng=eb_rng,
-            idle_probe=self._eb_tick_provably_idle,
         )
 
         # --- keepalive / desync watchdog ---------------------------------
@@ -209,6 +201,57 @@ class Node:
         if self.traffic is not None:
             self.traffic.start()
 
+    def install_scheduler(self, scheduler: "SchedulingFunction") -> None:
+        """Wire a scheduling function into the stack (at build and on reboot)."""
+        self.scheduler = scheduler
+        scheduler.attach(self)
+        self.rpl.dio_extra_provider = scheduler.dio_fields
+
+    def boot_detached(self) -> None:
+        """Boot a synchronised stack with no DODAG state (a late arrival).
+
+        A join episode opens, as for a cold boot; the scheduler, RPL, EBs
+        and, if enabled, traffic start, and the node waits for a DIO.
+        """
+        self._open_join_episode()
+        self.scheduler.start()
+        self.rpl.start()
+        self._eb_timer.start()
+        if self.traffic_enabled and self.traffic is not None:
+            self.traffic.start()
+
+    def power_down(self, kind: str) -> None:
+        """Tear the stack down to a bare MAC: the teardown of a crash or a desync.
+
+        ``kind`` names the fault for the metrics and the loss cause of the
+        flushed data packets.  Every timer and the traffic stop, a scan in
+        progress is settled, RPL detaches silently, the queue is flushed and
+        the schedule cleared.  Liveness is the caller's: a crashed node is dead,
+        a desynced one scans again.  The queue and schedule mutations go
+        through the fast kernel's barriers (``flush_queue``,
+        ``clear_schedule``), so both slot loops stay bit-identical.
+        """
+        now = self.event_queue.now
+        metrics = self.metrics
+        if metrics is not None:
+            metrics.on_fault_injected(kind, now)
+            if self.rpl.preferred_parent is not None:
+                metrics.on_node_orphaned(self.node_id, now)
+        if self.traffic is not None:
+            self.traffic.stop()
+        self._eb_timer.stop()
+        if self._keepalive_timer is not None:
+            self._keepalive_timer.stop()
+        self.abort_scan()
+        self.scheduler.stop()
+        self.rpl.trickle.stop()
+        self.rpl.detach()
+        for packet in self.tsch.flush_queue():
+            if packet.ptype is PacketType.DATA and metrics is not None:
+                metrics.on_data_lost(self, packet, reason=kind)
+        self.tsch.clear_quiet_neighbors()
+        self.tsch.clear_schedule()
+
     # ------------------------------------------------------------------
     # cold-start join (EB scan / synchronise / desync)
     # ------------------------------------------------------------------
@@ -224,12 +267,16 @@ class Node:
         episode is registered with the metrics collector so time-to-join
         can censor nodes that never make it.
         """
-        self._cold_join_pending = True
+        self._open_join_episode()
         self.tsch.begin_scan(self._current_asn())
-        if self.metrics is not None:
-            self.metrics.on_join_pending(self.node_id, self.event_queue.now)
         if self.on_scan_state is not None:
             self.on_scan_state(self, True)
+
+    def _open_join_episode(self) -> None:
+        """Raise the join flag the first parent acquisition clears."""
+        self._cold_join_pending = True
+        if self.metrics is not None:
+            self.metrics.on_join_pending(self.node_id, self.event_queue.now)
 
     def abort_scan(self) -> None:
         """Stop scanning without synchronising (used when a scanning node
@@ -275,40 +322,8 @@ class Node:
             self._desynchronise()
 
     def _desynchronise(self) -> None:
-        """Lose TSCH synchronisation: back to the unsynchronised MAC.
-
-        Mirrors the fault injector's crash teardown (silent RPL detach,
-        loss-accounted queue flush, ``clear_schedule`` as the settlement
-        barrier) except the node stays alive and immediately re-enters EB
-        scan.  Every mutation goes through a fast-kernel barrier, so both
-        slot loops stay bit-identical across a desync.
-        """
-        now = self.event_queue.now
-        metrics = self.metrics
-        rpl = self.rpl
-        if metrics is not None:
-            metrics.on_fault_injected("desync", now)
-            if rpl.preferred_parent is not None:
-                metrics.on_node_orphaned(self.node_id, now)
-        self.scheduler.stop()
-        self._eb_timer.stop()
-        if self._keepalive_timer is not None:
-            self._keepalive_timer.stop()
-        if self.traffic is not None:
-            self.traffic.stop()
-        rpl.trickle.stop()
-        rpl.preferred_parent = None
-        rpl.rank = INFINITE_RANK
-        if not rpl.is_root:
-            rpl.dodag_id = None
-        rpl.neighbors.clear()
-        rpl.children.clear()
-        rpl._memo_inputs += 1
-        for packet in self.tsch.flush_queue():
-            if packet.ptype is PacketType.DATA and metrics is not None:
-                metrics.on_data_lost(self, packet, reason="desync")
-        self.tsch.clear_quiet_neighbors()
-        self.tsch.clear_schedule()
+        """Lose TSCH synchronisation: the crash teardown, then EB scan again."""
+        self.power_down("desync")
         self.begin_scan()
 
     def set_traffic_generator(self, generator: "TrafficGenerator") -> None:
@@ -476,18 +491,6 @@ class Node:
     # ------------------------------------------------------------------
     # Enhanced Beacons
     # ------------------------------------------------------------------
-    def _eb_tick_provably_idle(self) -> bool:
-        """Exactly :meth:`_send_eb`'s early-return conditions, side-effect free.
-
-        Runs once per EB period per node (the hottest timer family at
-        scale), so the joined test is inlined rather than calling
-        :meth:`~repro.rpl.engine.RplEngine.is_joined`.
-        """
-        rpl = self.rpl
-        if not (rpl.is_root or rpl.preferred_parent is not None):
-            return True
-        return self.tsch.queue.contains_ptype(PacketType.EB)
-
     def _send_eb(self) -> None:
         """Periodically broadcast an Enhanced Beacon.
 

@@ -27,11 +27,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class TrafficGenerator:
     """Base class for application-level packet generators.
 
-    Generation rides a :class:`~repro.sim.events.PeriodicTimer`.  The timer's
-    idle probe settles ticks that provably generate nothing -- the node has
-    not joined a DODAG yet, or the experiment's drain phase disabled
-    generation -- while keeping the exact rng draws and attempt counting of a
-    fired tick.
+    Generation rides a :class:`~repro.sim.events.PeriodicTimer`; every tick
+    asks the node for a packet, and the node declines while it has not
+    joined a DODAG or while the experiment's drain phase has disabled
+    generation.
     """
 
     def __init__(self, rate_ppm: float, start_delay_s: float = 0.0) -> None:
@@ -89,7 +88,6 @@ class TrafficGenerator:
             start_offset=first_offset,
             label="app-traffic",
             period_fn=self._draw_interval,
-            idle_probe=self._tick_provably_idle,
         )
         self._timer.start()
 
@@ -101,25 +99,6 @@ class TrafficGenerator:
         self.generated += 1
         self.node.generate_data()
         return None
-
-    def _tick_provably_idle(self) -> bool:
-        """Whether this tick provably generates nothing (see generate_data).
-
-        Mirrors exactly the early-return conditions of
-        :meth:`~repro.net.node.Node.generate_data`; the attempt counter that
-        a fired tick would bump is settled here, so probing is unobservable.
-        """
-        node = self.node
-        if node is None or not self.enabled:
-            return False
-        if getattr(node, "traffic_enabled", True) is False or getattr(node, "is_root", False):
-            self.generated += 1
-            return True
-        rpl = getattr(node, "rpl", None)
-        if rpl is not None and (not rpl.is_joined() or rpl.dodag_id is None):
-            self.generated += 1
-            return True
-        return False
 
     def _draw_interval(self) -> float:
         raise NotImplementedError

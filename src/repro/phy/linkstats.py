@@ -58,15 +58,6 @@ class EtxEstimator:
         self.initial_etx = initial_etx
         self._etx: dict[int, float] = {}
         self._stats: dict[int, LinkStats] = {}
-        #: Monotonic counter bumped whenever any neighbor's ETX estimate may
-        #: have changed (a transmission outcome or a reset; received frames
-        #: leave the estimate untouched).  RPL's rank memoisation compares it
-        #: to decide whether a reception can settle without re-ranking.
-        self.version = 0
-        #: Per-neighbor flavour of :attr:`version`: bumped only when *that*
-        #: link's estimate may have changed, so a stale candidate rank is
-        #: re-scored for exactly the dirtied neighbor.
-        self.neighbor_versions: dict[int, int] = {}
 
     def stats(self, neighbor: int) -> LinkStats:
         """Raw counters for the link towards ``neighbor`` (created on demand)."""
@@ -77,10 +68,6 @@ class EtxEstimator:
     def etx(self, neighbor: int) -> float:
         """Current ETX estimate for the link towards ``neighbor``."""
         return self._etx.get(neighbor, self.initial_etx)
-
-    def neighbor_version(self, neighbor: int) -> int:
-        """Version of the ETX estimate towards ``neighbor`` (0 = untouched)."""
-        return self.neighbor_versions.get(neighbor, 0)
 
     def prr(self, neighbor: int) -> float:
         """PRR implied by the current ETX estimate (Eq. (4) inverted)."""
@@ -109,8 +96,6 @@ class EtxEstimator:
         previous = self._etx.get(neighbor, self.initial_etx)
         updated = self.alpha * previous + (1.0 - self.alpha) * sample
         self._etx[neighbor] = min(max(updated, ETX_MIN), ETX_MAX)
-        self.version += 1
-        self.neighbor_versions[neighbor] = self.neighbor_versions.get(neighbor, 0) + 1
         return self._etx[neighbor]
 
     def record_rx(self, neighbor: int, now: float = 0.0) -> None:
@@ -134,5 +119,3 @@ class EtxEstimator:
         """Forget everything about ``neighbor`` (e.g. after a parent switch)."""
         self._etx.pop(neighbor, None)
         self._stats.pop(neighbor, None)
-        self.version += 1
-        self.neighbor_versions[neighbor] = self.neighbor_versions.get(neighbor, 0) + 1

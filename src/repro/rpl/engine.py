@@ -36,8 +36,6 @@ from repro.sim.events import EventQueue
 if TYPE_CHECKING:
     import random  # reprolint: disable=RL001
 
-    from repro.phy.linkstats import EtxEstimator
-
 
 @dataclass
 class RplConfig:
@@ -75,12 +73,6 @@ class RplNeighbor:
     #: GT-TSCH DIO option: reception cells the neighbor offers to children.
     l_rx: int = 0
     last_heard: float = 0.0
-    #: Memoised candidate rank (the rank this node would advertise if it
-    #: joined through this neighbor) and the input stamp it was computed
-    #: under: ``(rank, dodag_id, dodag version, per-link ETX version)``.
-    #: ``None`` means never scored; see :meth:`RplEngine._evaluate_parents`.
-    cand_rank: int = INFINITE_RANK
-    cand_stamp: Optional[tuple] = None
 
 
 class RplEngine:
@@ -95,7 +87,6 @@ class RplEngine:
         send_packet: Callable[[Packet], None],
         etx_of: Callable[[int], float],
         is_root: bool = False,
-        etx_state: Optional[EtxEstimator] = None,
     ) -> None:
         """
         Parameters
@@ -106,12 +97,6 @@ class RplEngine:
         etx_of:
             Callback returning the current ETX estimate towards a neighbor
             (provided by the MAC's link statistics).
-        etx_state:
-            The :class:`~repro.phy.linkstats.EtxEstimator` behind ``etx_of``
-            (anything exposing ``version`` and ``neighbor_versions``).  Its
-            version counters let the engine prove an ETX estimate unchanged
-            since the last parent evaluation; without it the rank memo is
-            disabled and every reception re-ranks, as the seed engine did.
         """
         self.node_id = node_id
         self.config = config
@@ -119,22 +104,7 @@ class RplEngine:
         self.rng = rng
         self._send_packet = send_packet
         self._etx_of = etx_of
-        self._etx_state = etx_state
         self.is_root = is_root
-        #: Version counter over every non-ETX input of parent selection:
-        #: material neighbor-table updates (advertised rank / DODAG id /
-        #: DODAG version, insertion, eviction), children-set membership and
-        #: warm-started DODAG state.  Compared against
-        #: :attr:`_memo_evaluated_inputs` to prove a reception input-free.
-        self._memo_inputs = 0
-        self._memo_evaluated_inputs = -1
-        self._memo_evaluated_etx = -1
-        #: True when the last evaluation left our own rank / preferred parent
-        #: untouched: only then is re-running it with unchanged inputs a
-        #: provable no-op (our own state is itself a selection input -- e.g.
-        #: a rank refresh upward can make rank-rule-filtered neighbors
-        #: eligible), so only then may a reception be skipped.
-        self._memo_fixed_point = False
 
         self.objective = MrhofObjectiveFunction(
             min_hop_rank_increase=config.min_hop_rank_increase,
@@ -172,11 +142,11 @@ class RplEngine:
         self.dio_sent = 0
         self.dao_sent = 0
         self.parent_switches = 0
-        #: Rank-memo diagnostics: full evaluations run, receptions settled
-        #: without re-ranking, and candidate ranks actually recomputed.
+        #: Parent-selection runs.  Every non-root DIO reception runs one.
         self.parent_evaluations = 0
+        #: Always 0: no reception skips parent selection.  Kept because
+        #: ``perfbench/layers.py`` reads it.
         self.evaluations_skipped = 0
-        self.candidate_recomputes = 0
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -195,7 +165,6 @@ class RplEngine:
         """
         self.dodag_id = dodag_id
         self.rank = rank
-        self._memo_inputs += 1
         if self.is_root:
             self.trickle.start()
             return
@@ -209,56 +178,56 @@ class RplEngine:
             self._schedule_dao()
         self.trickle.start()
 
+    def detach(self) -> None:
+        """Silently drop all DODAG state: parent, rank and both tables.
+
+        No callback fires, and with no rank the Trickle timer advertises
+        nothing: neighbors only find out from the silence.  The timer itself
+        is the caller's; a node that powers down stops it first.  A root
+        keeps its DODAG id.
+        """
+        self._drop_route()
+        self.neighbors.clear()
+        self.children.clear()
+
+    def forget(self, node_id: int) -> None:
+        """Silently erase every reference to ``node_id``.
+
+        Drops its child and neighbor entries; if it was the preferred
+        parent, the node is left detached and joins again through DIO
+        exchange.  No callback fires, which suits presets erased before the
+        simulation starts (a late arrival that is not there yet).
+        """
+        self.children.discard(node_id)
+        self.neighbors.pop(node_id, None)
+        if self.preferred_parent == node_id:
+            self._drop_route()
+
+    def _drop_route(self) -> None:
+        self.preferred_parent = None
+        self.rank = INFINITE_RANK
+        if not self.is_root:
+            self.dodag_id = None
+
     # ------------------------------------------------------------------
     # message processing
     # ------------------------------------------------------------------
     def process_dio(self, packet: Packet, now: float) -> None:
-        """Handle a received DIO broadcast.
-
-        Only *material* changes -- the advertised rank, DODAG id or DODAG
-        version, or a brand-new neighbor -- dirty the rank memo; ``l_rx`` and
-        freshness updates influence no candidate rank.  A reception that is
-        provably input-free (memo clean and no ETX estimate changed since the
-        last evaluation) settles without re-ranking anything: re-running the
-        evaluation would recompute the same fixed point, fire no callbacks
-        and draw no randomness, so skipping it is bit-identical.
-        """
+        """Handle a received DIO broadcast: refresh the sender's entry, then
+        re-run parent selection (non-root nodes)."""
         payload = packet.payload
         sender = packet.link_source
-        rank = payload.get("rank", INFINITE_RANK)
-        dodag_id = payload.get("dodag_id")
-        version = payload.get("version", 0)
         neighbor = self.neighbors.get(sender)
         if neighbor is None:
-            neighbor = RplNeighbor(node_id=sender)
-            self.neighbors[sender] = neighbor
-            neighbor.rank = rank
-            neighbor.dodag_id = dodag_id
-            neighbor.version = version
-            self._memo_inputs += 1
-        elif (
-            rank != neighbor.rank
-            or dodag_id != neighbor.dodag_id
-            or version != neighbor.version
-        ):
-            neighbor.rank = rank
-            neighbor.dodag_id = dodag_id
-            neighbor.version = version
-            self._memo_inputs += 1
+            neighbor = self.neighbors[sender] = RplNeighbor(node_id=sender)
+        neighbor.rank = payload.get("rank", INFINITE_RANK)
+        neighbor.dodag_id = payload.get("dodag_id")
+        neighbor.version = payload.get("version", 0)
         neighbor.l_rx = payload.get("l_rx", neighbor.l_rx)
         neighbor.last_heard = now
         self.trickle.hear_consistent()
-        if self.is_root:
-            return
-        if (
-            self._memo_fixed_point
-            and self._etx_state is not None
-            and self._memo_evaluated_inputs == self._memo_inputs
-            and self._memo_evaluated_etx == self._etx_state.version
-        ):
-            self.evaluations_skipped += 1
-            return
-        self._evaluate_parents()
+        if not self.is_root:
+            self._evaluate_parents()
 
     def process_dao(self, packet: Packet, now: float) -> None:
         """Handle a received DAO: the sender declares us as its parent."""
@@ -267,9 +236,6 @@ class RplEngine:
             return
         if child not in self.children:
             self.children.add(child)
-            # Children are filtered out of parent selection, so membership is
-            # an evaluation input even though no candidate rank changes.
-            self._memo_inputs += 1
             if self.on_child_added is not None:
                 self.on_child_added(child)
 
@@ -277,21 +243,18 @@ class RplEngine:
         """Forget a child (e.g. it switched to another parent)."""
         if child in self.children:
             self.children.discard(child)
-            self._memo_inputs += 1
             if self.on_child_removed is not None:
                 self.on_child_removed(child)
 
     def evict_neighbor(self, node_id: int) -> None:
         """Drop a neighbor from the candidate set (e.g. lifetime expiry).
 
-        The entry's memoised candidate rank disappears with it and the memo
-        is dirtied, so the next reception re-evaluates.  Evicting the
-        preferred parent detaches first (callback included), then parent
-        selection runs immediately to adopt a replacement if one exists.
+        Evicting the preferred parent detaches first (callback included),
+        then parent selection runs immediately to adopt a replacement if one
+        exists.
         """
         if self.neighbors.pop(node_id, None) is None:
             return
-        self._memo_inputs += 1
         if node_id == self.preferred_parent:
             self.preferred_parent = None
             self.rank = INFINITE_RANK
@@ -310,48 +273,23 @@ class RplEngine:
         return self.objective.rank_via(neighbor.rank, self._etx_of(neighbor.node_id))
 
     def _evaluate_parents(self) -> None:
-        """Run MRHOF parent selection over the current neighbor table.
-
-        With the rank memo active, each neighbor's candidate rank is a pure
-        function of its stamp ``(advertised rank, DODAG id, DODAG version,
-        per-link ETX version)``: only stamp-dirtied candidates are re-scored,
-        everyone else reuses the memoised rank.  The selection itself (the
-        children filter, the rank rule, hysteresis) always runs live -- it
-        depends on this node's own state, which the stamps do not cover.
-        """
+        """Run MRHOF parent selection over the current neighbor table."""
         self.parent_evaluations += 1
-        entry_rank = self.rank
-        entry_parent = self.preferred_parent
         best: Optional[RplNeighbor] = None
         best_rank = INFINITE_RANK
-        memo = self._etx_state is not None
-        etx_versions = self._etx_state.neighbor_versions if memo else None
         for neighbor in self.neighbors.values():
             # A child must never be selected as parent (avoids 2-node loops);
-            # neither can a neighbor advertising a rank not better than ours.
+            # neither can a neighbor advertising a rank not better than ours
+            # (the rank rule), unless it is our parent.
             if neighbor.node_id in self.children:
                 continue
-            if memo:
-                stamp = (
-                    neighbor.rank,
-                    neighbor.dodag_id,
-                    neighbor.version,
-                    etx_versions.get(neighbor.node_id, 0),
-                )
-                if stamp != neighbor.cand_stamp:
-                    neighbor.cand_rank = self._candidate_rank(neighbor)
-                    neighbor.cand_stamp = stamp
-                    self.candidate_recomputes += 1
-                candidate = neighbor.cand_rank
-            else:
-                candidate = self._candidate_rank(neighbor)
-                self.candidate_recomputes += 1
-            if candidate >= INFINITE_RANK:
+            if (
+                neighbor.rank >= self.rank
+                and self.preferred_parent is not None
+                and neighbor.node_id != self.preferred_parent
+            ):
                 continue
-            if neighbor.rank >= self.rank and self.preferred_parent is not None:
-                # Rank rule: never attach to a neighbor deeper than ourselves.
-                if neighbor.node_id != self.preferred_parent:
-                    continue
+            candidate = self._candidate_rank(neighbor)
             if candidate < best_rank:
                 best_rank = candidate
                 best = neighbor
@@ -364,13 +302,6 @@ class RplEngine:
                 self.rank = best_rank
             elif self.objective.is_worth_switching(self.rank, best_rank):
                 self._adopt_parent(best, best_rank)
-
-        if memo:
-            self._memo_evaluated_inputs = self._memo_inputs
-            self._memo_evaluated_etx = self._etx_state.version
-            self._memo_fixed_point = (
-                self.rank == entry_rank and self.preferred_parent == entry_parent
-            )
 
     def _adopt_parent(self, neighbor: RplNeighbor, new_rank: int) -> None:
         old_parent = self.preferred_parent

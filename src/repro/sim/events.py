@@ -6,10 +6,6 @@ generation periods, the RPL Trickle timer, the EB period, 6P transaction
 timeouts and the GT-TSCH load-balancing period.  Those are scheduled on an
 :class:`EventQueue` -- one binary heap ordered by ``(time, creation order)``
 -- and drained at every slot boundary by the network loop.
-:class:`PeriodicTimer` members may carry an *idle probe* that settles
-provably-inert ticks (EB period of a node that has not joined, traffic tick
-during the drain phase) without invoking the protocol callback, keeping the
-rng/ordering draws of a fired tick.
 """
 
 from __future__ import annotations
@@ -263,7 +259,6 @@ class PeriodicTimer:
         "label",
         "jitter",
         "rng",
-        "idle_probe",
         "_period_fn",
         "settled_ticks",
         "_event",
@@ -280,7 +275,6 @@ class PeriodicTimer:
         label: str = "",
         jitter: float = 0.0,
         rng: Optional[random.Random] = None,
-        idle_probe: Optional[Callable[[], bool]] = None,
         period_fn: Optional[Callable[[], float]] = None,
     ) -> None:
         """``jitter`` (0..1) randomises each period by ``±jitter*period``.
@@ -291,12 +285,9 @@ class PeriodicTimer:
         forever.  A small jitter breaks that symmetry, exactly as Contiki-NG
         jitters its EB timer.
 
-        ``idle_probe`` is consulted at each tick: when it returns True the
-        tick is settled without invoking ``callback`` -- the probe must only
-        claim ticks whose callback would provably have no effect (it may
-        bulk-apply trivial counters itself).  ``period_fn`` overrides the
-        jitter model with an arbitrary per-tick period draw (Poisson traffic,
-        legacy jitter formulas); it wins over ``jitter``.
+        ``period_fn`` overrides the jitter model with an arbitrary per-tick
+        period draw (Poisson traffic, legacy jitter formulas); it wins over
+        ``jitter``.
         """
         if not math.isfinite(period) or period <= 0:
             raise ValueError("period must be positive and finite")
@@ -310,9 +301,9 @@ class PeriodicTimer:
         self.label = label
         self.jitter = jitter
         self.rng = rng
-        self.idle_probe = idle_probe
         self._period_fn = period_fn
-        #: Ticks settled by the idle probe instead of fired (diagnostics).
+        #: Always 0: every tick calls ``callback``.  Kept because
+        #: ``perfbench/layers.py`` reads it.
         self.settled_ticks = 0
         self._event: Optional[Event] = None
         self._running = False
@@ -353,17 +344,9 @@ class PeriodicTimer:
     def _tick(self) -> None:
         if not self._running:
             return
-        probe = self.idle_probe
-        if probe is not None and probe():
-            # Provably-inert tick: skip the protocol callback but keep the
-            # cadence -- the reschedule below draws the same rng/sequence
-            # numbers a fired tick would, so settling is unobservable.
-            self.settled_ticks += 1
-        else:
-            result = self.callback()
-            if result is False:
-                self._running = False
-                return
+        if self.callback() is False:
+            self._running = False
+            return
         event = self._event
         if event is not None and not event.cancelled:
             # The tick runs as this event's callback, so it has just been

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 import repro.core.slotframe_builder as slotframe_builder
+from repro.core.scheduler import GtTschScheduler
 from repro.experiments.scenarios import GT_TSCH, scale_scenario
 from repro.mac.cell import Cell, CellPurpose
 from repro.mac.slotframe import Slotframe
@@ -297,6 +298,12 @@ class TestControlPlaneWorkOnce:
     #: still gets its rebuild; the rebuild just costs less.
     PROFILE_BUILDS = 205
 
+    #: DIO budgets advertised in the cell below, and the ``ScheduleView``s
+    #: they build: only roots and nodes with a positive rule-1 margin need
+    #: one.
+    DIO_BUDGETS = 200
+    DIO_VIEWS = 20
+
     @pytest.fixture(scope="class")
     def work(self):
         counts: Counter = Counter()
@@ -305,6 +312,9 @@ class TestControlPlaneWorkOnce:
         add_cell = Slotframe.add_cell
         build_profile = ScheduleProfile.__init__
         compute_layout = slotframe_builder.shared_offsets
+        advertise = GtTschScheduler.advertised_rx_budget
+        build_view = GtTschScheduler._schedule_view
+        in_budget = []
 
         def record_cell(self, *args, **kwargs):
             build_cell(self, *args, **kwargs)
@@ -325,6 +335,18 @@ class TestControlPlaneWorkOnce:
             layouts[args] += 1
             return compute_layout(*args)
 
+        def record_budget(self):
+            counts["dio_budgets"] += 1
+            in_budget.append(True)
+            try:
+                return advertise(self)
+            finally:
+                in_budget.pop()
+
+        def record_view(self):
+            counts["dio_views"] += bool(in_budget)
+            return build_view(self)
+
         slotframe_builder.shared_layout.cache_clear()
         try:
             with pytest.MonkeyPatch.context() as patch:
@@ -332,6 +354,8 @@ class TestControlPlaneWorkOnce:
                 patch.setattr(Slotframe, "add_cell", record_add)
                 patch.setattr(ScheduleProfile, "__init__", record_profile)
                 patch.setattr(slotframe_builder, "shared_offsets", record_layout)
+                patch.setattr(GtTschScheduler, "advertised_rx_budget", record_budget)
+                patch.setattr(GtTschScheduler, "_schedule_view", record_view)
                 scenario = scale_scenario(100, GT_TSCH, warmup_s=5.0, measurement_s=5.0)
                 network = scenario.build_network()
                 network.run_experiment(scenario.warmup_s, scenario.measurement_s)
@@ -355,3 +379,8 @@ class TestControlPlaneWorkOnce:
     def test_every_profile_rebuild_still_happens(self, work):
         counts, _ = work
         assert counts["profiles"] == self.PROFILE_BUILDS
+
+    def test_spent_dio_budgets_build_no_view(self, work):
+        counts, _ = work
+        assert counts["dio_budgets"] == self.DIO_BUDGETS
+        assert counts["dio_views"] == self.DIO_VIEWS

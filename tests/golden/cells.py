@@ -23,6 +23,7 @@ from repro.experiments.scenarios import (
     OTF,
     Scenario,
     churn_scenario,
+    join_scenario,
     scale_scenario,
     traffic_load_scenario,
 )
@@ -128,6 +129,23 @@ def dynamic_scenario(scheduler: str, seed: int) -> Scenario:
     )
 
 
+#: ``(scheduler, seed, pytest id)`` of the keepalive-desync suite.
+DESYNC_CASES = ((ORCHESTRA, 1, "desync-orchestra-s1"),)
+
+
+def desync_scenario(scheduler: str, seed: int) -> Scenario:
+    """The cold-start join cell of ``TestDesyncEquivalence``.
+
+    A 3 s keepalive window is short enough that synchronised nodes lose
+    sync on their own (five desyncs for Orchestra seed 1, three of them
+    before the window opens), so the desync teardown runs in both loops
+    without a hand-forced silence.
+    """
+    return join_scenario(
+        nodes_per_dodag=7, scheduler=scheduler, seed=seed, desync_timeout_s=3.0, measurement_s=20.0
+    )
+
+
 def scale_cell_scenario(scheduler: str, seed: int) -> Scenario:
     """The multi-DODAG cell of ``TestParticipantDispatch``."""
     return scale_scenario(
@@ -164,6 +182,7 @@ FAMILIES: dict[str, tuple[Callable[[str, int], Scenario], float]] = {
     "load165": (high_load_scenario, 3.0),
     "fault": (fault_scenario, 3.0),
     "dynamic": (dynamic_scenario, 3.0),
+    "desync": (desync_scenario, 3.0),
     "scale": (scale_cell_scenario, 2.0),
     **{
         scaling_family(count): (partial(scaling_scenario, count), DEFAULT_DRAIN_S)
@@ -184,6 +203,7 @@ def all_cells() -> list[tuple[str, str, int]]:
         "load165": [(scheduler, seed) for scheduler, seed, _ in HIGH_LOAD_CASES],
         "fault": [(scheduler, seed) for scheduler, seed, _ in FAULT_CASES],
         "dynamic": [(scheduler, seed) for scheduler, seed, _ in DYNAMIC_CASES],
+        "desync": [(scheduler, seed) for scheduler, seed, _ in DESYNC_CASES],
         "scale": registered,
         **{
             scaling_family(count): [(scheduler, 1) for scheduler in ALL_REGISTERED]

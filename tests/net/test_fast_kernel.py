@@ -18,10 +18,12 @@ from repro.experiments.scenarios import GT_TSCH, MINIMAL, MSF, ORCHESTRA, traffi
 from repro.mac.cell import Cell, CellOption
 from repro.mac.tsch import next_offset_occurrence
 from repro.net.network import Network
+from repro.net.node import Node
 from repro.schedulers.minimal import MinimalScheduler, MinimalSchedulerConfig
 from tests.golden import assert_matches_golden
 from tests.golden.cells import (
     ALL_REGISTERED,
+    DESYNC_CASES,
     DYNAMIC_CASES,
     FAULT_CASES,
     HIGH_LOAD_CASES,
@@ -141,6 +143,33 @@ class TestDynamicEquivalence:
         assert not fast_net.medium.in_link_epoch
         assert naive_net.medium.prr_scale == 1.0
         assert fast_net.medium.prr_scale == 1.0
+
+
+class TestDesyncEquivalence:
+    """Keepalive desyncs compose with the fast kernel bit-identically.
+
+    No fault plan here: the keepalive window is short enough that nodes
+    lose synchronisation on their own, tear their stack down to the MAC and
+    re-scan for a beacon.  Every step of that teardown goes through the
+    kernel's settlement barriers, so both loops must still agree.
+    """
+
+    @pytest.mark.parametrize(
+        "scheduler,seed", [pytest.param(s, seed, id=case) for s, seed, case in DESYNC_CASES]
+    )
+    def test_metrics_bit_identical_across_desyncs(self, scheduler, seed, monkeypatch):
+        desyncs = []
+        desynchronise = Node._desynchronise
+
+        def record(node):
+            desyncs.append((node.node_id, node.event_queue.now))
+            desynchronise(node)
+
+        monkeypatch.setattr(Node, "_desynchronise", record)
+        _assert_equivalent("desync", scheduler, seed)
+        # Each loop desynced the same five nodes at the same instants.
+        assert len(desyncs) == 10
+        assert desyncs[:5] == desyncs[5:]
 
 
 class TestNextActiveAsn:
@@ -687,62 +716,3 @@ class TestContentionPruning:
         network.clock.asn = 1
         engine.mark_queue_mutated()
         assert network._next_risky_asn(1, 10_000) == 21
-
-
-class TestRankMemoEquivalence:
-    """RPL candidate-rank memoisation: memo on vs every reception re-ranking.
-
-    The memo applies to the protocol code shared by both slot loops, so the
-    standard fast-vs-reference suites above already prove memo-on kernels
-    bit-identical to ``step_slot_reference``; this adds the memo-on vs
-    memo-off comparison on the same kernel.  The memo-off run detaches every
-    engine's ETX state: an engine without it cannot prove an estimate
-    unchanged, so it re-scores every candidate on every reception, as the
-    engine did before the memo.
-    """
-
-    @pytest.mark.parametrize("scheduler", [MINIMAL, ORCHESTRA, GT_TSCH])
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_memo_on_and_off_bit_identical(self, scheduler, seed):
-        def run(memo):
-            scenario = traffic_load_scenario(
-                rate_ppm=60.0,
-                scheduler=scheduler,
-                seed=seed,
-                measurement_s=8.0,
-                warmup_s=6.0,
-            )
-            network = scenario.build_network()
-            if not memo:
-                for node in network.nodes.values():
-                    node.rpl._etx_state = None
-            metrics = network.run_experiment(
-                warmup_s=6.0, measurement_s=8.0, drain_s=2.0, scheduler_name=scheduler
-            )
-            return network, metrics
-
-        memo_net, memo = run(True)
-        plain_net, plain = run(False)
-        assert dataclasses.asdict(memo) == dataclasses.asdict(plain)
-        assert memo_net.clock.asn == plain_net.clock.asn
-        assert memo_net.medium.total_transmissions == plain_net.medium.total_transmissions
-        assert memo_net.medium.total_collisions == plain_net.medium.total_collisions
-        for node_id in plain_net.nodes:
-            memo_rpl = memo_net.nodes[node_id].rpl
-            plain_rpl = plain_net.nodes[node_id].rpl
-            assert memo_rpl.rank == plain_rpl.rank
-            assert memo_rpl.preferred_parent == plain_rpl.preferred_parent
-            assert memo_rpl.parent_switches == plain_rpl.parent_switches
-        # The memo really was off (no skips, full re-scoring) in one run and
-        # on in the other.
-        assert all(
-            node.rpl.evaluations_skipped == 0 for node in plain_net.nodes.values()
-        )
-        memo_evals = sum(n.rpl.parent_evaluations for n in memo_net.nodes.values())
-        plain_evals = sum(n.rpl.parent_evaluations for n in plain_net.nodes.values())
-        assert memo_evals <= plain_evals
-        memo_scores = sum(n.rpl.candidate_recomputes for n in memo_net.nodes.values())
-        plain_scores = sum(n.rpl.candidate_recomputes for n in plain_net.nodes.values())
-        # Never more work than re-scoring everything (strictly less whenever
-        # the scenario re-advertises anything, e.g. every minimal/GT-TSCH run).
-        assert memo_scores <= plain_scores

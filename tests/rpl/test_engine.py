@@ -4,6 +4,12 @@ import random
 
 import pytest
 
+from repro.experiments.scenarios import (
+    GT_TSCH,
+    ORCHESTRA,
+    scale_scenario,
+    traffic_load_scenario,
+)
 from repro.net.packet import PacketType
 from repro.rpl.engine import RplConfig, RplEngine
 from repro.rpl.messages import make_dao, make_dio
@@ -216,3 +222,154 @@ class TestWarmStart:
         h.engine.warm_start(parent=0, rank=768, dodag_id=0)
         assert h.engine.normalised_rank() == pytest.approx(0.5)
         assert h.engine.hop_distance() == pytest.approx(2.0)
+
+
+class TestEviction:
+    """``evict_neighbor``: the fault path's detach-and-reselect primitive."""
+
+    def joined_with_backup(self):
+        """Parent 1 at rank 256, backup candidate 2 at rank 4 * 256."""
+        h = Harness(node_id=99)
+        h.dio_from(1, rank=MIN_HOP_RANK_INCREASE, dodag_id=1)
+        h.dio_from(2, rank=4 * MIN_HOP_RANK_INCREASE, dodag_id=1)
+        assert h.engine.preferred_parent == 1
+        return h
+
+    def test_evicting_the_parent_detaches_and_readopts(self):
+        h = self.joined_with_backup()
+        switches = []
+        h.engine.on_parent_changed = lambda old, new: switches.append((old, new))
+        h.engine.evict_neighbor(1)
+        assert switches[0] == (1, None)
+        # The surviving neighbor (rank 4*256) is adopted as replacement.
+        assert h.engine.preferred_parent == 2
+        assert 1 not in h.engine.neighbors
+
+    def test_sole_parent_eviction_detaches_then_fresh_dio_readopts(self):
+        h = Harness(node_id=99)
+        h.dio_from(1, rank=MIN_HOP_RANK_INCREASE, dodag_id=1)
+        h.engine.evict_neighbor(1)
+        assert h.engine.preferred_parent is None
+        assert h.engine.rank == INFINITE_RANK
+        assert h.engine.neighbors == {}
+        evaluations = h.engine.parent_evaluations
+        h.dio_from(1, rank=MIN_HOP_RANK_INCREASE, dodag_id=1)
+        assert h.engine.preferred_parent == 1
+        assert h.engine.rank < INFINITE_RANK
+        assert h.engine.parent_evaluations == evaluations + 1
+
+    def test_a_child_is_never_adopted_as_replacement_parent(self):
+        h = self.joined_with_backup()
+        h.engine.process_dao(make_dao(sender=2, parent=99, dodag_id=1, rank=1280), now=2.0)
+        assert h.engine.children == {2}
+        h.engine.evict_neighbor(1)
+        assert h.engine.preferred_parent is None
+        h.dio_from(2, rank=4 * MIN_HOP_RANK_INCREASE, dodag_id=1)
+        assert h.engine.preferred_parent is None
+
+
+class TestDetach:
+    """``detach`` and ``forget``: silent teardown, no callback, no traffic."""
+
+    def joined_with_a_child(self):
+        h = Harness(node_id=99)
+        h.dio_from(1, rank=MIN_HOP_RANK_INCREASE, dodag_id=1)
+        h.engine.process_dao(make_dao(sender=5, parent=99, dodag_id=1, rank=1280), now=0.0)
+        h.queue.run_until(1.0)
+        calls = []
+        h.engine.on_parent_changed = lambda old, new: calls.append(("parent", old, new))
+        h.engine.on_child_removed = lambda child: calls.append(("child", child))
+        assert h.engine.preferred_parent == 1
+        assert h.engine.trickle.running
+        return h, calls
+
+    def test_detach_drops_every_piece_of_dodag_state_silently(self):
+        h, calls = self.joined_with_a_child()
+        h.sent.clear()
+        h.engine.detach()
+        assert h.engine.preferred_parent is None
+        assert h.engine.rank == INFINITE_RANK
+        assert h.engine.dodag_id is None
+        assert h.engine.neighbors == {}
+        assert h.engine.children == set()
+        assert not h.engine.is_joined()
+        assert calls == []
+        # Nothing is advertised afterwards: Trickle still ticks but has no
+        # rank to advertise, and the DAO refresh finds no parent.
+        assert h.engine.trickle.running
+        h.queue.run_until(120.0)
+        assert h.sent == []
+
+    def test_detached_engine_joins_again_through_a_dio(self):
+        h, _calls = self.joined_with_a_child()
+        h.engine.detach()
+        h.dio_from(2, rank=MIN_HOP_RANK_INCREASE, dodag_id=1)
+        assert h.engine.preferred_parent == 2
+        assert h.engine.trickle.running
+
+    def test_root_keeps_its_dodag(self):
+        h = Harness(node_id=0, is_root=True)
+        h.engine.start()
+        h.engine.detach()
+        assert h.engine.dodag_id == 0
+        assert h.engine.rank == INFINITE_RANK
+
+    def test_forgetting_the_parent_detaches_silently(self):
+        h, calls = self.joined_with_a_child()
+        h.engine.forget(1)
+        assert h.engine.preferred_parent is None
+        assert h.engine.rank == INFINITE_RANK
+        assert h.engine.dodag_id is None
+        assert 1 not in h.engine.neighbors
+        assert h.engine.children == {5}
+        assert calls == []
+
+    def test_forgetting_a_child_keeps_the_route(self):
+        h, calls = self.joined_with_a_child()
+        rank = h.engine.rank
+        h.engine.forget(5)
+        assert h.engine.children == set()
+        assert h.engine.preferred_parent == 1
+        assert h.engine.rank == rank
+        assert calls == []
+
+    def test_forgetting_a_stranger_changes_nothing(self):
+        h, calls = self.joined_with_a_child()
+        neighbors = dict(h.engine.neighbors)
+        h.engine.forget(42)
+        assert h.engine.neighbors == neighbors
+        assert h.engine.preferred_parent == 1
+        assert h.engine.children == {5}
+        assert calls == []
+
+
+class TestEveryDioEvaluates:
+    """Every non-root DIO reception runs parent selection: an exact,
+    clock-free count over two whole runs.  Each total equals the runs'
+    former evaluations plus the receptions the deleted rank memo skipped
+    (493 + 180 and 22 + 2)."""
+
+    @pytest.mark.parametrize(
+        "build,evaluations",
+        [
+            pytest.param(
+                lambda: scale_scenario(100, GT_TSCH, warmup_s=5.0, measurement_s=5.0),
+                673,
+                id="scale100-GT-TSCH",
+            ),
+            pytest.param(
+                lambda: traffic_load_scenario(
+                    165, ORCHESTRA, seed=1, warmup_s=10.0, measurement_s=10.0
+                ),
+                24,
+                id="load165-Orchestra",
+            ),
+        ],
+    )
+    def test_parent_evaluations(self, build, evaluations):
+        scenario = build()
+        network = scenario.build_network()
+        network.run_experiment(scenario.warmup_s, scenario.measurement_s)
+        engines = [node.rpl for node in network.nodes.values()]
+        assert sum(engine.parent_evaluations for engine in engines) == evaluations
+        assert all(engine.evaluations_skipped == 0 for engine in engines)

@@ -1,8 +1,14 @@
 """Tests for the Orchestra baseline scheduler."""
 
+from collections import Counter
+
 import pytest
 
+from repro.experiments.scenarios import ORCHESTRA, churn_scenario
+from repro.mac.tsch import TschEngine
+from repro.net.packet import PacketType
 from repro.net.topology import star_topology
+from repro.phy.dynamic import default_drift_policy
 from repro.schedulers.orchestra import OrchestraConfig, OrchestraScheduler, orchestra_hash
 
 from tests.conftest import make_orchestra_network
@@ -142,3 +148,65 @@ class TestOrchestraEndToEnd:
         network.run_seconds(20.0)
         for node in network.nodes.values():
             assert node.sixtop.requests_sent == 0
+
+
+class TestBroadcastCellChoice:
+    """Which broadcast frames leave on which Orchestra cell.
+
+    The EB slotframe's TX cell is the node's own beacon slot: Contiki-NG
+    adds it as an advertising-only link, and only nodes whose time source
+    is the sender listen on it.  DIOs belong on the common shared cell,
+    where every node, joined or not, listens.
+    """
+
+    @staticmethod
+    def dio_cells(monkeypatch):
+        sent = Counter()
+        build_intent = TschEngine.build_intent
+
+        def record(engine, plan):
+            if plan.packet.ptype is PacketType.DIO:
+                sent[plan.cell.label] += 1
+            return build_intent(engine, plan)
+
+        monkeypatch.setattr(TschEngine, "build_intent", record)
+        return sent
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="TschEngine._packet_for_cell gives a broadcast cell the first queued "
+        "broadcast frame, whatever its type, so DIOs leave on orchestra-eb-tx "
+        "(7 of 12 here)",
+    )
+    def test_no_dio_leaves_on_the_eb_cell(self, monkeypatch):
+        sent = self.dio_cells(monkeypatch)
+        network = make_orchestra_network(star_topology(3), rate_ppm=60)
+        network.run_seconds(20.0)
+        assert sent["orchestra-common"] > 0
+        assert sent["orchestra-eb-tx"] == 0
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="10 of 13 DIOs leave on orchestra-eb-tx, where no unjoined node "
+        "listens: no DIO is heard and after 95 s only the two roots are in a DODAG",
+    )
+    def test_cold_start_churn_cell_joins_its_nodes(self):
+        # perfbench's `churn-dynamic --seed 2229` pass-2 cold-start Orchestra
+        # cell (`pass_cells("churn-dynamic", 2229, 2)[5]`).
+        drift = default_drift_policy(
+            seed=334911488, start_s=30.0 + 0.20 * 60.0, epoch_s=0.15 * 60.0, num_epochs=3
+        )
+        scenario = churn_scenario(
+            2,
+            ORCHESTRA,
+            seed=185486406,
+            plan_seed=881135321,
+            num_arrivals=1,
+            link_drift=drift,
+            cold_start=True,
+            warmup_s=30.0,
+            measurement_s=60.0,
+        )
+        network = scenario.build_network()
+        metrics = network.run_experiment(scenario.warmup_s, scenario.measurement_s)
+        assert metrics.nodes_joined > 0

@@ -208,44 +208,6 @@ class TestPeriodicTimer:
         assert len({round(gap, 6) for gap in gaps}) > 1
 
 
-class TestIdleProbe:
-    def test_idle_probe_settles_ticks_without_callback(self):
-        queue = EventQueue()
-        fired = []
-        gate = {"idle": True}
-        timer = PeriodicTimer(
-            queue,
-            1.0,
-            lambda: fired.append(queue.now),
-            start_offset=0.5,
-            idle_probe=lambda: gate["idle"],
-        )
-        timer.start()
-        queue.run_until(3.0)
-        assert fired == []
-        assert timer.settled_ticks == 3
-        # The cadence survives settling: once the probe releases, firing
-        # resumes at exactly the next period boundary.
-        gate["idle"] = False
-        queue.run_until(5.0)
-        assert fired == pytest.approx([3.5, 4.5])
-
-    def test_probe_side_is_not_consulted_after_stop(self):
-        queue = EventQueue()
-        probes = []
-        timer = PeriodicTimer(
-            queue,
-            1.0,
-            lambda: None,
-            idle_probe=lambda: probes.append(1) or True,
-        )
-        timer.start()
-        queue.run_until(2.5)
-        timer.stop()
-        queue.run_until(10.0)
-        assert len(probes) == 2
-
-
 class TestHeapCompaction:
     def test_cancelled_entries_are_compacted(self):
         queue = EventQueue()

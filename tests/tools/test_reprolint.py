@@ -12,7 +12,7 @@ import json
 import textwrap
 from pathlib import Path
 
-from tools.reprolint import lint_paths, lint_source
+from tools.reprolint import LintConfig, VersionedClass, lint_paths, lint_source
 from tools.reprolint.__main__ import main as reprolint_main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -289,16 +289,20 @@ class TestRL004:
         assert violations == []
 
     def test_attribute_bump_counts(self):
-        violations = lint(
-            """
-            class EtxEstimator:
+        config = LintConfig(
+            versioned_classes={"Estimator": (VersionedClass(("_etx",), ("version",)),)}
+        )
+        source = """
+            class Estimator:
                 def record(self, neighbor):
                     self._etx[neighbor] = 1.0
-                    self.version += 1
-            """,
-            "src/repro/phy/linkstats.py",
-        )
-        assert violations == []
+                    {bump}
+            """
+        bumped = source.format(bump="self.version += 1")
+        assert lint_source(textwrap.dedent(bumped), "src/repro/phy/foo.py", config) == []
+        unbumped = source.format(bump="pass")
+        violations = lint_source(textwrap.dedent(unbumped), "src/repro/phy/foo.py", config)
+        assert rule_ids(violations) == ["RL004"]
 
     def test_init_is_exempt(self):
         violations = lint(
@@ -550,6 +554,99 @@ class TestSuppression:
                 pass
             """,
             "src/repro/mac/cell.py",
+        )
+        assert violations == []
+
+
+# ----------------------------------------------------------------------
+# RL007: no write to another object's private attribute outside its module
+# ----------------------------------------------------------------------
+class TestRL007:
+    def test_detects_augmented_write_from_another_module(self):
+        violations = lint(
+            """
+            def crash(node):
+                node.rpl._memo_inputs += 1
+            """,
+            "src/repro/faults/injector.py",
+        )
+        assert rule_ids(violations) == ["RL007"]
+        assert "_memo_inputs" in violations[0].message
+
+    def test_detects_assignment_and_deletion(self):
+        violations = lint(
+            """
+            def arrive(node):
+                node._cold_join_pending = True
+                del node._cold_join_pending
+            """,
+            "src/repro/faults/injector.py",
+        )
+        assert rule_ids(violations) == ["RL007", "RL007"]
+
+    def test_detects_write_through_an_attribute_of_self(self):
+        """``self.rpl`` is another object: only ``self`` itself owns ``_x``."""
+        violations = lint(
+            """
+            class Node:
+                def desync(self):
+                    self.rpl._memo_inputs += 1
+            """,
+            "src/repro/net/node.py",
+        )
+        assert rule_ids(violations) == ["RL007"]
+
+    def test_own_attributes_are_clean(self):
+        violations = lint(
+            """
+            class Node:
+                def reset(self):
+                    self._flag = True
+                    del self._flag
+
+                @classmethod
+                def configure(cls):
+                    cls._registry = {}
+            """,
+            "src/repro/net/node.py",
+        )
+        assert violations == []
+
+    def test_attribute_defined_in_the_same_module_is_clean(self):
+        violations = lint(
+            """
+            class Event:
+                def __init__(self):
+                    self._queue = None
+
+            class EventQueue:
+                def schedule(self, event):
+                    event._queue = self
+            """,
+            "src/repro/net/network.py",
+        )
+        assert violations == []
+
+    def test_reads_calls_and_dunders_are_clean(self):
+        violations = lint(
+            """
+            def boot(node):
+                node._eb_timer.start()
+                flag = node._cold_join_pending
+                node.__doc__ = "booted"
+                return flag
+            """,
+            "src/repro/faults/injector.py",
+        )
+        assert violations == []
+
+    def test_code_outside_the_package_is_not_checked(self):
+        violations = lint("node._flag = True\n", "tests/net/test_node.py")
+        assert violations == []
+
+    def test_suppression(self):
+        violations = lint(
+            "node._flag = True  # reprolint: disable=RL007\n", "src/repro/net/foo.py"
         )
         assert violations == []
 

@@ -5,11 +5,12 @@ Run from a repo checkout::
     python -m tools.reprolint src/
     python -m tools.reprolint src/ --format json
 
-The rules (RL001-RL006) enforce the determinism contract documented in
+The rules (RL001-RL007) enforce the determinism contract documented in
 ``docs/determinism.md``: seeded randomness only, no wall-clock reads, no
 unordered-set iteration in simulation modules, version-bump invalidation
-discipline, ``__slots__`` on hot classes, and integer-only settlement
-counters.
+discipline, ``__slots__`` on hot classes, integer-only settlement counters,
+and no writes to another object's private attributes outside the module
+that defines them.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Rule configuration for reprolint.
 
 The determinism contract of this repository (see ``docs/determinism.md``) is
-enforced by six rules, most of which are parameterised by repo-specific
+enforced by seven rules, most of which are parameterised by repo-specific
 tables: which module owns the RNG registry, which classes carry version
 counters and which of their fields are tracked, which modules hold per-slot
 hot classes, and which integer counters must never see float arithmetic.
@@ -52,9 +52,6 @@ def _default_versioned_classes() -> dict[str, tuple[VersionedClass, ...]]:
         # which pushes on_change up to the TSCH engine and the network kernel;
         # the per-offset listen table changes only together with the cells.
         "Slotframe": (VersionedClass(("_table", "_listen"), ("_mutated",)),),
-        # ETX estimate changes must bump the estimator's version counters or
-        # RPL's rank memo serves stale candidate ranks.
-        "EtxEstimator": (VersionedClass(("_etx",), ("version", "neighbor_versions")),),
         "TschEngine": (
             # Slotframe membership changes must propagate a schedule mutation.
             VersionedClass(("slotframes",), ("_on_schedule_mutated",)),
@@ -62,15 +59,12 @@ def _default_versioned_classes() -> dict[str, tuple[VersionedClass, ...]]:
             # which settles an armed CSMA deferral.
             VersionedClass(("_quiet",), ("mark_queue_mutated",)),
         ),
-        # Neighbor/children table membership is a parent-selection input; the
-        # rank memo proves receptions input-free via _memo_inputs.
-        "RplEngine": (VersionedClass(("neighbors", "children"), ("_memo_inputs",)),),
     }
 
 
 @dataclass(frozen=True)
 class LintConfig:
-    """All knobs of the six reprolint rules, defaulted for this repository."""
+    """All knobs of the reprolint rules, defaulted for this repository."""
 
     # -- RL001: all randomness through RngRegistry named streams -----------
     #: The only module allowed to import :mod:`random`.

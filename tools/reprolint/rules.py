@@ -1,4 +1,4 @@
-"""The six reprolint rules.
+"""The seven reprolint rules.
 
 Each rule is a small visitor over the shared AST walk driven by
 :class:`tools.reprolint.engine.LintRunner`.  Rules are deliberately
@@ -15,6 +15,7 @@ RL003  no iteration over unordered ``set``/``frozenset`` in RNG/event modules
 RL004  mutations of version-tracked fields must bump the invalidation hook
 RL005  ``__slots__`` required on classes in hot (per-slot) modules
 RL006  integer duty-cycle/settlement counters never see float arithmetic
+RL007  no write to another object's private attribute outside its module
 """
 
 from __future__ import annotations
@@ -484,6 +485,56 @@ class IntCounterRule(Rule):
                 )
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _is_own(node: ast.AST) -> bool:
+    """Whether an attribute's owner is the enclosing instance or class."""
+    return isinstance(node, ast.Name) and node.id in {"self", "cls"}
+
+
+class PrivateWriteRule(Rule):
+    """RL007: no write to another object's private attribute outside its module.
+
+    A class owns its ``_private`` attributes.  Code elsewhere that assigns,
+    augments or deletes one keeps the class's state in step by hand, out of
+    sight of the class's own checks (RL004 reads only the class's methods).
+    Writes through ``self``/``cls`` are the owner's; a write through any
+    other object is allowed only in a module that defines the attribute
+    itself (assigns ``self.<name>`` or ``cls.<name>`` somewhere), as
+    ``EventQueue`` sets ``event._queue`` next to ``Event``.
+    """
+
+    rule_id = "RL007"
+    summary = "write to another object's private attribute outside its module"
+
+    def applies_to(self, path: str) -> bool:
+        return module_in_packages(path, ("repro/",))
+
+    def check_module(self, tree: ast.Module, path: str, report) -> None:
+        defined = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and _is_own(node.value)
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, (ast.Store, ast.Del))
+                and _is_private(node.attr)
+                and not _is_own(node.value)
+                and node.attr not in defined
+            ):
+                report(
+                    node,
+                    f"write to another object's private attribute `{node.attr}`; "
+                    "call a method of the class that owns it",
+                )
+
+
 ALL_RULES = (
     RngUseRule,
     WallClockRule,
@@ -491,6 +542,7 @@ ALL_RULES = (
     VersionBumpRule,
     SlotsRule,
     IntCounterRule,
+    PrivateWriteRule,
 )
 
 #: rule id -> one-line summary, for ``--format json`` count tables.
