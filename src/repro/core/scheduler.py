@@ -43,7 +43,6 @@ from repro.core.slotframe_builder import GtSlotframeBuilder
 from repro.mac.cell import Cell, CellOption, CellPurpose
 from repro.net.packet import Packet, PacketType
 from repro.schedulers.base import SchedulingFunction
-from repro.sim.events import PeriodicTimer
 from repro.sixtop.messages import CellDescriptor, SixPCommand, SixPMessage, SixPReturnCode
 from repro.sixtop.negotiation import NegotiationClient, SixPRequest, proposed_offsets
 
@@ -91,7 +90,6 @@ class GtTschScheduler(SchedulingFunction):
         self._asked_channel = False
         self._requested_sixp_cells = False
         self._requested_initial_data = False
-        self._load_timer: Optional[PeriodicTimer] = None
         #: Data cells requested by each child but not (yet) granted; this is
         #: the ``l^tx_{cs_i}`` term of Eq. (1) -- the demand that must be
         #: propagated up the DODAG before it can be granted downwards.
@@ -122,23 +120,7 @@ class GtTschScheduler(SchedulingFunction):
             # nothing to do yet.
             pass
 
-        period = self.config.load_balance_period_s
-        timer_rng = node.rng_registry.stream(f"gt.timer.{node.node_id}")
-        self._load_timer = PeriodicTimer(
-            node.event_queue,
-            period,
-            self._load_balance_tick,
-            start_offset=timer_rng.random() * period,
-            label=f"gt-load-balance.{node.node_id}",
-            jitter=0.1,
-            rng=timer_rng,
-        )
-        self._load_timer.start()
-
-    def stop(self) -> None:
-        """Cancel the load-balancing timer (node crash teardown)."""
-        if self._load_timer is not None:
-            self._load_timer.stop()
+        self.start_rounds(self.config.load_balance_period_s, self._load_balance_tick, "gt")
 
     # ------------------------------------------------------------------
     # control-plane piggybacking (Section III / VII)
@@ -512,9 +494,6 @@ class GtTschScheduler(SchedulingFunction):
     # ------------------------------------------------------------------
     def relocation_count(self) -> int:
         return self.sixp.cells_relocated
-
-    def load_balance_period_s(self) -> float:
-        return self.config.load_balance_period_s
 
     def tx_data_cell_count(self) -> int:
         return len(self.sixp.tx["data"])

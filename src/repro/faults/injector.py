@@ -16,12 +16,15 @@ are already settlement barriers for the fast kernel:
 * queue flushes run through ``TschEngine.flush_queue``, whose
   ``mark_queue_mutated`` hook settles deferred CSMA state and maintains
   the backlog index;
+* a node's stack goes down only through ``Node.power_down`` (shared with
+  the keepalive desync) and comes up only through ``Node.power_up``
+  (shared with network start and a cold node's synchronisation);
 * RPL state changes only through :class:`~repro.rpl.engine.RplEngine`'s
   own methods: a crashing node detaches silently (``detach``, called by
-  ``Node.power_down``, the teardown a keepalive desync shares), survivors
-  learn of the crash through ``remove_child`` / ``evict_neighbor``, a late
-  arrival's presets are erased with ``detach`` / ``forget``, and a warm
-  rejoin re-attaches with ``warm_start``;
+  ``Node.power_down``), survivors learn of the crash through
+  ``remove_child`` / ``evict_neighbor``, a late arrival's presets are
+  erased with ``detach`` / ``forget``, and a warm rejoin re-attaches with
+  ``warm_start``;
 * link-quality epochs rebuild the frozen ``Medium`` PRR rows through
   ``Medium.set_prr_scale`` without unfreezing, so the dispatch kernel's
   audience/interference tables stay valid.
@@ -50,7 +53,6 @@ from repro.faults.plan import (
     ParentLoss,
 )
 from repro.net.packet import PacketType
-from repro.rpl.rank import INFINITE_RANK
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.network import Network
@@ -61,7 +63,7 @@ __all__ = ["FaultInjector"]
 
 @dataclass
 class _CrashRecord:
-    """Pre-crash DODAG state, used to warm-rejoin a rebooted node."""
+    """DODAG state and traffic flag at power-off, for the next power-on."""
 
     parent: Optional[int]
     rank: int
@@ -75,8 +77,8 @@ class FaultInjector:
     ``scheduler_factory`` is the same ``(node_id, is_root) -> scheduler``
     callable the network was built with; a rejoin boots the node with a
     *fresh* scheduling-function instance (cold-reboot semantics -- the
-    old instance's cell bookkeeping died with the schedule).  It is only
-    required when the plan contains rejoins.
+    old instance's cell bookkeeping died with the schedule), as does a late
+    arrival.  It is only required when the plan contains rejoins or arrivals.
     """
 
     def __init__(
@@ -189,20 +191,51 @@ class FaultInjector:
         hold to it -- are erased.  The Trickle timer its preset armed keeps
         running, with no rank to advertise.
         """
-        self._records[node.node_id] = _CrashRecord(
-            parent=None,
-            rank=INFINITE_RANK,
-            dodag_id=None,
-            traffic_enabled=node.traffic_enabled,
-        )
-        node.alive = False
-        node.traffic_enabled = False
         node.rpl.detach()
+        self._power_off(node)
         # A survivor whose warm-start preset routed through the absent node
         # boots detached and joins through DIO exchange like any cold node.
         for survivor in self.network.nodes.values():
             if survivor is not node:
                 survivor.rpl.forget(node.node_id)
+
+    # ------------------------------------------------------------------
+    # power-off / power-on, shared by every fault that kills or boots a node
+    # ------------------------------------------------------------------
+    def _power_off(self, node: "Node") -> None:
+        """Record what the node's next power-on restores, then kill it."""
+        rpl = node.rpl
+        self._records[node.node_id] = _CrashRecord(
+            parent=rpl.preferred_parent,
+            rank=rpl.rank,
+            dodag_id=rpl.dodag_id,
+            traffic_enabled=node.traffic_enabled,
+        )
+        node.alive = False
+        node.traffic_enabled = False
+
+    def _power_on(self, fault: NodeRejoin | NodeArrival, kind: str) -> Optional["Node"]:
+        """The power-on a rejoin and an arrival share: liveness, a fresh
+        scheduler, the recorded traffic flag and the fault count.
+
+        Returns the node if the caller must power its stack up now; ``None``
+        if it was alive, or if it is a cold-start node, which scans for an
+        EB and boots on the first one (``Node._synchronise``).
+        """
+        node = self.network.nodes[fault.node_id]
+        if node.alive:
+            return None
+        node.alive = True
+        assert self._scheduler_factory is not None  # enforced by arm()
+        node.install_scheduler(self._scheduler_factory(node.node_id, node.is_root))
+        node.traffic_enabled = self._records[node.node_id].traffic_enabled
+        metrics = self.network.metrics
+        if metrics is not None:
+            metrics.on_fault_injected(kind, self.network.events.now)
+        if node.cold_start:
+            node.begin_scan()
+            return None
+        return node
 
     # ------------------------------------------------------------------
     # node crash / detection / rejoin
@@ -212,15 +245,7 @@ class FaultInjector:
         node = self.network.nodes[fault.node_id]
         if not node.alive:
             return
-        rpl = node.rpl
-        self._records[fault.node_id] = _CrashRecord(
-            parent=rpl.preferred_parent,
-            rank=rpl.rank,
-            dodag_id=rpl.dodag_id,
-            traffic_enabled=node.traffic_enabled,
-        )
-        node.alive = False
-        node.traffic_enabled = False
+        self._power_off(node)
         # RPL detaches without advertising anything: neighbors only find
         # out at detection time.
         node.power_down("crash")
@@ -257,77 +282,32 @@ class FaultInjector:
     def _rejoin(self, fault: NodeRejoin) -> None:
         """Cold reboot: fresh scheduler, empty schedule, warm RPL re-attach
         when the pre-crash parent is still alive (else listen for DIOs)."""
-        node = self.network.nodes[fault.node_id]
-        if node.alive:
+        node = self._power_on(fault, "rejoin")
+        if node is None:
             return
-        now = self.network.events.now
-        metrics = self.network.metrics
-        record = self._records.get(fault.node_id)
-        node.alive = True
-        assert self._scheduler_factory is not None  # enforced by arm()
-        node.install_scheduler(self._scheduler_factory(node.node_id, node.is_root))
-        if node.cold_start:
-            # A cold reboot loses TSCH synchronisation with the rest of the
-            # state: the node re-scans for an Enhanced Beacon, and the rest
-            # of the stack (scheduler, RPL, EBs, traffic) boots from
-            # Node._synchronise.  The pre-crash traffic setting is restored
-            # as a flag; the generator itself starts at sync.
-            if record is None or record.traffic_enabled:
-                node.traffic_enabled = True
-            if metrics is not None:
-                metrics.on_fault_injected("rejoin", now)
-            node.begin_scan()
-            return
-        node.scheduler.start()
-        parent = record.parent if record is not None else None
-        if (
-            record is not None
-            and parent is not None
-            and record.dodag_id is not None
-            and self.network.nodes[parent].alive
-        ):
-            node.rpl.warm_start(
-                parent=parent, rank=record.rank, dodag_id=record.dodag_id
+        record = self._records[node.node_id]
+        parent, dodag_id = record.parent, record.dodag_id
+        if parent is not None and dodag_id is not None and self.network.nodes[parent].alive:
+            node.power_up(
+                lambda: node.rpl.warm_start(parent=parent, rank=record.rank, dodag_id=dodag_id)
             )
-        # else: cold re-attach -- the node listens until a DIO adopts it.
-        node._eb_timer.start()
-        if record is None or record.traffic_enabled:
-            node.traffic_enabled = True
-            if node.traffic is not None:
-                node.traffic.start()
-        if metrics is not None:
-            metrics.on_fault_injected("rejoin", now)
+        else:
+            # Cold re-attach: the node listens until a DIO adopts it.
+            node.power_up()
 
     def _arrival(self, fault: NodeArrival) -> None:
         """Late power-on: fresh scheduler, *no* DODAG state, cold join.
 
-        Routes through exactly the settlement machinery a rejoin uses
-        (fresh scheduling-function instance, liveness flip, timer starts as
-        EventQueue events), but never warm-starts: the node either scans
-        for an Enhanced Beacon first (cold-start-join configs) or boots its
-        stack and listens until a DIO adopts it.
+        Shares a rejoin's power-on, but never warm-starts: the node either
+        scans for an Enhanced Beacon first (cold-start-join configs) or
+        boots its stack at once -- the idealisation matching warm rejoin --
+        and listens until a DIO adopts it.
         """
-        node = self.network.nodes[fault.node_id]
-        if node.alive:
+        node = self._power_on(fault, "arrival")
+        if node is None:
             return
-        now = self.network.events.now
-        metrics = self.network.metrics
-        record = self._records.get(fault.node_id)
-        node.alive = True
-        assert self._scheduler_factory is not None  # enforced by arm()
-        node.install_scheduler(self._scheduler_factory(node.node_id, node.is_root))
-        if record is None or record.traffic_enabled:
-            node.traffic_enabled = True
-        if metrics is not None:
-            metrics.on_fault_injected("arrival", now)
-        if node.cold_start:
-            # Unsynchronised boot; begin_scan registers the join episode
-            # itself and Node._synchronise starts everything else.
-            node.begin_scan()
-            return
-        # Synchronised arrival (the idealisation matching warm rejoin):
-        # the stack boots immediately and waits for a DIO.
-        node.boot_detached()
+        node.open_join_episode()
+        node.power_up()
         # A booting RPL node multicasts a DIS solicitation; audible joined
         # neighbors react per RFC 6206 by resetting their Trickle timers
         # (prompt DIO).  The reaction is modelled without simulating the

@@ -178,28 +178,21 @@ class Node:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Start the protocol machinery (scheduler, RPL, EBs, traffic).
+        """Boot the node at network start.
 
-        When the RPL state was warm-started before the scheduler existed (the
-        deterministic scenario setup), the scheduler is replayed the current
-        parent/children relations so its schedule matches the preset topology.
-
-        Cold-start nodes do none of that: they boot unsynchronised, and
-        everything above the MAC waits for the first Enhanced Beacon (see
-        :meth:`_synchronise`).
+        A cold-start node boots unsynchronised: it scans for an Enhanced
+        Beacon, and :meth:`_synchronise` powers the stack up on the first
+        one.  Any other node powers up at once, announcing to its scheduler
+        the parent the build-time warm preset gave RPL.
         """
         if self.cold_start:
             self.begin_scan()
             return
-        self.scheduler.start()
-        if self.rpl.preferred_parent is not None:
-            self.scheduler.on_parent_changed(None, self.rpl.preferred_parent)
-        for child in sorted(self.rpl.children):
-            self.scheduler.on_child_added(child)
-        self.rpl.start()
-        self._eb_timer.start()
-        if self.traffic is not None:
-            self.traffic.start()
+        parent = self.rpl.preferred_parent
+        if parent is None:
+            self.power_up()
+        else:
+            self.power_up(lambda: self.scheduler.on_parent_changed(None, parent))
 
     def install_scheduler(self, scheduler: "SchedulingFunction") -> None:
         """Wire a scheduling function into the stack (at build and on reboot)."""
@@ -207,17 +200,29 @@ class Node:
         scheduler.attach(self)
         self.rpl.dio_extra_provider = scheduler.dio_fields
 
-    def boot_detached(self) -> None:
-        """Boot a synchronised stack with no DODAG state (a late arrival).
+    def power_up(self, attach: Optional[Callable[[], object]] = None) -> None:
+        """Boot the stack above the MAC; every boot of the node runs here.
 
-        A join episode opens, as for a cold boot; the scheduler, RPL, EBs
-        and, if enabled, traffic start, and the node waits for a DIO.
+        Network start, a cold node's synchronisation, a warm rejoin and a
+        synchronised arrival all boot in this one order: the scheduler
+        starts; ``attach``, when given, hands it the state the node boots
+        with (the preset parent at network start, the beacon that
+        synchronised a cold node, or the pre-crash parent of a warm rejoin
+        through ``RplEngine.warm_start``); RPL starts; the EB timer and, on
+        a cold-start node, the keepalive watchdog arm; traffic starts if
+        enabled.  GT-TSCH plans its Tx cells from the parent, its EB channel
+        and the DIO budget, so every boot hands them over in the same order.
+        The mirror of :meth:`power_down`.
         """
-        self._open_join_episode()
         self.scheduler.start()
+        if attach is not None:
+            attach()
         self.rpl.start()
         self._eb_timer.start()
-        if self.traffic_enabled and self.traffic is not None:
+        if self._keepalive_timer is not None:
+            self._last_heard_s = self.event_queue.now
+            self._keepalive_timer.start()
+        if self.traffic is not None and self.traffic_enabled:
             self.traffic.start()
 
     def power_down(self, kind: str) -> None:
@@ -267,12 +272,12 @@ class Node:
         episode is registered with the metrics collector so time-to-join
         can censor nodes that never make it.
         """
-        self._open_join_episode()
+        self.open_join_episode()
         self.tsch.begin_scan(self._current_asn())
         if self.on_scan_state is not None:
             self.on_scan_state(self, True)
 
-    def _open_join_episode(self) -> None:
+    def open_join_episode(self) -> None:
         """Raise the join flag the first parent acquisition clears."""
         self._cold_join_pending = True
         if self.metrics is not None:
@@ -295,22 +300,13 @@ class Node:
         scan window *before* the scheduler's first schedule mutation fires
         the settlement barrier, so the barrier sees a clean watermark and
         the sync slot itself is credited as busy-RX by the caller.  The
-        scheduler then consumes the very beacon that synchronised us
-        (GT-TSCH reads its channel-assignment fields), RPL starts listening
-        for DIOs, and our own EB/keepalive/traffic machinery arms.
+        stack then powers up, and the scheduler consumes the very beacon
+        that synchronised us (GT-TSCH reads its channel-assignment fields).
         """
         self.tsch.end_scan(asn)
         if self.on_scan_state is not None:
             self.on_scan_state(self, False)
-        self.scheduler.start()
-        self.scheduler.on_eb_received(packet)
-        self.rpl.start()
-        self._eb_timer.start()
-        if self._keepalive_timer is not None:
-            self._last_heard_s = self.event_queue.now
-            self._keepalive_timer.start()
-        if self.traffic is not None and self.traffic_enabled:
-            self.traffic.start()
+        self.power_up(lambda: self.scheduler.on_eb_received(packet))
 
     def _keepalive_check(self) -> None:
         """Desync-on-silence: a full keepalive window with no decoded frame

@@ -46,11 +46,15 @@ class TrafficGenerator:
         self.node: Optional["Node"] = None
         self.queue: Optional[EventQueue] = None
         self.rng = None
-        self.enabled = True
         #: Number of generation events fired (whether or not the packet was
         #: accepted by the queue).
         self.generated = 0
         self._timer: Optional[PeriodicTimer] = None
+
+    @property
+    def running(self) -> bool:
+        """Whether generation is armed: started, and not stopped since."""
+        return self._timer is not None and self._timer.running
 
     @property
     def period_s(self) -> float:
@@ -75,7 +79,6 @@ class TrafficGenerator:
         its next tick: a stop/start cycle (node crash + reboot) must never
         leave a zombie timer armed next to the fresh one ``start`` creates.
         """
-        self.enabled = False
         if self._timer is not None:
             self._timer.stop()
 
@@ -91,14 +94,9 @@ class TrafficGenerator:
         )
         self._timer.start()
 
-    def _fire(self):
-        if not self.enabled or self.node is None:
-            # Returning False stops the timer: the naive chain equally died
-            # here by not rescheduling itself.
-            return False
+    def _fire(self) -> None:
         self.generated += 1
         self.node.generate_data()
-        return None
 
     def _draw_interval(self) -> float:
         raise NotImplementedError
@@ -118,7 +116,6 @@ class PeriodicTrafficGenerator(TrafficGenerator):
     def start(self) -> None:
         if self.rate_ppm == 0 or self.queue is None:
             return
-        self.enabled = True
         # Random phase so all nodes do not generate in the same slot.
         self._start_timer(self.start_delay_s + self.rng.random() * self.period_s)
 
@@ -133,7 +130,6 @@ class PoissonTrafficGenerator(TrafficGenerator):
     def start(self) -> None:
         if self.rate_ppm == 0 or self.queue is None:
             return
-        self.enabled = True
         self._start_timer(self.start_delay_s + self._draw_interval())
 
     def _draw_interval(self) -> float:

@@ -16,9 +16,10 @@ override what they need.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.net.packet import Packet
+from repro.sim.events import PeriodicTimer
 from repro.sixtop.messages import SixPMessage, SixPReturnCode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -31,15 +32,18 @@ class SchedulingFunction:
     Lifecycle contract
     ------------------
     ``attach(node)`` binds the SF to its node (exactly once, before any other
-    callback); ``start()`` installs the initial schedule -- it runs either at
-    network build time (warm start, after which the node replays
-    ``on_parent_changed``/``on_child_added`` for the pre-seeded topology) or
-    after cold-start synchronisation, right before RPL boots; ``stop()`` runs
-    on node crash and must cancel every live timer the SF owns, because a
-    rejoin boots a *fresh* SF instance while the old one's events would
-    otherwise keep firing.  The fault injector builds replacement instances
-    through the same registry factory used at network construction, so an SF
-    must be fully functional when constructed with nothing but its config.
+    callback); ``start()`` installs the initial schedule.  Every boot
+    (``Node.power_up``) runs ``start()`` first, then hands the SF the state
+    the node boots with (a parent through ``on_parent_changed``, or the
+    synchronising beacon through ``on_eb_received``), then boots RPL.  An
+    SF with a periodic adaptation round arms it in ``start()`` with
+    :meth:`start_rounds`.  ``stop()`` runs when the node powers down and
+    must cancel every live timer the SF owns, because a reboot boots a
+    *fresh* SF instance while the old one's events would otherwise keep
+    firing; the base ``stop()`` cancels the round, so override it only for
+    other timers.  The fault injector builds replacement instances through
+    the same registry factory used at network construction, so an SF must
+    be fully functional when constructed with nothing but its config.
 
     Settlement-barrier obligations
     ------------------------------
@@ -63,6 +67,7 @@ class SchedulingFunction:
 
     def __init__(self) -> None:
         self.node: Optional["Node"] = None
+        self._round: Optional[PeriodicTimer] = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -74,15 +79,39 @@ class SchedulingFunction:
     def start(self) -> None:
         """Install the initial schedule (slotframes, minimal cells)."""
 
-    def stop(self) -> None:
-        """Tear down any live resources (timers) on node crash.
+    def start_rounds(self, period: float, callback: Callable[[], Any], name: str) -> None:
+        """Arm the SF's periodic adaptation round; call it from :meth:`start`.
 
-        Called by the fault injector when the node powers off; the
-        schedule itself is cleared separately (``TschEngine.clear_schedule``)
-        and a later rejoin boots a *fresh* SF instance, so implementations
-        only need to cancel what would otherwise keep firing on the event
-        queue.  The default SF owns no timers.
+        The first round falls at a random phase within ``period`` and each
+        later one ``period`` ±10% after it, both drawn from the node's
+        ``<name>.timer.<node id>`` stream, so the rounds of different nodes
+        never phase-lock.  The base :meth:`stop` cancels the round and
+        :meth:`load_balance_period_s` reports ``period``.
         """
+        node = self.node
+        rng = node.rng_registry.stream(f"{name}.timer.{node.node_id}")
+        self._round = PeriodicTimer(
+            node.event_queue,
+            period,
+            callback,
+            start_offset=rng.random() * period,
+            label=f"{name}-round.{node.node_id}",
+            jitter=0.1,
+            rng=rng,
+        )
+        self._round.start()
+
+    def stop(self) -> None:
+        """Cancel the live timers when the node powers down.
+
+        ``Node.power_down`` calls it on a crash or a desync; the schedule
+        itself is cleared separately (``TschEngine.clear_schedule``) and a
+        reboot boots a *fresh* SF instance, so only what would otherwise keep
+        firing on the event queue needs cancelling.  The base cancels the
+        round of :meth:`start_rounds`; override it only for other timers.
+        """
+        if self._round is not None:
+            self._round.stop()
 
     # ------------------------------------------------------------------
     # RPL events
@@ -147,8 +176,8 @@ class SchedulingFunction:
         return 0
 
     def load_balance_period_s(self) -> float:
-        """Length of the scheduler's periodic adaptation round (0 = none)."""
-        return 0.0
+        """Length of the SF's adaptation round (0 before :meth:`start_rounds`, or without one)."""
+        return 0.0 if self._round is None else self._round.period
 
     def config_fingerprint(self) -> Any:
         """Value describing everything configurable about this SF instance.

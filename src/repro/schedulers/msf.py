@@ -41,7 +41,6 @@ from repro.mac.cell import Cell, CellOption, CellPurpose
 from repro.net.packet import Packet, PacketType
 from repro.schedulers.base import SchedulingFunction
 from repro.schedulers.registry import register_scheduler
-from repro.sim.events import PeriodicTimer
 from repro.sixtop.messages import CellDescriptor, SixPCommand, SixPMessage, SixPReturnCode
 from repro.sixtop.negotiation import NegotiationClient, SixPRequest, proposed_offsets
 
@@ -144,7 +143,6 @@ class MsfScheduler(SchedulingFunction):
 
     __slots__ = (
         "config",
-        "_timer",
         "sixp",
         "_requested_initial",
         "_downward_cells",
@@ -157,7 +155,6 @@ class MsfScheduler(SchedulingFunction):
     def __init__(self, config: MsfConfig) -> None:
         super().__init__()
         self.config = config
-        self._timer: Optional[PeriodicTimer] = None
         #: 6P transactions with the parent and the children; its ``"data"``
         #: book holds the negotiated dedicated Tx cells towards the parent.
         self.sixp = NegotiationClient(
@@ -230,25 +227,8 @@ class MsfScheduler(SchedulingFunction):
             )
         )
 
-        period = self.config.housekeeping_period_s
-        timer_rng = node.rng_registry.stream(f"msf.timer.{node.node_id}")
-        queue = node.event_queue
-        self._last_tick_now = queue.now
-        self._timer = PeriodicTimer(
-            queue,
-            period,
-            self._housekeeping_tick,
-            start_offset=timer_rng.random() * period,
-            label=f"msf-housekeeping.{node.node_id}",
-            jitter=0.1,
-            rng=timer_rng,
-        )
-        self._timer.start()
-
-    def stop(self) -> None:
-        """Cancel the housekeeping timer (node crash teardown)."""
-        if self._timer is not None:
-            self._timer.stop()
+        self._last_tick_now = node.event_queue.now
+        self.start_rounds(self.config.housekeeping_period_s, self._housekeeping_tick, "msf")
 
     # ------------------------------------------------------------------
     # RPL events
@@ -427,9 +407,6 @@ class MsfScheduler(SchedulingFunction):
     # ------------------------------------------------------------------
     def relocation_count(self) -> int:
         return self.sixp.cells_relocated
-
-    def load_balance_period_s(self) -> float:
-        return self.config.housekeeping_period_s
 
     def negotiated_tx_cell_count(self) -> int:
         return len(self.sixp.tx["data"])

@@ -35,7 +35,6 @@ from repro.net.packet import Packet, PacketType
 from repro.schedulers.base import SchedulingFunction
 from repro.schedulers.msf import sax_hash
 from repro.schedulers.registry import register_scheduler
-from repro.sim.events import PeriodicTimer
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,6 @@ class OtfScheduler(SchedulingFunction):
     __slots__ = (
         "config",
         "_broadcast_slots",
-        "_timer",
         "_tx_lanes",
         "_rx_lanes",
         "_packets_generated",
@@ -155,7 +153,6 @@ class OtfScheduler(SchedulingFunction):
         super().__init__()
         self.config = config
         self._broadcast_slots = frozenset(config.broadcast_slots())
-        self._timer: Optional[PeriodicTimer] = None
         #: Tx lanes towards the parent, by lane index order.
         self._tx_lanes: list[Cell] = []
         #: Rx lanes granted to each child, by lane index order.
@@ -191,23 +188,7 @@ class OtfScheduler(SchedulingFunction):
                     label="otf-shared",
                 )
             )
-        period = self.config.allocation_period_s
-        timer_rng = node.rng_registry.stream(f"otf.timer.{node.node_id}")
-        self._timer = PeriodicTimer(
-            node.event_queue,
-            period,
-            self._allocation_tick,
-            start_offset=timer_rng.random() * period,
-            label=f"otf-allocation.{node.node_id}",
-            jitter=0.1,
-            rng=timer_rng,
-        )
-        self._timer.start()
-
-    def stop(self) -> None:
-        """Cancel the allocation timer (node crash teardown)."""
-        if self._timer is not None:
-            self._timer.stop()
+        self.start_rounds(self.config.allocation_period_s, self._allocation_tick, "otf")
 
     # ------------------------------------------------------------------
     # lane reconciliation (both link ends derive the same coordinates)
@@ -353,9 +334,6 @@ class OtfScheduler(SchedulingFunction):
     # ------------------------------------------------------------------
     def relocation_count(self) -> int:
         return self.cells_relocated
-
-    def load_balance_period_s(self) -> float:
-        return self.config.allocation_period_s
 
     def tx_lane_count(self) -> int:
         return len(self._tx_lanes)

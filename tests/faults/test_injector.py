@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments.scenarios import GT_TSCH, MINIMAL, traffic_load_scenario
+from repro.experiments.scenarios import GT_TSCH, MINIMAL, MSF, traffic_load_scenario
 from repro.faults import (
     FaultInjector,
     FaultPlan,
@@ -89,7 +89,7 @@ class TestCrash:
         node = network.nodes[VICTIM]
         assert node.alive is False
         assert node.traffic_enabled is False
-        assert node.traffic.enabled is False
+        assert not node.traffic.running
         assert len(node.tsch.queue) == 0
         assert node.tsch.all_cells() == []
         assert node.rpl.preferred_parent is None
@@ -172,6 +172,58 @@ class TestCrashMatchesDesync:
         # Only liveness and scanning differ: the desynced node scans again.
         assert (crashed.alive, crashed.tsch.scanning) == (False, False)
         assert (desynced.alive, desynced.tsch.scanning) == (True, True)
+
+
+def boot_timers(node):
+    """Which of ``node``'s periodic timers its last boot armed."""
+    scheduler = node.scheduler
+    return {
+        "eb": node._eb_timer.running,
+        "traffic": node.traffic.running,
+        "round": scheduler._round.running,
+        "round_period_s": scheduler.load_balance_period_s(),
+        "keepalive": node._keepalive_timer,
+    }
+
+
+class TestBootMatchesStart:
+    """Network start, a warm rejoin and a synchronised arrival share one boot
+    (``Node.power_up``), so each arms the same timers."""
+
+    @pytest.mark.parametrize("scheduler", [GT_TSCH, MSF])
+    def test_same_timers_after_every_boot(self, scheduler):
+        started_net, scenario = build_network(None, scheduler=scheduler)
+        started_net.start()
+
+        rejoin_plan = FaultPlan(
+            crashes=(NodeCrash(time_s=10.0, node_id=VICTIM, detect_after_s=1.5),),
+            rejoins=(NodeRejoin(time_s=16.0, node_id=VICTIM),),
+        )
+        rejoined_net, _scenario = build_network(rejoin_plan, scheduler=scheduler)
+        run_to(rejoined_net, 11.0)
+        crashed_scheduler = rejoined_net.nodes[VICTIM].scheduler
+        run_to(rejoined_net, 16.1)
+        rejoined = rejoined_net.nodes[VICTIM]
+        assert rejoined.scheduler is not crashed_scheduler
+        assert not crashed_scheduler._round.running
+        assert rejoined.rpl.preferred_parent is not None  # a warm re-attach
+
+        arrival_plan = FaultPlan(arrivals=(NodeArrival(time_s=12.0, node_id=VICTIM),))
+        arrived_net, _scenario = build_network(arrival_plan, scheduler=scheduler)
+        run_to(arrived_net, 12.1)
+        arrived = arrived_net.nodes[VICTIM]
+        assert arrived.alive and arrived.rpl.preferred_parent is None
+
+        expected = {
+            "eb": True,
+            "traffic": True,
+            "round": True,
+            "round_period_s": scenario.contiki.load_balance_period_s,
+            "keepalive": None,
+        }
+        assert boot_timers(started_net.nodes[VICTIM]) == expected
+        assert boot_timers(rejoined) == expected
+        assert boot_timers(arrived) == expected
 
 
 class TestRejoin:

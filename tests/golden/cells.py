@@ -129,6 +129,30 @@ def dynamic_scenario(scheduler: str, seed: int) -> Scenario:
     )
 
 
+#: ``(scheduler, seed, pytest id)`` of the synchronised-arrival suite.
+ARRIVAL_CASES = (
+    (MINIMAL, 1, "arrival-minimal-s1"),
+    (ORCHESTRA, 1, "arrival-orchestra-s1"),
+    (GT_TSCH, 1, "arrival-gt-s1"),
+    (MSF, 1, "arrival-msf-s1"),
+)
+
+
+def arrival_scenario(scheduler: str, seed: int) -> Scenario:
+    """The warm-start crash/rejoin cell of ``TestArrivalEquivalence``, plus
+    one late arrival that boots synchronised (no EB scan) and waits for a DIO.
+    """
+    return churn_scenario(
+        num_crashes=1,
+        scheduler=scheduler,
+        seed=seed,
+        rate_ppm=60.0,
+        measurement_s=14.0,
+        warmup_s=8.0,
+        num_arrivals=1,
+    )
+
+
 #: ``(scheduler, seed, pytest id)`` of the keepalive-desync suite.
 DESYNC_CASES = ((ORCHESTRA, 1, "desync-orchestra-s1"),)
 
@@ -182,6 +206,7 @@ FAMILIES: dict[str, tuple[Callable[[str, int], Scenario], float]] = {
     "load165": (high_load_scenario, 3.0),
     "fault": (fault_scenario, 3.0),
     "dynamic": (dynamic_scenario, 3.0),
+    "arrival": (arrival_scenario, 3.0),
     "desync": (desync_scenario, 3.0),
     "scale": (scale_cell_scenario, 2.0),
     **{
@@ -203,6 +228,7 @@ def all_cells() -> list[tuple[str, str, int]]:
         "load165": [(scheduler, seed) for scheduler, seed, _ in HIGH_LOAD_CASES],
         "fault": [(scheduler, seed) for scheduler, seed, _ in FAULT_CASES],
         "dynamic": [(scheduler, seed) for scheduler, seed, _ in DYNAMIC_CASES],
+        "arrival": [(scheduler, seed) for scheduler, seed, _ in ARRIVAL_CASES],
         "desync": [(scheduler, seed) for scheduler, seed, _ in DESYNC_CASES],
         "scale": registered,
         **{

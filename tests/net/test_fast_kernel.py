@@ -23,10 +23,12 @@ from repro.schedulers.minimal import MinimalScheduler, MinimalSchedulerConfig
 from tests.golden import assert_matches_golden
 from tests.golden.cells import (
     ALL_REGISTERED,
+    ARRIVAL_CASES,
     DESYNC_CASES,
     DYNAMIC_CASES,
     FAULT_CASES,
     HIGH_LOAD_CASES,
+    arrival_scenario,
     cell_id,
     dynamic_scenario,
     fault_scenario,
@@ -143,6 +145,28 @@ class TestDynamicEquivalence:
         assert not fast_net.medium.in_link_epoch
         assert naive_net.medium.prr_scale == 1.0
         assert fast_net.medium.prr_scale == 1.0
+
+
+class TestArrivalEquivalence:
+    """A synchronised late arrival composes with the fast kernel bit-identically.
+
+    The warm-start fault plan plus one node that is absent from slot 0 and
+    powers on mid-window with its clock already synchronised: its stack
+    boots at once with no DODAG state and waits for a solicited DIO.  This is
+    the one boot path the cold-start cells of ``TestDynamicEquivalence``
+    never take.
+    """
+
+    @pytest.mark.parametrize(
+        "scheduler,seed", [pytest.param(s, seed, id=case) for s, seed, case in ARRIVAL_CASES]
+    )
+    def test_metrics_bit_identical_across_an_arrival(self, scheduler, seed):
+        scenario = arrival_scenario(scheduler, seed)
+        assert not scenario.contiki.cold_start_join
+        assert len(scenario.faults.arrivals) == 1
+        (_, naive), _ = _assert_equivalent("arrival", scheduler, seed)
+        # 4 legacy faults + 1 arrival.
+        assert naive.faults_injected == 5
 
 
 class TestDesyncEquivalence:

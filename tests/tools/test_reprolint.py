@@ -559,7 +559,8 @@ class TestSuppression:
 
 
 # ----------------------------------------------------------------------
-# RL007: no write to another object's private attribute outside its module
+# RL007: no write to, or call through, another object's private attribute
+# outside its module
 # ----------------------------------------------------------------------
 class TestRL007:
     def test_detects_augmented_write_from_another_module(self):
@@ -628,15 +629,61 @@ class TestRL007:
         assert violations == []
 
     def test_reads_calls_and_dunders_are_clean(self):
+        """Reads, calls through ``self``'s own private attributes, calls of
+        public methods with private arguments, and dunders."""
         violations = lint(
             """
-            def boot(node):
-                node._eb_timer.start()
-                flag = node._cold_join_pending
-                node.__doc__ = "booted"
-                return flag
+            class Injector:
+                def boot(self, node):
+                    self._records.clear()
+                    node.power_up(node._eb_timer)
+                    flag = node._cold_join_pending
+                    node.__doc__ = "booted"
+                    return flag
             """,
             "src/repro/faults/injector.py",
+        )
+        assert violations == []
+
+    def test_detects_call_through_another_objects_private_attribute(self):
+        violations = lint(
+            """
+            def rejoin(node):
+                node._eb_timer.start()
+                node._open_join_episode()
+                node.rpl._trickle_timers[0].reset()
+            """,
+            "src/repro/faults/injector.py",
+        )
+        assert rule_ids(violations) == ["RL007", "RL007", "RL007"]
+        assert "call through" in violations[0].message
+        assert [v.message.split("`")[1] for v in violations] == [
+            "_eb_timer",
+            "_open_join_episode",
+            "_trickle_timers",
+        ]
+
+    def test_call_through_a_call_is_flagged_once(self):
+        violations = lint("node._timer().stop()\n", "src/repro/faults/injector.py")
+        assert rule_ids(violations) == ["RL007"]
+
+    def test_call_defined_in_the_same_module_is_clean(self):
+        """A name the module assigns through ``self``, or has a ``def`` of, is its own."""
+        violations = lint(
+            """
+            class Event:
+                def __init__(self):
+                    self._timer = None
+
+                def _fire(self):
+                    pass
+
+            class EventQueue:
+                def run(self, event):
+                    event._fire()
+                    event._timer.start()
+            """,
+            "src/repro/net/network.py",
         )
         assert violations == []
 

@@ -9,8 +9,8 @@ The rules (RL001-RL007) enforce the determinism contract documented in
 ``docs/determinism.md``: seeded randomness only, no wall-clock reads, no
 unordered-set iteration in simulation modules, version-bump invalidation
 discipline, ``__slots__`` on hot classes, integer-only settlement counters,
-and no writes to another object's private attributes outside the module
-that defines them.
+and no writes to, or calls through, another object's private attributes
+outside the module that defines them.
 """
 
 from __future__ import annotations

@@ -15,7 +15,8 @@ RL003  no iteration over unordered ``set``/``frozenset`` in RNG/event modules
 RL004  mutations of version-tracked fields must bump the invalidation hook
 RL005  ``__slots__`` required on classes in hot (per-slot) modules
 RL006  integer duty-cycle/settlement counters never see float arithmetic
-RL007  no write to another object's private attribute outside its module
+RL007  no write to, or call through, another object's private attribute
+       outside its module
 """
 
 from __future__ import annotations
@@ -495,44 +496,67 @@ def _is_own(node: ast.AST) -> bool:
 
 
 class PrivateWriteRule(Rule):
-    """RL007: no write to another object's private attribute outside its module.
+    """RL007: no write to, or call through, another object's private attribute
+    outside its module.
 
     A class owns its ``_private`` attributes.  Code elsewhere that assigns,
     augments or deletes one keeps the class's state in step by hand, out of
-    sight of the class's own checks (RL004 reads only the class's methods).
-    Writes through ``self``/``cls`` are the owner's; a write through any
-    other object is allowed only in a module that defines the attribute
-    itself (assigns ``self.<name>`` or ``cls.<name>`` somewhere), as
-    ``EventQueue`` sets ``event._queue`` next to ``Event``.
+    sight of the class's own checks (RL004 reads only the class's methods);
+    code that calls one (``node._x()``) or calls through one
+    (``node._eb_timer.start()``) drives the class's internals from outside.
+    Writes and calls through ``self``/``cls`` are the owner's; through any
+    other object they are allowed only in a module that defines the name
+    itself (assigns ``self.<name>`` or ``cls.<name>``, or has a
+    ``def <name>``), as ``EventQueue`` sets ``event._queue`` next to
+    ``Event``.  Reads stay allowed.
     """
 
     rule_id = "RL007"
-    summary = "write to another object's private attribute outside its module"
+    summary = "write to, or call through, another object's private attribute outside its module"
 
     def applies_to(self, path: str) -> bool:
         return module_in_packages(path, ("repro/",))
 
     def check_module(self, tree: ast.Module, path: str, report) -> None:
-        defined = {
-            node.attr
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.ctx, ast.Store)
-            and _is_own(node.value)
-        }
+        defined: set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                if _is_own(node.value):
+                    defined.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add(node.name)
+
+        def foreign(attribute: ast.Attribute) -> bool:
+            return (
+                _is_private(attribute.attr)
+                and not _is_own(attribute.value)
+                and attribute.attr not in defined
+            )
+
         for node in ast.walk(tree):
             if (
                 isinstance(node, ast.Attribute)
                 and isinstance(node.ctx, (ast.Store, ast.Del))
-                and _is_private(node.attr)
-                and not _is_own(node.value)
-                and node.attr not in defined
+                and foreign(node)
             ):
                 report(
                     node,
                     f"write to another object's private attribute `{node.attr}`; "
                     "call a method of the class that owns it",
                 )
+            elif isinstance(node, ast.Call):
+                # Walk the callee chain outwards and report its first foreign
+                # private link; a call inside the chain is visited on its own.
+                link = node.func
+                while isinstance(link, (ast.Attribute, ast.Subscript)):
+                    if isinstance(link, ast.Attribute) and foreign(link):
+                        report(
+                            link,
+                            f"call through another object's private attribute `{link.attr}`; "
+                            "call a method of the class that owns it",
+                        )
+                        break
+                    link = link.value
 
 
 ALL_RULES = (
