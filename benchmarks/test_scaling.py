@@ -2,7 +2,7 @@
 
 Runs the :func:`~repro.experiments.scenarios.scale_scenario` family
 (paper-sized DODAGs replicated until the site holds 100-500 nodes, converged
-sparse-telemetry workload) once with the participant-dispatch kernel
+sparse-telemetry workload) once with the dispatch kernel
 (``fast=True``) and once with the naive per-slot reference loop
 (``fast=False``) for every scheduler, verifies the finalized metrics are
 bit-identical at every size -- the skip-equivalence proof at scale -- and
@@ -40,7 +40,9 @@ Modes
 A third benchmark (``test_flatness_large_n``) runs the fast kernel alone --
 no reference loop, which would take hours at this size -- at N=1000 and
 records the per-stepped-slot cost growth relative to N=200 under the
-record's ``"flatness"`` key; see the gate notes at its constants.
+record's ``"flatness"`` key; see the gate notes at its constants.  Its
+exact twin (``test_flatness_large_n_decisions_per_transmission``) gates
+the same growth on a work count instead of the clock.
 
 Record files
 ------------
@@ -427,6 +429,59 @@ def test_flatness_large_n():
         f"per-stepped-slot cost grew {ratio:.2f}x from N={FLATNESS_SMALL_N} "
         f"to N={FLATNESS_LARGE_N} (gate {FLATNESS_RATIO_MAX:.1f}x) -- "
         "superlinear dispatch regression"
+    )
+
+
+# ----------------------------------------------------------------------
+# large-N flatness, exact twin: slot decisions per transmission
+# ----------------------------------------------------------------------
+#: The clock-free twin of ``test_flatness_large_n``.  A stepped slot lets
+#: its due transmitters and their interference audience decide their slot,
+#: and nobody else, so the slot decisions made per medium transmission
+#: (``TschEngine.plan_slot`` plus ``idle_listen_channel_offset`` calls) stay
+#: put as N grows five-fold.  Measured on ``scale_scenario(N, ., seed=1,
+#: warmup_s=5, measurement_s=5)``, N=200 -> N=1000: Orchestra 9.23 -> 9.17,
+#: GT-TSCH 12.30 -> 12.03.  A dispatch that offers every node to every
+#: stepped slot reads 57.9 -> 115.4 and 73.3 -> 175.8 (2.0x and 2.4x).
+FLATNESS_WORK_SCHEDULERS = (ORCHESTRA, GT_TSCH)
+FLATNESS_WORK_RATIO_MAX = 1.25
+
+
+@pytest.mark.parametrize("scheduler", FLATNESS_WORK_SCHEDULERS)
+def test_flatness_large_n_decisions_per_transmission(scheduler, monkeypatch):
+    """Exact N=1000 vs N=200 gate on slot decisions per transmission."""
+    from repro.mac.tsch import TschEngine
+
+    calls = [0]
+
+    def counted(method):
+        def wrapper(self, asn):
+            calls[0] += 1
+            return method(self, asn)
+
+        return wrapper
+
+    for name in ("plan_slot", "idle_listen_channel_offset"):
+        monkeypatch.setattr(TschEngine, name, counted(getattr(TschEngine, name)))
+    per_tx: dict[int, float] = {}
+    for num_nodes in (FLATNESS_SMALL_N, FLATNESS_LARGE_N):
+        calls[0] = 0
+        scenario = scale_scenario(num_nodes, scheduler, seed=1, warmup_s=5.0, measurement_s=5.0)
+        network = scenario.build_network()
+        network.run_experiment(warmup_s=scenario.warmup_s, measurement_s=scenario.measurement_s)
+        per_tx[num_nodes] = calls[0] / network.medium.total_transmissions
+    ratio = per_tx[FLATNESS_LARGE_N] / per_tx[FLATNESS_SMALL_N]
+    print(
+        f"[scaling/flatness-exact] {scheduler}: decisions per transmission "
+        f"N={FLATNESS_SMALL_N} {per_tx[FLATNESS_SMALL_N]:.2f}, "
+        f"N={FLATNESS_LARGE_N} {per_tx[FLATNESS_LARGE_N]:.2f} "
+        f"(ratio {ratio:.3f}, gate {FLATNESS_WORK_RATIO_MAX})"
+    )
+    assert ratio <= FLATNESS_WORK_RATIO_MAX, (
+        f"slot decisions per transmission grew {ratio:.2f}x from "
+        f"N={FLATNESS_SMALL_N} to N={FLATNESS_LARGE_N} (gate "
+        f"{FLATNESS_WORK_RATIO_MAX}x) -- the dispatch visits nodes outside "
+        "the transmitters' audiences"
     )
 
 

@@ -95,23 +95,3 @@ class QueueMetric:
     def reset(self) -> None:
         self.value = 0.0
         self.updates = 0
-
-
-@dataclass
-class LoadObservation:
-    """One load-balancing period's worth of measurements on a node."""
-
-    #: Packets generated by the local application during the period.
-    packets_generated: int = 0
-    #: Tx cells newly requested by children (6P ADD) during the period.
-    child_requested_cells: int = 0
-
-    def reset(self) -> "LoadObservation":
-        """Return the collected values and clear the counters for the next period."""
-        snapshot = LoadObservation(
-            packets_generated=self.packets_generated,
-            child_requested_cells=self.child_requested_cells,
-        )
-        self.packets_generated = 0
-        self.child_requested_cells = 0
-        return snapshot

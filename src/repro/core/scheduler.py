@@ -34,7 +34,6 @@ from repro.core.channel_allocation import ChannelAllocationError, ChannelAllocat
 from repro.core.config import GtTschConfig
 from repro.core.game import PlayerState, optimal_tx_cells
 from repro.core.load_balancing import (
-    LoadObservation,
     QueueMetric,
     compute_minimum_tx_cells,
     generation_cells_per_slotframe,
@@ -61,7 +60,8 @@ class GtTschScheduler(SchedulingFunction):
         self.config = config or GtTschConfig()
         self.builder = GtSlotframeBuilder(self.config)
         self.queue_metric = QueueMetric(zeta=self.config.queue_ewma_zeta, q_max=self.config.q_max)
-        self.observation = LoadObservation()
+        #: Packets the local application generated this load-balancing round.
+        self._packets_generated = 0
         self.channels: Optional[ChannelAllocator] = None
 
         # Channel state (Section III).
@@ -354,7 +354,6 @@ class GtTschScheduler(SchedulingFunction):
             # own demand even when none can be granted right now; the shortfall
             # stays outstanding and is propagated upward (this node requests
             # more Tx cells from its own parent) until the child can be served.
-            self.observation.child_requested_cells += count
             self._child_outstanding[peer] = max(0, count - len(offsets))
         return self.sixp.answer_add(peer, purpose, offsets, self.own_child_channel)
 
@@ -395,8 +394,9 @@ class GtTschScheduler(SchedulingFunction):
         # resets its flag, and this re-queues it until it eventually succeeds.
         self._bootstrap_with_parent()
 
-        observation = self.observation.reset()
-        generation_ppm = observation.packets_generated * 60.0 / self.config.load_balance_period_s
+        generated = self._packets_generated
+        self._packets_generated = 0
+        generation_ppm = generated * 60.0 / self.config.load_balance_period_s
         l_g = generation_cells_per_slotframe(
             generation_ppm,
             self.config.slotframe_length,
@@ -448,7 +448,7 @@ class GtTschScheduler(SchedulingFunction):
     # ------------------------------------------------------------------
     def on_packet_enqueued(self, packet: Packet) -> None:
         if packet.ptype is PacketType.DATA and packet.source == self.node.node_id:
-            self.observation.packets_generated += 1
+            self._packets_generated += 1
 
     # ------------------------------------------------------------------
     # helpers

@@ -73,9 +73,6 @@ FIGURES = {
 #: --measurement-s 90``).
 PAPER_FIGURES = ("8", "9", "10")
 
-#: Figures whose default line-up is the full three-scheduler comparison.
-THREE_SCHEDULER_FIGURES = ("churn", "churn-dynamic", "join")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -139,9 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=KNOWN_SCHEDULERS,
         metavar="NAME",
         help="schedulers to compare, any of: "
-        f"{', '.join(KNOWN_SCHEDULERS)} (default: "
-        f"{' '.join(DEFAULT_SCHEDULERS)}; the churn/join sweeps default to "
-        f"{' '.join(ROBUSTNESS_SCHEDULERS)})",
+        f"{', '.join(KNOWN_SCHEDULERS)} (default: each figure's own line-up, "
+        f"{' '.join(DEFAULT_SCHEDULERS)} for the paper figures and "
+        f"{' '.join(ROBUSTNESS_SCHEDULERS)} for the others)",
     )
     parser.add_argument(
         "--export-dir",
@@ -207,13 +204,15 @@ def run_one(
 ) -> FigureResult:
     runner, values_kw, value_type = FIGURES[figure_id]
     kwargs = {
-        "schedulers": args.schedulers,
         "seeds": args.seeds,
         "jobs": args.jobs,
         "cache": cache,
         "measurement_s": args.measurement_s,
         "warmup_s": args.warmup_s,
     }
+    if args.schedulers is not None:
+        # Otherwise the runner's own default line-up applies.
+        kwargs["schedulers"] = args.schedulers
     if args.values is not None:
         try:
             kwargs[values_kw] = [value_type(value) for value in args.values]
@@ -265,17 +264,6 @@ def _run_figures(args: argparse.Namespace) -> int:
     if args.values is not None and len(figure_ids) != 1:
         print("--values requires a single --figure", file=sys.stderr)
         return 2
-    if args.schedulers is None:
-        # The robustness head-to-heads and the join sweep are three-scheduler
-        # comparisons by design; the paper figures default to the GT-TSCH vs
-        # Orchestra pair.  (Unknown names never reach this point: the
-        # --schedulers choices are registry-generated, so argparse rejects
-        # them with the full registered list.)
-        args.schedulers = (
-            list(ROBUSTNESS_SCHEDULERS)
-            if args.figure in THREE_SCHEDULER_FIGURES
-            else list(DEFAULT_SCHEDULERS)
-        )
 
     cache = None if args.no_cache else ResultCache(root=args.cache_dir)
     # Simulated slots per scenario cell: warm-up + measurement + drain, with
@@ -291,7 +279,8 @@ def _run_figures(args: argparse.Namespace) -> int:
         hits_before = cache.hits if cache is not None else 0
         result = run_one(figure_id, args, cache)
         elapsed = time.perf_counter() - started
-        cells = len(result.sweep_values) * len(args.schedulers) * len(args.seeds)
+        schedulers = len(result.results)
+        cells = len(result.sweep_values) * schedulers * len(args.seeds)
         hits = cache.hits - hits_before if cache is not None else 0
         cache_note = f", cache hits {hits}/{cells}" if cache is not None else ""
         simulated_cells = cells - hits
@@ -312,7 +301,7 @@ def _run_figures(args: argparse.Namespace) -> int:
             print(f"[figure {figure_id}] robustness ranking: {ranking}")
         print(
             f"[figure {figure_id}] {len(result.sweep_values)} points x "
-            f"{len(args.schedulers)} schedulers x {len(args.seeds)} seeds "
+            f"{schedulers} schedulers x {len(args.seeds)} seeds "
             f"in {elapsed:.1f}s (jobs={args.jobs}{cache_note}{throughput_note})"
         )
         if args.export_dir:

@@ -10,9 +10,9 @@ either loop.  The mutations themselves only ever go through hooks that
 are already settlement barriers for the fast kernel:
 
 * schedule teardown runs through ``TschEngine.clear_schedule`` /
-  per-cell removals, whose ``on_schedule_change`` hook settles deferred
-  duty-cycle accounting under the pre-mutation profile and dirties the
-  participant index;
+  per-cell removals, whose ``on_schedule_change`` hook fires before the
+  change applies and settles deferred CSMA and duty-cycle accounting
+  under the schedule still installed;
 * queue flushes run through ``TschEngine.flush_queue``, whose
   ``mark_queue_mutated`` hook settles deferred CSMA state and maintains
   the backlog index;

@@ -13,10 +13,10 @@ a slot from it without sorting.  A parallel per-offset table holds the
 *listen entry* (:meth:`listen_at`, the idle-listen decision), which every
 mutation recomputes for each offset it touches.  Every empty offset points
 at one shared, never-mutated empty list, so a mostly idle schedule costs
-lists only for its *used* offsets.  Every mutation also bumps
-:attr:`version`, which the TSCH engine and the network's slot-skipping
-kernel use to invalidate their derived schedule facts
-(:class:`~repro.mac.tsch.ScheduleProfile`, the participant index).
+lists only for its *used* offsets.  Every mutation first bumps
+:attr:`version` and fires :attr:`~Slotframe.on_change` *before* it touches
+either table, so the owning TSCH engine can settle the node's deferred
+state under the schedule that held until now.
 """
 
 from __future__ import annotations
@@ -58,8 +58,9 @@ class Slotframe:
         self.length = length
         #: Monotonic mutation counter; bumped by every cell add/remove.
         self.version = 0
-        #: Invoked after every mutation; the owning TSCH engine hooks this to
-        #: invalidate its derived schedule caches without polling.
+        #: Invoked before every mutation applies, while the tables still hold
+        #: the old schedule; the owning TSCH engine hooks this to settle the
+        #: node's deferred state and then invalidate its derived facts.
         self.on_change: Optional[Callable[[], None]] = None
         #: Dense lookup table: ``_table[offset]`` lists the cells installed at
         #: that slot offset in planning order (stably sorted by purpose
@@ -67,7 +68,7 @@ class Slotframe:
         self._table: list[list[Cell]] = [_EMPTY] * length
         #: Listen table: ``_listen[offset]`` is :func:`_listen_entry` of
         #: ``_table[offset]``.  It changes only in the methods that mutate
-        #: ``_table``, each of which calls :meth:`_mutated`.
+        #: ``_table``, each of which calls :meth:`_mutated` first.
         self._listen: list[Optional[ListenEntry]] = [None] * length
 
     def _mutated(self) -> None:
@@ -96,6 +97,7 @@ class Slotframe:
         )
         if existing is not None:
             return existing
+        self._mutated()
         bucket = self._table[cell.slot_offset]
         if bucket:
             # Stable insert: after every cell of equal or lower priority.
@@ -107,7 +109,6 @@ class Slotframe:
         else:
             bucket = self._table[cell.slot_offset] = [cell]
         self._listen[cell.slot_offset] = _listen_entry(bucket)
-        self._mutated()
         return cell
 
     def remove_cell(self, cell: Cell) -> bool:
@@ -115,14 +116,13 @@ class Slotframe:
         if cell.slot_offset >= self.length:
             return False
         bucket = self._table[cell.slot_offset]
-        try:
-            bucket.remove(cell)
-        except ValueError:
+        if cell not in bucket:
             return False
+        self._mutated()
+        bucket.remove(cell)
         if not bucket:
             self._table[cell.slot_offset] = _EMPTY
         self._listen[cell.slot_offset] = _listen_entry(bucket)
-        self._mutated()
         return True
 
     def remove_cells_with_neighbor(self, neighbor: int) -> int:
@@ -133,18 +133,18 @@ class Slotframe:
                 continue
             keep = [c for c in bucket if c.neighbor != neighbor]
             if len(keep) < len(bucket):
+                if not removed:
+                    self._mutated()
                 removed += len(bucket) - len(keep)
                 self._table[offset] = keep if keep else _EMPTY
                 self._listen[offset] = _listen_entry(keep)
-        if removed:
-            self._mutated()
         return removed
 
     def clear(self) -> None:
         """Remove every cell."""
+        self._mutated()
         self._table = [_EMPTY] * self.length
         self._listen = [None] * self.length
-        self._mutated()
 
     # ------------------------------------------------------------------
     # queries

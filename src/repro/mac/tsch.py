@@ -162,8 +162,6 @@ class ScheduleProfile:
     :attr:`~TschEngine.schedule_version`; the network's slot-skipping kernel
     uses it to answer, without planning the slot:
 
-    * which ASNs the node has *any* cell at (:attr:`frame_offsets` feeds the
-      network's participant index),
     * at which ASNs a node holding queued packets could possibly transmit
       (:meth:`next_tx_asn`, one bisect per slotframe into a table memoised
       per queue signature), and
@@ -176,7 +174,6 @@ class ScheduleProfile:
     __slots__ = (
         "version",
         "has_rx",
-        "frame_offsets",
         "_frames",
         "_single",
         "_rx_incexc",
@@ -190,8 +187,6 @@ class ScheduleProfile:
 
     def __init__(self, slotframes: Sequence[Slotframe], version: int) -> None:
         self.version = version
-        #: ``(length, sorted offsets with any cell)`` per slotframe.
-        self.frame_offsets: list[tuple] = []
         #: Per slotframe: ``(length, rx offsets, rx prefix counts, broadcast
         #: TX offsets, anycast TX cells, neighbor -> dedicated TX cells)``.
         self._frames: list[tuple] = []
@@ -231,7 +226,6 @@ class ScheduleProfile:
             marks = [0] * length
             for offset in rx_offsets:
                 marks[offset] = 1
-            self.frame_offsets.append((length, used))
             prefix = list(accumulate(marks, initial=0))
             self._frames.append(
                 (length, rx_offsets, prefix, broadcast_tx, anycast_tx, neighbor_tx)
@@ -443,8 +437,10 @@ class TschEngine:
         #: remove in any slotframe, slotframe add or remove); pushed by the
         #: slotframes' ``on_change`` hooks, so reading it is O(1).
         self._version = 0
-        #: Invoked after every schedule mutation; the network hooks this to
-        #: invalidate its participant index.
+        #: Invoked before every schedule mutation applies, while the schedule
+        #: and :attr:`schedule_version` are still the old ones; the network
+        #: hooks this to settle the node's deferred CSMA and duty-cycle state
+        #: under the schedule that held until now.
         self.on_schedule_change: Optional[Callable[[], None]] = None
         #: Invoked after every MAC-queue mutation (packet accepted, removed,
         #: or re-addressed); the network hooks this to maintain its backlog
@@ -527,46 +523,53 @@ class TschEngine:
             return existing
         slotframe = Slotframe(handle, length)
         slotframe.on_change = self._on_schedule_mutated
+        self._on_schedule_mutated()
         self.slotframes[handle] = slotframe
         self._frames = None
-        self._on_schedule_mutated()
         return slotframe
 
     def get_slotframe(self, handle: int) -> Optional[Slotframe]:
         return self.slotframes.get(handle)
 
     def remove_slotframe(self, handle: int) -> None:
-        removed = self.slotframes.pop(handle, None)
-        if removed is not None:
-            removed.on_change = None
-            self._frames = None
+        slotframe = self.slotframes.get(handle)
+        if slotframe is not None:
             self._on_schedule_mutated()
+            del self.slotframes[handle]
+            slotframe.on_change = None
+            self._frames = None
 
     def clear_schedule(self) -> None:
         """Remove every slotframe (used when re-initialising a scheduler)."""
+        self._on_schedule_mutated()
         for slotframe in self.slotframes.values():
             slotframe.on_change = None
         self.slotframes.clear()
         self._frames = None
-        self._on_schedule_mutated()
 
     # ------------------------------------------------------------------
     # schedule facts (used by plan_slot and the slot-skipping kernel)
     # ------------------------------------------------------------------
     def _on_schedule_mutated(self) -> None:
-        """Record a schedule mutation and propagate it upwards."""
-        self._version += 1
+        """Settle before a schedule mutation applies, then record it.
+
+        The network's hook runs first, while :meth:`schedule_profile` still
+        describes the schedule that held over the node's deferred window;
+        the version bump after it makes the next profile query rebuild.
+        """
         if self.on_schedule_change is not None:
             self.on_schedule_change()
+        self._version += 1
 
     @property
     def schedule_version(self) -> int:
         """Monotonic counter covering every schedule mutation.
 
         Any cell installed or removed in any slotframe, and any slotframe
-        added or removed, strictly increases this value; derived facts (the
-        engine's :class:`ScheduleProfile`, and the network-wide participant
-        index) compare it to decide whether they are stale.
+        added or removed, strictly increases this value, once the
+        ``on_schedule_change`` hook has returned; derived facts (the engine's
+        :class:`ScheduleProfile`, the network's TX-horizon stamps) compare it
+        to decide whether they are stale.
         """
         return self._version
 
@@ -642,15 +645,6 @@ class TschEngine:
             self._profile = profile
         return profile
 
-    def cached_profile(self) -> Optional[ScheduleProfile]:
-        """The last built :class:`ScheduleProfile`, possibly stale, or None.
-
-        Right after a schedule mutation this still describes the
-        *pre-mutation* schedule, which is exactly what the network needs to
-        settle the deferred duty-cycle window that accumulated under it.
-        """
-        return self._profile
-
     def listens_lazily(self, asn: int) -> bool:
         """Whether deferred settling credits ``asn`` as idle-listen, not sleep.
 
@@ -661,18 +655,17 @@ class TschEngine:
         """
         return self._scanning or self.idle_listen_channel_offset(asn) is not None
 
-    def settle_duty_cycle(self, asn: int, profile: Optional[ScheduleProfile] = None) -> None:
+    def settle_duty_cycle(self, asn: int) -> None:
         """Credit the deferred window ``[duty_accounted_asn, asn)`` in bulk.
 
-        Every slot in the window is credited as ``profile`` (the engine's
-        current one when not given) spends it: idle-listening where the
-        profile has an active RX cell, sleeping everywhere else.  The kernel
-        guarantees the schedule was constant over the window and has already
-        corrected the meter for the window's TX and busy-RX slots (see
-        :meth:`listens_lazily`), so integer bulk credits make the meter
-        bit-identical to per-slot recording.  Callers that just mutated the
-        schedule must pass the pre-mutation profile (see
-        :meth:`cached_profile`).
+        Every slot in the window is credited as the current schedule spends
+        it: idle-listening where it has an active RX cell, sleeping
+        everywhere else.  The kernel guarantees the schedule was constant
+        over the window -- every mutation settles through this method
+        before it applies -- and has already corrected the meter for the
+        window's TX and busy-RX slots (see :meth:`listens_lazily`), so
+        integer bulk credits make the meter bit-identical to per-slot
+        recording.
         """
         accounted = self.duty_accounted_asn
         if accounted >= asn:
@@ -685,13 +678,7 @@ class TschEngine:
             # a frame were corrected by NodeStateStore.account_rx_frames.
             idle = window
         else:
-            if profile is None:
-                # Inlined schedule_profile() version check (hot: one settle
-                # per visited node per stepped slot).
-                profile = self._profile
-                if profile is None or profile.version != self._version:
-                    profile = self.schedule_profile()
-            idle = profile.count_idle_listen(accounted, asn)
+            idle = self.schedule_profile().count_idle_listen(accounted, asn)
         meter.rx_slots += idle
         meter.idle_listen_slots += idle
         meter.sleep_slots += window - idle

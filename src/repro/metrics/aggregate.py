@@ -23,25 +23,7 @@ from typing import Optional
 from repro.metrics.collector import NetworkMetrics
 
 #: Numeric keys of ``NetworkMetrics.as_dict()`` (everything but the scheduler).
-NUMERIC_KEYS = (
-    "pdr_percent",
-    "end_to_end_delay_ms",
-    "packet_loss_per_minute",
-    "radio_duty_cycle_percent",
-    "queue_loss_per_node",
-    "received_per_minute",
-    "generated",
-    "delivered",
-    "sixp_cell_relocations",
-    "sixp_relocations_per_lb_period",
-    "time_to_reconverge_s",
-    "pdr_under_churn_percent",
-    "packets_lost_to_crash",
-    "orphaned_cell_slots",
-    "time_to_join_s",
-    "time_to_first_packet_s",
-    "nodes_joined",
-)
+NUMERIC_KEYS = tuple(key for key in NetworkMetrics().as_dict() if key != "scheduler")
 
 #: Two-sided 95% critical values of Student's t distribution, indexed by
 #: degrees of freedom (1-30); beyond 30 the normal approximation is used.

@@ -119,6 +119,32 @@ class _GeneratedRecord:
     created_at: float
 
 
+def _node_counters(node) -> dict:
+    """Snapshot of one node's cumulative counters and its duty cycle."""
+    return {
+        "queue_drops": node.tsch.queue.data_drops,
+        "mac_drops": node.tsch.stats.mac_drops,
+        "routing_drops": node.stats.routing_drops,
+        "control_sent": node.stats.eb_sent + node.rpl.dio_sent + node.rpl.dao_sent
+        + node.sixtop.requests_sent + node.sixtop.responses_sent,
+        "duty_cycle_percent": node.tsch.duty_cycle.duty_cycle_percent,
+        "relocations": node.scheduler.relocation_count(),
+    }
+
+
+def _censored_mean(durations: list[float], open_episodes: dict[int, float], end: float) -> float:
+    """Mean episode length, each still-open episode censored at ``end``.
+
+    Censoring keeps a node that never finishes its episode in the average
+    (it drags the mean up) instead of letting it vanish; 0.0 without any
+    episode.
+    """
+    lengths = list(durations)
+    for _node_id, started in sorted(open_episodes.items()):
+        lengths.append(max(0.0, end - started))
+    return sum(lengths) / len(lengths) if lengths else 0.0
+
+
 class MetricsCollector:
     """Collects application-level events and MAC counters for one run."""
 
@@ -176,15 +202,10 @@ class MetricsCollector:
         self._reconverge_durations.clear()
         self._orphaned_cells = 0
         for node in nodes:
+            # The meter restarts with the window, so only the finals' duty
+            # cycle is read.
             node.tsch.duty_cycle.reset()
-            self._node_baselines[node.node_id] = {
-                "queue_drops": node.tsch.queue.data_drops,
-                "mac_drops": node.tsch.stats.mac_drops,
-                "routing_drops": node.stats.routing_drops,
-                "control_sent": node.stats.eb_sent + node.rpl.dio_sent + node.rpl.dao_sent
-                + node.sixtop.requests_sent + node.sixtop.responses_sent,
-                "relocations": node.scheduler.relocation_count(),
-            }
+            self._node_baselines[node.node_id] = _node_counters(node)
 
     def end_measurement(self, nodes=None, now: float = 0.0) -> None:
         """Close the window (deliveries of already-generated packets still count).
@@ -198,15 +219,7 @@ class MetricsCollector:
         self.measuring = False
         if nodes is not None:
             for node in nodes:
-                self._node_finals[node.node_id] = {
-                    "queue_drops": node.tsch.queue.data_drops,
-                    "mac_drops": node.tsch.stats.mac_drops,
-                    "routing_drops": node.stats.routing_drops,
-                    "control_sent": node.stats.eb_sent + node.rpl.dio_sent + node.rpl.dao_sent
-                    + node.sixtop.requests_sent + node.sixtop.responses_sent,
-                    "duty_cycle_percent": node.tsch.duty_cycle.duty_cycle_percent,
-                    "relocations": node.scheduler.relocation_count(),
-                }
+                self._node_finals[node.node_id] = _node_counters(node)
 
     # ------------------------------------------------------------------
     # event hooks (called by nodes)
@@ -320,15 +333,7 @@ class MetricsCollector:
             baseline = self._node_baselines.get(node.node_id, {})
             final = self._node_finals.get(node.node_id)
             if final is None:
-                final = {
-                    "queue_drops": node.tsch.queue.data_drops,
-                    "mac_drops": node.tsch.stats.mac_drops,
-                    "routing_drops": node.stats.routing_drops,
-                    "control_sent": node.stats.eb_sent + node.rpl.dio_sent + node.rpl.dao_sent
-                    + node.sixtop.requests_sent + node.sixtop.responses_sent,
-                    "duty_cycle_percent": node.tsch.duty_cycle.duty_cycle_percent,
-                    "relocations": node.scheduler.relocation_count(),
-                }
+                final = _node_counters(node)
             queue_drops = final["queue_drops"] - baseline.get("queue_drops", 0)
             mac_drops = final["mac_drops"] - baseline.get("mac_drops", 0)
             routing_drops = final["routing_drops"] - baseline.get("routing_drops", 0)
@@ -360,32 +365,17 @@ class MetricsCollector:
             "parent-loss", 0
         )
         metrics.orphaned_cell_slots = self._orphaned_cells
-        episode_durations = list(self._reconverge_durations)
-        for _node_id, started in sorted(self._orphan_open.items()):
-            # Still orphaned at finalisation: censor at the window close so
-            # a node that never reconverges drags the average up instead of
-            # silently vanishing from it.
-            episode_durations.append(max(0.0, window_end - started))
-        if episode_durations:
-            metrics.time_to_reconverge_s = sum(episode_durations) / len(
-                episode_durations
-            )
+        metrics.time_to_reconverge_s = _censored_mean(
+            self._reconverge_durations, self._orphan_open, window_end
+        )
         # --- cold-join metrics (zero without cold boots / arrivals) ------
         metrics.nodes_joined = len(self._join_durations)
-        join_durations = list(self._join_durations)
-        for _node_id, started in sorted(self._join_open.items()):
-            # Never joined: censor at the window close, exactly as the
-            # reconvergence episodes above.
-            join_durations.append(max(0.0, window_end - started))
-        if join_durations:
-            metrics.time_to_join_s = sum(join_durations) / len(join_durations)
-        first_packet_durations = list(self._first_packet_durations)
-        for _node_id, started in sorted(self._first_packet_open.items()):
-            first_packet_durations.append(max(0.0, window_end - started))
-        if first_packet_durations:
-            metrics.time_to_first_packet_s = sum(first_packet_durations) / len(
-                first_packet_durations
-            )
+        metrics.time_to_join_s = _censored_mean(
+            self._join_durations, self._join_open, window_end
+        )
+        metrics.time_to_first_packet_s = _censored_mean(
+            self._first_packet_durations, self._first_packet_open, window_end
+        )
         if self._first_fault_time is not None:
             cutoff = self._first_fault_time
             churn_generated = [

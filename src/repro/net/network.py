@@ -35,15 +35,15 @@ and that only nodes with queued packets can put energy on the air:
   cells are active in it;
 * each *stepped* slot is dispatched transmitter-centrically: only the due
   transmitters plus their interference audience (precomputed by
-  :meth:`Medium.freeze`) are planned, and an inverted ``(length, offset) ->
-  participants`` index, maintained incrementally per mutated node, skips
-  audience members without a cell; everyone else's radio activity is a
-  pure function of its schedule;
+  :meth:`Medium.freeze`) decide their slot, each audience member from its
+  own slotframes' listen tables; everyone else's radio activity is a pure
+  function of its schedule;
 * duty-cycle accounting is *deferred*: per-node windows of slots are
   settled in integer bulk (idle-listen where the schedule has an active RX
   cell, sleep elsewhere) by
-  :meth:`~repro.mac.tsch.TschEngine.settle_duty_cycle`, with schedule
-  mutations as settlement barriers.  A transmitter or decoder gets an
+  :meth:`~repro.mac.tsch.TschEngine.settle_duty_cycle`.  Every schedule
+  mutation is a settlement barrier that fires *before* it applies, so a
+  window only ever spans one schedule.  A transmitter or decoder gets an
   integer correction against that credit at the end of its slot, so no
   stepped slot settles a window.
 
@@ -99,32 +99,12 @@ class Network:
         )
         self.metrics = MetricsCollector()
         self.nodes: dict[int, Node] = {}
-        #: node id -> TSCH engine, kept in sync with :attr:`nodes` (frame
-        #: delivery resolves receivers through this to skip an attribute hop
-        #: per decoded frame).
-        self._engines: dict[int, "object"] = {}
         self._started = False
         #: Use the slot-skipping kernel in :meth:`run_slots` (bit-identical to
         #: the naive loop; ``fast=False`` is the escape hatch).
         self.fast = fast
-        #: Flat node list, kept in sync with :attr:`nodes` (hot-loop iteration).
-        self._node_list: list[Node] = []
-        #: Inverted participant index (maintained incrementally, see
-        #: :meth:`_refresh_participants`): ``slotframe length -> slot offset
-        #: -> {node order index -> node}`` -- dicts make one node's
-        #: contribution removable in O(its cells) when only that node's
-        #: schedule changed, and keying by order index lets dispatch restore
-        #: node insertion order.  An offset, and then a length, leaves the
-        #: index when its last node does.  Queried per slot by the dispatch
-        #: loop and through :meth:`_participants_at`.
-        self._part_tables: dict[int, dict[int, dict[int, Node]]] = {}
-        #: node id -> set of (length, offset) pairs it currently contributes.
-        self._node_contrib: dict[int, set] = {}
-        #: Nodes whose schedule changed since the last index refresh; only
-        #: their contributions are recomputed.
-        self._dirty_nodes: set = set()
-        #: node id -> position in :attr:`_node_list` (multi-length dispatch
-        #: merges participant buckets back into insertion order with this).
+        #: node id -> position in :attr:`nodes` (the dispatch kernel restores
+        #: node insertion order with this).
         self._node_order: dict[int, int] = {}
         #: Backlog index: nodes currently holding at least one queued packet,
         #: push-maintained through :attr:`TschEngine.on_queue_change`.  Only
@@ -133,11 +113,11 @@ class Network:
         self._backlogged: dict[int, Node] = {}
         #: Scan registry: nodes currently in the unsynchronised EB scan,
         #: push-maintained through :attr:`Node.on_scan_state`.  A scanning
-        #: node has no schedule (it is invisible to the participant index)
-        #: but listens on the deterministic scan channel every slot, so the
-        #: dispatch kernel adds these nodes to every stepped slot's
-        #: audience; in jumped/transmission-free slots they provably decode
-        #: nothing and their all-idle-listen window settles in bulk.
+        #: node has no schedule and an empty queue, but listens on the
+        #: deterministic scan channel every slot, so the dispatch kernel
+        #: adds these nodes to every stepped slot's audience; in
+        #: jumped/transmission-free slots they provably decode nothing and
+        #: their all-idle-listen window settles in bulk.
         self._scanning: dict[int, Node] = {}
         #: Min-heap of per-node TX horizons: ``(occurrence, order index,
         #: node, queue version, schedule version)``.  An entry is authoritative
@@ -187,12 +167,9 @@ class Network:
         # A node created mid-run owes no duty-cycle accounting for the slots
         # that elapsed before it existed.
         node.tsch.duty_accounted_asn = self.clock.asn
+        self._node_order[node_id] = len(self._node_order)
         self.nodes[node_id] = node
-        self._engines[node_id] = node.tsch
         self.medium.register_node(node_id, position)
-        self._dirty_nodes.add(node)
-        self._node_order[node_id] = len(self._node_list)
-        self._node_list.append(node)
         return node
 
     def build_from_topology(
@@ -268,9 +245,9 @@ class Network:
            audience (precomputed at medium freeze): only those nodes can draw
            RNG numbers or decode.  Listeners outside every audience hear
            nothing by construction, so deferring them as idle-listeners is
-           bit-identical; audience members without a cell at this ASN (per
-           the inverted participant index) provably sleep and are skipped
-           without planning.
+           bit-identical.  Each audience member decides for itself: a
+           backlogged one through its CSMA deferral or a full plan, any
+           other one from its slotframes' listen tables.
 
         Nodes are visited in insertion order throughout, so intents,
         listeners, and therefore arbitration and the RNG stream are exactly
@@ -279,8 +256,8 @@ class Network:
         asn = self.clock.asn
         now = self.clock.now
         # 1. fire asynchronous timers due at or before this slot boundary
-        # (these may mutate schedules and queues, so they run before the
-        # participant lookup below).
+        # (these may mutate schedules and queues, so they run before any
+        # node plans this slot).
         self.events.run_until(now)
         self.stepped_slots += 1
 
@@ -301,31 +278,21 @@ class Network:
 
         if not intents:
             # Transmission-free slot: nothing reaches the medium, no RNG is
-            # drawn, and every participant's duty cycle stays the pure
-            # function of its schedule that deferred settling reproduces.
+            # drawn, and every node's duty cycle stays the pure function of
+            # its schedule that deferred settling reproduces.
             self.clock.advance_slot()
             return
 
         # 2b. the transmitters' interference audience completes the slot;
         # unreachable listeners -- and every listener that ends up decoding
-        # nothing -- stay deferred.
-        if self._dirty_nodes:
-            self._refresh_participants()
-        # This ASN's participant buckets from the inverted index: an audience
-        # member with a cell in none of them provably sleeps, so it is
-        # skipped without even being planned.  Each member's listen/sleep
-        # decision is read from its slotframes' per-offset listen tables
-        # (:meth:`~repro.mac.tsch.TschEngine.idle_listen_channel_offset`).
+        # nothing -- stay deferred.  A member with an empty queue reads its
+        # listen/sleep decision from its slotframes' per-offset listen
+        # tables (:meth:`~repro.mac.tsch.TschEngine.idle_listen_channel_offset`).
         # Crucially, nothing is settled here: an idle listener that decodes
         # nothing this slot is exactly the idle-listen slot its deferred
         # profile settling credits, so only the nodes whose slot *deviates*
         # from the pure schedule function (transmitters, and listeners that
         # actually decode a frame) are corrected in step 4c.
-        buckets: list[dict[int, Node]] = []
-        for length, table in self._part_tables.items():
-            bucket = table.get(asn % length)
-            if bucket:
-                buckets.append(bucket)
         audience: set = set(planned)
         audience_of = self.medium.audience_of
         for node_id in intent_owners:
@@ -342,42 +309,23 @@ class Network:
         nodes = self.nodes
         listeners: dict[int, int] = {}
         backlogged = self._backlogged
-        single_bucket = buckets[0] if len(buckets) == 1 else None
         if 4 * len(audience) >= len(nodes):
             # Network-wide audiences (many concurrently active DODAGs):
-            # filtering the insertion-ordered node list yields the same
-            # order as the sort below without the O(A log A) comparison
-            # cost per slot.
-            ordered_audience = [
-                node.node_id for node in self._node_list if node.node_id in audience
-            ]
+            # filtering the insertion-ordered node ids yields the same order
+            # as the sort below without the O(A log A) comparison cost per
+            # slot.
+            ordered_audience = [node_id for node_id in nodes if node_id in audience]
         else:
             ordered_audience = sorted(audience, key=order.__getitem__)
         for node_id in ordered_audience:
             if node_id in scanning:
-                # Scanning nodes have no cells (no participant bucket) and
-                # an empty queue; their slot is the pure ASN function of
-                # the scan-channel sequence.
+                # Scanning nodes have no cells and an empty queue; their
+                # slot is the pure ASN function of the scan-channel sequence.
                 listeners[node_id] = scanning[node_id].tsch.scan_channel(asn)
                 continue
             plan = planned.get(node_id)
             if plan is None:
-                node_order = order[node_id]
-                if single_bucket is not None:
-                    node = single_bucket.get(node_order)
-                    if node is None:
-                        # No cell at this residue: the node provably sleeps,
-                        # and deferred settling credits exactly that.
-                        continue
-                else:
-                    node = None
-                    for bucket in buckets:
-                        node = bucket.get(node_order)
-                        if node is not None:
-                            break
-                    if node is None:
-                        continue
-                engine = node.tsch
+                engine = nodes[node_id].tsch
                 if node_id in backlogged:
                     deferral = engine._csma_deferral
                     if deferral is not None and asn < deferral[4]:
@@ -402,7 +350,8 @@ class Network:
                     # slot is the schedule's pure listen/sleep decision.
                     offset = engine.idle_listen_channel_offset(asn)
                     if offset is None:
-                        # Pure sleep, exactly what deferred settling credits.
+                        # No RX cell at this ASN: pure sleep, exactly what
+                        # deferred settling credits.
                         continue
                     channel = engine.hopping.channel_for(asn, offset)
             else:
@@ -422,26 +371,25 @@ class Network:
         # destination address before handing the frame to the MAC.
         # A node decodes at most one frame per slot, so each receiver is
         # listed once.
-        engines = self._engines
         receivers: list[TschEngine] = []
         for result in results:
             packet = result.intent.packet
             if packet.is_broadcast:
                 for receiver in result.receivers:
-                    engine = engines[receiver]
+                    engine = nodes[receiver].tsch
                     receivers.append(engine)
                     engine.on_frame_received(packet, asn, now)
             else:
                 destination = packet.link_destination
                 for receiver in result.receivers:
-                    engine = engines[receiver]
+                    engine = nodes[receiver].tsch
                     receivers.append(engine)
                     if destination == receiver:
                         engine.on_frame_received(packet, asn, now)
 
         # 4b. transmitters process their outcome (ACK, retransmission, drop).
         for node_id, plan, result in zip(intent_owners, tx_plans, results):
-            engines[node_id].on_transmission_result(plan, result, asn, now)
+            nodes[node_id].tsch.on_transmission_result(plan, result, asn, now)
 
         # 4c. duty-cycle corrections for exactly the nodes whose slot
         # deviated from the pure function of their schedule: transmitters
@@ -451,7 +399,7 @@ class Network:
         # costs O(1) per node and settles nothing.  Every other listener
         # idle-listened, which is exactly that credit.
         for node_id in intent_owners:
-            engine = engines[node_id]
+            engine = nodes[node_id].tsch
             meter = engine.duty_cycle
             meter.tx_slots += 1
             if engine.listens_lazily(asn):
@@ -518,92 +466,24 @@ class Network:
     # slot-skipping kernel
     # ------------------------------------------------------------------
     def _on_schedule_change(self, node: Node) -> None:
-        """``node``'s schedule mutated; its index contributions are stale.
+        """``node``'s schedule is about to change: settle what it governed.
 
-        The node's deferred duty-cycle window is settled first, under the
-        *pre-mutation* profile it accumulated under -- after this, windows
-        only ever span a constant schedule, which is what makes lazy
-        idle-listen/sleep accounting exact.
+        Runs before the mutation applies, so the node's deferred CSMA
+        passes and duty-cycle window are credited under the schedule they
+        accumulated under -- after this, windows only ever span a constant
+        schedule, which is what makes lazy idle-listen/sleep accounting
+        exact.  A backlogged node's TX horizon is recomputed lazily, after
+        the change.
         """
         engine = node.tsch
         asn = self.clock.asn
-        # The CSMA countdown model was derived under the pre-mutation
-        # schedule; credit the passes that provably happened before now.
         engine.settle_csma(asn)
+        # Only a non-empty window is worth a settle call (perfbench counts
+        # them as mac.duty_settle_calls).
         if engine.duty_accounted_asn < asn:
-            profile = engine.cached_profile()
-            if profile is not None:
-                engine.settle_duty_cycle(asn, profile)
-            elif engine._scanning:
-                # A scanning node's window is busy listening, not sleep;
-                # the engine's own settle knows that.  (Unreachable through
-                # the join paths -- scan transitions settle eagerly -- but
-                # cheap insurance against future mutation orderings.)
-                engine.settle_duty_cycle(asn)
-            else:
-                # No profile was ever derived: the node never had a cell, so
-                # the whole window is sleep.
-                meter = engine.duty_cycle
-                debt = asn - engine.duty_accounted_asn
-                meter.sleep_slots += debt
-                meter.total_slots += debt
-                engine.duty_accounted_asn = asn
-        self._dirty_nodes.add(node)
+            engine.settle_duty_cycle(asn)
         if node.node_id in self._backlogged:
             self._risky_dirty[node.node_id] = node
-
-    def _refresh_participants(self) -> None:
-        """Re-index the nodes whose schedule changed since the last refresh.
-
-        The inverted participant index (``length -> offset -> nodes``,
-        feeding dispatch and :meth:`_participants_at`) is derived from the
-        per-node :class:`ScheduleProfile`.  Maintenance is incremental -- a
-        schedule mutation re-indexes only that node's cells, so a 6top
-        ADD/DELETE or a GT-TSCH load-balancing move costs O(that node's
-        cells), not O(network size).  Rebuilding each mutated node's profile
-        here also keeps :meth:`~repro.mac.tsch.TschEngine.cached_profile`
-        current whenever :meth:`run_slots` starts a slot, which the
-        settlement barrier in :meth:`_on_schedule_change` relies on.
-        """
-        tables = self._part_tables
-        node_order = self._node_order
-        for node in sorted(self._dirty_nodes, key=lambda n: node_order[n.node_id]):
-            node_id = node.node_id
-            order = node_order[node_id]
-            old_contrib = self._node_contrib.get(node_id, frozenset())
-            new_contrib = {
-                (length, offset)
-                for length, offsets in node.tsch.schedule_profile().frame_offsets
-                for offset in offsets
-            }
-            for length, offset in sorted(old_contrib - new_contrib):
-                table = tables[length]
-                bucket = table[offset]
-                del bucket[order]
-                if not bucket:
-                    del table[offset]
-                    if not table:
-                        del tables[length]
-            for length, offset in sorted(new_contrib - old_contrib):
-                tables.setdefault(length, {}).setdefault(offset, {})[order] = node
-            self._node_contrib[node_id] = new_contrib
-        self._dirty_nodes.clear()
-
-    def _participants_at(self, asn: int) -> list[Node]:
-        """Nodes with any installed cell active at ``asn``, in insertion order.
-
-        Derived on demand from the inverted index's buckets (dispatch reads
-        those directly; this is the introspection/test query).  Only these
-        nodes can plan anything but ``sleep`` at this ASN.
-        """
-        if self._dirty_nodes:
-            self._refresh_participants()
-        merged: dict[int, Node] = {}
-        for length, table in self._part_tables.items():
-            bucket = table.get(asn % length)
-            if bucket:
-                merged.update(bucket)
-        return [merged[order] for order in sorted(merged)]
 
     def _on_queue_change(self, node: Node) -> None:
         """A node's MAC queue mutated; update the backlog and horizon indexes.
@@ -663,7 +543,7 @@ class Network:
 
         Slots in ``[duty_accounted_asn, asn)`` were never explicitly
         recorded, which the kernel only allows while the node's schedule is
-        unchanged over the window (schedule mutations settle eagerly): the
+        unchanged over the window (schedule mutations settle first): the
         node idle-listened exactly where its profile has an active RX cell
         and slept everywhere else, except in its TX and busy-RX slots, which
         step 4c of the dispatch already corrected against that credit, so
@@ -675,7 +555,7 @@ class Network:
         asn = self.clock.asn
         engines: list[TschEngine] = []
         idles: list[int] = []
-        for node in self._node_list:
+        for node in self.nodes.values():
             engine = node.tsch
             accounted = engine.duty_accounted_asn
             if accounted >= asn:
@@ -882,11 +762,6 @@ class Network:
         clock = self.clock
         end_asn = clock.asn + num_slots
         while clock.asn < end_asn:
-            if self._dirty_nodes:
-                # Re-profile the schedules the last slot mutated before this
-                # slot's timers can mutate them again: that barrier settles
-                # the window behind it under the cached profile.
-                self._refresh_participants()
             asn = clock.asn
             boundary = self._next_event_asn(asn, end_asn)
             if boundary == asn:

@@ -237,9 +237,9 @@ class Medium:
         Installs rows of ``pristine PRR * scale`` without unfreezing:
         interference ranges, audience sets and neighbor reachability are
         untouched (``scale`` is strictly positive, so ``prr > 0`` membership
-        is preserved), which keeps the dispatch kernel's participant
-        planning valid across epochs.  The pristine rows come back -- the
-        very same objects, bit-exact -- when the scale returns to 1.0.
+        is preserved), which keeps the dispatch kernel's audience pass valid
+        across epochs.  The pristine rows come back -- the very same objects,
+        bit-exact -- when the scale returns to 1.0.
         """
         if not self._frozen:
             raise RuntimeError("set_prr_scale() requires a frozen medium")

@@ -9,9 +9,9 @@ implementation the paper compares against maintains three slotframes:
 * a **common (broadcast/default) slotframe**: a single shared Tx/Rx cell used
   by every node for RPL broadcast traffic and any frame without a dedicated
   cell;
-* a **unicast slotframe**: in the default receiver-based mode every node
-  listens on the cell derived from its *own* id and transmits to a neighbour
-  on the cell derived from the *neighbour's* id.  Because every child of a
+* a **unicast slotframe**: receiver-based, as in Contiki-NG's default: every
+  node listens on the cell derived from its *own* id and transmits to a
+  neighbour on the cell derived from the *neighbour's* id.  Because every child of a
   given parent derives the same cell, these cells are contention cells
   (CSMA/CA back-off applies) -- which is exactly why Orchestra degrades under
   load: the per-destination capacity is one cell per slotframe period, shared
@@ -55,9 +55,6 @@ class OrchestraConfig:
     unicast_slotframe_length: int = 8
     common_slotframe_length: int = 31
     eb_slotframe_length: int = 41
-    #: False = receiver-based (Contiki default, used in the paper's
-    #: comparison); True = sender-based.
-    sender_based: bool = False
     #: Number of channel offsets available to the hash (the hopping sequence
     #: length of Table II).
     num_channels: int = 8
@@ -73,7 +70,7 @@ class OrchestraConfig:
 
 
 class OrchestraScheduler(SchedulingFunction):
-    """Autonomous Orchestra scheduling function (receiver- or sender-based)."""
+    """Autonomous Orchestra scheduling function (receiver-based)."""
 
     name = "Orchestra"
     sf_id = 0x00
@@ -145,22 +142,16 @@ class OrchestraScheduler(SchedulingFunction):
             self.UNICAST_HANDLE, self.config.unicast_slotframe_length
         )
         own_slot, own_channel = self._unicast_coordinates(node.node_id)
-        if not self.config.sender_based:
-            unicast_sf.add_cell(
-                Cell(
-                    slot_offset=own_slot,
-                    channel_offset=own_channel,
-                    options=CellOption.RX | CellOption.ALWAYS_ON,
-                    neighbor=None,
-                    purpose=CellPurpose.UNICAST_DATA,
-                    label="orchestra-rbs-rx",
-                )
+        unicast_sf.add_cell(
+            Cell(
+                slot_offset=own_slot,
+                channel_offset=own_channel,
+                options=CellOption.RX | CellOption.ALWAYS_ON,
+                neighbor=None,
+                purpose=CellPurpose.UNICAST_DATA,
+                label="orchestra-rbs-rx",
             )
-        else:
-            # Sender-based: we transmit on our own cell towards the current
-            # parent (installed when the parent becomes known) and listen on
-            # each child's cell (installed per child).
-            pass
+        )
 
     # ------------------------------------------------------------------
     # RPL events keep the unicast slotframe aligned with the topology
@@ -179,10 +170,7 @@ class OrchestraScheduler(SchedulingFunction):
         if new_parent is None:
             return
 
-        if self.config.sender_based:
-            slot, channel = self._unicast_coordinates(self.node.node_id)
-        else:
-            slot, channel = self._unicast_coordinates(new_parent)
+        slot, channel = self._unicast_coordinates(new_parent)
         self._parent_tx_cell = unicast_sf.add_cell(
             Cell(
                 slot_offset=slot,
@@ -209,22 +197,11 @@ class OrchestraScheduler(SchedulingFunction):
         unicast_sf = self.node.tsch.get_slotframe(self.UNICAST_HANDLE)
         if unicast_sf is None or child in self._child_tx_cells:
             return
-        if self.config.sender_based:
-            # Sender-based: listen on the child's own cell.
-            slot, channel = self._unicast_coordinates(child)
-            cell = Cell(
-                slot_offset=slot,
-                channel_offset=channel,
-                options=CellOption.RX | CellOption.ALWAYS_ON,
-                neighbor=child,
-                purpose=CellPurpose.UNICAST_DATA,
-                label="orchestra-sbs-rx",
-            )
-        else:
-            # Receiver-based: keep a Tx cell towards the child for downward
-            # traffic (hash of the child's id).
-            slot, channel = self._unicast_coordinates(child)
-            cell = Cell(
+        # Keep a Tx cell towards the child for downward traffic (hash of the
+        # child's id).
+        slot, channel = self._unicast_coordinates(child)
+        self._child_tx_cells[child] = unicast_sf.add_cell(
+            Cell(
                 slot_offset=slot,
                 channel_offset=channel,
                 options=CellOption.TX | CellOption.SHARED,
@@ -232,7 +209,7 @@ class OrchestraScheduler(SchedulingFunction):
                 purpose=CellPurpose.UNICAST_DATA,
                 label="orchestra-unicast-tx-child",
             )
-        self._child_tx_cells[child] = unicast_sf.add_cell(cell)
+        )
 
     def on_child_removed(self, child: int) -> None:
         unicast_sf = self.node.tsch.get_slotframe(self.UNICAST_HANDLE)

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.load_balancing import (
-    LoadObservation,
     QueueMetric,
     compute_minimum_tx_cells,
     generation_cells_per_slotframe,
@@ -124,15 +123,3 @@ class TestQueueMetric:
         for sample in samples:
             metric.update(sample)
             assert 0.0 <= metric.value <= 8.0
-
-
-class TestLoadObservation:
-    def test_reset_returns_snapshot_and_clears(self):
-        observation = LoadObservation()
-        observation.packets_generated = 5
-        observation.child_requested_cells = 3
-        snapshot = observation.reset()
-        assert snapshot.packets_generated == 5
-        assert snapshot.child_requested_cells == 3
-        assert observation.packets_generated == 0
-        assert observation.child_requested_cells == 0

@@ -156,3 +156,14 @@ class TestFigureRegistry:
         )
         out = capsys.readouterr().out
         assert "[figure churn] robustness ranking: 1. 6TiSCH-minimal (pdr " in out
+
+
+class TestDefaultLineup:
+    def test_scale_figure_runs_its_runners_three_schedulers(self, capsys):
+        """Without --schedulers a figure runs its runner's own line-up: the
+        scale sweep adds the 6TiSCH-minimal floor to GT-TSCH and Orchestra."""
+        args = ["--figure", "scale", "--values", "20", "--measurement-s", "2"]
+        assert main([*args, "--warmup-s", "1", "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert "[figure scale] 1 points x 3 schedulers x 1 seeds" in out
+        assert MINIMAL in out

@@ -294,72 +294,53 @@ class TestVersionTracking:
         assert sf.cells_at(5) == []
 
 
-class TestParticipantIndexInvalidation:
-    """A 6top ADD/DELETE mid-run must reach the network's participant index
-    through the Slotframe.on_change push chain before the next slot."""
+class TestMutationBarrier:
+    """``on_change`` fires before a mutation applies, and only for a real one.
 
-    def _network(self):
-        from repro.net.network import Network
-        from repro.schedulers.minimal import MinimalScheduler, MinimalSchedulerConfig
+    The owning TSCH engine settles the node's deferred duty-cycle and CSMA
+    state from this hook, so the hook must still see the schedule that held
+    until now: the old bucket and the old listen entry.
+    """
 
-        network = Network()
-        for node_id in (1, 2):
-            network.add_node(
-                node_id,
-                position=(float(node_id), 0.0),
-                scheduler=MinimalScheduler(MinimalSchedulerConfig()),
-                is_root=node_id == 1,
-            )
-        return network
+    OFFSET = 3
 
-    def test_sixtop_add_updates_index_before_next_slot(self):
-        network = self._network()
-        engine = network.nodes[2].tsch
-        frame = engine.add_slotframe(0, 10)
-        assert network._participants_at(3) == []
-        # A 6top ADD transaction ends with both peers installing the
-        # negotiated cell -- the Slotframe mutation below is that final step.
-        cell = frame.add_cell(
-            Cell(slot_offset=3, channel_offset=0, options=CellOption.TX, neighbor=1)
+    def _watched(self):
+        sf = Slotframe(handle=0, length=10)
+        seen = []
+        sf.on_change = lambda: seen.append(
+            (list(sf.cells_at_offset(self.OFFSET)), sf.listen_at(self.OFFSET))
         )
-        assert network._participants_at(3) == [network.nodes[2]]
-        assert [asn for asn in range(20) if network._participants_at(asn)] == [3, 13]
-        # 6top DELETE: the cell disappears from the index immediately too.
-        frame.remove_cell(cell)
-        assert network._participants_at(3) == []
-        assert not any(network._participants_at(asn) for asn in range(20))
+        return sf, seen
 
-    def test_add_mid_run_is_visible_at_the_very_next_slot(self):
-        network = self._network()
-        network.run_slots(9)
-        engine = network.nodes[1].tsch
-        # A fresh slotframe next to the minimal scheduler's own (handle 0).
-        frame = engine.add_slotframe(5, 4)
-        asn = network.clock.asn
-        assert network.nodes[1] not in network._participants_at(asn)
-        frame.add_cell(Cell(slot_offset=asn % 4, channel_offset=0, options=CellOption.RX))
-        # The index answers for the current ASN without any slot being stepped.
-        assert network.nodes[1] in network._participants_at(asn)
+    def test_hook_sees_the_pre_change_bucket(self):
+        sf, seen = self._watched()
+        rx = sf.add_cell(Cell(self.OFFSET, 1, CellOption.RX, neighbor=7))
+        tx = sf.add_cell(Cell(self.OFFSET, 2, CellOption.TX, neighbor=8))
+        assert seen == [([], None), ([rx], (rx.purpose.priority, 1))]
+        sf.remove_cell(rx)
+        assert seen[-1] == ([rx, tx], (rx.purpose.priority, 1))
+        sf.add_cell(Cell(self.OFFSET, 4, CellOption.RX, neighbor=8))
+        seen.clear()
+        assert sf.remove_cells_with_neighbor(8) == 2
+        # One notification for the whole sweep, before its first change.
+        assert len(seen) == 1 and len(seen[0][0]) == 2
+        sf.add_cell(Cell(self.OFFSET, 5, CellOption.RX))
+        seen.clear()
+        sf.clear()
+        assert len(seen) == 1 and len(seen[0][0]) == 1 and seen[0][1] is not None
+        assert sf.cells_at_offset(self.OFFSET) == []
 
-    def test_participants_ordered_by_node_insertion(self):
-        network = self._network()
-        # Install cells in reverse node order; the bucket must still come out
-        # in node-insertion order (the dispatch kernel's RNG-order contract).
-        frame2 = network.nodes[2].tsch.add_slotframe(0, 8)
-        frame2.add_cell(Cell(slot_offset=2, channel_offset=0, options=CellOption.RX))
-        frame1 = network.nodes[1].tsch.add_slotframe(0, 8)
-        frame1.add_cell(Cell(slot_offset=2, channel_offset=0, options=CellOption.TX))
-        assert network._participants_at(2) == [network.nodes[1], network.nodes[2]]
-
-    def test_multi_length_participants_merge_and_dedupe(self):
-        network = self._network()
-        first = network.nodes[1].tsch.add_slotframe(0, 4)
-        first.add_cell(Cell(slot_offset=0, channel_offset=0, options=CellOption.RX))
-        second = network.nodes[1].tsch.add_slotframe(1, 6)
-        second.add_cell(Cell(slot_offset=0, channel_offset=0, options=CellOption.RX))
-        other = network.nodes[2].tsch.add_slotframe(0, 6)
-        other.add_cell(Cell(slot_offset=0, channel_offset=0, options=CellOption.TX, neighbor=1))
-        # ASN 0 hits every frame; node 1 appears once despite two frames.
-        assert network._participants_at(0) == [network.nodes[1], network.nodes[2]]
-        # ASN 4 hits only the length-4 frame of node 1.
-        assert network._participants_at(4) == [network.nodes[1]]
+    def test_no_hook_when_nothing_changes(self):
+        sf, seen = self._watched()
+        cell = sf.add_cell(Cell(self.OFFSET, 1, CellOption.RX))
+        seen.clear()
+        # Duplicate add, missing remove (by value, in range or not) and a
+        # neighbor sweep that matches nothing leave the schedule as it is.
+        sf.add_cell(Cell(self.OFFSET, 1, CellOption.RX))
+        assert not sf.remove_cell(Cell(self.OFFSET, 2, CellOption.RX))
+        assert not sf.remove_cell(Cell(12, 1, CellOption.RX))
+        assert sf.remove_cells_with_neighbor(9) == 0
+        assert seen == []
+        # Removal matches by value, as list.remove does.
+        assert sf.remove_cell(Cell(self.OFFSET, 1, CellOption.RX))
+        assert len(seen) == 1 and seen[0][0] == [cell]

@@ -57,6 +57,42 @@ class TestSlotframeManagement:
         engine.clear_schedule()
         assert engine.get_slotframe(1) is None
 
+    def test_schedule_hook_runs_before_the_change_and_the_version_bump(self):
+        """The network settles a node's deferred window from
+        ``on_schedule_change``, so the hook must see the old schedule, the
+        old version and a profile that describes them; the version bumps
+        once the hook has returned."""
+        engine = make_engine()
+        seen = []
+        engine.on_schedule_change = lambda: seen.append(
+            (
+                engine.schedule_version,
+                len(engine.slotframes),
+                len(engine.all_cells()),
+                engine.schedule_profile().has_rx,
+            )
+        )
+        frame = engine.add_slotframe(0, 10)
+        cell = frame.add_cell(Cell(slot_offset=3, channel_offset=0, options=CellOption.RX))
+        frame.remove_cell(cell)
+        frame.add_cell(Cell(slot_offset=4, channel_offset=0, options=CellOption.RX))
+        engine.remove_slotframe(0)
+        engine.add_slotframe(1, 5)
+        engine.clear_schedule()
+        assert seen == [
+            (0, 0, 0, False),  # add_slotframe(0)
+            (1, 1, 0, False),  # add_cell
+            (2, 1, 1, True),  # remove_cell
+            (3, 1, 0, False),  # add_cell
+            (4, 1, 1, True),  # remove_slotframe(0)
+            (5, 0, 0, False),  # add_slotframe(1)
+            (6, 1, 0, False),  # clear_schedule
+        ]
+        assert engine.schedule_version == 7
+        # No request in between: the next profile is rebuilt for version 7.
+        assert engine.schedule_profile().version == 7
+        assert not engine.schedule_profile().has_rx
+
 
 class TestEnqueue:
     def test_enqueue_sets_time_and_tracks_attempts(self):

@@ -1,7 +1,7 @@
 """Skip-equivalence and unit tests for the slot-skipping simulation kernel.
 
 The kernel's contract is *bit-identical metrics*: for any scenario, running
-with ``fast=True`` (participant index, horizon heap + bulk-accounted runs)
+with ``fast=True`` (horizon heap, audience dispatch + bulk-accounted runs)
 must finalize exactly the same :class:`NetworkMetrics` as the naive
 slot-by-slot reference loop (``fast=False``), for every scheduler, because
 skipped slots provably fire no callbacks, draw no random numbers and touch
@@ -196,78 +196,6 @@ class TestDesyncEquivalence:
         assert desyncs[:5] == desyncs[5:]
 
 
-class TestNextActiveAsn:
-    """Which ASNs have an active cell, read from the participant index."""
-
-    def _network(self):
-        network = Network()
-        for node_id in (1, 2):
-            network.add_node(
-                node_id,
-                position=(float(node_id), 0.0),
-                scheduler=MinimalScheduler(MinimalSchedulerConfig()),
-                is_root=node_id == 1,
-            )
-        return network
-
-    @staticmethod
-    def _next_active(network, asn, horizon=100):
-        """First ASN in [``asn``, ``asn + horizon``) with a participant."""
-        return next(
-            (candidate for candidate in range(asn, asn + horizon)
-             if network._participants_at(candidate)),
-            None,
-        )
-
-    def test_no_cells_means_no_active_asn(self):
-        network = self._network()
-        assert self._next_active(network, 0) is None
-        assert network._part_tables == {}
-
-    def test_union_of_offsets_modulo_length(self):
-        network = self._network()
-        engine = network.nodes[1].tsch
-        slotframe = engine.add_slotframe(0, 10)
-        slotframe.add_cell(Cell(slot_offset=3, channel_offset=0, options=CellOption.RX))
-        assert self._next_active(network, 0) == 3
-        assert self._next_active(network, 3) == 3
-        assert self._next_active(network, 4) == 13
-        assert self._next_active(network, 23) == 23
-        assert network._participants_at(13) == [network.nodes[1]]
-
-    def test_index_invalidated_on_cell_add_and_remove(self):
-        network = self._network()
-        engine = network.nodes[2].tsch
-        slotframe = engine.add_slotframe(0, 8)
-        cell = slotframe.add_cell(
-            Cell(slot_offset=5, channel_offset=0, options=CellOption.TX)
-        )
-        assert self._next_active(network, 0) == 5
-        slotframe.add_cell(Cell(slot_offset=2, channel_offset=0, options=CellOption.RX))
-        assert self._next_active(network, 0) == 2
-        slotframe.remove_cell(cell)
-        assert self._next_active(network, 3) == 10  # only offset 2 mod 8 remains
-        # The emptied offset left the index; the length stays with offset 2.
-        assert network._part_tables == {8: {2: {1: network.nodes[2]}}}
-
-    def test_multiple_slotframe_lengths(self):
-        network = self._network()
-        first = network.nodes[1].tsch.add_slotframe(0, 7)
-        first.add_cell(Cell(slot_offset=6, channel_offset=0, options=CellOption.RX))
-        second = network.nodes[2].tsch.add_slotframe(0, 5)
-        second.add_cell(Cell(slot_offset=4, channel_offset=0, options=CellOption.TX))
-        # offsets: asn % 7 == 6 -> 6, 13, 20...; asn % 5 == 4 -> 4, 9, 14...
-        assert self._next_active(network, 0) == 4
-        assert self._next_active(network, 5) == 6
-        assert self._next_active(network, 7) == 9
-        # ASN 34 is 6 mod 7 and 4 mod 5: both nodes, in insertion order.
-        assert network._participants_at(34) == [network.nodes[1], network.nodes[2]]
-        # Emptying a slotframe drops its length from the index.
-        second.clear()
-        assert network._participants_at(34) == [network.nodes[1]]
-        assert set(network._part_tables) == {7}
-
-
 class TestJumpRule:
     """The kernel jumps only to slots that need visiting.
 
@@ -458,7 +386,7 @@ class TestReferenceLoop:
 
 
 class TestParticipantDispatch:
-    """The participant-indexed, transmitter-centric dispatch kernel."""
+    """The transmitter-centric dispatch kernel and its audience pass."""
 
     @pytest.mark.parametrize("scheduler", ALL_REGISTERED)
     @pytest.mark.parametrize("seed", [1, 2])

@@ -29,7 +29,6 @@ class TestOrchestraConfig:
     def test_defaults(self):
         config = OrchestraConfig()
         assert config.unicast_slotframe_length == 8
-        assert not config.sender_based
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -122,18 +121,6 @@ class TestTopologyTracking:
         assert [c for c in unicast.all_cells() if c.neighbor == 1]
         root.scheduler.on_child_removed(1)
         assert not [c for c in unicast.all_cells() if c.neighbor == 1]
-
-    def test_sender_based_variant_listens_per_child(self):
-        network = make_orchestra_network(
-            star_topology(2), orchestra_config=OrchestraConfig(sender_based=True)
-        )
-        network.start()
-        root = network.nodes[0]
-        root.scheduler.on_child_added(1)
-        unicast = root.tsch.get_slotframe(OrchestraScheduler.UNICAST_HANDLE)
-        rx_for_child = [c for c in unicast.all_cells() if c.neighbor == 1 and c.is_rx]
-        assert rx_for_child
-        assert rx_for_child[0].slot_offset == orchestra_hash(1) % 8
 
 
 class TestOrchestraEndToEnd:
