@@ -438,11 +438,11 @@ def test_flatness_large_n():
 #: The clock-free twin of ``test_flatness_large_n``.  A stepped slot lets
 #: its due transmitters and their interference audience decide their slot,
 #: and nobody else, so the slot decisions made per medium transmission
-#: (``TschEngine.plan_slot`` plus ``idle_listen_channel_offset`` calls) stay
-#: put as N grows five-fold.  Measured on ``scale_scenario(N, ., seed=1,
-#: warmup_s=5, measurement_s=5)``, N=200 -> N=1000: Orchestra 9.23 -> 9.17,
-#: GT-TSCH 12.30 -> 12.03.  A dispatch that offers every node to every
-#: stepped slot reads 57.9 -> 115.4 and 73.3 -> 175.8 (2.0x and 2.4x).
+#: (``TschEngine.plan_slot`` plus ``listen_channel`` calls) stay put as N
+#: grows five-fold.  Measured on ``scale_scenario(N, ., seed=1, warmup_s=5,
+#: measurement_s=5)``, N=200 -> N=1000: Orchestra 6.97 -> 6.98, GT-TSCH
+#: 8.36 -> 8.26.  A dispatch that offers every node to every stepped slot
+#: reads 55.6 -> 113.3 and 69.3 -> 172.1 (2.0x and 2.5x).
 FLATNESS_WORK_SCHEDULERS = (ORCHESTRA, GT_TSCH)
 FLATNESS_WORK_RATIO_MAX = 1.25
 
@@ -461,7 +461,7 @@ def test_flatness_large_n_decisions_per_transmission(scheduler, monkeypatch):
 
         return wrapper
 
-    for name in ("plan_slot", "idle_listen_channel_offset"):
+    for name in ("plan_slot", "listen_channel"):
         monkeypatch.setattr(TschEngine, name, counted(getattr(TschEngine, name)))
     per_tx: dict[int, float] = {}
     for num_nodes in (FLATNESS_SMALL_N, FLATNESS_LARGE_N):

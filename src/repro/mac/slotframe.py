@@ -13,10 +13,10 @@ a slot from it without sorting.  A parallel per-offset table holds the
 *listen entry* (:meth:`listen_at`, the idle-listen decision), which every
 mutation recomputes for each offset it touches.  Every empty offset points
 at one shared, never-mutated empty list, so a mostly idle schedule costs
-lists only for its *used* offsets.  Every mutation first bumps
-:attr:`version` and fires :attr:`~Slotframe.on_change` *before* it touches
-either table, so the owning TSCH engine can settle the node's deferred
-state under the schedule that held until now.
+lists only for its *used* offsets.  Every mutation fires
+:attr:`~Slotframe.on_change` *before* it touches either table, so the
+owning TSCH engine can settle the node's deferred state under the schedule
+that held until now.
 """
 
 from __future__ import annotations
@@ -56,8 +56,6 @@ class Slotframe:
             raise ValueError("slotframe length must be positive")
         self.handle = handle
         self.length = length
-        #: Monotonic mutation counter; bumped by every cell add/remove.
-        self.version = 0
         #: Invoked before every mutation applies, while the tables still hold
         #: the old schedule; the owning TSCH engine hooks this to settle the
         #: node's deferred state and then invalidate its derived facts.
@@ -72,7 +70,6 @@ class Slotframe:
         self._listen: list[Optional[ListenEntry]] = [None] * length
 
     def _mutated(self) -> None:
-        self.version += 1
         if self.on_change is not None:
             self.on_change()
 

@@ -433,10 +433,13 @@ class TschEngine:
         self.etx = EtxEstimator(alpha=config.etx_alpha, initial_etx=config.initial_etx)
         self.stats = MacStats()
         self.slotframes: dict[int, Slotframe] = {}
-        #: Monotonic counter bumped by every schedule mutation (cell add or
-        #: remove in any slotframe, slotframe add or remove); pushed by the
-        #: slotframes' ``on_change`` hooks, so reading it is O(1).
-        self._version = 0
+        #: Monotonic counter covering every schedule mutation: any cell
+        #: installed or removed in any slotframe, and any slotframe added or
+        #: removed, strictly increases it once the ``on_schedule_change``
+        #: hook has returned.  Derived facts (the :class:`ScheduleProfile`,
+        #: the network's TX-horizon stamps) compare it to decide whether they
+        #: are stale.
+        self.schedule_version = 0
         #: Invoked before every schedule mutation applies, while the schedule
         #: and :attr:`schedule_version` are still the old ones; the network
         #: hooks this to settle the node's deferred CSMA and duty-cycle state
@@ -482,7 +485,7 @@ class TschEngine:
         #: which invalidate the kernel's deferred CSMA settlement.
         self._quiet: set[int] = set()
         #: Armed bulk-settlement record of the slot-skipping kernel:
-        #: ``(start_asn, destination, window, progressions, tx_asn)``.  While
+        #: ``(start_asn, destination, progressions, tx_asn)``.  While
         #: armed, the node's backlog is provably gated behind shared-cell
         #: CSMA back-off: every pass over a matching shared cell in
         #: ``[start_asn, tx_asn)`` counts the window down without any other
@@ -559,19 +562,7 @@ class TschEngine:
         """
         if self.on_schedule_change is not None:
             self.on_schedule_change()
-        self._version += 1
-
-    @property
-    def schedule_version(self) -> int:
-        """Monotonic counter covering every schedule mutation.
-
-        Any cell installed or removed in any slotframe, and any slotframe
-        added or removed, strictly increases this value, once the
-        ``on_schedule_change`` hook has returned; derived facts (the engine's
-        :class:`ScheduleProfile`, the network's TX-horizon stamps) compare it
-        to decide whether they are stale.
-        """
-        return self._version
+        self.schedule_version += 1
 
     def _sorted_frames(self) -> list[Slotframe]:
         frames = self._frames
@@ -615,14 +606,17 @@ class TschEngine:
             active.sort(key=planning_priority)
         return active
 
-    def idle_listen_channel_offset(self, asn: int) -> Optional[int]:
-        """Channel offset this node idle-listens on at ``asn`` (None = sleep).
+    def listen_channel(self, asn: int) -> Optional[int]:
+        """Physical channel this node idle-listens on at ``asn`` (None = sleep).
 
-        Only valid for a node whose slot provably cannot involve its queue or
-        CSMA state (empty queue in particular): the decision then reduces to
-        "first RX cell in planning order, if any".  Planning order is purpose
-        priority, then slotframe handle, so that cell is the lowest-priority
-        entry of the slotframes' listen tables (:meth:`Slotframe.listen_at`),
+        Only valid where the slot cannot involve the node's queue: no queued
+        packet matches a TX cell active at ``asn`` (the dispatch kernel's
+        horizon heap names every node with one), or an armed CSMA deferral
+        has already credited this slot's losing pass
+        (:meth:`absorb_deferred_pass`).  The decision then reduces to "first
+        RX cell in planning order, if any".  Planning order is purpose priority, then slotframe
+        handle, so that cell is the lowest-priority entry of the slotframes'
+        listen tables (:meth:`Slotframe.listen_at`, indexed here directly),
         the earliest handle winning ties.  Exactly :meth:`plan_slot`'s
         fall-through listen/sleep choice, without allocating a plan.
         """
@@ -631,10 +625,12 @@ class TschEngine:
             frames = self._sorted_frames()
         best: Optional[ListenEntry] = None
         for frame in frames:
-            entry = frame.listen_at(asn)
+            entry = frame._listen[asn % frame.length]
             if entry is not None and (best is None or entry[0] < best[0]):
                 best = entry
-        return None if best is None else best[1]
+        if best is None:
+            return None
+        return self.hopping.sequence[(asn + best[1]) % self._hop_period]
 
     def schedule_profile(self) -> ScheduleProfile:
         """Current :class:`ScheduleProfile` (rebuilt when the schedule changes)."""
@@ -648,12 +644,21 @@ class TschEngine:
     def listens_lazily(self, asn: int) -> bool:
         """Whether deferred settling credits ``asn`` as idle-listen, not sleep.
 
-        True while scanning, else when an RX cell is active at ``asn`` -- the
-        credit :meth:`settle_duty_cycle` will give the slot as long as the
-        schedule stays as it is now.  The dispatch kernel corrects a TX or
-        busy-RX slot against it at the end of that slot.
+        True while scanning, else when an RX cell is active at ``asn`` (any
+        slotframe's listen table has an entry there) -- the credit
+        :meth:`settle_duty_cycle` will give the slot as long as the schedule
+        stays as it is now.  The dispatch kernel corrects a TX or busy-RX
+        slot against it at the end of that slot.
         """
-        return self._scanning or self.idle_listen_channel_offset(asn) is not None
+        if self._scanning:
+            return True
+        frames = self._frames
+        if frames is None:
+            frames = self._sorted_frames()
+        for frame in frames:
+            if frame._listen[asn % frame.length] is not None:
+                return True
+        return False
 
     def settle_duty_cycle(self, asn: int) -> None:
         """Credit the deferred window ``[duty_accounted_asn, asn)`` in bulk.
@@ -759,9 +764,9 @@ class TschEngine:
         """
         deferral = self._csma_deferral
         if deferral is not None:
-            if deferral[4] >= asn:
+            if deferral[3] >= asn:
                 # Still armed (nothing invalidated it): the horizon holds.
-                return deferral[4]
+                return deferral[3]
             # A deferral should never outlive its TX slot (the kernel steps
             # it); settle defensively and rebuild from live state below.
             self.settle_csma(asn)
@@ -787,7 +792,7 @@ class TschEngine:
             offset, length, count = progressions[0]
             first = asn + (offset - asn) % length
             tx_asn = first + (window // count) * length
-            self._csma_deferral = (asn, destination, window, progressions, tx_asn)
+            self._csma_deferral = (asn, destination, progressions, tx_asn)
             return tx_asn
         # Walk the merged occurrence slots until the window runs out.  The
         # planning scan counts one pass per matching cell, and the first
@@ -810,7 +815,7 @@ class TschEngine:
                 break
             remaining -= cells
             cursor = best + 1
-        self._csma_deferral = (asn, destination, window, progressions, tx_asn)
+        self._csma_deferral = (asn, destination, progressions, tx_asn)
         return tx_asn
 
     def settle_csma(self, asn: int) -> None:
@@ -827,7 +832,7 @@ class TschEngine:
         if deferral is None:
             return
         self._csma_deferral = None
-        start, destination, _, progressions, tx_asn = deferral
+        start, destination, progressions, tx_asn = deferral
         end = asn if asn < tx_asn else tx_asn
         if end > start:
             skipped = 0
@@ -846,15 +851,14 @@ class TschEngine:
         one window unit either way), so the heaped horizon and its version
         stamps remain valid and no recomputation cascades.
         """
-        start, destination, window, progressions, tx_asn = self._csma_deferral
+        start, destination, progressions, tx_asn = self._csma_deferral
         if credit_until > start:
             skipped = 0
             for offset, length, count in progressions:
                 skipped += count * _count_progression(offset, length, start, credit_until)
             if skipped:
                 self.csma.settle_skips(destination, skipped)
-                window -= skipped
-        self._csma_deferral = (new_start, destination, window, progressions, tx_asn)
+        self._csma_deferral = (new_start, destination, progressions, tx_asn)
 
     def absorb_deferred_pass(self, asn: int) -> None:
         """Credit the armed deferral through ``asn``; the caller skips planning.
@@ -862,8 +866,8 @@ class TschEngine:
         Only valid while ``asn`` precedes the deferred TX slot: every
         matching cell at ``asn`` is then provably a losing shared-cell pass
         (a pure window decrement), and the plan's outcome is exactly the
-        idle listen/sleep fall-through -- so the dispatch loop may treat the
-        node as a pure listener without running the TX scan at all.
+        idle listen/sleep fall-through -- so the dispatch loop reads the
+        node's slot from :meth:`listen_channel` without running the TX scan.
         """
         self._advance_csma_deferral(asn + 1, asn + 1)
 
@@ -1011,7 +1015,7 @@ class TschEngine:
             # exactly the back-off state the per-slot loop would have.  A
             # plan before the deferred TX slot keeps the record armed (the
             # countdown model still holds); the TX slot itself retires it.
-            if asn < deferral[4]:
+            if asn < deferral[3]:
                 self._advance_csma_deferral(asn, asn + 1)
             else:
                 self.settle_csma(asn)
@@ -1109,7 +1113,7 @@ class TschEngine:
             self._dequeue(packet)
             self.stats.unicast_tx_packets += 1
             self.stats.unicast_acked += 1
-            self.etx.record_tx(destination, True, attempts=attempts, now=now)
+            self.etx.record_tx(destination, True, attempts=attempts)
             if cell.is_shared:
                 self.csma.on_transmission_success(destination)
             if self.tx_done_callback is not None:
@@ -1125,14 +1129,13 @@ class TschEngine:
             self._dequeue(packet)
             self.stats.unicast_tx_packets += 1
             self.stats.mac_drops += 1
-            self.etx.record_tx(destination, False, attempts=attempts, now=now)
+            self.etx.record_tx(destination, False, attempts=attempts)
             if self.tx_done_callback is not None:
                 self.tx_done_callback(packet, False, asn)
 
     def on_frame_received(self, packet: Packet, asn: int, now: float) -> None:
         """Handle a frame decoded by this node's radio."""
         self.stats.frames_received += 1
-        self.etx.record_rx(packet.link_source, now)
         if self.rx_callback is not None:
             self.rx_callback(packet, asn)
 

@@ -21,8 +21,9 @@ does.
 The slot loop comes in two flavours.  The naive loop (``fast=False``) visits
 every single timeslot and every node.  The default kernel exploits the facts
 that the schedule is periodic and mutations are observable (every
-:class:`~repro.mac.slotframe.Slotframe` mutation bumps a version counter),
-and that only nodes with queued packets can put energy on the air:
+:class:`~repro.mac.slotframe.Slotframe` mutation fires a hook that bumps
+its engine's ``schedule_version``), and that only nodes with queued packets
+can put energy on the air:
 
 * a *horizon heap* of per-node "earliest ASN whose TX cells match my queued
   packets" entries -- guarded by queue/schedule version stamps and
@@ -35,9 +36,10 @@ and that only nodes with queued packets can put energy on the air:
   cells are active in it;
 * each *stepped* slot is dispatched transmitter-centrically: only the due
   transmitters plus their interference audience (precomputed by
-  :meth:`Medium.freeze`) decide their slot, each audience member from its
-  own slotframes' listen tables; everyone else's radio activity is a pure
-  function of its schedule;
+  :meth:`Medium.freeze`) decide their slot, each audience member the heap
+  did not name with one read of its own slotframes' listen tables, queued
+  packets or not; everyone else's radio activity is a pure function of its
+  schedule;
 * duty-cycle accounting is *deferred*: per-node windows of slots are
   settled in integer bulk (idle-listen where the schedule has an active RX
   cell, sleep elsewhere) by
@@ -245,9 +247,10 @@ class Network:
            audience (precomputed at medium freeze): only those nodes can draw
            RNG numbers or decode.  Listeners outside every audience hear
            nothing by construction, so deferring them as idle-listeners is
-           bit-identical.  Each audience member decides for itself: a
-           backlogged one through its CSMA deferral or a full plan, any
-           other one from its slotframes' listen tables.
+           bit-identical.  A member the heap did not name cannot transmit
+           and touches no CSMA window, backlogged or not, so it reads its
+           channel (or sleep) from its slotframes' listen tables, first
+           crediting an armed CSMA deferral's losing pass.
 
         Nodes are visited in insertion order throughout, so intents,
         listeners, and therefore arbitration and the RNG stream are exactly
@@ -285,14 +288,14 @@ class Network:
 
         # 2b. the transmitters' interference audience completes the slot;
         # unreachable listeners -- and every listener that ends up decoding
-        # nothing -- stay deferred.  A member with an empty queue reads its
-        # listen/sleep decision from its slotframes' per-offset listen
-        # tables (:meth:`~repro.mac.tsch.TschEngine.idle_listen_channel_offset`).
-        # Crucially, nothing is settled here: an idle listener that decodes
-        # nothing this slot is exactly the idle-listen slot its deferred
-        # profile settling credits, so only the nodes whose slot *deviates*
-        # from the pure schedule function (transmitters, and listeners that
-        # actually decode a frame) are corrected in step 4c.
+        # nothing -- stay deferred.  A member the heap did not name reads
+        # its listen/sleep decision from its slotframes' per-offset listen
+        # tables (:meth:`~repro.mac.tsch.TschEngine.listen_channel`),
+        # backlog or not.  Crucially, nothing is settled here: an idle
+        # listener that decodes nothing this slot is exactly the idle-listen
+        # slot its deferred profile settling credits, so only the nodes whose
+        # slot *deviates* from the pure schedule function (transmitters, and
+        # listeners that actually decode a frame) are corrected in step 4c.
         audience: set = set(planned)
         audience_of = self.medium.audience_of
         for node_id in intent_owners:
@@ -308,7 +311,6 @@ class Network:
         order = self._node_order
         nodes = self.nodes
         listeners: dict[int, int] = {}
-        backlogged = self._backlogged
         if 4 * len(audience) >= len(nodes):
             # Network-wide audiences (many concurrently active DODAGs):
             # filtering the insertion-ordered node ids yields the same order
@@ -325,41 +327,30 @@ class Network:
                 continue
             plan = planned.get(node_id)
             if plan is None:
+                # Not named by the heap.  Its horizons, refreshed before this
+                # slot and stamped with the queue and schedule versions,
+                # name every backlogged node with a TX cell matching its
+                # queue here, except where an armed CSMA deferral proves the
+                # pass a losing one.  So the plan is the first RX cell in
+                # planning order, or sleep: the listen tables' answer.
                 engine = nodes[node_id].tsch
-                if node_id in backlogged:
-                    deferral = engine._csma_deferral
-                    if deferral is not None and asn < deferral[4]:
-                        # Every matching cell this slot is a provably-losing
-                        # shared-cell pass: bulk-credit it and fall through
-                        # to the pure listen/sleep decision, skipping the TX
-                        # scan entirely.
-                        engine.absorb_deferred_pass(asn)
-                    else:
-                        # The queue (and CSMA state) may shape this node's
-                        # slot: plan it fully, side effects included.
-                        plan = engine.plan_slot(asn)
-                        if plan.action != "rx":
-                            # A TX plan is impossible here (the horizon heap
-                            # named every possible transmitter), so the node
-                            # either listens or sleeps -- and both reduce to
-                            # the lazy pure function of its schedule.
-                            continue
-                        channel: Optional[int] = plan.channel
-                if plan is None:
-                    # Empty queue, or a backlog fully absorbed above: the
-                    # slot is the schedule's pure listen/sleep decision.
-                    offset = engine.idle_listen_channel_offset(asn)
-                    if offset is None:
-                        # No RX cell at this ASN: pure sleep, exactly what
-                        # deferred settling credits.
-                        continue
-                    channel = engine.hopping.channel_for(asn, offset)
-            else:
-                if plan.action != "rx":
-                    # Transmitters are accounted in step 4c; a sleeping plan
-                    # reduces to the lazy schedule function.
+                deferral = engine._csma_deferral
+                if deferral is not None and asn < deferral[3]:
+                    # The per-slot loop counts this losing pass live: credit
+                    # it now, so a mutation later in this slot settles the
+                    # deferral only up to here.
+                    engine.absorb_deferred_pass(asn)
+                channel = engine.listen_channel(asn)
+                if channel is None:
+                    # No RX cell at this ASN: pure sleep, exactly what
+                    # deferred settling credits.
                     continue
+            elif plan.action == "rx":
                 channel = plan.channel
+            else:
+                # Transmitters are accounted in step 4c; a sleeping plan
+                # reduces to the lazy schedule function.
+                continue
             listeners[node_id] = channel
 
         # 3. the medium arbitrates, walking only the transmitters' rows.

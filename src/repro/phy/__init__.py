@@ -8,8 +8,8 @@ evaluation with an equivalent software model:
 * :mod:`repro.phy.medium` -- the per-slot arbitration of all concurrent
   transmissions: who hears whom, collisions (including the hidden-terminal
   case motivating the paper's channel-allocation rules), and ACK outcomes.
-* :mod:`repro.phy.linkstats` -- per-link transmission statistics from which
-  nodes estimate ETX.
+* :mod:`repro.phy.linkstats` -- the EWMA estimate of each link's ETX from
+  unicast transmission outcomes.
 """
 
 from repro.phy.dynamic import (
@@ -17,7 +17,7 @@ from repro.phy.dynamic import (
     DynamicMediumPolicy,
     default_drift_policy,
 )
-from repro.phy.linkstats import EtxEstimator, LinkStats
+from repro.phy.linkstats import EtxEstimator
 from repro.phy.medium import Medium, TransmissionIntent, TransmissionResult
 from repro.phy.propagation import (
     FixedPrrModel,
@@ -35,7 +35,6 @@ __all__ = [
     "TransmissionIntent",
     "TransmissionResult",
     "EtxEstimator",
-    "LinkStats",
     "DynamicMediumPolicy",
     "DynamicMediumDriver",
     "default_drift_policy",

@@ -249,30 +249,6 @@ class TestCduRendering:
 
 
 class TestVersionTracking:
-    def test_version_bumps_on_every_mutation(self):
-        sf = Slotframe(handle=0, length=10)
-        v0 = sf.version
-        cell = sf.add_cell(Cell(slot_offset=1, channel_offset=0, options=CellOption.TX))
-        assert sf.version > v0
-        v1 = sf.version
-        sf.remove_cell(cell)
-        assert sf.version > v1
-        v2 = sf.version
-        sf.add_cell(Cell(slot_offset=2, channel_offset=0, options=CellOption.RX, neighbor=7))
-        sf.remove_cells_with_neighbor(7)
-        assert sf.version > v2
-        v3 = sf.version
-        sf.clear()
-        assert sf.version > v3
-
-    def test_duplicate_add_does_not_bump_version(self):
-        sf = Slotframe(handle=0, length=10)
-        cell = Cell(slot_offset=1, channel_offset=0, options=CellOption.TX)
-        sf.add_cell(cell)
-        version = sf.version
-        sf.add_cell(Cell(slot_offset=1, channel_offset=0, options=CellOption.TX))
-        assert sf.version == version
-
     def test_on_change_callback_fires(self):
         sf = Slotframe(handle=0, length=10)
         calls = []

@@ -10,13 +10,14 @@ nothing but integer duty-cycle counters.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 import pytest
 
 from repro.experiments.scenarios import GT_TSCH, MINIMAL, MSF, ORCHESTRA, traffic_load_scenario
 from repro.mac.cell import Cell, CellOption
-from repro.mac.tsch import next_offset_occurrence
+from repro.mac.tsch import TschEngine, next_offset_occurrence
 from repro.net.network import Network
 from repro.net.node import Node
 from repro.schedulers.minimal import MinimalScheduler, MinimalSchedulerConfig
@@ -79,6 +80,56 @@ class TestHighLoadEquivalence:
     def test_metrics_bit_identical_at_165_ppm(self, scheduler, seed):
         (_, naive), _ = _assert_equivalent("load165", scheduler, seed)
         assert naive.queue_loss_total + naive.mac_drop_total > 0
+
+
+class TestUnnamedBacklogListens:
+    """A backlogged audience member the horizon heap did not name decides
+    its slot from the listen tables alone.
+
+    The dispatch asks ``TschEngine.listen_channel`` of every audience member
+    outside the heap's transmitters, backlog or not.  Wrapping that query,
+    each backlogged caller is also planned in full at the same ASN, from the
+    CSMA state it held before the dispatch credited an armed deferral's
+    losing pass: the plan must be the query's channel (or sleep), never a
+    transmission, and must leave the CSMA windows and the deferral record
+    exactly where the dispatch left them.
+    """
+
+    @pytest.mark.parametrize("scheduler", [GT_TSCH, MSF, ORCHESTRA])
+    def test_full_plan_agrees_with_the_listen_tables(self, scheduler, monkeypatch):
+        query = TschEngine.listen_channel
+        absorb = TschEngine.absorb_deferred_pass
+        plan_slot = TschEngine.plan_slot
+        before_absorb: dict = {}
+        checked = {"plain": 0, "deferred": 0}
+
+        def absorbing(engine, asn):
+            before_absorb[engine] = (asn, copy.deepcopy(engine.csma._states), engine._csma_deferral)
+            absorb(engine, asn)
+
+        def checked_query(engine, asn):
+            channel = query(engine, asn)
+            saved = before_absorb.pop(engine, None)
+            if len(engine.queue):
+                after = (copy.deepcopy(engine.csma._states), engine._csma_deferral)
+                if saved is not None:
+                    assert saved[0] == asn
+                    engine.csma._states, engine._csma_deferral = saved[1], saved[2]
+                plan = plan_slot(engine, asn)
+                where = (scheduler, engine.node_id, asn)
+                assert plan.action != "tx", where
+                assert (plan.channel if plan.action == "rx" else None) == channel, where
+                assert (engine.csma._states, engine._csma_deferral) == after, where
+                checked["deferred" if saved else "plain"] += 1
+            return channel
+
+        monkeypatch.setattr(TschEngine, "absorb_deferred_pass", absorbing)
+        monkeypatch.setattr(TschEngine, "listen_channel", checked_query)
+        _, metrics = run_cell("load165", scheduler, 1, fast=True)
+        # The full plans changed nothing the run could observe.
+        assert_matches_golden(cell_id("load165", scheduler, 1), metrics)
+        assert checked["plain"] > 0 and checked["deferred"] > 0
+        print(f"[unnamed-backlog] {scheduler}: {checked}")
 
 
 class TestFaultEquivalence:
@@ -444,10 +495,11 @@ class TestParticipantDispatch:
 
     def test_idle_listen_channel_offset_matches_plan(self):
         """The audience pass's listen decision, read from the slotframes'
-        listen tables, equals the reference plan of an empty-queue node:
-        on Orchestra's fresh schedule, beyond one hyperperiod of its
-        coprime 8/31/41 slotframes (10,168 slots), and on GT-TSCH and MSF
-        schedules that 6P has rewritten during warm-up."""
+        listen tables (``TschEngine.listen_channel``), equals the reference
+        plan of an empty-queue node: on Orchestra's fresh schedule, beyond
+        one hyperperiod of its coprime 8/31/41 slotframes (10,168 slots),
+        and on GT-TSCH and MSF schedules that 6P has rewritten during
+        warm-up."""
         hyperperiod = 8 * 31 * 41
         cases = [
             (ORCHESTRA, 0.0, 0, [*range(120), *range(hyperperiod - 40, hyperperiod + 80)]),
@@ -469,13 +521,13 @@ class TestParticipantDispatch:
                 engine.reference_planner = True
                 for asn in asns:
                     plan = engine.plan_slot(asn)
-                    offset = engine.idle_listen_channel_offset(asn)
+                    channel = engine.listen_channel(asn)
                     if plan.action == "rx":
-                        assert offset is not None, (scheduler, node.node_id, asn)
-                        assert engine.hopping.channel_for(asn, offset) == plan.channel
+                        assert channel == plan.channel, (scheduler, node.node_id, asn)
                     else:
                         assert plan.action == "sleep"
-                        assert offset is None, (scheduler, node.node_id, asn)
+                        assert channel is None, (scheduler, node.node_id, asn)
+                    assert engine.listens_lazily(asn) == (channel is not None)
 
     def test_timer_mutations_across_a_jump_settle_under_the_live_schedule(self):
         """Timers mutate a schedule at slots 10, 20 and 30, and no slot

@@ -1,18 +1,9 @@
-"""Tests for ETX estimation and per-link statistics."""
+"""Tests for ETX estimation."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.phy.linkstats import ETX_MAX, ETX_MIN, EtxEstimator, LinkStats
-
-
-class TestLinkStats:
-    def test_prr_zero_without_attempts(self):
-        assert LinkStats().prr == 0.0
-
-    def test_prr_ratio(self):
-        stats = LinkStats(tx_attempts=10, tx_successes=7)
-        assert stats.prr == pytest.approx(0.7)
+from repro.phy.linkstats import ETX_MAX, ETX_MIN, EtxEstimator
 
 
 class TestEtxEstimator:
@@ -43,27 +34,6 @@ class TestEtxEstimator:
         estimator = EtxEstimator(alpha=0.0)
         estimator.record_tx(1, success=True, attempts=2)
         assert estimator.prr(1) == pytest.approx(1.0 / estimator.etx(1))
-
-    def test_record_rx_tracks_counters(self):
-        estimator = EtxEstimator()
-        estimator.record_rx(3, now=1.5)
-        assert estimator.stats(3).rx_frames == 1
-        assert estimator.stats(3).last_rx_time == 1.5
-
-    def test_stats_counters_accumulate(self):
-        estimator = EtxEstimator()
-        estimator.record_tx(1, success=True, attempts=3, now=2.0)
-        estimator.record_tx(1, success=False, attempts=2, now=3.0)
-        stats = estimator.stats(1)
-        assert stats.tx_attempts == 5
-        assert stats.tx_successes == 1
-        assert stats.last_tx_time == 3.0
-
-    def test_known_neighbors(self):
-        estimator = EtxEstimator()
-        estimator.record_tx(1, True)
-        estimator.record_rx(2)
-        assert estimator.known_neighbors() == {1, 2}
 
     def test_reset_forgets_neighbor(self):
         estimator = EtxEstimator(initial_etx=2.0)

@@ -48,9 +48,9 @@ class VersionedClass:
 
 def _default_versioned_classes() -> dict[str, tuple[VersionedClass, ...]]:
     return {
-        # Every cell add/remove must bump Slotframe.version (via _mutated),
-        # which pushes on_change up to the TSCH engine and the network kernel;
-        # the per-offset listen table changes only together with the cells.
+        # Every cell add/remove must call Slotframe._mutated, which fires
+        # on_change up to the TSCH engine and the network kernel before the
+        # change; the per-offset listen table changes only with the cells.
         "Slotframe": (VersionedClass(("_table", "_listen"), ("_mutated",)),),
         "TschEngine": (
             # Slotframe membership changes must propagate a schedule mutation.
@@ -106,9 +106,7 @@ class LintConfig:
         "repro/core/",
     )
     #: Zero-argument methods known (cross-module) to return a set/frozenset.
-    known_set_returning_methods: frozenset[str] = frozenset(
-        {"known_neighbors", "audience_of"}
-    )
+    known_set_returning_methods: frozenset[str] = frozenset({"audience_of"})
     #: Call consumers whose result does not depend on iteration order.
     order_insensitive_consumers: frozenset[str] = frozenset(
         {"sorted", "min", "max", "sum", "len", "any", "all", "set", "frozenset"}
