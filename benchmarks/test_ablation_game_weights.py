@@ -12,10 +12,20 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import BENCH_SEED, save_report
-from repro.experiments.ablation import run_ewma_ablation, run_weight_ablation
+from repro.experiments.ablation import ABLATIONS
+from repro.experiments.runner import run_figure
+from repro.experiments.scenarios import GT_TSCH
 
 ABLATION_MEASUREMENT_S = 40.0
 ABLATION_WARMUP_S = 40.0
+
+
+def _single_runs(result):
+    """Swept value -> the single-seed run of that point."""
+    return {
+        value: point.runs[0]
+        for value, point in zip(result.sweep_values, result.results[GT_TSCH])
+    }
 
 
 @pytest.mark.benchmark(group="ablation")
@@ -23,14 +33,15 @@ def test_ablation_payoff_weights(benchmark):
     """Sweep (alpha, beta, gamma) of Eq. (8) at 120 ppm."""
 
     def run():
-        return run_weight_ablation(
+        return run_figure(
+            ABLATIONS["weights"],
             rate_ppm=120.0,
-            seed=BENCH_SEED,
+            seeds=(BENCH_SEED,),
             measurement_s=ABLATION_MEASUREMENT_S,
             warmup_s=ABLATION_WARMUP_S,
         )
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = _single_runs(benchmark.pedantic(run, rounds=1, iterations=1))
     lines = ["GT-TSCH payoff-weight ablation (120 ppm per node)"]
     for weights, metrics in results.items():
         lines.append(
@@ -55,15 +66,16 @@ def test_ablation_queue_ewma(benchmark):
     """Sweep the EWMA smoothing factor zeta of Eq. (6) at 120 ppm."""
 
     def run():
-        return run_ewma_ablation(
-            zetas=(0.0, 0.5, 0.9),
+        return run_figure(
+            ABLATIONS["ewma"],
+            values=(0.0, 0.5, 0.9),
             rate_ppm=120.0,
-            seed=BENCH_SEED,
+            seeds=(BENCH_SEED,),
             measurement_s=ABLATION_MEASUREMENT_S,
             warmup_s=ABLATION_WARMUP_S,
         )
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = _single_runs(benchmark.pedantic(run, rounds=1, iterations=1))
     lines = ["GT-TSCH queue-EWMA ablation (120 ppm per node)"]
     for zeta, metrics in results.items():
         lines.append(

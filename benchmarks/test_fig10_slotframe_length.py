@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import BENCH_JOBS, BENCH_MEASUREMENT_S, BENCH_SEEDS, save_report
-from repro.experiments.runner import run_figure10
+from repro.experiments.runner import FIGURES, run_figure
 from repro.experiments.scenarios import GT_TSCH, ORCHESTRA
 
 UNICAST_LENGTHS = (8, 12, 16, 20)
@@ -26,8 +26,9 @@ def test_fig10_slotframe_length_sweep(benchmark):
     """Run the full Fig. 10 sweep for both schedulers and check its shape."""
 
     def run():
-        return run_figure10(
-            unicast_lengths=UNICAST_LENGTHS,
+        return run_figure(
+            FIGURES["10"],
+            values=UNICAST_LENGTHS,
             schedulers=(GT_TSCH, ORCHESTRA),
             rate_ppm=120.0,
             seeds=BENCH_SEEDS,

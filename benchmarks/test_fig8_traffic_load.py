@@ -16,7 +16,7 @@ from benchmarks.conftest import (
     BENCH_WARMUP_S,
     save_report,
 )
-from repro.experiments.runner import run_figure8
+from repro.experiments.runner import FIGURES, run_figure
 from repro.experiments.scenarios import GT_TSCH, ORCHESTRA
 
 RATES_PPM = (30, 75, 120, 165)
@@ -27,8 +27,9 @@ def test_fig8_traffic_load_sweep(benchmark):
     """Run the full Fig. 8 sweep for both schedulers and check its shape."""
 
     def run():
-        return run_figure8(
-            rates_ppm=RATES_PPM,
+        return run_figure(
+            FIGURES["8"],
+            values=RATES_PPM,
             schedulers=(GT_TSCH, ORCHESTRA),
             seeds=BENCH_SEEDS,
             jobs=BENCH_JOBS,

@@ -15,7 +15,7 @@ from benchmarks.conftest import (
     BENCH_WARMUP_S,
     save_report,
 )
-from repro.experiments.runner import run_figure9
+from repro.experiments.runner import FIGURES, run_figure
 from repro.experiments.scenarios import GT_TSCH, ORCHESTRA
 
 DODAG_SIZES = (6, 7, 8, 9)
@@ -26,8 +26,9 @@ def test_fig9_dodag_size_sweep(benchmark):
     """Run the full Fig. 9 sweep for both schedulers and check its shape."""
 
     def run():
-        return run_figure9(
-            dodag_sizes=DODAG_SIZES,
+        return run_figure(
+            FIGURES["9"],
+            values=DODAG_SIZES,
             schedulers=(GT_TSCH, ORCHESTRA),
             rate_ppm=120.0,
             seeds=BENCH_SEEDS,

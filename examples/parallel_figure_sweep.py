@@ -22,7 +22,7 @@ import os
 import sys
 import time
 
-from repro.experiments import ResultCache, run_figure8
+from repro.experiments import FIGURES, ResultCache, run_figure
 from repro.experiments.scenarios import GT_TSCH, ORCHESTRA
 
 RATES_PPM = (30, 120, 165)
@@ -34,8 +34,9 @@ def main() -> None:
     cache = ResultCache()
 
     started = time.perf_counter()
-    result = run_figure8(
-        rates_ppm=RATES_PPM,
+    result = run_figure(
+        FIGURES["8"],
+        values=RATES_PPM,
         schedulers=(GT_TSCH, ORCHESTRA),
         seeds=SEEDS,
         jobs=jobs,

@@ -13,7 +13,7 @@ Game-Theoretic Distributed TSCH Scheduler for Low-Power IoT Networks*
 * the Orchestra baseline and a 6TiSCH-minimal reference scheduler
   (:mod:`repro.schedulers`);
 * the experiment harness reproducing the paper's Figures 8-10
-  (:mod:`repro.experiments`).
+  (:mod:`repro.experiments`): ``run_figure(FIGURES["8"])`` runs Fig. 8.
 
 Quick start::
 
@@ -32,7 +32,7 @@ __version__ = "0.2.0"
 from repro.core.config import GtTschConfig
 from repro.core.game import GameWeights, PlayerState, optimal_tx_cells, payoff
 from repro.core.scheduler import GtTschScheduler
-from repro.experiments.runner import run_figure10, run_figure8, run_figure9, run_scenario
+from repro.experiments.runner import FIGURES, run_figure, run_scenario
 from repro.experiments.scenarios import (
     ContikiConfig,
     Scenario,
@@ -66,8 +66,7 @@ __all__ = [
     "dodag_size_scenario",
     "slotframe_scenario",
     "run_scenario",
-    "run_figure8",
-    "run_figure9",
-    "run_figure10",
+    "run_figure",
+    "FIGURES",
     "__version__",
 ]

@@ -163,23 +163,6 @@ class UnicastCellAllocator:
         follows_tx = int(previous in self.view.tx_offsets)
         return (adjacent_to_rx, -distance, -follows_tx, offset)
 
-    # ------------------------------------------------------------------
-    def pick_tx_offsets_for_root_child(self, count: int) -> list[int]:
-        """Convenience for tests: offsets a root grants, ignoring rule 1."""
-        return self.pick_rx_offsets(child=-1, count=count)
-
-    def pick_release_offsets(self, child: int, count: int) -> list[int]:
-        """Choose which of a child's Rx cells to delete (6P DELETE).
-
-        Releases the most recently granted offsets first (highest offsets),
-        which tends to preserve the interleaving quality of the remaining
-        cells.
-        """
-        existing = sorted(self.view.rx_offsets_by_child.get(child, set()))
-        if count <= 0 or not existing:
-            return []
-        return existing[-count:]
-
 
 def validate_no_consecutive_rx(
     slotframe_length: int, tx_offsets: Sequence[int], rx_offsets: Sequence[int]

@@ -505,6 +505,3 @@ class GtTschScheduler(SchedulingFunction):
             for cell in cells
             if cell.purpose is CellPurpose.UNICAST_DATA
         )
-
-    def children_with_cells(self) -> list[int]:
-        return sorted(self.sixp.rx_by_child)

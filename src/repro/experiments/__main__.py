@@ -1,4 +1,10 @@
-"""Command-line entry point for the figure runners.
+"""Command-line entry point for the figure table.
+
+Each ``--figure`` id names one row of
+:data:`repro.experiments.runner.FIGURES`, which carries its own swept
+values, scheduler line-up and warm-up / measurement windows;
+``--values``, ``--schedulers``, ``--warmup-s`` and ``--measurement-s``
+override them.
 
 Examples::
 
@@ -34,16 +40,11 @@ from typing import Optional
 from repro.experiments.export import figure_to_csv, figure_to_json
 from repro.experiments.parallel import ResultCache
 from repro.experiments.runner import (
-    DEFAULT_SCHEDULERS,
-    ROBUSTNESS_SCHEDULERS,
+    FIGURES,
+    PAPER_LINEUP,
+    ROBUSTNESS_LINEUP,
     FigureResult,
-    run_churn,
-    run_churn_dynamic,
-    run_figure10,
-    run_figure8,
-    run_figure9,
-    run_join,
-    run_scale,
+    run_figure,
 )
 from repro.experiments.scenarios import DEFAULT_DRAIN_S
 from repro.schedulers import registry
@@ -53,24 +54,12 @@ from repro.sim.clock import SimClock
 #: third-party plugins imported before this entry point runs).
 KNOWN_SCHEDULERS = tuple(registry.available())
 
-#: figure id -> (runner, name of its sweep-values keyword, value parser)
-FIGURES = {
-    "8": (run_figure8, "rates_ppm", float),
-    "9": (run_figure9, "dodag_sizes", int),
-    "10": (run_figure10, "unicast_lengths", int),
-    "scale": (run_scale, "node_counts", int),
-    "churn": (run_churn, "crash_counts", int),
-    "churn-dynamic": (run_churn_dynamic, "crash_counts", int),
-    "join": (run_join, "dodag_sizes", int),
-}
-
 #: Figures included in ``--figure all`` (the paper's evaluation).  The
 #: scaling sweep simulates hundreds of nodes and must be requested
-#: explicitly: ``--figure scale`` (typically with shorter windows, e.g.
-#: ``--warmup-s 20 --measurement-s 40``); likewise the fault-injection
-#: head-to-head (``--figure churn`` / ``--figure churn-dynamic``) and the
-#: cold-start join sweep (``--figure join``, best with ``--warmup-s 5
-#: --measurement-s 90``).
+#: explicitly (``--figure scale``), like the fault-injection head-to-heads
+#: (``--figure churn`` / ``--figure churn-dynamic``) and the cold-start join
+#: sweep (``--figure join``).  Every figure owns its windows, as it owns its
+#: line-up; ``--warmup-s`` / ``--measurement-s`` override them.
 PAPER_FIGURES = ("8", "9", "10")
 
 
@@ -81,8 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--figure",
-        # Derived from the registry so an unknown figure id errors out with
-        # the full list of valid figures and the two can never drift apart.
+        # Derived from the figure table so an unknown figure id errors out
+        # with the full list of valid figures and the two never drift apart.
         choices=[*FIGURES, "all"],
         default="all",
         help="which figure to run (default: all = the paper's figures; "
@@ -117,10 +106,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="result cache directory (default: $REPRO_CACHE_DIR or ~/.cache/gt-tsch-repro)",
     )
     parser.add_argument(
-        "--measurement-s", type=float, default=60.0, help="measurement window (default: 60)"
+        "--measurement-s",
+        type=float,
+        default=None,
+        help="measurement window in seconds (default: the figure's own)",
     )
     parser.add_argument(
-        "--warmup-s", type=float, default=30.0, help="warm-up window (default: 30)"
+        "--warmup-s",
+        type=float,
+        default=None,
+        help="warm-up window in seconds (default: the figure's own)",
     )
     parser.add_argument(
         "--values",
@@ -137,8 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help="schedulers to compare, any of: "
         f"{', '.join(KNOWN_SCHEDULERS)} (default: each figure's own line-up, "
-        f"{' '.join(DEFAULT_SCHEDULERS)} for the paper figures and "
-        f"{' '.join(ROBUSTNESS_SCHEDULERS)} for the others)",
+        f"{' '.join(PAPER_LINEUP)} for the paper figures and "
+        f"{' '.join(ROBUSTNESS_LINEUP)} for the others)",
     )
     parser.add_argument(
         "--export-dir",
@@ -200,28 +195,32 @@ def cache_main(argv: Sequence[str]) -> int:
 
 
 def run_one(
-    figure_id: str, args: argparse.Namespace, cache: Optional[ResultCache]
+    figure_id: str,
+    args: argparse.Namespace,
+    cache: Optional[ResultCache],
+    warmup_s: float,
+    measurement_s: float,
 ) -> FigureResult:
-    runner, values_kw, value_type = FIGURES[figure_id]
-    kwargs = {
-        "seeds": args.seeds,
-        "jobs": args.jobs,
-        "cache": cache,
-        "measurement_s": args.measurement_s,
-        "warmup_s": args.warmup_s,
-    }
-    if args.schedulers is not None:
-        # Otherwise the runner's own default line-up applies.
-        kwargs["schedulers"] = args.schedulers
+    figure = FIGURES[figure_id]
+    values = None
     if args.values is not None:
         try:
-            kwargs[values_kw] = [value_type(value) for value in args.values]
+            values = [figure.parse(value) for value in args.values]
         except ValueError as err:
             raise SystemExit(
                 f"--values for figure {figure_id} must be "
-                f"{value_type.__name__}s, got: {' '.join(args.values)}"
+                f"{figure.parse.__name__}s, got: {' '.join(args.values)}"
             ) from err
-    return runner(**kwargs)
+    return run_figure(
+        figure,
+        values=values,
+        schedulers=args.schedulers,
+        seeds=args.seeds,
+        jobs=args.jobs,
+        cache=cache,
+        warmup_s=warmup_s,
+        measurement_s=measurement_s,
+    )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -266,18 +265,21 @@ def _run_figures(args: argparse.Namespace) -> int:
         return 2
 
     cache = None if args.no_cache else ResultCache(root=args.cache_dir)
-    # Simulated slots per scenario cell: warm-up + measurement + drain, with
-    # the same rounding the clock applies (used for the slots/sec report).
     clock = SimClock()
-    slots_per_cell = (
-        clock.seconds_to_slots(args.warmup_s)
-        + clock.seconds_to_slots(args.measurement_s)
-        + clock.seconds_to_slots(DEFAULT_DRAIN_S)
-    )
     for figure_id in figure_ids:
+        figure = FIGURES[figure_id]
+        warmup_s = figure.warmup_s if args.warmup_s is None else args.warmup_s
+        measurement_s = figure.measurement_s if args.measurement_s is None else args.measurement_s
+        # Simulated slots per scenario cell: warm-up + measurement + drain,
+        # with the same rounding the clock applies (for the slots/s report).
+        slots_per_cell = (
+            clock.seconds_to_slots(warmup_s)
+            + clock.seconds_to_slots(measurement_s)
+            + clock.seconds_to_slots(DEFAULT_DRAIN_S)
+        )
         started = time.perf_counter()
         hits_before = cache.hits if cache is not None else 0
-        result = run_one(figure_id, args, cache)
+        result = run_one(figure_id, args, cache, warmup_s, measurement_s)
         elapsed = time.perf_counter() - started
         schedulers = len(result.results)
         cells = len(result.sweep_values) * schedulers * len(args.seeds)

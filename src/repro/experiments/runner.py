@@ -1,15 +1,19 @@
 """Run scenarios and whole figures, and render the paper-style series.
 
-Each ``run_figureN`` function reproduces one figure of the paper's evaluation
-section: it sweeps the figure's x-axis, runs every scheduler at every swept
-value for every requested seed, and returns a :class:`FigureResult` whose
-``report()`` prints the same six series (PDR, delay, packet loss, duty cycle,
-queue loss, throughput) the figure plots.
+Every sweep is one :class:`Figure` row of data: its x-axis values, the
+scenario factory that builds one cell, its scheduler line-up and its own
+warm-up and measurement windows.  :data:`FIGURES` holds the paper's Figs.
+8-10 and the scale, churn, churn-dynamic and join sweeps that go beyond it;
+:data:`repro.experiments.ablation.ABLATIONS` holds the GT-TSCH ablations.
+:func:`run_figure` runs any row: it sweeps the x-axis, runs every scheduler
+at every swept value for every requested seed, and returns a
+:class:`FigureResult` whose ``report()`` prints the same six series (PDR,
+delay, packet loss, duty cycle, queue loss, throughput) the paper plots.
 
 Execution goes through :mod:`repro.experiments.parallel`: every
 ``(sweep value x scheduler x seed)`` cell is an independent scenario, so a
 figure can be fanned out over a process pool (``jobs``) and memoised on disk
-(``cache``) without changing the numbers — the parallel path is bit-identical
+(``cache``) without changing the numbers -- the parallel path is bit-identical
 to the serial one for the same seeds.  Each figure point is a
 :class:`~repro.metrics.aggregate.MetricsAggregate` (mean / stddev / 95% CI
 across seeds), which collapses to the single run's exact values when only one
@@ -20,12 +24,14 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import Any, Optional, Union
 
 from repro.experiments.parallel import ResultCache, run_scenarios
 from repro.experiments.parallel import run_scenario as run_scenario  # re-export
 from repro.experiments.scenarios import (
-    SCALE_RATE_PPM,
+    GT_TSCH,
+    MINIMAL,
+    ORCHESTRA,
     Scenario,
     churn_scenario,
     dodag_size_scenario,
@@ -37,16 +43,7 @@ from repro.experiments.scenarios import (
 from repro.metrics.aggregate import MetricsAggregate
 from repro.metrics.collector import NetworkMetrics
 from repro.metrics.report import format_figure_report
-from repro.phy.dynamic import DynamicMediumPolicy, default_drift_policy
-from repro.schedulers import registry
-
-#: Scheduler line-up used in the paper's comparisons (GT-TSCH vs Orchestra),
-#: derived from the registry's ``paper_default`` registrations.
-DEFAULT_SCHEDULERS = registry.paper_lineup()
-
-#: Three-scheduler line-up of the robustness/join/scale extensions (adds the
-#: 6TiSCH-minimal floor), derived from ``robustness_default`` registrations.
-ROBUSTNESS_SCHEDULERS = registry.robustness_lineup()
+from repro.phy.dynamic import default_drift_policy
 
 #: Either a raw single-run metrics object or a cross-seed aggregate; both
 #: expose the same ``as_dict()`` keys.
@@ -61,7 +58,7 @@ class FigureResult:
     sweep_label: str
     sweep_values: list
     #: scheduler name -> list of per-point metrics (aggregated across seeds
-    #: by the figure runners), aligned with ``sweep_values``.
+    #: by :func:`run_figure`), aligned with ``sweep_values``.
     results: dict[str, list[MetricsLike]] = field(default_factory=dict)
     #: Seeds each point was averaged over (empty for directly-built results).
     seeds: list[int] = field(default_factory=list)
@@ -111,311 +108,157 @@ class FigureResult:
         return rows
 
 
-def _run_sweep(
-    figure: str,
-    sweep_label: str,
-    sweep_values: Sequence,
-    scenario_for: Callable[[object, str], Scenario],
-    schedulers: Sequence[str],
+@dataclass(frozen=True)
+class Figure:
+    """One sweep: an x-axis, a cell factory, a line-up and its windows.
+
+    ``cell(value, scheduler, warmup_s=..., measurement_s=..., **options)``
+    builds the scenario of one swept value for one scheduler; ``parse``
+    turns one ``--values`` token of the command line into a swept value.
+    """
+
+    title: str
+    sweep_label: str
+    values: tuple
+    cell: Callable[..., Scenario]
+    schedulers: tuple[str, ...]
+    warmup_s: float = 30.0
+    measurement_s: float = 60.0
+    parse: Callable[[str], Any] = int
+
+
+def run_figure(
+    figure: Figure,
+    values: Optional[Sequence] = None,
+    schedulers: Optional[Sequence[str]] = None,
     seeds: Sequence[int] = (1,),
     jobs: int = 1,
     cache: Union[None, bool, ResultCache] = None,
+    warmup_s: Optional[float] = None,
+    measurement_s: Optional[float] = None,
+    **options: Any,
 ) -> FigureResult:
-    """Fan a figure out into scenarios, execute, and aggregate across seeds."""
+    """Run one figure row: every scheduler x swept value x seed, aggregated.
+
+    An argument left unset takes the row's own value.  ``options`` go to
+    ``figure.cell`` unchanged, e.g. ``rate_ppm=60`` or churn's
+    ``num_arrivals``, ``link_drift`` and ``cold_start``.
+    """
+    values = list(figure.values if values is None else values)
+    schedulers = figure.schedulers if schedulers is None else schedulers
     seeds = list(seeds)
-    sweep_values = list(sweep_values)
+    windows = {
+        "warmup_s": figure.warmup_s if warmup_s is None else warmup_s,
+        "measurement_s": figure.measurement_s if measurement_s is None else measurement_s,
+    }
     scenarios: list[Scenario] = []
     for scheduler in schedulers:
-        for value in sweep_values:
-            base = scenario_for(value, scheduler)
-            for seed in seeds:
-                scenarios.append(replace(base, seed=seed))
+        for value in values:
+            base = figure.cell(value, scheduler, **windows, **options)
+            scenarios.extend(replace(base, seed=seed) for seed in seeds)
 
-    metrics = run_scenarios(scenarios, jobs=jobs, cache=cache)
-
+    runs = iter(run_scenarios(scenarios, jobs=jobs, cache=cache))
     result = FigureResult(
-        figure=figure, sweep_label=sweep_label, sweep_values=sweep_values, seeds=seeds
+        figure=figure.title, sweep_label=figure.sweep_label, sweep_values=values, seeds=seeds
     )
-    index = 0
     for scheduler in schedulers:
-        series: list[MetricsLike] = []
-        for _ in sweep_values:
-            runs = metrics[index : index + len(seeds)]
-            index += len(seeds)
-            series.append(MetricsAggregate.from_runs(runs, seeds))
-        result.results[scheduler] = series
+        result.results[scheduler] = [
+            MetricsAggregate.from_runs([next(runs) for _ in seeds], seeds) for _ in values
+        ]
     return result
 
 
-def _resolve_seeds(seeds: Optional[Sequence[int]], seed: int) -> Sequence[int]:
-    """``seeds`` wins when given; otherwise fall back to the single ``seed``."""
-    return list(seeds) if seeds is not None else [seed]
+def _churn_dynamic_cell(
+    crashes: int, scheduler: str, *, warmup_s: float, measurement_s: float, **options: Any
+) -> Scenario:
+    """A churn cell plus one late arrival and a three-epoch link drift.
 
-
-def run_figure8(
-    rates_ppm: Sequence[float] = (30, 75, 120, 165),
-    schedulers: Sequence[str] = DEFAULT_SCHEDULERS,
-    seed: int = 1,
-    measurement_s: float = 60.0,
-    warmup_s: float = 30.0,
-    seeds: Optional[Sequence[int]] = None,
-    jobs: int = 1,
-    cache: Union[None, bool, ResultCache] = None,
-) -> FigureResult:
-    """Fig. 8: performance vs per-node traffic load (30-165 ppm), 14 nodes."""
-    return _run_sweep(
-        figure="Figure 8: performance vs traffic load",
-        sweep_label="traffic load (ppm/node)",
-        sweep_values=rates_ppm,
-        scenario_for=lambda rate, scheduler: traffic_load_scenario(
-            rate_ppm=rate,
-            scheduler=scheduler,
-            seed=seed,
-            measurement_s=measurement_s,
-            warmup_s=warmup_s,
-        ),
-        schedulers=schedulers,
-        seeds=_resolve_seeds(seeds, seed),
-        jobs=jobs,
-        cache=cache,
-    )
-
-
-def run_figure9(
-    dodag_sizes: Sequence[int] = (6, 7, 8, 9),
-    schedulers: Sequence[str] = DEFAULT_SCHEDULERS,
-    rate_ppm: float = 120.0,
-    seed: int = 1,
-    measurement_s: float = 60.0,
-    warmup_s: float = 30.0,
-    seeds: Optional[Sequence[int]] = None,
-    jobs: int = 1,
-    cache: Union[None, bool, ResultCache] = None,
-) -> FigureResult:
-    """Fig. 9: performance vs DODAG size (6-9 nodes per DODAG), 120 ppm."""
-    return _run_sweep(
-        figure="Figure 9: performance vs DODAG size",
-        sweep_label="nodes per DODAG",
-        sweep_values=dodag_sizes,
-        scenario_for=lambda size, scheduler: dodag_size_scenario(
-            nodes_per_dodag=size,
-            scheduler=scheduler,
-            rate_ppm=rate_ppm,
-            seed=seed,
-            measurement_s=measurement_s,
-            warmup_s=warmup_s,
-        ),
-        schedulers=schedulers,
-        seeds=_resolve_seeds(seeds, seed),
-        jobs=jobs,
-        cache=cache,
-    )
-
-
-def run_scale(
-    node_counts: Sequence[int] = (100, 200, 500),
-    schedulers: Sequence[str] = ROBUSTNESS_SCHEDULERS,
-    rate_ppm: float = SCALE_RATE_PPM,
-    seed: int = 1,
-    measurement_s: float = 40.0,
-    warmup_s: float = 20.0,
-    seeds: Optional[Sequence[int]] = None,
-    jobs: int = 1,
-    cache: Union[None, bool, ResultCache] = None,
-) -> FigureResult:
-    """Scaling sweep: performance vs total network size (100-500 nodes).
-
-    Goes beyond the paper's 12-18-node evaluation by replicating its
-    DODAG construction until the site holds hundreds of motes (see
-    :func:`~repro.experiments.scenarios.scale_scenario`); enabled by the
-    participant-dispatch simulation kernel, which keeps per-slot cost tied
-    to the nodes that actually act rather than the network size.
-    """
-    return _run_sweep(
-        figure="Scale: performance vs network size",
-        sweep_label="total nodes",
-        sweep_values=node_counts,
-        scenario_for=lambda count, scheduler: scale_scenario(
-            num_nodes=count,
-            scheduler=scheduler,
-            rate_ppm=rate_ppm,
-            seed=seed,
-            measurement_s=measurement_s,
-            warmup_s=warmup_s,
-        ),
-        schedulers=schedulers,
-        seeds=_resolve_seeds(seeds, seed),
-        jobs=jobs,
-        cache=cache,
-    )
-
-
-def run_churn(
-    crash_counts: Sequence[int] = (1, 2, 3),
-    schedulers: Sequence[str] = ROBUSTNESS_SCHEDULERS,
-    rate_ppm: float = 120.0,
-    seed: int = 1,
-    measurement_s: float = 60.0,
-    warmup_s: float = 30.0,
-    seeds: Optional[Sequence[int]] = None,
-    jobs: int = 1,
-    cache: Union[None, bool, ResultCache] = None,
-    num_arrivals: int = 0,
-    link_drift: Optional[DynamicMediumPolicy] = None,
-    cold_start: bool = False,
-) -> FigureResult:
-    """Churn sweep: robustness vs number of injected node crashes.
-
-    A three-scheduler head-to-head beyond the paper's steady-state
-    evaluation: each point replays one deterministic
-    :class:`~repro.faults.FaultPlan` (crashes + warm rejoins + a
-    link-degradation epoch + a parent-loss injection) against the Fig. 8
-    topology and reports the recovery metrics -- time-to-reconverge,
-    PDR-under-churn, packets-lost-to-crash, orphaned cell slots -- alongside
-    the six steady-state series.  Multi-seed runs keep the fault plan fixed
-    (``plan_seed`` stays at its default) so the confidence intervals measure
-    the network's response to one fault scenario, not plan variability.
-
-    ``num_arrivals``, ``link_drift``, and ``cold_start`` switch on the
-    dynamic-network extensions (late node power-ons, epoch-varying per-link
-    PRR drift, unsynchronised boots); the defaults reproduce the recorded
-    legacy series bit-for-bit.
-    """
-    return _run_sweep(
-        figure="Churn: robustness vs injected node crashes",
-        sweep_label="node crashes",
-        sweep_values=crash_counts,
-        scenario_for=lambda crashes, scheduler: churn_scenario(
-            num_crashes=crashes,
-            scheduler=scheduler,
-            rate_ppm=rate_ppm,
-            seed=seed,
-            measurement_s=measurement_s,
-            warmup_s=warmup_s,
-            num_arrivals=num_arrivals,
-            link_drift=link_drift,
-            cold_start=cold_start,
-        ),
-        schedulers=schedulers,
-        seeds=_resolve_seeds(seeds, seed),
-        jobs=jobs,
-        cache=cache,
-    )
-
-
-def run_churn_dynamic(
-    crash_counts: Sequence[int] = (1, 2),
-    schedulers: Sequence[str] = ROBUSTNESS_SCHEDULERS,
-    rate_ppm: float = 120.0,
-    seed: int = 1,
-    measurement_s: float = 60.0,
-    warmup_s: float = 30.0,
-    seeds: Optional[Sequence[int]] = None,
-    jobs: int = 1,
-    cache: Union[None, bool, ResultCache] = None,
-) -> FigureResult:
-    """Combined-stress churn: crashes + late arrivals + epoch link drift.
-
-    The robustness-ranking variant of :func:`run_churn`: every point layers
-    one late arrival and a three-epoch per-link PRR drift schedule on top
-    of the legacy crash plan, so ``result.ranking("pdr")`` answers which
-    scheduler degrades least when departures, arrivals, and medium drift
-    all hit the same window.  The drift epochs are pinned inside the
-    measurement window so the final restore barrier always fires.
+    The drift epochs are pinned inside the measurement window so the final
+    restore barrier always fires; the drift draws from seed 1 whatever the
+    simulation seed, so every seed replays one drift schedule.
     """
     drift = default_drift_policy(
-        seed=seed,
+        seed=1,
         start_s=warmup_s + 0.20 * measurement_s,
         epoch_s=0.15 * measurement_s,
         num_epochs=3,
     )
-    return _run_sweep(
-        figure="Churn (dynamic): crashes + arrivals + link drift",
-        sweep_label="node crashes",
-        sweep_values=crash_counts,
-        scenario_for=lambda crashes, scheduler: churn_scenario(
-            num_crashes=crashes,
-            scheduler=scheduler,
-            rate_ppm=rate_ppm,
-            seed=seed,
-            measurement_s=measurement_s,
-            warmup_s=warmup_s,
-            num_arrivals=1,
-            link_drift=drift,
-        ),
-        schedulers=schedulers,
-        seeds=_resolve_seeds(seeds, seed),
-        jobs=jobs,
-        cache=cache,
+    return churn_scenario(
+        crashes,
+        scheduler,
+        warmup_s=warmup_s,
+        measurement_s=measurement_s,
+        num_arrivals=1,
+        link_drift=drift,
+        **options,
     )
 
 
-def run_join(
-    dodag_sizes: Sequence[int] = (5, 7, 9),
-    schedulers: Sequence[str] = ROBUSTNESS_SCHEDULERS,
-    rate_ppm: float = 60.0,
-    seed: int = 1,
-    measurement_s: float = 90.0,
-    warmup_s: float = 5.0,
-    seeds: Optional[Sequence[int]] = None,
-    jobs: int = 1,
-    cache: Union[None, bool, ResultCache] = None,
-) -> FigureResult:
-    """Cold-start join sweep: time-to-join / time-to-first-packet vs DODAG size.
+#: The paper's comparison (Figs. 8-10): GT-TSCH against Orchestra.
+PAPER_LINEUP = (GT_TSCH, ORCHESTRA)
+#: The scale, churn and join sweeps add the 6TiSCH-minimal floor.
+ROBUSTNESS_LINEUP = (GT_TSCH, ORCHESTRA, MINIMAL)
 
-    Every non-root node boots unsynchronised and must scan for a beacon,
-    synchronise, and acquire an RPL parent before it may source traffic
-    (see :func:`~repro.experiments.scenarios.join_scenario`).  The headline
-    series are ``time_to_join_s`` and ``time_to_first_packet_s`` with
-    cross-seed CIs; both are censored at the window close for nodes that
-    never complete, so deeper DODAGs report honest lower bounds rather
-    than dropping their stragglers.
-    """
-    return _run_sweep(
-        figure="Join: cold-start formation vs DODAG size",
-        sweep_label="nodes per DODAG",
-        sweep_values=dodag_sizes,
-        scenario_for=lambda size, scheduler: join_scenario(
-            nodes_per_dodag=size,
-            scheduler=scheduler,
-            rate_ppm=rate_ppm,
-            seed=seed,
-            measurement_s=measurement_s,
-            warmup_s=warmup_s,
-        ),
-        schedulers=schedulers,
-        seeds=_resolve_seeds(seeds, seed),
-        jobs=jobs,
-        cache=cache,
-    )
-
-
-def run_figure10(
-    unicast_lengths: Sequence[int] = (8, 12, 16, 20),
-    schedulers: Sequence[str] = DEFAULT_SCHEDULERS,
-    rate_ppm: float = 120.0,
-    seed: int = 1,
-    measurement_s: float = 60.0,
-    warmup_s: float = 30.0,
-    seeds: Optional[Sequence[int]] = None,
-    jobs: int = 1,
-    cache: Union[None, bool, ResultCache] = None,
-) -> FigureResult:
-    """Fig. 10: performance vs unicast slotframe length (8-20)."""
-    return _run_sweep(
-        figure="Figure 10: performance vs slotframe length",
-        sweep_label="unicast slotframe length",
-        sweep_values=unicast_lengths,
-        scenario_for=lambda length, scheduler: slotframe_scenario(
-            unicast_slotframe_length=length,
-            scheduler=scheduler,
-            rate_ppm=rate_ppm,
-            seed=seed,
-            measurement_s=measurement_s,
-            warmup_s=warmup_s,
-        ),
-        schedulers=schedulers,
-        seeds=_resolve_seeds(seeds, seed),
-        jobs=jobs,
-        cache=cache,
-    )
+#: Figure id -> sweep.  ``python -m repro.experiments --figure <id>`` runs
+#: one row with its own line-up and windows unless flags override them.
+FIGURES = {
+    "8": Figure(
+        "Figure 8: performance vs traffic load",
+        "traffic load (ppm/node)",
+        (30, 75, 120, 165),
+        traffic_load_scenario,
+        PAPER_LINEUP,
+        parse=float,
+    ),
+    "9": Figure(
+        "Figure 9: performance vs DODAG size",
+        "nodes per DODAG",
+        (6, 7, 8, 9),
+        dodag_size_scenario,
+        PAPER_LINEUP,
+    ),
+    "10": Figure(
+        "Figure 10: performance vs slotframe length",
+        "unicast slotframe length",
+        (8, 12, 16, 20),
+        slotframe_scenario,
+        PAPER_LINEUP,
+    ),
+    # Hundreds of nodes in paper-sized DODAGs, beyond the paper's 12-18.
+    "scale": Figure(
+        "Scale: performance vs network size",
+        "total nodes",
+        (100, 200, 500),
+        scale_scenario,
+        ROBUSTNESS_LINEUP,
+        warmup_s=20.0,
+        measurement_s=40.0,
+    ),
+    # One fixed fault plan per point (crashes, warm rejoins, a degradation
+    # epoch, a parent loss); ``FigureResult.ranking`` orders the line-up.
+    "churn": Figure(
+        "Churn: robustness vs injected node crashes",
+        "node crashes",
+        (1, 2, 3),
+        churn_scenario,
+        ROBUSTNESS_LINEUP,
+    ),
+    "churn-dynamic": Figure(
+        "Churn (dynamic): crashes + arrivals + link drift",
+        "node crashes",
+        (1, 2),
+        _churn_dynamic_cell,
+        ROBUSTNESS_LINEUP,
+    ),
+    # Cold-start formation: the short warm-up lets first packets land in
+    # the window; nodes that never join are censored at its close.
+    "join": Figure(
+        "Join: cold-start formation vs DODAG size",
+        "nodes per DODAG",
+        (5, 7, 9),
+        join_scenario,
+        ROBUSTNESS_LINEUP,
+        warmup_s=5.0,
+        measurement_s=90.0,
+    ),
+}

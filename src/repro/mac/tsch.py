@@ -1087,9 +1087,7 @@ class TschEngine:
     # ------------------------------------------------------------------
     # outcome handling
     # ------------------------------------------------------------------
-    def on_transmission_result(
-        self, plan: SlotPlan, result: TransmissionResult, asn: int, now: float
-    ) -> None:
+    def on_transmission_result(self, plan: SlotPlan, result: TransmissionResult, asn: int) -> None:
         """Process the medium's verdict for a transmission made this slot."""
         packet = plan.packet
         cell = plan.cell
@@ -1133,7 +1131,7 @@ class TschEngine:
             if self.tx_done_callback is not None:
                 self.tx_done_callback(packet, False, asn)
 
-    def on_frame_received(self, packet: Packet, asn: int, now: float) -> None:
+    def on_frame_received(self, packet: Packet, asn: int) -> None:
         """Handle a frame decoded by this node's radio."""
         self.stats.frames_received += 1
         if self.rx_callback is not None:

@@ -257,11 +257,10 @@ class Network:
         those of the full per-node scan.
         """
         asn = self.clock.asn
-        now = self.clock.now
         # 1. fire asynchronous timers due at or before this slot boundary
         # (these may mutate schedules and queues, so they run before any
         # node plans this slot).
-        self.events.run_until(now)
+        self.events.run_until(self.clock.now)
         self.stepped_slots += 1
 
         # 2a. the possible transmitters plan first (CSMA side effects
@@ -369,18 +368,18 @@ class Network:
                 for receiver in result.receivers:
                     engine = nodes[receiver].tsch
                     receivers.append(engine)
-                    engine.on_frame_received(packet, asn, now)
+                    engine.on_frame_received(packet, asn)
             else:
                 destination = packet.link_destination
                 for receiver in result.receivers:
                     engine = nodes[receiver].tsch
                     receivers.append(engine)
                     if destination == receiver:
-                        engine.on_frame_received(packet, asn, now)
+                        engine.on_frame_received(packet, asn)
 
         # 4b. transmitters process their outcome (ACK, retransmission, drop).
         for node_id, plan, result in zip(intent_owners, tx_plans, results):
-            nodes[node_id].tsch.on_transmission_result(plan, result, asn, now)
+            nodes[node_id].tsch.on_transmission_result(plan, result, asn)
 
         # 4c. duty-cycle corrections for exactly the nodes whose slot
         # deviated from the pure function of their schedule: transmitters
@@ -414,8 +413,7 @@ class Network:
         against, and the baseline the kernel-speed benchmark measures.
         """
         asn = self.clock.asn
-        now = self.clock.now
-        self.events.run_until(now)
+        self.events.run_until(self.clock.now)
 
         plans: dict[int, SlotPlan] = {}
         intents = []
@@ -438,10 +436,10 @@ class Network:
             for receiver in result.receivers:
                 nodes_that_received.add(receiver)
                 if packet.is_broadcast or packet.link_destination == receiver:
-                    self.nodes[receiver].tsch.on_frame_received(packet, asn, now)
+                    self.nodes[receiver].tsch.on_frame_received(packet, asn)
 
         for node_id, result in zip(intent_owners, results):
-            self.nodes[node_id].tsch.on_transmission_result(plans[node_id], result, asn, now)
+            self.nodes[node_id].tsch.on_transmission_result(plans[node_id], result, asn)
 
         next_asn = asn + 1
         for node_id, plan in plans.items():

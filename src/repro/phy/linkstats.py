@@ -42,10 +42,6 @@ class EtxEstimator:
         """Current ETX estimate for the link towards ``neighbor``."""
         return self._etx.get(neighbor, self.initial_etx)
 
-    def prr(self, neighbor: int) -> float:
-        """PRR implied by the current ETX estimate (Eq. (4) inverted)."""
-        return 1.0 / self.etx(neighbor)
-
     def record_tx(self, neighbor: int, success: bool, attempts: int = 1) -> float:
         """Record the outcome of one unicast transmission (with retries).
 
@@ -64,7 +60,3 @@ class EtxEstimator:
         updated = self.alpha * previous + (1.0 - self.alpha) * sample
         self._etx[neighbor] = min(max(updated, ETX_MIN), ETX_MAX)
         return self._etx[neighbor]
-
-    def reset(self, neighbor: int) -> None:
-        """Forget the estimate for ``neighbor`` (e.g. after a parent switch)."""
-        self._etx.pop(neighbor, None)

@@ -14,7 +14,8 @@ Schedulers are selected by name through
 :mod:`repro.schedulers.registry`: the new modules self-register on import
 (see ``@register_scheduler`` at the bottom of each), while GT-TSCH --
 which lives outside this package -- and the two pre-registry baselines are
-registered below.  Import-cycle contract: this package must stay importable
+registered below.  Which of them a figure compares by default is data of
+the figure table (:mod:`repro.experiments.runner`), not of registration.  Import-cycle contract: this package must stay importable
 without :mod:`repro.experiments` (builders receive the Contiki configuration
 duck-typed) and without :mod:`repro.core` at module level
 (``repro.core.scheduler`` imports :mod:`repro.schedulers.base`, so GT-TSCH's
@@ -49,13 +50,7 @@ __all__ = [
 ]
 
 
-# The flagged registrations define the default line-ups (the decorator
-# preserves statement order): the paper figures compare GT-TSCH vs Orchestra,
-# the robustness/join/scale figures add the 6TiSCH-minimal floor.  The
-# MSF/DeBrAS/OTF baselines registered above (module import order) carry no
-# flags, so recorded defaults are unchanged and the newcomers opt in via
-# ``--schedulers``.
-@register_scheduler("GT-TSCH", paper_default=True, robustness_default=True)
+@register_scheduler("GT-TSCH")
 def _build_gt_tsch(contiki: Any) -> Any:
     # Deferred import: repro.core.scheduler imports repro.schedulers.base,
     # so importing it while this package initialises would be a cycle.
@@ -64,13 +59,11 @@ def _build_gt_tsch(contiki: Any) -> Any:
     return lambda node_id, is_root: GtTschScheduler(contiki.gt_tsch_config())
 
 
-@register_scheduler(
-    OrchestraScheduler.name, paper_default=True, robustness_default=True
-)
+@register_scheduler(OrchestraScheduler.name)
 def _build_orchestra(contiki: Any) -> Any:
     return lambda node_id, is_root: OrchestraScheduler(contiki.orchestra_config())
 
 
-@register_scheduler(MinimalScheduler.name, robustness_default=True)
+@register_scheduler(MinimalScheduler.name)
 def _build_minimal(contiki: Any) -> Any:
     return lambda node_id, is_root: MinimalScheduler(MinimalSchedulerConfig())

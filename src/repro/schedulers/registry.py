@@ -1,10 +1,6 @@
 """The scheduler-plugin registry: one source of truth for scheduler names.
 
-Before this registry existed, adding a scheduler meant touching four files:
-the if/elif factory chain in ``Scenario._scheduler_factory``, the
-``KNOWN_SCHEDULERS`` tuple of the CLI, the per-figure ``DEFAULT_SCHEDULERS``
-line-ups of the runner, and the scheduler imports of the worker-pool
-initialiser.  Now a scheduler registers itself once::
+A scheduler registers itself once::
 
     from repro.schedulers.registry import register_scheduler
 
@@ -14,8 +10,12 @@ initialiser.  Now a scheduler registers itself once::
         return lambda node_id, is_root: MySfScheduler(config)
 
 and every consumer -- scenario construction, fault-injection rejoin
-factories, CLI validation, figure defaults, cache fingerprints -- resolves
-through :func:`resolve` / :func:`available`.
+factories, CLI validation, cache fingerprints -- resolves through
+:func:`resolve` / :func:`available`.  Registering names a scheduler; it
+does not enlist it in any figure.  The default line-ups are data of the
+figure table (``PAPER_LINEUP`` / ``ROBUSTNESS_LINEUP`` in
+:mod:`repro.experiments.runner`), so a plugin runs only where it is asked
+for, e.g. ``--schedulers MySF``.
 
 A **builder** maps the experiment-wide protocol configuration (duck-typed:
 any object with the :class:`~repro.experiments.scenarios.ContikiConfig`
@@ -45,31 +45,21 @@ SchedulerFactory = Callable[[int, bool], "SchedulingFunction"]
 #: ``builder(contiki) -> factory`` -- called once per scenario.
 SchedulerBuilder = Callable[[Any], SchedulerFactory]
 
-#: name -> (builder, paper_default, robustness_default), in registration
-#: order (dicts preserve insertion order; line-up helpers rely on it).
-_REGISTRY: dict[str, tuple[SchedulerBuilder, bool, bool]] = {}
+#: name -> builder.
+_REGISTRY: dict[str, SchedulerBuilder] = {}
 
 
-def register_scheduler(
-    name: str,
-    *,
-    paper_default: bool = False,
-    robustness_default: bool = False,
-) -> Callable[[SchedulerBuilder], SchedulerBuilder]:
+def register_scheduler(name: str) -> Callable[[SchedulerBuilder], SchedulerBuilder]:
     """Class/function decorator registering a scheduler builder under ``name``.
 
-    ``paper_default`` marks the scheduler as part of the paper-figure
-    line-up (Figs. 8-10 default to the GT-TSCH vs Orchestra pair);
-    ``robustness_default`` marks it as part of the three-scheduler
-    robustness/join/scale line-up.  Registering an already-taken name is an
-    error -- two plugins silently shadowing each other would make scenario
-    fingerprints ambiguous.
+    Registering an already-taken name is an error -- two plugins silently
+    shadowing each other would make scenario fingerprints ambiguous.
     """
 
     def decorator(builder: SchedulerBuilder) -> SchedulerBuilder:
         if name in _REGISTRY:
             raise ValueError(f"scheduler {name!r} is already registered")
-        _REGISTRY[name] = (builder, paper_default, robustness_default)
+        _REGISTRY[name] = builder
         return builder
 
     return decorator
@@ -82,7 +72,7 @@ def resolve(name: str) -> SchedulerBuilder:
     the scenarios report the same (auto-generated) list of valid names.
     """
     try:
-        return _REGISTRY[name][0]
+        return _REGISTRY[name]
     except KeyError:
         raise ValueError(
             f"unknown scheduler {name!r}; choose from: {', '.join(available())}"
@@ -93,16 +83,3 @@ def available() -> list[str]:
     """Sorted names of every registered scheduler."""
     return sorted(_REGISTRY)
 
-
-def paper_lineup() -> tuple[str, ...]:
-    """Schedulers of the paper-figure default comparison, registration order."""
-    return tuple(
-        name for name, (_, paper, _robust) in _REGISTRY.items() if paper
-    )
-
-
-def robustness_lineup() -> tuple[str, ...]:
-    """Schedulers of the robustness/join/scale default line-up."""
-    return tuple(
-        name for name, (_, _paper, robust) in _REGISTRY.items() if robust
-    )

@@ -117,17 +117,6 @@ class TestPickRxOffsets:
         assert max(gaps) >= 2  # not simply the first four consecutive slots
 
 
-class TestPickReleaseOffsets:
-    def test_release_most_recent_first(self):
-        v = view(tx={1, 2, 3, 4}, rx_by_child={9: {5, 11, 21}})
-        release = UnicastCellAllocator(v).pick_release_offsets(child=9, count=2)
-        assert release == [11, 21]
-
-    def test_release_nothing_for_unknown_child(self):
-        v = view(tx={1})
-        assert UnicastCellAllocator(v).pick_release_offsets(child=4, count=2) == []
-
-
 class TestValidateNoConsecutiveRx:
     def test_detects_back_to_back_rx(self):
         violations = validate_no_consecutive_rx(10, tx_offsets=[5], rx_offsets=[1, 2])

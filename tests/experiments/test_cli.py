@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import os
+from types import SimpleNamespace
 
+import pytest
+
+import repro.experiments.__main__ as cli
+from repro.experiments import runner
 from repro.experiments.__main__ import cache_main, main
 from repro.experiments.parallel import ResultCache
 from repro.experiments.scenarios import MINIMAL, traffic_load_scenario
@@ -57,7 +62,7 @@ class TestProfileFlag:
         assert main(_tiny_args(["--profile"])) == 0
         out = capsys.readouterr().out
         assert "cumulative" in out
-        assert "run_figure8" in out
+        assert "(run_figure)" in out
 
     def test_plain_run_reports_slots_per_second(self, capsys):
         assert main(_tiny_args()) == 0
@@ -124,10 +129,8 @@ class TestScaleFigureExport:
 
 class TestFigureRegistry:
     def test_unknown_figure_id_lists_valid_choices(self, capsys):
-        """argparse choices come from the FIGURES registry, so an unknown id
+        """argparse choices come from the FIGURES table, so an unknown id
         errors out naming every valid figure instead of failing later."""
-        import pytest
-
         with pytest.raises(SystemExit) as excinfo:
             main(["--figure", "bogus"])
         assert excinfo.value.code == 2
@@ -160,10 +163,48 @@ class TestFigureRegistry:
 
 class TestDefaultLineup:
     def test_scale_figure_runs_its_runners_three_schedulers(self, capsys):
-        """Without --schedulers a figure runs its runner's own line-up: the
-        scale sweep adds the 6TiSCH-minimal floor to GT-TSCH and Orchestra."""
+        """Without --schedulers a figure runs its own line-up: the scale
+        sweep adds the 6TiSCH-minimal floor to GT-TSCH and Orchestra."""
         args = ["--figure", "scale", "--values", "20", "--measurement-s", "2"]
         assert main([*args, "--warmup-s", "1", "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "[figure scale] 1 points x 3 schedulers x 1 seeds" in out
         assert MINIMAL in out
+
+
+class TestFigureWindows:
+    """Without window flags each figure runs its own windows; flags win."""
+
+    @staticmethod
+    def _built_scenarios(monkeypatch, argv):
+        built = []
+
+        def run_scenarios(scenarios, jobs=1, cache=None):
+            built.extend(scenarios)
+            return [NetworkMetrics(scheduler=scenario.scheduler) for scenario in scenarios]
+
+        monkeypatch.setattr(runner, "run_scenarios", run_scenarios)
+        assert main([*argv, "--schedulers", MINIMAL, "--no-cache"]) == 0
+        assert built
+        return {(scenario.warmup_s, scenario.measurement_s) for scenario in built}
+
+    @pytest.mark.parametrize(
+        "figure_id, value, windows",
+        [("join", "4", (5.0, 90.0)), ("scale", "20", (20.0, 40.0)), ("8", "30", (30.0, 60.0))],
+    )
+    def test_figure_runs_its_own_windows(self, monkeypatch, figure_id, value, windows):
+        argv = ["--figure", figure_id, "--values", value]
+        assert self._built_scenarios(monkeypatch, argv) == {windows}
+
+    @pytest.mark.parametrize("figure_id, value", [("join", "4"), ("scale", "20")])
+    def test_window_flags_win(self, monkeypatch, figure_id, value):
+        argv = ["--figure", figure_id, "--values", value, "--warmup-s", "8", "--measurement-s", "14"]
+        assert self._built_scenarios(monkeypatch, argv) == {(8.0, 14.0)}
+
+    def test_slots_per_second_counts_the_figures_windows(self, monkeypatch, capsys):
+        # One cell in one second of wall clock: slots/s is the cell's slots.
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=iter((0.0, 1.0)).__next__))
+        self._built_scenarios(monkeypatch, ["--figure", "join", "--values", "4"])
+        clock = cli.SimClock()
+        slots = sum(clock.seconds_to_slots(s) for s in (5.0, 90.0, cli.DEFAULT_DRAIN_S))
+        assert f", {slots:,.0f} slots/s" in capsys.readouterr().out

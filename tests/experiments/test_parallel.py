@@ -17,7 +17,7 @@ from repro.experiments.parallel import (
     run_scenarios,
     scenario_fingerprint,
 )
-from repro.experiments.runner import run_figure8
+from repro.experiments.runner import FIGURES, run_figure
 from repro.experiments.scenarios import (
     GT_TSCH,
     ORCHESTRA,
@@ -339,11 +339,9 @@ class TestParallelParity:
 
 class TestFigureSweeps:
     def test_figure_parallel_matches_serial_and_aggregates(self):
-        kwargs = dict(
-            rates_ppm=(60, 120), schedulers=(GT_TSCH,), seeds=(1, 2), **FAST
-        )
-        serial = run_figure8(jobs=1, **kwargs)
-        parallel = run_figure8(jobs=2, **kwargs)
+        kwargs = dict(values=(60, 120), schedulers=(GT_TSCH,), seeds=(1, 2), **FAST)
+        serial = run_figure(FIGURES["8"], jobs=1, **kwargs)
+        parallel = run_figure(FIGURES["8"], jobs=2, **kwargs)
         assert serial.seeds == [1, 2]
         for point_serial, point_parallel in zip(
             serial.results[GT_TSCH], parallel.results[GT_TSCH]
@@ -358,7 +356,7 @@ class TestFigureSweeps:
     def test_single_seed_matches_direct_run(self):
         # The aggregate over one seed must reproduce run_scenario exactly,
         # so the new engine is transparent for the historical single-seed path.
-        result = run_figure8(rates_ppm=(60,), schedulers=(GT_TSCH,), seeds=(1,), **FAST)
+        result = run_figure(FIGURES["8"], values=(60,), schedulers=(GT_TSCH,), **FAST)
         direct = run_scenario(fast_scenario(rate_ppm=60.0))
         assert result.results[GT_TSCH][0].as_dict() == direct.as_dict()
         # Single-seed rows keep the historical single-run layout (no
@@ -368,14 +366,16 @@ class TestFigureSweeps:
 
     def test_figure_cache_hits_every_cell_on_rerun(self, tmp_path):
         cache = ResultCache(root=str(tmp_path))
-        kwargs = dict(rates_ppm=(60,), schedulers=(GT_TSCH,), seeds=(1, 2), **FAST)
-        run_figure8(jobs=2, cache=cache, **kwargs)
+        kwargs = dict(values=(60,), schedulers=(GT_TSCH,), seeds=(1, 2), **FAST)
+        run_figure(FIGURES["8"], jobs=2, cache=cache, **kwargs)
         assert (cache.hits, cache.misses) == (0, 2)
-        run_figure8(jobs=2, cache=cache, **kwargs)
+        run_figure(FIGURES["8"], jobs=2, cache=cache, **kwargs)
         assert cache.hits == 2
 
     def test_rows_carry_dispersion_columns(self):
-        result = run_figure8(rates_ppm=(60,), schedulers=(GT_TSCH,), seeds=(1, 2), **FAST)
+        result = run_figure(
+            FIGURES["8"], values=(60,), schedulers=(GT_TSCH,), seeds=(1, 2), **FAST
+        )
         row = result.rows()[0]
         assert row["n_seeds"] == 2
         assert "pdr_percent_std" in row

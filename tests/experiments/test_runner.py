@@ -1,13 +1,12 @@
-"""Tests for the figure runner (small, fast configurations)."""
+"""Tests for the figure table and its runner (small, fast configurations)."""
 
 from repro.experiments.runner import (
+    FIGURES,
     FigureResult,
-    run_figure10,
-    run_figure8,
-    run_figure9,
+    run_figure,
     run_scenario,
 )
-from repro.experiments.scenarios import GT_TSCH, ORCHESTRA, traffic_load_scenario
+from repro.experiments.scenarios import GT_TSCH, MINIMAL, ORCHESTRA, traffic_load_scenario
 from repro.metrics.collector import NetworkMetrics
 
 #: Short durations so the whole figure machinery is exercised quickly.
@@ -25,7 +24,7 @@ class TestRunScenario:
 
 class TestFigureRunners:
     def test_figure8_structure(self):
-        result = run_figure8(rates_ppm=(60,), schedulers=(GT_TSCH,), **FAST)
+        result = run_figure(FIGURES["8"], values=(60,), schedulers=(GT_TSCH,), **FAST)
         assert isinstance(result, FigureResult)
         assert result.sweep_values == [60]
         assert set(result.results) == {GT_TSCH}
@@ -33,24 +32,28 @@ class TestFigureRunners:
         assert result.series(GT_TSCH, "pdr_percent")[0] > 0
 
     def test_figure8_compares_both_schedulers(self):
-        result = run_figure8(rates_ppm=(60,), schedulers=(GT_TSCH, ORCHESTRA), **FAST)
+        result = run_figure(FIGURES["8"], values=(60,), **FAST)
         assert set(result.results) == {GT_TSCH, ORCHESTRA}
         report = result.report()
         assert "GT-TSCH" in report and "Orchestra" in report
         assert "PDR (%)" in report
 
     def test_figure9_sweeps_dodag_size(self):
-        result = run_figure9(dodag_sizes=(6,), schedulers=(GT_TSCH,), rate_ppm=60, **FAST)
+        result = run_figure(
+            FIGURES["9"], values=(6,), schedulers=(GT_TSCH,), rate_ppm=60, **FAST
+        )
         assert result.sweep_values == [6]
         assert "nodes per DODAG" in result.sweep_label
 
     def test_figure10_sweeps_slotframe_length(self):
-        result = run_figure10(unicast_lengths=(8,), schedulers=(GT_TSCH,), rate_ppm=60, **FAST)
+        result = run_figure(
+            FIGURES["10"], values=(8,), schedulers=(GT_TSCH,), rate_ppm=60, **FAST
+        )
         assert result.sweep_values == [8]
         assert "slotframe" in result.sweep_label
 
     def test_rows_are_flat_dicts(self):
-        result = run_figure8(rates_ppm=(60,), schedulers=(GT_TSCH,), **FAST)
+        result = run_figure(FIGURES["8"], values=(60,), schedulers=(GT_TSCH,), **FAST)
         rows = result.rows()
         assert len(rows) == 1
         assert rows[0]["sweep"] == 60
@@ -58,13 +61,31 @@ class TestFigureRunners:
         assert "pdr_percent" in rows[0]
 
 
+class TestFigureTable:
+    # The line-ups are data of the figure table; these pin the ones the
+    # committed results were produced with.
+    def test_paper_figures_compare_gt_tsch_with_orchestra(self):
+        for figure_id in ("8", "9", "10"):
+            assert FIGURES[figure_id].schedulers == (GT_TSCH, ORCHESTRA)
+
+    def test_robustness_figures_add_the_minimal_floor(self):
+        for figure_id in ("scale", "churn", "churn-dynamic", "join"):
+            assert FIGURES[figure_id].schedulers == (GT_TSCH, ORCHESTRA, MINIMAL)
+
+    def test_churn_dynamic_replays_one_drift_schedule_inside_the_window(self):
+        figure = FIGURES["churn-dynamic"]
+        cell = figure.cell(2, GT_TSCH, warmup_s=10.0, measurement_s=20.0)
+        assert len(cell.faults.arrivals) == 1
+        assert cell.link_drift.seed == 1
+        assert cell.link_drift.start_s == 10.0 + 0.20 * 20.0
+        assert cell.link_drift.epoch_s == 0.15 * 20.0
+
+
 class TestChurnRunner:
     def test_churn_reports_recovery_metrics_with_cis(self):
-        from repro.experiments.runner import run_churn
-        from repro.experiments.scenarios import MINIMAL
-
-        result = run_churn(
-            crash_counts=(1,),
+        result = run_figure(
+            FIGURES["churn"],
+            values=(1,),
             schedulers=(MINIMAL,),
             rate_ppm=60.0,
             seeds=(1, 2),
@@ -88,7 +109,7 @@ class TestChurnRunner:
         assert row["time_to_reconverge_s"] > 0.0
 
     def test_multi_seed_sweep_replays_the_same_fault_plan(self):
-        from repro.experiments.scenarios import MINIMAL, churn_scenario
+        from repro.experiments.scenarios import churn_scenario
 
         first = churn_scenario(1, MINIMAL, seed=1)
         second = churn_scenario(1, MINIMAL, seed=2)

@@ -280,7 +280,7 @@ class TestTransmissionOutcome:
     def test_ack_removes_packet_and_updates_stats(self):
         engine, packet = self._tx_setup()
         plan = engine.plan_slot(1)
-        engine.on_transmission_result(plan, make_result(engine, plan, acked=True), asn=1, now=0.015)
+        engine.on_transmission_result(plan, make_result(engine, plan, acked=True), asn=1)
         assert engine.queue_length() == 0
         assert engine.stats.unicast_acked == 1
         assert engine.etx.etx(1) < 2.0
@@ -288,7 +288,7 @@ class TestTransmissionOutcome:
     def test_failed_attempt_keeps_packet_for_retry(self):
         engine, packet = self._tx_setup(max_retries=2)
         plan = engine.plan_slot(1)
-        engine.on_transmission_result(plan, make_result(engine, plan, acked=False), asn=1, now=0.0)
+        engine.on_transmission_result(plan, make_result(engine, plan, acked=False), asn=1)
         assert engine.queue_length() == 1
         assert packet.retransmissions == 1
         assert engine.stats.mac_drops == 0
@@ -299,7 +299,7 @@ class TestTransmissionOutcome:
         engine.tx_done_callback = lambda p, ok, asn: dropped.append((p, ok))
         for asn in (1, 11, 21):  # 1 initial attempt + 2 retries
             plan = engine.plan_slot(asn)
-            engine.on_transmission_result(plan, make_result(engine, plan, acked=False), asn, 0.0)
+            engine.on_transmission_result(plan, make_result(engine, plan, acked=False), asn)
         assert engine.queue_length() == 0
         assert engine.stats.mac_drops == 1
         assert dropped == [(packet, False)]
@@ -310,14 +310,14 @@ class TestTransmissionOutcome:
         done = []
         engine.tx_done_callback = lambda p, ok, asn: done.append(ok)
         plan = engine.plan_slot(1)
-        engine.on_transmission_result(plan, make_result(engine, plan, acked=True), 1, 0.0)
+        engine.on_transmission_result(plan, make_result(engine, plan, acked=True), 1)
         assert done == [True]
 
     def test_collision_counted(self):
         engine, _ = self._tx_setup()
         plan = engine.plan_slot(1)
         engine.on_transmission_result(
-            plan, make_result(engine, plan, acked=False, collided=True), 1, 0.0
+            plan, make_result(engine, plan, acked=False, collided=True), 1
         )
         assert engine.stats.collisions_observed == 1
 
@@ -330,7 +330,7 @@ class TestTransmissionOutcome:
         engine.enqueue(broadcast_packet())
         plan = engine.plan_slot(0)
         result = TransmissionResult(intent=engine.build_intent(plan))
-        engine.on_transmission_result(plan, result, 0, 0.0)
+        engine.on_transmission_result(plan, result, 0)
         assert engine.queue_length() == 0
         assert engine.stats.broadcast_sent == 1
 
@@ -340,7 +340,7 @@ class TestTransmissionOutcome:
         sf.add_cell(Cell(1, 0, CellOption.TX | CellOption.SHARED, neighbor=1))
         engine.enqueue(data_packet(destination=1))
         plan = engine.plan_slot(1)
-        engine.on_transmission_result(plan, make_result(engine, plan, acked=False), 1, 0.0)
+        engine.on_transmission_result(plan, make_result(engine, plan, acked=False), 1)
         # The next failure may draw a non-zero window; exponent must have grown.
         assert engine.csma._state(1).exponent > engine.config.min_backoff_exponent
 
@@ -351,7 +351,7 @@ class TestReceptionAndAccounting:
         received = []
         engine.rx_callback = lambda packet, asn: received.append(packet)
         packet = data_packet(destination=1, source=0)
-        engine.on_frame_received(packet, asn=5, now=0.075)
+        engine.on_frame_received(packet, asn=5)
         assert received == [packet]
         assert engine.stats.frames_received == 1
 

@@ -30,17 +30,6 @@ class TestEtxEstimator:
         estimator.record_tx(2, success=True, attempts=1)
         assert estimator.etx(2) >= ETX_MIN
 
-    def test_prr_is_inverse_of_etx(self):
-        estimator = EtxEstimator(alpha=0.0)
-        estimator.record_tx(1, success=True, attempts=2)
-        assert estimator.prr(1) == pytest.approx(1.0 / estimator.etx(1))
-
-    def test_reset_forgets_neighbor(self):
-        estimator = EtxEstimator(initial_etx=2.0)
-        estimator.record_tx(1, success=False, attempts=5)
-        estimator.reset(1)
-        assert estimator.etx(1) == 2.0
-
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             EtxEstimator(alpha=1.0)

@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from repro.experiments.runner import FIGURES
 from repro.experiments.scenarios import ContikiConfig, traffic_load_scenario
 from repro.schedulers import registry
 from repro.schedulers.registry import register_scheduler
@@ -22,18 +23,6 @@ ALL_SCHEDULERS = (
 class TestRegistryContents:
     def test_available_lists_every_first_party_scheduler_sorted(self):
         assert tuple(registry.available()) == ALL_SCHEDULERS
-
-    def test_paper_lineup_matches_recorded_default(self):
-        # The registry must not silently change the figure line-ups the
-        # committed results were produced with.
-        assert registry.paper_lineup() == ("GT-TSCH", "Orchestra")
-
-    def test_robustness_lineup_matches_recorded_default(self):
-        assert registry.robustness_lineup() == (
-            "GT-TSCH",
-            "Orchestra",
-            "6TiSCH-minimal",
-        )
 
 
 class TestResolve:
@@ -75,6 +64,8 @@ class TestRegistration:
             registry._REGISTRY.pop("test-registry-temp", None)
 
     def test_third_party_plugin_shows_up_everywhere(self):
+        lineups = {figure_id: figure.schedulers for figure_id, figure in FIGURES.items()}
+
         @register_scheduler("test-registry-plugin")
         def _build(contiki):
             return lambda node_id, is_root: None
@@ -82,9 +73,11 @@ class TestRegistration:
         try:
             assert "test-registry-plugin" in registry.available()
             assert registry.resolve("test-registry-plugin") is _build
-            # Not flagged, so the recorded line-ups stay untouched.
-            assert "test-registry-plugin" not in registry.paper_lineup()
-            assert "test-registry-plugin" not in registry.robustness_lineup()
+            # Registering enlists a scheduler in no figure: every line-up
+            # stays as it was.
+            assert {
+                figure_id: figure.schedulers for figure_id, figure in FIGURES.items()
+            } == lineups
         finally:
             registry._REGISTRY.pop("test-registry-plugin", None)
 
