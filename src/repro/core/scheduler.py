@@ -53,7 +53,6 @@ class GtTschScheduler(SchedulingFunction):
     """GT-TSCH: game-theoretic distributed TSCH scheduling function."""
 
     name = "GT-TSCH"
-    sf_id = 0x0A
 
     def __init__(self, config: Optional[GtTschConfig] = None) -> None:
         super().__init__()

@@ -205,11 +205,11 @@ def run_one(
     values = None
     if args.values is not None:
         try:
-            values = [figure.parse(value) for value in args.values]
+            values = [int(value) for value in args.values]
         except ValueError as err:
             raise SystemExit(
-                f"--values for figure {figure_id} must be "
-                f"{figure.parse.__name__}s, got: {' '.join(args.values)}"
+                f"--values for figure {figure_id} must be ints, "
+                f"got: {' '.join(args.values)}"
             ) from err
     return run_figure(
         figure,

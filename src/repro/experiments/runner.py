@@ -113,8 +113,10 @@ class Figure:
     """One sweep: an x-axis, a cell factory, a line-up and its windows.
 
     ``cell(value, scheduler, warmup_s=..., measurement_s=..., **options)``
-    builds the scenario of one swept value for one scheduler; ``parse``
-    turns one ``--values`` token of the command line into a swept value.
+    builds the scenario of one swept value for one scheduler.  Every row of
+    :data:`FIGURES` sweeps integers, which is how the command line parses
+    ``--values``: a float rate fingerprints differently from the integer
+    the row sweeps, so it would miss the row's cache entries.
     """
 
     title: str
@@ -124,7 +126,6 @@ class Figure:
     schedulers: tuple[str, ...]
     warmup_s: float = 30.0
     measurement_s: float = 60.0
-    parse: Callable[[str], Any] = int
 
 
 def run_figure(
@@ -208,7 +209,6 @@ FIGURES = {
         (30, 75, 120, 165),
         traffic_load_scenario,
         PAPER_LINEUP,
-        parse=float,
     ),
     "9": Figure(
         "Figure 9: performance vs DODAG size",

@@ -155,20 +155,17 @@ class Scenario:
             seed=self.seed,
             default_node_config=self.contiki.node_config(),
         )
-        # One factory instance serves both network construction and the fault
-        # injector's rejoin/arrival rebuilds: the single registry resolution
-        # is the only place scheduler names are interpreted.
-        scheduler_factory = self._scheduler_factory()
+        # Every node keeps the factory for its reboots (desync, rejoin,
+        # arrival): the single registry resolution is the only place
+        # scheduler names are interpreted.
         network.build_from_topology(
             self.topology,
-            scheduler_factory=scheduler_factory,
+            scheduler_factory=self._scheduler_factory(),
             traffic_factory=self._traffic_factory(),
             warm_start=self.warm_start,
         )
         if self.faults is not None and not self.faults.is_empty():
-            injector = FaultInjector(
-                network, self.faults, scheduler_factory=scheduler_factory
-            )
+            injector = FaultInjector(network, self.faults)
             injector.arm()
             network.fault_injector = injector
         if self.link_drift is not None:

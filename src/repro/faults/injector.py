@@ -42,7 +42,7 @@ full contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.faults.plan import (
     FaultPlan,
@@ -74,22 +74,16 @@ class _CrashRecord:
 class FaultInjector:
     """Schedules and executes the events of one :class:`FaultPlan`.
 
-    ``scheduler_factory`` is the same ``(node_id, is_root) -> scheduler``
-    callable the network was built with; a rejoin boots the node with a
-    *fresh* scheduling-function instance (cold-reboot semantics -- the
-    old instance's cell bookkeeping died with the schedule), as does a late
-    arrival.  It is only required when the plan contains rejoins or arrivals.
+    A rejoin boots the node with a *fresh* scheduling-function instance
+    (cold-reboot semantics -- the old instance's cell bookkeeping died with
+    the schedule), as does a late arrival: ``Node.reboot_scheduler`` builds
+    it from the factory the node was built with, so every node a plan
+    reboots needs one (``Network.build_from_topology`` gives it).
     """
 
-    def __init__(
-        self,
-        network: "Network",
-        plan: FaultPlan,
-        scheduler_factory: Optional[Callable] = None,
-    ) -> None:
+    def __init__(self, network: "Network", plan: FaultPlan) -> None:
         self.network = network
         self.plan = plan
-        self._scheduler_factory = scheduler_factory
         self._records: dict[int, _CrashRecord] = {}
         #: PRR scales of the currently open link-degradation epochs; the
         #: medium always carries their product, recomputed from scratch on
@@ -113,10 +107,6 @@ class FaultInjector:
                     f"fault plan crashes root node {crash.node_id}; a rootless "
                     "DODAG has no recovery to measure"
                 )
-        if self.plan.rejoins and self._scheduler_factory is None:
-            raise ValueError(
-                "plan contains rejoins but no scheduler_factory was provided"
-            )
         for arrival in self.plan.arrivals:
             node = self.network.nodes.get(arrival.node_id)
             if node is None:
@@ -126,11 +116,16 @@ class FaultInjector:
                     f"fault plan delays root node {arrival.node_id}; the root "
                     "anchors the ASN and the DODAG and cannot arrive late"
                 )
-        if self.plan.arrivals:
-            if self._scheduler_factory is None:
+        for reboot in (*self.plan.rejoins, *self.plan.arrivals):
+            node = self.network.nodes.get(reboot.node_id)
+            if node is None:
+                raise ValueError(f"fault plan names unknown node {reboot.node_id}")
+            if node.scheduler_factory is None:
                 raise ValueError(
-                    "plan contains arrivals but no scheduler_factory was provided"
+                    f"fault plan reboots node {reboot.node_id}, which has no "
+                    "scheduler_factory (it was added with a bare scheduler)"
                 )
+        if self.plan.arrivals:
             if self.network._started:
                 raise ValueError(
                     "arrival plans must be armed before the network starts"
@@ -226,8 +221,7 @@ class FaultInjector:
         if node.alive:
             return None
         node.alive = True
-        assert self._scheduler_factory is not None  # enforced by arm()
-        node.install_scheduler(self._scheduler_factory(node.node_id, node.is_root))
+        node.reboot_scheduler()
         node.traffic_enabled = self._records[node.node_id].traffic_enabled
         metrics = self.network.metrics
         if metrics is not None:

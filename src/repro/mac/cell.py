@@ -73,9 +73,6 @@ class Cell:
         or "any neighbor" cells, as in Orchestra's common shared cell).
     purpose:
         GT-TSCH timeslot type; other schedulers may leave the default.
-    owner_is_transmitter:
-        Convenience flag used by schedulers when mirroring a negotiated cell
-        on both link ends.
     """
 
     __slots__ = (
@@ -85,7 +82,6 @@ class Cell:
         "neighbor",
         "purpose",
         "slotframe_handle",
-        "owner_is_transmitter",
         "label",
         "is_tx",
         "is_rx",
@@ -101,7 +97,6 @@ class Cell:
         neighbor: Optional[int] = None,
         purpose: CellPurpose = CellPurpose.UNICAST_DATA,
         slotframe_handle: int = 0,
-        owner_is_transmitter: bool = True,
         label: str = "",
     ) -> None:
         if slot_offset < 0:
@@ -117,7 +112,6 @@ class Cell:
         self.neighbor = neighbor
         self.purpose = purpose
         self.slotframe_handle = slotframe_handle
-        self.owner_is_transmitter = owner_is_transmitter
         #: Free-form tag for debugging / tests (e.g. "eb", "orchestra-rbs-rx").
         self.label = label
         # Cells are immutable once installed, so the option tests the TSCH
@@ -136,7 +130,6 @@ class Cell:
             self.neighbor,
             self.purpose,
             self.slotframe_handle,
-            self.owner_is_transmitter,
             self.label,
         )
 

@@ -21,26 +21,24 @@ from repro.net.packet import BROADCAST_ADDRESS, Packet, PacketType
 class TxQueue:
     """FIFO transmission queue with a hard capacity.
 
-    Control frames (EB/DIO/DAO/6P) can optionally be prioritised over data
-    frames, mirroring Contiki-NG's behaviour of keeping the network alive
-    under congestion; this does not change the data-plane metrics because
-    control traffic is tiny compared to the swept data rates.
+    Control frames (EB/DIO/DAO/6P) are prioritised over data frames,
+    mirroring Contiki-NG's behaviour of keeping the network alive under
+    congestion; this does not change the data-plane metrics because control
+    traffic is tiny compared to the swept data rates.
     """
 
     __slots__ = (
         "capacity",
-        "prioritize_control",
         "_queue",
         "drops",
         "data_drops",
         "max_occupancy",
     )
 
-    def __init__(self, capacity: int = 8, prioritize_control: bool = True) -> None:
+    def __init__(self, capacity: int = 8) -> None:
         if capacity <= 0:
             raise ValueError("queue capacity must be positive")
         self.capacity = capacity
-        self.prioritize_control = prioritize_control
         self._queue: deque[Packet] = deque()
         #: Number of packets dropped because the queue was full.
         self.drops = 0
@@ -65,16 +63,16 @@ class TxQueue:
         """Enqueue ``packet``.
 
         Returns ``True`` on success and ``False`` when the packet was dropped
-        because the queue is full (queue loss).  A control frame that meets a
-        full queue first tries :meth:`evict_for`, so congestion cannot starve
-        schedule and topology maintenance.
+        because the queue is full (queue loss).  A control frame should meet
+        a full queue only after :meth:`evict_for` found no data packet to
+        make room, as ``Node.enqueue_packet`` arranges.
         """
-        if self.is_full and self.evict_for(packet) is None:
+        if self.is_full:
             self.drops += 1
             if packet.ptype is PacketType.DATA:
                 self.data_drops += 1
             return False
-        if self.prioritize_control and packet.is_control:
+        if packet.is_control:
             # Insert control packets before the first data packet so schedule
             # maintenance is not starved by a deep data backlog.
             for index, queued in enumerate(self._queue):
@@ -93,13 +91,13 @@ class TxQueue:
     def evict_for(self, packet: Packet) -> Optional[Packet]:
         """Make room in a full queue for control frame ``packet``.
 
-        With control prioritisation enabled, the youngest queued *data*
-        packet is removed, counted as queue loss and returned -- the same
-        policy Contiki-NG applies to keep the network alive under overload.
-        Returns ``None``, removing nothing, when the queue has room,
-        ``packet`` is data, or no data packet is queued.
+        The youngest queued *data* packet is removed, counted as queue loss
+        and returned -- the same policy Contiki-NG applies to keep the
+        network alive under overload.  Returns ``None``, removing nothing,
+        when the queue has room, ``packet`` is data, or no data packet is
+        queued.
         """
-        if not (self.prioritize_control and packet.is_control and self.is_full):
+        if not (packet.is_control and self.is_full):
             return None
         for queued in reversed(self._queue):
             if not queued.is_control:

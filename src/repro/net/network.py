@@ -184,10 +184,11 @@ class Network:
     ) -> list[Node]:
         """Instantiate every node of ``topology``.
 
-        ``warm_start=True`` presets the RPL parents/ranks declared by the
-        topology (the deterministic setup used by the benchmark figures);
-        with ``warm_start=False`` the DODAG forms from scratch through
-        DIO exchange.
+        Each node keeps ``scheduler_factory`` to reboot from
+        (:attr:`Node.scheduler_factory`).  ``warm_start=True`` presets the
+        RPL parents/ranks declared by the topology (the deterministic setup
+        used by the benchmark figures); with ``warm_start=False`` the DODAG
+        forms from scratch through DIO exchange.
         """
         created: list[Node] = []
         for spec in topology:
@@ -200,6 +201,7 @@ class Network:
                 config=config,
                 traffic=traffic,
             )
+            node.scheduler_factory = scheduler_factory
             created.append(node)
         if warm_start:
             for spec, node in zip(topology, created):

@@ -142,6 +142,13 @@ class Node:
         self.sixtop.request_handler = self._on_sixp_request
 
         # --- scheduling function ----------------------------------------
+        #: ``(node_id, is_root) -> SchedulingFunction``: the factory this
+        #: node's scheduler was built from (``Network.build_from_topology``
+        #: sets it).  Every reboot -- a keepalive desync, a fault-injected
+        #: rejoin or arrival -- installs a fresh scheduler from it
+        #: (:meth:`reboot_scheduler`).  None for a node added with a bare
+        #: scheduler instance, which cannot reboot.
+        self.scheduler_factory: Optional[Callable[[int, bool], "SchedulingFunction"]] = None
         self.install_scheduler(scheduler)
 
         # --- Enhanced Beacon timer --------------------------------------
@@ -199,6 +206,17 @@ class Node:
         self.scheduler = scheduler
         scheduler.attach(self)
         self.rpl.dio_extra_provider = scheduler.dio_fields
+
+    def reboot_scheduler(self) -> None:
+        """Install a fresh scheduler from :attr:`scheduler_factory`.
+
+        Every reboot runs it after :meth:`power_down`: the old instance's
+        cell books died with the cleared schedule, so reusing it would leave
+        them naming cells that are no longer installed.
+        """
+        if self.scheduler_factory is None:
+            raise ValueError(f"node {self.node_id} has no scheduler_factory to reboot from")
+        self.install_scheduler(self.scheduler_factory(self.node_id, self.is_root))
 
     def power_up(self, attach: Optional[Callable[[], object]] = None) -> None:
         """Boot the stack above the MAC; every boot of the node runs here.
@@ -318,8 +336,10 @@ class Node:
             self._desynchronise()
 
     def _desynchronise(self) -> None:
-        """Lose TSCH synchronisation: the crash teardown, then EB scan again."""
+        """Lose TSCH synchronisation: the crash teardown, a fresh scheduler
+        (as a rejoin gets), then EB scan again."""
         self.power_down("desync")
+        self.reboot_scheduler()
         self.begin_scan()
 
     def set_traffic_generator(self, generator: "TrafficGenerator") -> None:
@@ -423,7 +443,7 @@ class Node:
             self._last_heard_s = self.event_queue.now
         ptype = packet.ptype
         if ptype is PacketType.DIO:
-            self.rpl.process_dio(packet, self.event_queue.now)
+            self.rpl.process_dio(packet)
             self.scheduler.on_dio_received(packet)
         elif ptype is PacketType.EB:
             self.scheduler.on_eb_received(packet)
@@ -436,7 +456,7 @@ class Node:
                 self.stats.data_forwarded += 1
                 self._route_and_enqueue(forwarded)
         elif ptype is PacketType.DAO:
-            self.rpl.process_dao(packet, self.event_queue.now)
+            self.rpl.process_dao(packet)
         elif ptype is PacketType.SIXP:
             self.sixtop.process_packet(packet)
 

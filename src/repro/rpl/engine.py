@@ -2,8 +2,8 @@
 
 The engine is a storing-mode RPL node reduced to the behaviours GT-TSCH needs:
 
-* maintain a neighbor table from received DIOs (rank, GT-TSCH ``l_rx`` option,
-  freshness);
+* maintain a neighbor table from received DIOs (rank, GT-TSCH ``l_rx``
+  option);
 * select and keep a preferred parent using MRHOF with ETX and hysteresis;
 * advertise its own Rank through Trickle-paced DIOs;
 * announce itself to the selected parent with a DAO so the parent learns its
@@ -55,8 +55,6 @@ class RplConfig:
     dao_delay_s: float = 1.0
     #: Period of DAO refreshes (keeps the parent's children set alive).
     dao_period_s: float = 60.0
-    #: Neighbors not heard from for this long are evicted.
-    neighbor_lifetime_s: float = 600.0
     min_hop_rank_increase: int = MIN_HOP_RANK_INCREASE
     parent_switch_threshold: int = 192
     root_rank: int = MIN_HOP_RANK_INCREASE
@@ -72,7 +70,6 @@ class RplNeighbor:
     version: int = 0
     #: GT-TSCH DIO option: reception cells the neighbor offers to children.
     l_rx: int = 0
-    last_heard: float = 0.0
 
 
 class RplEngine:
@@ -212,7 +209,7 @@ class RplEngine:
     # ------------------------------------------------------------------
     # message processing
     # ------------------------------------------------------------------
-    def process_dio(self, packet: Packet, now: float) -> None:
+    def process_dio(self, packet: Packet) -> None:
         """Handle a received DIO broadcast: refresh the sender's entry, then
         re-run parent selection (non-root nodes)."""
         payload = packet.payload
@@ -224,12 +221,11 @@ class RplEngine:
         neighbor.dodag_id = payload.get("dodag_id")
         neighbor.version = payload.get("version", 0)
         neighbor.l_rx = payload.get("l_rx", neighbor.l_rx)
-        neighbor.last_heard = now
         self.trickle.hear_consistent()
         if not self.is_root:
             self._evaluate_parents()
 
-    def process_dao(self, packet: Packet, now: float) -> None:
+    def process_dao(self, packet: Packet) -> None:
         """Handle a received DAO: the sender declares us as its parent."""
         child = packet.source
         if child == self.node_id:
@@ -247,7 +243,7 @@ class RplEngine:
                 self.on_child_removed(child)
 
     def evict_neighbor(self, node_id: int) -> None:
-        """Drop a neighbor from the candidate set (e.g. lifetime expiry).
+        """Drop a neighbor from the candidate set (a crash or a lost link).
 
         Evicting the preferred parent detaches first (callback included),
         then parent selection runs immediately to adopt a replacement if one

@@ -8,15 +8,19 @@ Every scheduler in this repository -- the paper's GT-TSCH contribution
 OTF (:mod:`repro.schedulers.otf`) -- implements the
 :class:`repro.schedulers.base.SchedulingFunction` interface and only installs
 or removes cells; the TSCH MAC, RPL and 6P machinery underneath is shared,
-which keeps performance comparisons apples-to-apples.
+which keeps performance comparisons apples-to-apples.  The baselines build
+their negotiation-free cells from one toolkit
+(:mod:`repro.schedulers.autonomous`), as GT-TSCH and MSF negotiate through
+one 6P client (:mod:`repro.sixtop.negotiation`).
 
 Schedulers are selected by name through
-:mod:`repro.schedulers.registry`: the new modules self-register on import
-(see ``@register_scheduler`` at the bottom of each), while GT-TSCH --
-which lives outside this package -- and the two pre-registry baselines are
-registered below.  Which of them a figure compares by default is data of
-the figure table (:mod:`repro.experiments.runner`), not of registration.  Import-cycle contract: this package must stay importable
-without :mod:`repro.experiments` (builders receive the Contiki configuration
+:mod:`repro.schedulers.registry`: MSF, DeBrAS and OTF self-register on import
+(see ``@register_scheduler`` at the bottom of each), while GT-TSCH -- which
+lives outside this package -- Orchestra and 6TiSCH-minimal are registered
+below.  Which of them a figure compares by default is data of the figure
+table (:mod:`repro.experiments.runner`), not of registration.  Import-cycle
+contract: this package must stay importable without
+:mod:`repro.experiments` (builders receive the Contiki configuration
 duck-typed) and without :mod:`repro.core` at module level
 (``repro.core.scheduler`` imports :mod:`repro.schedulers.base`, so GT-TSCH's
 builder defers its import to first use).
@@ -27,7 +31,7 @@ from typing import Any
 from repro.schedulers import registry
 from repro.schedulers.base import SchedulingFunction
 from repro.schedulers.debras import DebrasConfig, DebrasScheduler
-from repro.schedulers.minimal import MinimalScheduler, MinimalSchedulerConfig
+from repro.schedulers.minimal import MinimalScheduler
 from repro.schedulers.msf import MsfConfig, MsfScheduler
 from repro.schedulers.orchestra import OrchestraConfig, OrchestraScheduler
 from repro.schedulers.otf import OtfConfig, OtfScheduler
@@ -40,7 +44,6 @@ __all__ = [
     "OrchestraScheduler",
     "OrchestraConfig",
     "MinimalScheduler",
-    "MinimalSchedulerConfig",
     "MsfScheduler",
     "MsfConfig",
     "DebrasScheduler",
@@ -66,4 +69,4 @@ def _build_orchestra(contiki: Any) -> Any:
 
 @register_scheduler(MinimalScheduler.name)
 def _build_minimal(contiki: Any) -> Any:
-    return lambda node_id, is_root: MinimalScheduler(MinimalSchedulerConfig())
+    return lambda node_id, is_root: MinimalScheduler()

@@ -41,9 +41,10 @@ class SchedulingFunction:
     must cancel every live timer the SF owns, because a reboot boots a
     *fresh* SF instance while the old one's events would otherwise keep
     firing; the base ``stop()`` cancels the round, so override it only for
-    other timers.  The fault injector builds replacement instances through
-    the same registry factory used at network construction, so an SF must
-    be fully functional when constructed with nothing but its config.
+    other timers.  Every reboot (a keepalive desync, a fault-injected
+    rejoin or arrival) builds the replacement instance through the factory
+    the node was built with (``Node.scheduler_factory``), so an SF must be
+    fully functional when constructed with nothing but its config.
 
     Settlement-barrier obligations
     ------------------------------
@@ -62,8 +63,6 @@ class SchedulingFunction:
 
     #: Human-readable name used in metrics and experiment tables.
     name = "base"
-    #: 6P Scheduling Function Identifier advertised in 6P messages.
-    sf_id = 0
 
     def __init__(self) -> None:
         self.node: Optional["Node"] = None

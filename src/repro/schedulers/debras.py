@@ -29,10 +29,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.mac.cell import Cell, CellOption, CellPurpose
+from repro.schedulers.autonomous import (
+    AutonomousCells,
+    add_shared_cells,
+    sax_hash,
+    spread_offsets,
+)
 from repro.schedulers.base import SchedulingFunction
-from repro.schedulers.msf import sax_hash
 from repro.schedulers.registry import register_scheduler
+
+#: Channel offset of the shared broadcast cells; the unicast cells hash onto
+#: the offsets above it.
+BROADCAST_CHANNEL_OFFSET = 0
 
 
 @dataclass(frozen=True)
@@ -44,18 +52,12 @@ class DebrasConfig:
     field explicitly.
     """
 
-    __slots__ = (
-        "slotframe_length",
-        "num_channels",
-        "num_broadcast_cells",
-        "broadcast_channel_offset",
-    )
+    __slots__ = ("slotframe_length", "num_channels", "num_broadcast_cells")
 
     slotframe_length: int
     num_channels: int
     #: Shared broadcast cells spread evenly over the slotframe.
     num_broadcast_cells: int
-    broadcast_channel_offset: int
 
     def __post_init__(self) -> None:
         if self.slotframe_length < 2:
@@ -66,14 +68,6 @@ class DebrasConfig:
             raise ValueError(
                 "num_broadcast_cells must leave at least one unicast slot"
             )
-
-    def broadcast_slots(self) -> tuple:
-        """Evenly spread broadcast slot offsets (6TiSCH-minimal spread rule)."""
-        length = self.slotframe_length
-        return tuple(
-            (index * length) // self.num_broadcast_cells
-            for index in range(self.num_broadcast_cells)
-        )
 
 
 def debras_config_from(contiki: Any) -> DebrasConfig:
@@ -87,7 +81,6 @@ def debras_config_from(contiki: Any) -> DebrasConfig:
         slotframe_length=contiki.gt_slotframe_length,
         num_channels=len(contiki.hopping_sequence),
         num_broadcast_cells=contiki.num_broadcast_cells,
-        broadcast_channel_offset=0,
     )
 
 
@@ -95,18 +88,23 @@ class DebrasScheduler(SchedulingFunction):
     """Autonomous receiver-based scheduler with broadcast-slot avoidance."""
 
     name = "DeBrAS"
-    sf_id = 0x02
 
     SLOTFRAME_HANDLE = 0
 
-    __slots__ = ("config", "_broadcast_slots", "_parent_tx_cell", "_child_tx_cells")
+    __slots__ = ("config", "broadcast_slots", "autonomous")
 
     def __init__(self, config: DebrasConfig) -> None:
         super().__init__()
         self.config = config
-        self._broadcast_slots = frozenset(config.broadcast_slots())
-        self._parent_tx_cell: Optional[Cell] = None
-        self._child_tx_cells: dict[int, Cell] = {}
+        #: Offsets of the shared broadcast cells, in install order.
+        self.broadcast_slots = spread_offsets(
+            config.slotframe_length, config.num_broadcast_cells
+        )
+        self.autonomous = AutonomousCells(
+            self.SLOTFRAME_HANDLE,
+            self._autonomous_cell,
+            ("debras-autonomous-rx", "debras-autonomous-tx", "debras-autonomous-tx-child"),
+        )
 
     # ------------------------------------------------------------------
     # cell coordinate derivation (the broadcast-aware part)
@@ -121,7 +119,7 @@ class DebrasScheduler(SchedulingFunction):
         """
         h = sax_hash(owner)
         slot = h % self.config.slotframe_length
-        while slot in self._broadcast_slots:
+        while slot in self.broadcast_slots:
             slot = (slot + 1) % self.config.slotframe_length
         channel = 1 + (h >> 16) % (self.config.num_channels - 1)
         return slot, channel
@@ -134,77 +132,22 @@ class DebrasScheduler(SchedulingFunction):
         slotframe = node.tsch.add_slotframe(
             self.SLOTFRAME_HANDLE, self.config.slotframe_length
         )
-        for slot in self.config.broadcast_slots():
-            slotframe.add_cell(
-                Cell(
-                    slot_offset=slot,
-                    channel_offset=self.config.broadcast_channel_offset,
-                    options=CellOption.TX
-                    | CellOption.RX
-                    | CellOption.SHARED
-                    | CellOption.BROADCAST,
-                    neighbor=None,
-                    purpose=CellPurpose.BROADCAST,
-                    label="debras-broadcast",
-                )
-            )
-        own_slot, own_channel = self._autonomous_cell(node.node_id)
-        slotframe.add_cell(
-            Cell(
-                slot_offset=own_slot,
-                channel_offset=own_channel,
-                options=CellOption.RX | CellOption.ALWAYS_ON,
-                neighbor=None,
-                purpose=CellPurpose.UNICAST_DATA,
-                label="debras-autonomous-rx",
-            )
+        add_shared_cells(
+            slotframe, self.broadcast_slots, BROADCAST_CHANNEL_OFFSET, "debras-broadcast"
         )
+        self.autonomous.listen(node)
 
     # ------------------------------------------------------------------
     # RPL events keep the unicast cells aligned with the topology
     # ------------------------------------------------------------------
     def on_parent_changed(self, old_parent: Optional[int], new_parent: Optional[int]) -> None:
-        slotframe = self.node.tsch.get_slotframe(self.SLOTFRAME_HANDLE)
-        if slotframe is None:
-            return
-        if self._parent_tx_cell is not None:
-            slotframe.remove_cell(self._parent_tx_cell)
-            self._parent_tx_cell = None
-        if new_parent is None:
-            return
-        slot, channel = self._autonomous_cell(new_parent)
-        self._parent_tx_cell = slotframe.add_cell(
-            Cell(
-                slot_offset=slot,
-                channel_offset=channel,
-                options=CellOption.TX | CellOption.SHARED,
-                neighbor=new_parent,
-                purpose=CellPurpose.UNICAST_DATA,
-                label="debras-autonomous-tx",
-            )
-        )
+        self.autonomous.follow(new_parent)
 
     def on_child_added(self, child: int) -> None:
-        slotframe = self.node.tsch.get_slotframe(self.SLOTFRAME_HANDLE)
-        if slotframe is None or child in self._child_tx_cells:
-            return
-        slot, channel = self._autonomous_cell(child)
-        self._child_tx_cells[child] = slotframe.add_cell(
-            Cell(
-                slot_offset=slot,
-                channel_offset=channel,
-                options=CellOption.TX | CellOption.SHARED,
-                neighbor=child,
-                purpose=CellPurpose.UNICAST_DATA,
-                label="debras-autonomous-tx-child",
-            )
-        )
+        self.autonomous.add_child(child)
 
     def on_child_removed(self, child: int) -> None:
-        slotframe = self.node.tsch.get_slotframe(self.SLOTFRAME_HANDLE)
-        cell = self._child_tx_cells.pop(child, None)
-        if slotframe is not None and cell is not None:
-            slotframe.remove_cell(cell)
+        self.autonomous.remove_child(child)
 
 
 @register_scheduler(DebrasScheduler.name)

@@ -10,60 +10,25 @@ doubles as the simplest possible scheduling function for tests and examples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
-from repro.mac.cell import Cell, CellOption, CellPurpose
+from repro.mac.cell import CellPurpose
+from repro.schedulers.autonomous import add_shared_cells
 from repro.schedulers.base import SchedulingFunction
 
-
-@dataclass
-class MinimalSchedulerConfig:
-    """Configuration of the minimal schedule."""
-
-    #: RFC 8180 recommends slotframe lengths that are prime or co-prime with
-    #: the hopping sequence length; Contiki-NG's default is 7.
-    slotframe_length: int = 7
-    #: Number of shared cells installed (RFC 8180 allows more than one to
-    #: trade energy for capacity).
-    num_shared_cells: int = 1
-    channel_offset: int = 0
-
-    def __post_init__(self) -> None:
-        if self.slotframe_length < 1:
-            raise ValueError("slotframe_length must be positive")
-        if not 1 <= self.num_shared_cells <= self.slotframe_length:
-            raise ValueError("num_shared_cells must be in [1, slotframe_length]")
+#: RFC 8180 recommends slotframe lengths that are prime or co-prime with the
+#: hopping sequence length; Contiki-NG's default is 7.
+SLOTFRAME_LENGTH = 7
+CHANNEL_OFFSET = 0
 
 
 class MinimalScheduler(SchedulingFunction):
-    """The RFC 8180 minimal schedule: N shared cells, nothing else."""
+    """The RFC 8180 minimal schedule: one shared cell, nothing else."""
 
     name = "6TiSCH-minimal"
-    sf_id = 0x00
 
     SLOTFRAME_HANDLE = 0
 
-    def __init__(self, config: Optional[MinimalSchedulerConfig] = None) -> None:
-        super().__init__()
-        self.config = config or MinimalSchedulerConfig()
-
     def start(self) -> None:
-        slotframe = self.node.tsch.add_slotframe(
-            self.SLOTFRAME_HANDLE, self.config.slotframe_length
+        slotframe = self.node.tsch.add_slotframe(self.SLOTFRAME_HANDLE, SLOTFRAME_LENGTH)
+        add_shared_cells(
+            slotframe, (0,), CHANNEL_OFFSET, "minimal-shared", purpose=CellPurpose.SHARED
         )
-        for index in range(self.config.num_shared_cells):
-            slot = (index * self.config.slotframe_length) // self.config.num_shared_cells
-            slotframe.add_cell(
-                Cell(
-                    slot_offset=slot,
-                    channel_offset=self.config.channel_offset,
-                    options=CellOption.TX
-                    | CellOption.RX
-                    | CellOption.SHARED
-                    | CellOption.BROADCAST,
-                    neighbor=None,
-                    purpose=CellPurpose.SHARED,
-                    label="minimal-shared",
-                )
-            )

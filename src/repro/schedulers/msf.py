@@ -37,8 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.mac.cell import Cell, CellOption, CellPurpose
 from repro.net.packet import Packet, PacketType
+from repro.schedulers.autonomous import AutonomousCells, add_shared_cells, sax_hash
 from repro.schedulers.base import SchedulingFunction
 from repro.schedulers.registry import register_scheduler
 from repro.sixtop.messages import CellDescriptor, SixPCommand, SixPMessage, SixPReturnCode
@@ -50,21 +50,8 @@ from repro.sixtop.negotiation import NegotiationClient, SixPRequest, proposed_of
 MAX_NUMCELLS = 16
 LIM_NUMCELLSUSED_HIGH = 12
 LIM_NUMCELLSUSED_LOW = 4
-
-
-def sax_hash(value: int) -> int:
-    """Deterministic 32-bit SAX (shift-and-xor) hash of a node id.
-
-    RFC 9033 derives autonomous cell coordinates from a SAX hash of the
-    node's EUI-64; Python's built-in ``hash`` is randomised per process, so a
-    hand-rolled deterministic hash is the reproducible model (same reasoning
-    as :func:`repro.schedulers.orchestra.orchestra_hash`).
-    """
-    h = value & 0xFFFFFFFF
-    for _ in range(3):
-        h = (h ^ (h << 5) ^ (h >> 2)) & 0xFFFFFFFF
-        h = (h + 0x9E3779B9) & 0xFFFFFFFF
-    return h
+#: Upper bound on negotiated Tx cells towards the parent.
+MAX_NEGOTIATED_TX = 8
 
 
 @dataclass(frozen=True)
@@ -76,26 +63,10 @@ class MsfConfig:
     registry builder -- or supply every field explicitly.
     """
 
-    __slots__ = (
-        "slotframe_length",
-        "num_channels",
-        "max_numcells",
-        "lim_numcells_high",
-        "lim_numcells_low",
-        "max_negotiated_tx",
-        "housekeeping_period_s",
-    )
+    __slots__ = ("slotframe_length", "num_channels", "housekeeping_period_s")
 
     slotframe_length: int
     num_channels: int
-    #: Cell opportunities between usage-ratio evaluations (RFC: MAX_NUMCELLS).
-    max_numcells: int
-    #: Usage count above which one cell is added (RFC: 75% of MAX_NUMCELLS).
-    lim_numcells_high: int
-    #: Usage count below which one cell is deleted (RFC: 25% of MAX_NUMCELLS).
-    lim_numcells_low: int
-    #: Upper bound on negotiated Tx cells towards the parent.
-    max_negotiated_tx: int
     housekeeping_period_s: float
 
     def __post_init__(self) -> None:
@@ -103,10 +74,6 @@ class MsfConfig:
             raise ValueError("slotframe_length must be at least 2")
         if self.num_channels < 2:
             raise ValueError("MSF needs at least 2 channel offsets")
-        if not 0 <= self.lim_numcells_low < self.lim_numcells_high <= self.max_numcells:
-            raise ValueError("need 0 <= lim_low < lim_high <= max_numcells")
-        if self.max_negotiated_tx < 1:
-            raise ValueError("max_negotiated_tx must be at least 1")
         if self.housekeeping_period_s <= 0:
             raise ValueError("housekeeping_period_s must be positive")
 
@@ -124,10 +91,6 @@ def msf_config_from(contiki: Any) -> MsfConfig:
     return MsfConfig(
         slotframe_length=contiki.gt_slotframe_length,
         num_channels=len(contiki.hopping_sequence),
-        max_numcells=MAX_NUMCELLS,
-        lim_numcells_high=LIM_NUMCELLSUSED_HIGH,
-        lim_numcells_low=LIM_NUMCELLSUSED_LOW,
-        max_negotiated_tx=8,
         housekeeping_period_s=contiki.load_balance_period_s,
     )
 
@@ -136,17 +99,14 @@ class MsfScheduler(SchedulingFunction):
     """RFC 9033 Minimal Scheduling Function over autonomous + negotiated cells."""
 
     name = "MSF"
-    #: RFC 9033 registers SFID 0 for MSF.
-    sf_id = 0x00
 
     SLOTFRAME_HANDLE = 0
 
     __slots__ = (
         "config",
         "sixp",
+        "autonomous",
         "_requested_initial",
-        "_downward_cells",
-        "_parent_tx_cell",
         "_num_cells_elapsed",
         "_num_cells_used",
         "_last_tick_now",
@@ -160,10 +120,15 @@ class MsfScheduler(SchedulingFunction):
         self.sixp = NegotiationClient(
             self, self.SLOTFRAME_HANDLE, {"data": ("msf-negotiated-tx", "msf-negotiated-rx")}
         )
+        #: Autonomous cells at SAX coordinates (RFC 9033 Section 3): the own
+        #: Rx cell, and shared Tx cells towards the parent and the children,
+        #: which carry 6P responses and any downward traffic.
+        self.autonomous = AutonomousCells(
+            self.SLOTFRAME_HANDLE,
+            self._autonomous_cell,
+            ("msf-autonomous-rx", "msf-autonomous-tx", "msf-autonomous-tx-child"),
+        )
         self._requested_initial = False
-        #: Autonomous shared Tx cells towards children (6P response path).
-        self._downward_cells: dict[int, Cell] = {}
-        self._parent_tx_cell: Optional[Cell] = None
         #: RFC 9033 usage counters (evaluated by the housekeeping tick).
         self._num_cells_elapsed = 0
         self._num_cells_used = 0
@@ -200,32 +165,10 @@ class MsfScheduler(SchedulingFunction):
         # RFC 8180 minimal shared cell: EBs, DIOs and -- because 6P messages
         # are control traffic -- the 6P bootstrap path before any autonomous
         # or negotiated cell towards the peer exists.
-        slotframe.add_cell(
-            Cell(
-                slot_offset=0,
-                channel_offset=0,
-                options=CellOption.TX
-                | CellOption.RX
-                | CellOption.SHARED
-                | CellOption.BROADCAST,
-                neighbor=None,
-                purpose=CellPurpose.BROADCAST,
-                label="msf-shared",
-            )
-        )
+        add_shared_cells(slotframe, (0,), 0, "msf-shared")
         # Autonomous Rx cell at this node's own SAX coordinates: any
         # neighbour can reach us here without negotiation.
-        slot, channel = self._autonomous_cell(node.node_id)
-        slotframe.add_cell(
-            Cell(
-                slot_offset=slot,
-                channel_offset=channel,
-                options=CellOption.RX | CellOption.ALWAYS_ON,
-                neighbor=None,
-                purpose=CellPurpose.UNICAST_DATA,
-                label="msf-autonomous-rx",
-            )
-        )
+        self.autonomous.listen(node)
 
         self._last_tick_now = node.event_queue.now
         self.start_rounds(self.config.housekeeping_period_s, self._housekeeping_tick, "msf")
@@ -237,58 +180,20 @@ class MsfScheduler(SchedulingFunction):
         # Drops the autonomous Tx cell and every negotiated Tx cell towards
         # the old parent; the book keeps only cells towards the new one.
         self.sixp.switch_parent(old_parent, keep=lambda cell: cell.neighbor == new_parent)
-        self._parent_tx_cell = None
         self._requested_initial = False
         self._num_cells_elapsed = 0
         self._num_cells_used = 0
-        slotframe = self.node.tsch.get_slotframe(self.SLOTFRAME_HANDLE)
-        if new_parent is None or slotframe is None:
-            return
-        slot, channel = self._autonomous_cell(new_parent)
-        self._parent_tx_cell = slotframe.add_cell(
-            Cell(
-                slot_offset=slot,
-                channel_offset=channel,
-                options=CellOption.TX | CellOption.SHARED,
-                neighbor=new_parent,
-                purpose=CellPurpose.UNICAST_DATA,
-                label="msf-autonomous-tx",
-            )
-        )
-        self._bootstrap_with_parent()
+        # No cell before start(): a warm-start preset must not bootstrap.
+        if self.autonomous.follow(new_parent) is not None:
+            self._bootstrap_with_parent()
 
     def on_child_added(self, child: int) -> None:
-        self._ensure_downward_cell(child)
-
-    def _ensure_downward_cell(self, child: int) -> None:
-        """Autonomous shared Tx cell towards a child, at the *child's* SAX
-        coordinates (receiver-based): carries 6P responses and any downward
-        traffic.  Installed on DAO or on the first 6P request from the child,
-        whichever comes first."""
-        if child in self._downward_cells:
-            return
-        slotframe = self.node.tsch.get_slotframe(self.SLOTFRAME_HANDLE)
-        if slotframe is None:
-            return
-        slot, channel = self._autonomous_cell(child)
-        self._downward_cells[child] = slotframe.add_cell(
-            Cell(
-                slot_offset=slot,
-                channel_offset=channel,
-                options=CellOption.TX | CellOption.SHARED,
-                neighbor=child,
-                purpose=CellPurpose.UNICAST_DATA,
-                label="msf-autonomous-tx-child",
-            )
-        )
+        self.autonomous.add_child(child)
 
     def on_child_removed(self, child: int) -> None:
-        slotframe = self.node.tsch.get_slotframe(self.SLOTFRAME_HANDLE)
-        if slotframe is None:
+        if self.node.tsch.get_slotframe(self.SLOTFRAME_HANDLE) is None:
             return
-        cell = self._downward_cells.pop(child, None)
-        if cell is not None:
-            slotframe.remove_cell(cell)
+        self.autonomous.remove_child(child)
         self.sixp.cells_relocated += self.sixp.release_child(child)
 
     # ------------------------------------------------------------------
@@ -339,7 +244,7 @@ class MsfScheduler(SchedulingFunction):
     ) -> tuple[SixPReturnCode, dict[str, Any]]:
         # The request proves the peer routes through us; make sure the
         # response has a way back even before its DAO is processed.
-        self._ensure_downward_cell(peer)
+        self.autonomous.add_child(peer)
         if message.command is SixPCommand.ADD:
             allowed = proposed_offsets(message)
             offsets = [
@@ -384,14 +289,14 @@ class MsfScheduler(SchedulingFunction):
         elapsed_frames = int(delta_s / (slot_s * self.config.slotframe_length))
         negotiated = self.sixp.tx["data"]
         self._num_cells_elapsed += elapsed_frames * max(1, len(negotiated))
-        if self._num_cells_elapsed < self.config.max_numcells:
+        if self._num_cells_elapsed < MAX_NUMCELLS:
             return
         used = self._num_cells_used
         self._num_cells_elapsed = 0
         self._num_cells_used = 0
-        if used >= self.config.lim_numcells_high and len(negotiated) < self.config.max_negotiated_tx:
+        if used >= LIM_NUMCELLSUSED_HIGH and len(negotiated) < MAX_NEGOTIATED_TX:
             self.sixp.replace_add(1)
-        elif used <= self.config.lim_numcells_low and len(negotiated) > 1:
+        elif used <= LIM_NUMCELLSUSED_LOW and len(negotiated) > 1:
             victim = max(negotiated, key=lambda cell: cell.slot_offset)
             self.sixp.queue.append(
                 SixPRequest(

@@ -28,7 +28,18 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.mac.cell import Cell, CellOption, CellPurpose
+from repro.schedulers.autonomous import AutonomousCells, add_shared_cells
 from repro.schedulers.base import SchedulingFunction
+
+#: EB and common slotframe lengths (Contiki-NG defaults).  Contiki's rule of
+#: thumb keeps them co-prime with the unicast length, so cells do not
+#: systematically overlap.
+EB_SLOTFRAME_LENGTH = 41
+COMMON_SLOTFRAME_LENGTH = 31
+#: Channel offsets reserved for the EB and common slotframes; the unicast
+#: cells hash onto the offsets above them.
+EB_CHANNEL_OFFSET = 0
+COMMON_CHANNEL_OFFSET = 1
 
 
 def orchestra_hash(value: int) -> int:
@@ -43,24 +54,17 @@ def orchestra_hash(value: int) -> int:
 
 @dataclass
 class OrchestraConfig:
-    """Orchestra slotframe sizes (Contiki-NG defaults, scaled to the paper).
+    """Orchestra's unicast slotframe (Contiki-NG defaults, scaled to the paper).
 
     The paper sweeps the *unicast* slotframe length over {8, 12, 16, 20}
     (Fig. 10) and notes that for fairness GT-TSCH's single slotframe is set
-    to four times Orchestra's unicast slotframe.  The EB and common slotframe
-    lengths follow Contiki's rule of thumb of being co-prime with the unicast
-    length so cells do not systematically overlap.
+    to four times Orchestra's unicast slotframe.
     """
 
     unicast_slotframe_length: int = 8
-    common_slotframe_length: int = 31
-    eb_slotframe_length: int = 41
     #: Number of channel offsets available to the hash (the hopping sequence
     #: length of Table II).
     num_channels: int = 8
-    #: Channel offsets reserved for the EB and common slotframes.
-    eb_channel_offset: int = 0
-    common_channel_offset: int = 1
 
     def __post_init__(self) -> None:
         if self.unicast_slotframe_length < 2:
@@ -69,11 +73,14 @@ class OrchestraConfig:
             raise ValueError("Orchestra needs at least 2 channel offsets")
 
 
+def _eb_slot(owner: int) -> int:
+    return orchestra_hash(owner) % EB_SLOTFRAME_LENGTH
+
+
 class OrchestraScheduler(SchedulingFunction):
     """Autonomous Orchestra scheduling function (receiver-based)."""
 
     name = "Orchestra"
-    sf_id = 0x00
 
     #: Slotframe handles, in Contiki's priority order (lower = higher priority).
     EB_HANDLE = 0
@@ -83,8 +90,12 @@ class OrchestraScheduler(SchedulingFunction):
     def __init__(self, config: Optional[OrchestraConfig] = None) -> None:
         super().__init__()
         self.config = config or OrchestraConfig()
-        self._parent_tx_cell: Optional[Cell] = None
-        self._child_tx_cells: dict[int, Cell] = {}
+        #: The unicast slotframe's receiver-based cells.
+        self.autonomous = AutonomousCells(
+            self.UNICAST_HANDLE,
+            self._unicast_coordinates,
+            ("orchestra-rbs-rx", "orchestra-unicast-tx", "orchestra-unicast-tx-child"),
+        )
         self._eb_rx_cell: Optional[Cell] = None
 
     # ------------------------------------------------------------------
@@ -99,20 +110,17 @@ class OrchestraScheduler(SchedulingFunction):
             channel = self.config.num_channels - 1
         return slot, channel
 
-    def _eb_slot(self, owner: int) -> int:
-        return orchestra_hash(owner) % self.config.eb_slotframe_length
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
         node = self.node
         # EB slotframe: transmit our own EBs on the slot derived from our id.
-        eb_sf = node.tsch.add_slotframe(self.EB_HANDLE, self.config.eb_slotframe_length)
+        eb_sf = node.tsch.add_slotframe(self.EB_HANDLE, EB_SLOTFRAME_LENGTH)
         eb_sf.add_cell(
             Cell(
-                slot_offset=self._eb_slot(node.node_id),
-                channel_offset=self.config.eb_channel_offset,
+                slot_offset=_eb_slot(node.node_id),
+                channel_offset=EB_CHANNEL_OFFSET,
                 options=CellOption.TX | CellOption.BROADCAST,
                 neighbor=None,
                 purpose=CellPurpose.BROADCAST,
@@ -121,71 +129,34 @@ class OrchestraScheduler(SchedulingFunction):
         )
 
         # Common slotframe: one shared broadcast cell for RPL traffic.
-        common_sf = node.tsch.add_slotframe(
-            self.COMMON_HANDLE, self.config.common_slotframe_length
-        )
-        common_sf.add_cell(
-            Cell(
-                slot_offset=0,
-                channel_offset=self.config.common_channel_offset,
-                options=CellOption.TX | CellOption.RX | CellOption.SHARED | CellOption.BROADCAST,
-                neighbor=None,
-                purpose=CellPurpose.BROADCAST,
-                label="orchestra-common",
-            )
-        )
+        common_sf = node.tsch.add_slotframe(self.COMMON_HANDLE, COMMON_SLOTFRAME_LENGTH)
+        add_shared_cells(common_sf, (0,), COMMON_CHANNEL_OFFSET, "orchestra-common")
 
         # Unicast slotframe: always listen on our own cell (receiver-based) --
         # the radio cost of this permanent Rx cell is Orchestra's main energy
         # overhead under low load.
-        unicast_sf = node.tsch.add_slotframe(
-            self.UNICAST_HANDLE, self.config.unicast_slotframe_length
-        )
-        own_slot, own_channel = self._unicast_coordinates(node.node_id)
-        unicast_sf.add_cell(
-            Cell(
-                slot_offset=own_slot,
-                channel_offset=own_channel,
-                options=CellOption.RX | CellOption.ALWAYS_ON,
-                neighbor=None,
-                purpose=CellPurpose.UNICAST_DATA,
-                label="orchestra-rbs-rx",
-            )
-        )
+        node.tsch.add_slotframe(self.UNICAST_HANDLE, self.config.unicast_slotframe_length)
+        self.autonomous.listen(node)
 
     # ------------------------------------------------------------------
     # RPL events keep the unicast slotframe aligned with the topology
     # ------------------------------------------------------------------
     def on_parent_changed(self, old_parent: Optional[int], new_parent: Optional[int]) -> None:
-        unicast_sf = self.node.tsch.get_slotframe(self.UNICAST_HANDLE)
         eb_sf = self.node.tsch.get_slotframe(self.EB_HANDLE)
-        if unicast_sf is None or eb_sf is None:
+        if eb_sf is None:
             return
-        if self._parent_tx_cell is not None:
-            unicast_sf.remove_cell(self._parent_tx_cell)
-            self._parent_tx_cell = None
+        self.autonomous.follow(new_parent)
         if self._eb_rx_cell is not None:
             eb_sf.remove_cell(self._eb_rx_cell)
             self._eb_rx_cell = None
         if new_parent is None:
             return
 
-        slot, channel = self._unicast_coordinates(new_parent)
-        self._parent_tx_cell = unicast_sf.add_cell(
-            Cell(
-                slot_offset=slot,
-                channel_offset=channel,
-                options=CellOption.TX | CellOption.SHARED,
-                neighbor=new_parent,
-                purpose=CellPurpose.UNICAST_DATA,
-                label="orchestra-unicast-tx",
-            )
-        )
         # Follow the parent's EBs for synchronisation (time-source cell).
         self._eb_rx_cell = eb_sf.add_cell(
             Cell(
-                slot_offset=self._eb_slot(new_parent),
-                channel_offset=self.config.eb_channel_offset,
+                slot_offset=_eb_slot(new_parent),
+                channel_offset=EB_CHANNEL_OFFSET,
                 options=CellOption.RX,
                 neighbor=new_parent,
                 purpose=CellPurpose.BROADCAST,
@@ -194,25 +165,8 @@ class OrchestraScheduler(SchedulingFunction):
         )
 
     def on_child_added(self, child: int) -> None:
-        unicast_sf = self.node.tsch.get_slotframe(self.UNICAST_HANDLE)
-        if unicast_sf is None or child in self._child_tx_cells:
-            return
-        # Keep a Tx cell towards the child for downward traffic (hash of the
-        # child's id).
-        slot, channel = self._unicast_coordinates(child)
-        self._child_tx_cells[child] = unicast_sf.add_cell(
-            Cell(
-                slot_offset=slot,
-                channel_offset=channel,
-                options=CellOption.TX | CellOption.SHARED,
-                neighbor=child,
-                purpose=CellPurpose.UNICAST_DATA,
-                label="orchestra-unicast-tx-child",
-            )
-        )
+        # A Tx cell towards the child for downward traffic (hash of its id).
+        self.autonomous.add_child(child)
 
     def on_child_removed(self, child: int) -> None:
-        unicast_sf = self.node.tsch.get_slotframe(self.UNICAST_HANDLE)
-        cell = self._child_tx_cells.pop(child, None)
-        if unicast_sf is not None and cell is not None:
-            unicast_sf.remove_cell(cell)
+        self.autonomous.remove_child(child)

@@ -27,14 +27,24 @@ from per-slot hooks -- so the slot-skipping kernel stays bit-identical.
 from __future__ import annotations
 
 import math
+from collections.abc import Collection
 from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.mac.cell import Cell, CellOption, CellPurpose
 from repro.net.packet import Packet, PacketType
+from repro.schedulers.autonomous import add_shared_cells, sax_hash, spread_offsets
 from repro.schedulers.base import SchedulingFunction
-from repro.schedulers.msf import sax_hash
 from repro.schedulers.registry import register_scheduler
+
+#: Upper bound on Tx lanes towards the parent.
+MAX_LANES = 6
+#: Shrink only when demand falls this many lanes below the allocation
+#: (OTF's over-provisioning threshold).
+HYSTERESIS_LANES = 1
+#: ``(options, label)`` of a lane at its sender and at its receiver.
+TX_LANE = (CellOption.TX, "otf-tx-lane")
+RX_LANE = (CellOption.RX | CellOption.ALWAYS_ON, "otf-rx-lane")
 
 
 @dataclass(frozen=True)
@@ -50,8 +60,6 @@ class OtfConfig:
         "slotframe_length",
         "num_channels",
         "num_broadcast_cells",
-        "max_lanes",
-        "hysteresis_lanes",
         "allocation_period_s",
     )
 
@@ -62,11 +70,6 @@ class OtfConfig:
     #: than the receiver-based schedulers do: a parent that cannot hear a
     #: child's EBs never installs the Rx side of its lanes.
     num_broadcast_cells: int
-    #: Upper bound on Tx lanes towards the parent.
-    max_lanes: int
-    #: Shrink only when demand falls this many lanes below the allocation
-    #: (OTF's over-provisioning threshold).
-    hysteresis_lanes: int
     allocation_period_s: float
 
     def __post_init__(self) -> None:
@@ -78,19 +81,8 @@ class OtfConfig:
             raise ValueError(
                 "num_broadcast_cells must leave at least one unicast slot"
             )
-        if self.max_lanes < 1:
-            raise ValueError("max_lanes must be at least 1")
-        if self.hysteresis_lanes < 0:
-            raise ValueError("hysteresis_lanes must be non-negative")
         if self.allocation_period_s <= 0:
             raise ValueError("allocation_period_s must be positive")
-
-    def broadcast_slots(self) -> tuple:
-        """Slot offsets of the shared broadcast cells, spread evenly."""
-        return tuple(
-            (index * self.slotframe_length) // self.num_broadcast_cells
-            for index in range(self.num_broadcast_cells)
-        )
 
 
 def otf_config_from(contiki: Any) -> OtfConfig:
@@ -103,8 +95,6 @@ def otf_config_from(contiki: Any) -> OtfConfig:
         slotframe_length=contiki.gt_slotframe_length,
         num_channels=len(contiki.hopping_sequence),
         num_broadcast_cells=contiki.num_broadcast_cells,
-        max_lanes=6,
-        hysteresis_lanes=1,
         allocation_period_s=contiki.load_balance_period_s,
     )
 
@@ -114,7 +104,7 @@ def lane_coordinates(
     index: int,
     slotframe_length: int,
     num_channels: int,
-    broadcast_slots: frozenset = frozenset(),
+    broadcast_slots: Collection[int] = (),
 ) -> tuple:
     """(slot, channel) of lane ``index`` of node ``owner``.
 
@@ -136,13 +126,12 @@ class OtfScheduler(SchedulingFunction):
     """Queue-pressure-driven bandwidth allocation over autonomous lanes."""
 
     name = "OTF"
-    sf_id = 0x03
 
     SLOTFRAME_HANDLE = 0
 
     __slots__ = (
         "config",
-        "_broadcast_slots",
+        "broadcast_slots",
         "_tx_lanes",
         "_rx_lanes",
         "_packets_generated",
@@ -152,7 +141,10 @@ class OtfScheduler(SchedulingFunction):
     def __init__(self, config: OtfConfig) -> None:
         super().__init__()
         self.config = config
-        self._broadcast_slots = frozenset(config.broadcast_slots())
+        #: Offsets of the shared broadcast cells, in install order.
+        self.broadcast_slots = spread_offsets(
+            config.slotframe_length, config.num_broadcast_cells
+        )
         #: Tx lanes towards the parent, by lane index order.
         self._tx_lanes: list[Cell] = []
         #: Rx lanes granted to each child, by lane index order.
@@ -174,85 +166,64 @@ class OtfScheduler(SchedulingFunction):
         # signalling rides on EBs, so a single shared cell would congest
         # under the whole network's control traffic and starve the Rx-lane
         # reconciliation that makes the dedicated lanes usable.
-        for slot in self.config.broadcast_slots():
-            slotframe.add_cell(
-                Cell(
-                    slot_offset=slot,
-                    channel_offset=0,
-                    options=CellOption.TX
-                    | CellOption.RX
-                    | CellOption.SHARED
-                    | CellOption.BROADCAST,
-                    neighbor=None,
-                    purpose=CellPurpose.BROADCAST,
-                    label="otf-shared",
-                )
-            )
+        add_shared_cells(slotframe, self.broadcast_slots, 0, "otf-shared")
         self.start_rounds(self.config.allocation_period_s, self._allocation_tick, "otf")
 
     # ------------------------------------------------------------------
     # lane reconciliation (both link ends derive the same coordinates)
     # ------------------------------------------------------------------
-    def _set_tx_lanes(self, parent: int, count: int) -> None:
-        slotframe = self.node.tsch.get_slotframe(self.SLOTFRAME_HANDLE)
-        if slotframe is None:
-            return
-        count = max(0, min(count, self.config.max_lanes))
-        while len(self._tx_lanes) > count:
-            slotframe.remove_cell(self._tx_lanes.pop())
-            self.cells_relocated += 1
-        while len(self._tx_lanes) < count:
-            slot, channel = lane_coordinates(
-                self.node.node_id,
-                len(self._tx_lanes),
-                self.config.slotframe_length,
-                self.config.num_channels,
-                self._broadcast_slots,
-            )
-            self._tx_lanes.append(
-                slotframe.add_cell(
-                    Cell(
-                        slot_offset=slot,
-                        channel_offset=channel,
-                        options=CellOption.TX,
-                        neighbor=parent,
-                        purpose=CellPurpose.UNICAST_DATA,
-                        label="otf-tx-lane",
-                    )
-                )
-            )
-            self.cells_relocated += 1
+    def _set_lanes(
+        self,
+        lanes: list[Cell],
+        owner: int,
+        neighbor: int,
+        count: int,
+        kind: tuple[CellOption, str],
+    ) -> None:
+        """Grow or shrink ``lanes``, the lanes of ``owner`` shared with
+        ``neighbor``, to ``count`` (capped at :data:`MAX_LANES`).
 
-    def _set_child_lanes(self, child: int, count: int) -> None:
+        ``kind`` is :data:`TX_LANE` for this node's own lanes towards its
+        parent and :data:`RX_LANE` for a child's lanes towards it.  Lanes
+        come and go at the end of the list, so both ends keep the same
+        indices.
+        """
         slotframe = self.node.tsch.get_slotframe(self.SLOTFRAME_HANDLE)
         if slotframe is None:
             return
-        count = max(0, min(count, self.config.max_lanes))
-        lanes = self._rx_lanes.setdefault(child, [])
+        options, label = kind
+        count = max(0, min(count, MAX_LANES))
         while len(lanes) > count:
             slotframe.remove_cell(lanes.pop())
             self.cells_relocated += 1
         while len(lanes) < count:
             slot, channel = lane_coordinates(
-                child,
+                owner,
                 len(lanes),
                 self.config.slotframe_length,
                 self.config.num_channels,
-                self._broadcast_slots,
+                self.broadcast_slots,
             )
             lanes.append(
                 slotframe.add_cell(
                     Cell(
                         slot_offset=slot,
                         channel_offset=channel,
-                        options=CellOption.RX | CellOption.ALWAYS_ON,
-                        neighbor=child,
+                        options=options,
+                        neighbor=neighbor,
                         purpose=CellPurpose.UNICAST_DATA,
-                        label="otf-rx-lane",
+                        label=label,
                     )
                 )
             )
             self.cells_relocated += 1
+
+    def _set_tx_lanes(self, parent: int, count: int) -> None:
+        self._set_lanes(self._tx_lanes, self.node.node_id, parent, count, TX_LANE)
+
+    def _set_child_lanes(self, child: int, count: int) -> None:
+        lanes = self._rx_lanes.setdefault(child, [])
+        self._set_lanes(lanes, child, child, count, RX_LANE)
         if not lanes:
             del self._rx_lanes[child]
 
@@ -324,9 +295,9 @@ class OtfScheduler(SchedulingFunction):
         # behind reality, so reserve one extra lane to drain it.
         pressure_lane = 1 if node.tsch.data_queue_length() > 0 else 0
         required = max(1, generation_lanes + forwarding_lanes + pressure_lane)
-        required = min(required, self.config.max_lanes)
+        required = min(required, MAX_LANES)
         current = len(self._tx_lanes)
-        if required > current or required < current - self.config.hysteresis_lanes:
+        if required > current or required < current - HYSTERESIS_LANES:
             self._set_tx_lanes(parent, required)
 
     # ------------------------------------------------------------------

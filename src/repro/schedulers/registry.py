@@ -9,8 +9,8 @@ A scheduler registers itself once::
         config = MySfConfig(slotframe_length=contiki.gt_slotframe_length)
         return lambda node_id, is_root: MySfScheduler(config)
 
-and every consumer -- scenario construction, fault-injection rejoin
-factories, CLI validation, cache fingerprints -- resolves through
+and every consumer -- scenario construction (whose nodes keep the factory
+for their reboots), CLI validation, cache fingerprints -- resolves through
 :func:`resolve` / :func:`available`.  Registering names a scheduler; it
 does not enlist it in any figure.  The default line-ups are data of the
 figure table (``PAPER_LINEUP`` / ``ROBUSTNESS_LINEUP`` in
@@ -21,8 +21,9 @@ A **builder** maps the experiment-wide protocol configuration (duck-typed:
 any object with the :class:`~repro.experiments.scenarios.ContikiConfig`
 attributes the scheduler needs) to a per-node **factory**
 ``(node_id, is_root) -> SchedulingFunction``.  The factory is called once
-per node (and again on fault-injected rejoins/arrivals), so builders that
-want per-node fresh config objects should construct them inside the factory.
+per node and again on every reboot (a keepalive desync, a fault-injected
+rejoin or arrival), so builders that want per-node fresh config objects
+should construct them inside the factory.
 
 Import-cycle contract: this module (and the whole :mod:`repro.schedulers`
 package) must stay importable without :mod:`repro.experiments` -- builders

@@ -10,7 +10,7 @@ import pytest
 import repro.experiments.__main__ as cli
 from repro.experiments import runner
 from repro.experiments.__main__ import cache_main, main
-from repro.experiments.parallel import ResultCache
+from repro.experiments.parallel import ResultCache, scenario_fingerprint
 from repro.experiments.scenarios import MINIMAL, traffic_load_scenario
 from repro.metrics.collector import NetworkMetrics
 
@@ -186,6 +186,11 @@ class TestFigureWindows:
         monkeypatch.setattr(runner, "run_scenarios", run_scenarios)
         assert main([*argv, "--schedulers", MINIMAL, "--no-cache"]) == 0
         assert built
+        return built
+
+    @classmethod
+    def _windows(cls, monkeypatch, argv):
+        built = cls._built_scenarios(monkeypatch, argv)
         return {(scenario.warmup_s, scenario.measurement_s) for scenario in built}
 
     @pytest.mark.parametrize(
@@ -194,12 +199,12 @@ class TestFigureWindows:
     )
     def test_figure_runs_its_own_windows(self, monkeypatch, figure_id, value, windows):
         argv = ["--figure", figure_id, "--values", value]
-        assert self._built_scenarios(monkeypatch, argv) == {windows}
+        assert self._windows(monkeypatch, argv) == {windows}
 
     @pytest.mark.parametrize("figure_id, value", [("join", "4"), ("scale", "20")])
     def test_window_flags_win(self, monkeypatch, figure_id, value):
         argv = ["--figure", figure_id, "--values", value, "--warmup-s", "8", "--measurement-s", "14"]
-        assert self._built_scenarios(monkeypatch, argv) == {(8.0, 14.0)}
+        assert self._windows(monkeypatch, argv) == {(8.0, 14.0)}
 
     def test_slots_per_second_counts_the_figures_windows(self, monkeypatch, capsys):
         # One cell in one second of wall clock: slots/s is the cell's slots.
@@ -208,3 +213,20 @@ class TestFigureWindows:
         clock = cli.SimClock()
         slots = sum(clock.seconds_to_slots(s) for s in (5.0, 90.0, cli.DEFAULT_DRAIN_S))
         assert f", {slots:,.0f} slots/s" in capsys.readouterr().out
+
+
+class TestFigureValues:
+    """``--values`` tokens parse into the values the figure row sweeps."""
+
+    def test_fig8_values_share_the_rows_cache_keys(self, monkeypatch):
+        # Rates 30 and 30.0 simulate the same cell but fingerprint differently.
+        chosen = TestFigureWindows._built_scenarios(monkeypatch, ["--figure", "8", "--values", "30"])
+        row = TestFigureWindows._built_scenarios(monkeypatch, ["--figure", "8"])
+        fingerprints = [scenario_fingerprint(scenario) for scenario in chosen]
+        assert fingerprints == [
+            scenario_fingerprint(scenario) for scenario in row if scenario.rate_ppm == 30
+        ]
+
+    def test_fractional_fig8_rate_is_rejected(self):
+        with pytest.raises(SystemExit, match="--values for figure 8 must be ints"):
+            main(["--figure", "8", "--values", "60.5", "--no-cache"])

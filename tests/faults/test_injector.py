@@ -16,7 +16,9 @@ from repro.faults import (
     NodeRejoin,
     ParentLoss,
 )
+from repro.net.network import Network
 from repro.rpl.rank import INFINITE_RANK
+from repro.schedulers.minimal import MinimalScheduler
 
 #: Victim of the canonical test plan (a non-root node of the Fig. 8
 #: topology, whose roots sit at ids 0 and 7).
@@ -42,6 +44,15 @@ def build_network(plan, scheduler=MINIMAL, seed=1):
     return scenario.build_network(), scenario
 
 
+def bare_network():
+    """A root and node ``VICTIM`` added with bare scheduler instances: no
+    node has a ``scheduler_factory`` to reboot from."""
+    network = Network(seed=1)
+    network.add_node(0, (0.0, 0.0), MinimalScheduler(), is_root=True)
+    network.add_node(VICTIM, (10.0, 0.0), MinimalScheduler())
+    return network
+
+
 def run_to(network, seconds: float) -> None:
     """Advance the simulation to (at least) ``seconds``."""
     target = network.clock.seconds_to_slots(seconds)
@@ -61,12 +72,12 @@ class TestArmValidation:
             build_network(plan)
 
     def test_rejoin_requires_scheduler_factory(self):
-        network, _scenario = build_network(None)
         plan = FaultPlan(
             crashes=(NodeCrash(time_s=5.0, node_id=VICTIM),),
             rejoins=(NodeRejoin(time_s=9.0, node_id=VICTIM),),
         )
-        injector = FaultInjector(network, plan)
+        FaultInjector(bare_network(), FaultPlan(crashes=plan.crashes)).arm()
+        injector = FaultInjector(bare_network(), plan)
         with pytest.raises(ValueError, match="scheduler_factory"):
             injector.arm()
 
@@ -318,19 +329,15 @@ class TestArrival:
             build_network(plan)
 
     def test_arrival_requires_scheduler_factory(self):
-        network, _scenario = build_network(None)
-        injector = FaultInjector(network, self._plan())
+        assert self.ARRIVER == VICTIM
+        injector = FaultInjector(bare_network(), self._plan())
         with pytest.raises(ValueError, match="scheduler_factory"):
             injector.arm()
 
     def test_arrivals_must_be_armed_before_start(self):
         network, _scenario = build_network(None)
         network.start()
-        injector = FaultInjector(
-            network,
-            self._plan(),
-            scheduler_factory=lambda node_id, is_root: None,
-        )
+        injector = FaultInjector(network, self._plan())
         with pytest.raises(ValueError, match="before the network starts"):
             injector.arm()
 

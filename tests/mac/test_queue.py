@@ -44,17 +44,27 @@ class TestCapacity:
         assert queue.max_occupancy == 2
 
     def test_control_packet_evicts_youngest_data_when_full(self):
-        """Schedule/topology maintenance must survive data overload."""
+        """Schedule/topology maintenance must survive data overload: the
+        node evicts for a control frame, then adds it (``Node.enqueue_packet``)."""
         queue = TxQueue(capacity=2)
         first = data_packet(destination=1)
         second = data_packet(destination=2)
         queue.add(first)
         queue.add(second)
-        assert queue.add(control_packet())
+        control = control_packet()
+        assert queue.evict_for(control) is second
+        assert queue.add(control)
         assert queue.data_drops == 1
         remaining = list(queue)
         assert second not in remaining
         assert first in remaining
+
+    def test_full_queue_refuses_a_control_frame_without_eviction(self):
+        queue = TxQueue(capacity=1)
+        queue.add(data_packet())
+        assert not queue.add(control_packet())
+        assert queue.drops == 1 and queue.data_drops == 0
+        assert queue.evict_for(data_packet()) is None
 
     def test_control_dropped_when_queue_full_of_control(self):
         queue = TxQueue(capacity=2)
@@ -171,7 +181,7 @@ class TestPtypeCounts:
         queue.add(second)
         assert queue.contains_ptype(PacketType.DATA)
         # A control frame arriving at a full queue evicts the youngest data
-        # packet; both counts must follow.
+        # packet before it is added; both counts must follow.
         eb = Packet(
             ptype=PacketType.EB,
             source=1,
@@ -179,6 +189,7 @@ class TestPtypeCounts:
             link_source=1,
             link_destination=BROADCAST_ADDRESS,
         )
+        assert queue.evict_for(eb) is second
         assert queue.add(eb)
         assert queue.contains_ptype(PacketType.EB)
         assert queue.contains_ptype(PacketType.DATA)

@@ -20,7 +20,7 @@ from repro.mac.cell import Cell, CellOption
 from repro.mac.tsch import TschEngine, next_offset_occurrence
 from repro.net.network import Network
 from repro.net.node import Node
-from repro.schedulers.minimal import MinimalScheduler, MinimalSchedulerConfig
+from repro.schedulers.minimal import MinimalScheduler
 from tests.golden import assert_matches_golden
 from tests.golden.cells import (
     ALL_REGISTERED,
@@ -321,7 +321,7 @@ class TestSameSlotMutation:
             network.add_node(
                 node_id,
                 position=(float(node_id), 0.0),
-                scheduler=MinimalScheduler(MinimalSchedulerConfig()),
+                scheduler=MinimalScheduler(),
                 is_root=node_id == 1,
             )
         network.start()
@@ -467,14 +467,14 @@ class TestParticipantDispatch:
     def test_collect_transmitters_names_only_matching_nodes(self):
         from repro.mac.cell import Cell as MacCell, CellOption as MacCellOption
         from repro.net.packet import make_data_packet
-        from repro.schedulers.minimal import MinimalScheduler, MinimalSchedulerConfig
+        from repro.schedulers.minimal import MinimalScheduler
 
         network = Network()
         for node_id in (1, 2, 3):
             network.add_node(
                 node_id,
                 position=(float(node_id), 0.0),
-                scheduler=MinimalScheduler(MinimalSchedulerConfig()),
+                scheduler=MinimalScheduler(),
                 is_root=node_id == 1,
             )
         # Node 2 can send to node 1 at offset 4 of 8; node 3 has no TX cell.
@@ -539,7 +539,7 @@ class TestParticipantDispatch:
             node = network.add_node(
                 1,
                 position=(0.0, 0.0),
-                scheduler=MinimalScheduler(MinimalSchedulerConfig()),
+                scheduler=MinimalScheduler(),
             )
             frame = node.tsch.add_slotframe(5, 4)
             slot = network.clock.slot_duration_s
@@ -562,13 +562,13 @@ class TestParticipantDispatch:
         """A mid-run schedule mutation settles the pre-mutation window, so
         idle-listen accounting never mixes two schedules."""
         from repro.mac.cell import Cell as MacCell, CellOption as MacCellOption
-        from repro.schedulers.minimal import MinimalScheduler, MinimalSchedulerConfig
+        from repro.schedulers.minimal import MinimalScheduler
 
         network = Network()
         node = network.add_node(
             1,
             position=(0.0, 0.0),
-            scheduler=MinimalScheduler(MinimalSchedulerConfig()),
+            scheduler=MinimalScheduler(),
             is_root=True,
         )
         engine = node.tsch
@@ -605,7 +605,7 @@ class TestContentionPruning:
             network.add_node(
                 node_id,
                 position=(float(node_id), 0.0),
-                scheduler=MinimalScheduler(MinimalSchedulerConfig()),
+                scheduler=MinimalScheduler(),
                 is_root=node_id == 1,
             )
         network.start()

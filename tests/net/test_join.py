@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.scenarios import GT_TSCH, MINIMAL, join_scenario
+from repro.experiments.scenarios import GT_TSCH, MINIMAL, MSF, join_scenario
 from repro.mac.hopping import DEFAULT_HOPPING_SEQUENCE
 
 
@@ -137,6 +137,30 @@ class TestDesync:
         run_to(network, 60.0)
         assert not node.tsch.scanning
         assert node.rpl.is_joined()
+
+    def test_resync_boots_a_fresh_scheduler_whose_books_match_the_schedule(self):
+        # Keepalive desyncs fire on their own in this cell (nodes 1-3).  A
+        # resync that restarted the torn-down scheduler kept its 6P book of
+        # cleared cells, and MSF asks for a first cell only while that book
+        # is empty.
+        scenario = join_scenario(7, MSF, seed=1, desync_timeout_s=3.0, measurement_s=20.0)
+        network = scenario.build_network()
+        network.run_experiment(scenario.warmup_s, scenario.measurement_s)
+        assert network.metrics._faults_injected > 0
+        for node in network.nodes.values():
+            installed = [id(cell) for cell in node.tsch.all_cells()]
+            for cell in node.scheduler.sixp.tx["data"]:
+                assert id(cell) in installed, (node.node_id, cell)
+
+    def test_desync_installs_a_fresh_scheduler(self):
+        network, _scenario = build_join_network(desync_timeout_s=5.0)
+        network.start()
+        run_to(network, 30.0)
+        node = network.nodes[2]
+        before = node.scheduler
+        node._desynchronise()
+        assert node.scheduler is not before
+        assert node.scheduler.node is node
 
     def test_no_keepalive_timer_without_timeout(self):
         network, _scenario = build_join_network()

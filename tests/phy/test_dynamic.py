@@ -77,14 +77,14 @@ class TestPolicyValidation:
 def _network(num_nodes=4):
     """A tiny live network with a frozen medium."""
     from repro.net.network import Network
-    from repro.schedulers.minimal import MinimalScheduler, MinimalSchedulerConfig
+    from repro.schedulers.minimal import MinimalScheduler
 
     network = Network()
     for node_id in range(num_nodes):
         network.add_node(
             node_id,
             position=(float(node_id) * 10.0, 0.0),
-            scheduler=MinimalScheduler(MinimalSchedulerConfig()),
+            scheduler=MinimalScheduler(),
             is_root=node_id == 0,
         )
     network.medium.freeze()

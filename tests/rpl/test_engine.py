@@ -37,7 +37,7 @@ class Harness:
 
     def dio_from(self, sender, rank, dodag_id=0, l_rx=None):
         packet = make_dio(sender=sender, dodag_id=dodag_id, rank=rank, l_rx=l_rx)
-        self.engine.process_dio(packet, now=self.queue.now)
+        self.engine.process_dio(packet)
 
     def sent_of_type(self, ptype):
         return [p for p in self.sent if p.ptype is ptype]
@@ -83,7 +83,7 @@ class TestParentSelection:
         h = Harness()
         h.etx_table[5] = 1.0
         dao = make_dao(sender=5, parent=1, dodag_id=0, rank=768)
-        h.engine.process_dao(dao, now=0.0)
+        h.engine.process_dao(dao)
         h.dio_from(5, rank=MIN_HOP_RANK_INCREASE)
         assert h.engine.preferred_parent is None
 
@@ -138,8 +138,8 @@ class TestChildren:
         added = []
         h.engine.on_child_added = added.append
         dao = make_dao(sender=9, parent=1, dodag_id=0, rank=1024)
-        h.engine.process_dao(dao, now=0.0)
-        h.engine.process_dao(dao, now=1.0)
+        h.engine.process_dao(dao)
+        h.engine.process_dao(dao)
         assert h.engine.children == {9}
         assert added == [9]
 
@@ -147,14 +147,14 @@ class TestChildren:
         h = Harness()
         removed = []
         h.engine.on_child_removed = removed.append
-        h.engine.process_dao(make_dao(sender=9, parent=1, dodag_id=0, rank=1024), now=0.0)
+        h.engine.process_dao(make_dao(sender=9, parent=1, dodag_id=0, rank=1024))
         h.engine.remove_child(9)
         assert h.engine.children == set()
         assert removed == [9]
 
     def test_own_dao_ignored(self):
         h = Harness(node_id=1)
-        h.engine.process_dao(make_dao(sender=1, parent=1, dodag_id=0, rank=1024), now=0.0)
+        h.engine.process_dao(make_dao(sender=1, parent=1, dodag_id=0, rank=1024))
         assert h.engine.children == set()
 
 
@@ -260,7 +260,7 @@ class TestEviction:
 
     def test_a_child_is_never_adopted_as_replacement_parent(self):
         h = self.joined_with_backup()
-        h.engine.process_dao(make_dao(sender=2, parent=99, dodag_id=1, rank=1280), now=2.0)
+        h.engine.process_dao(make_dao(sender=2, parent=99, dodag_id=1, rank=1280))
         assert h.engine.children == {2}
         h.engine.evict_neighbor(1)
         assert h.engine.preferred_parent is None
@@ -274,7 +274,7 @@ class TestDetach:
     def joined_with_a_child(self):
         h = Harness(node_id=99)
         h.dio_from(1, rank=MIN_HOP_RANK_INCREASE, dodag_id=1)
-        h.engine.process_dao(make_dao(sender=5, parent=99, dodag_id=1, rank=1280), now=0.0)
+        h.engine.process_dao(make_dao(sender=5, parent=99, dodag_id=1, rank=1280))
         h.queue.run_until(1.0)
         calls = []
         h.engine.on_parent_changed = lambda old, new: calls.append(("parent", old, new))

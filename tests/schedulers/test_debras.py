@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net.topology import star_topology
+from repro.schedulers.autonomous import sax_hash
 from repro.schedulers.debras import DebrasConfig, DebrasScheduler, debras_config_from
 
 from tests.conftest import make_registry_network
@@ -13,7 +14,6 @@ def make_config(**overrides):
         slotframe_length=32,
         num_channels=8,
         num_broadcast_cells=4,
-        broadcast_channel_offset=0,
     )
     fields.update(overrides)
     return DebrasConfig(**fields)
@@ -26,8 +26,9 @@ def debras_network():
 
 class TestDebrasConfig:
     def test_broadcast_slots_spread_evenly(self):
-        assert make_config().broadcast_slots() == (0, 8, 16, 24)
-        assert make_config(num_broadcast_cells=1).broadcast_slots() == (0,)
+        assert DebrasScheduler(make_config()).broadcast_slots == (0, 8, 16, 24)
+        single = DebrasScheduler(make_config(num_broadcast_cells=1))
+        assert single.broadcast_slots == (0,)
 
     def test_from_contiki_shares_broadcast_budget(self):
         class Contiki:
@@ -50,9 +51,9 @@ class TestDebrasConfig:
 
 
 class TestBroadcastAvoidance:
-    def test_autonomous_cells_never_land_on_broadcast_slots(self):
+    def test_autonomous_cells_never_land_on_a_broadcast_cell(self):
         scheduler = DebrasScheduler(make_config())
-        broadcast = set(scheduler.config.broadcast_slots())
+        broadcast = set(scheduler.broadcast_slots)
         for owner in range(200):
             slot, channel = scheduler._autonomous_cell(owner)
             assert slot not in broadcast
@@ -69,11 +70,9 @@ class TestBroadcastAvoidance:
     def test_colliding_owner_relocates_to_next_free_slot(self):
         # Construct an owner whose raw hash slot is a broadcast slot; the
         # probed slot must be the next non-broadcast one.
-        from repro.schedulers.msf import sax_hash
-
         config = make_config()
         scheduler = DebrasScheduler(config)
-        broadcast = set(config.broadcast_slots())
+        broadcast = set(scheduler.broadcast_slots)
         owner = next(
             i for i in range(1000) if sax_hash(i) % config.slotframe_length in broadcast
         )

@@ -1,15 +1,15 @@
 """Tests for the 6TiSCH minimal-configuration scheduler."""
 
-import pytest
-
+from repro.mac.cell import CellPurpose
 from repro.net.network import Network
 from repro.net.node import NodeConfig
 from repro.net.topology import star_topology
 from repro.net.traffic import PeriodicTrafficGenerator
-from repro.schedulers.minimal import MinimalScheduler, MinimalSchedulerConfig
+from repro.schedulers import minimal
+from repro.schedulers.minimal import MinimalScheduler
 
 
-def make_minimal_network(rate_ppm=0.0, seed=5, num_shared_cells=1):
+def make_minimal_network(rate_ppm=0.0, seed=5):
     network = Network(seed=seed, default_node_config=NodeConfig())
     topology = star_topology(3)
 
@@ -20,9 +20,7 @@ def make_minimal_network(rate_ppm=0.0, seed=5, num_shared_cells=1):
 
     network.build_from_topology(
         topology,
-        scheduler_factory=lambda node_id, is_root: MinimalScheduler(
-            MinimalSchedulerConfig(num_shared_cells=num_shared_cells)
-        ),
+        scheduler_factory=lambda node_id, is_root: MinimalScheduler(),
         traffic_factory=traffic_factory,
     )
     return network
@@ -30,17 +28,9 @@ def make_minimal_network(rate_ppm=0.0, seed=5, num_shared_cells=1):
 
 class TestMinimalConfig:
     def test_defaults(self):
-        config = MinimalSchedulerConfig()
-        assert config.slotframe_length == 7
-        assert config.num_shared_cells == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MinimalSchedulerConfig(slotframe_length=0)
-        with pytest.raises(ValueError):
-            MinimalSchedulerConfig(num_shared_cells=0)
-        with pytest.raises(ValueError):
-            MinimalSchedulerConfig(slotframe_length=4, num_shared_cells=5)
+        # Contiki-NG's default minimal slotframe; nothing is configurable.
+        assert minimal.SLOTFRAME_LENGTH == 7
+        assert MinimalScheduler().config_fingerprint() is None
 
 
 class TestMinimalSchedule:
@@ -53,14 +43,8 @@ class TestMinimalSchedule:
         cell = cells[0]
         assert cell.is_tx and cell.is_rx and cell.is_shared and cell.is_broadcast
         assert cell.slot_offset == 0
-
-    def test_multiple_shared_cells_spread(self):
-        network = make_minimal_network(num_shared_cells=3)
-        network.start()
-        node = network.nodes[2]
-        offsets = sorted(cell.slot_offset for cell in node.tsch.all_cells())
-        assert len(offsets) == 3
-        assert len(set(offsets)) == 3
+        assert cell.purpose is CellPurpose.SHARED
+        assert node.tsch.get_slotframe(0).length == minimal.SLOTFRAME_LENGTH
 
     def test_light_traffic_flows_through_shared_cell(self):
         network = make_minimal_network(rate_ppm=10)

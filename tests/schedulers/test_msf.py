@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net.topology import star_topology
+from repro.schedulers.autonomous import sax_hash
 from repro.schedulers.msf import (
     LIM_NUMCELLSUSED_HIGH,
     LIM_NUMCELLSUSED_LOW,
@@ -10,7 +11,6 @@ from repro.schedulers.msf import (
     MsfConfig,
     MsfScheduler,
     msf_config_from,
-    sax_hash,
 )
 from repro.sixtop.messages import (
     CellDescriptor,
@@ -28,10 +28,6 @@ def make_config(**overrides):
     fields = dict(
         slotframe_length=32,
         num_channels=8,
-        max_numcells=MAX_NUMCELLS,
-        lim_numcells_high=LIM_NUMCELLSUSED_HIGH,
-        lim_numcells_low=LIM_NUMCELLSUSED_LOW,
-        max_negotiated_tx=8,
         housekeeping_period_s=2.0,
     )
     fields.update(overrides)
@@ -88,10 +84,11 @@ class TestMsfConfig:
         assert config.housekeeping_period_s == 4.0
 
     def test_threshold_ordering_enforced(self):
+        # RFC 9033 Section 5.3: 25% and 75% of MAX_NUMCELLS.
+        assert 0 <= LIM_NUMCELLSUSED_LOW < LIM_NUMCELLSUSED_HIGH <= MAX_NUMCELLS
+        assert (LIM_NUMCELLSUSED_LOW, LIM_NUMCELLSUSED_HIGH, MAX_NUMCELLS) == (4, 12, 16)
         with pytest.raises(ValueError):
-            make_config(lim_numcells_low=12, lim_numcells_high=4)
-        with pytest.raises(ValueError):
-            make_config(lim_numcells_high=MAX_NUMCELLS + 1)
+            make_config(housekeeping_period_s=0.0)
 
     def test_needs_room_for_unicast(self):
         with pytest.raises(ValueError):
@@ -197,8 +194,8 @@ class TestUsageAdaptation:
     def test_high_usage_queues_add(self, msf_network):
         msf_network.start()
         child = self._install_negotiated(msf_network, [10])
-        child._num_cells_elapsed = child.config.max_numcells
-        child._num_cells_used = child.config.lim_numcells_high
+        child._num_cells_elapsed = MAX_NUMCELLS
+        child._num_cells_used = LIM_NUMCELLSUSED_HIGH
         before = child.sixp.add_requests_sent
         child._housekeeping_tick()
         queued = any(r.command is SixPCommand.ADD for r in child.sixp.queue)
@@ -209,8 +206,8 @@ class TestUsageAdaptation:
     def test_low_usage_deletes_highest_offset_cell(self, msf_network):
         msf_network.start()
         child = self._install_negotiated(msf_network, [10, 20])
-        child._num_cells_elapsed = child.config.max_numcells
-        child._num_cells_used = child.config.lim_numcells_low
+        child._num_cells_elapsed = MAX_NUMCELLS
+        child._num_cells_used = LIM_NUMCELLSUSED_LOW
         before = child.sixp.delete_requests_sent
         child._housekeeping_tick()
         assert child.sixp.delete_requests_sent == before + 1
@@ -218,11 +215,11 @@ class TestUsageAdaptation:
         assert request.command is SixPCommand.DELETE
         assert [d.slot_offset for d in request.cell_list] == [20]
 
-    def test_no_evaluation_before_max_numcells_elapsed(self, msf_network):
+    def test_no_evaluation_before_the_usage_window_elapses(self, msf_network):
         msf_network.start()
         child = self._install_negotiated(msf_network, [10])
-        child._num_cells_elapsed = child.config.max_numcells - 2
-        child._num_cells_used = child.config.lim_numcells_high
+        child._num_cells_elapsed = MAX_NUMCELLS - 2
+        child._num_cells_used = LIM_NUMCELLSUSED_HIGH
         before = child.sixp.add_requests_sent
         child._housekeeping_tick()
         assert not child.sixp.queue
@@ -231,7 +228,7 @@ class TestUsageAdaptation:
     def test_last_negotiated_cell_never_deleted(self, msf_network):
         msf_network.start()
         child = self._install_negotiated(msf_network, [10])
-        child._num_cells_elapsed = child.config.max_numcells
+        child._num_cells_elapsed = MAX_NUMCELLS
         child._num_cells_used = 0
         before = child.sixp.delete_requests_sent
         child._housekeeping_tick()

@@ -9,7 +9,13 @@ from repro.mac.tsch import TschEngine
 from repro.net.packet import PacketType
 from repro.net.topology import star_topology
 from repro.phy.dynamic import default_drift_policy
-from repro.schedulers.orchestra import OrchestraConfig, OrchestraScheduler, orchestra_hash
+from repro.schedulers.orchestra import (
+    COMMON_SLOTFRAME_LENGTH,
+    EB_SLOTFRAME_LENGTH,
+    OrchestraConfig,
+    OrchestraScheduler,
+    orchestra_hash,
+)
 
 from tests.conftest import make_orchestra_network
 
@@ -50,10 +56,10 @@ class TestSlotframeSetup:
     def test_slotframe_lengths_follow_config(self, orchestra_star_network):
         orchestra_star_network.start()
         node = orchestra_star_network.nodes[0]
-        config = node.scheduler.config
-        assert node.tsch.get_slotframe(0).length == config.eb_slotframe_length
-        assert node.tsch.get_slotframe(1).length == config.common_slotframe_length
-        assert node.tsch.get_slotframe(2).length == config.unicast_slotframe_length
+        assert node.tsch.get_slotframe(0).length == EB_SLOTFRAME_LENGTH
+        assert node.tsch.get_slotframe(1).length == COMMON_SLOTFRAME_LENGTH
+        unicast_length = node.scheduler.config.unicast_slotframe_length
+        assert node.tsch.get_slotframe(2).length == unicast_length
 
     def test_receiver_based_rx_cell_at_own_hash(self, orchestra_star_network):
         orchestra_star_network.start()
@@ -74,7 +80,7 @@ class TestSlotframeSetup:
 
 
 class TestTopologyTracking:
-    def test_parent_tx_cell_installed_on_parent_known(self, orchestra_star_network):
+    def test_tx_cell_towards_parent_installed_on_parent_known(self, orchestra_star_network):
         orchestra_star_network.start()
         node = orchestra_star_network.nodes[1]
         unicast = node.tsch.get_slotframe(OrchestraScheduler.UNICAST_HANDLE)
@@ -111,7 +117,7 @@ class TestTopologyTracking:
         eb_sf = node.tsch.get_slotframe(OrchestraScheduler.EB_HANDLE)
         rx_cells = [cell for cell in eb_sf.all_cells() if cell.is_rx]
         assert len(rx_cells) == 1
-        assert rx_cells[0].slot_offset == orchestra_hash(0) % node.scheduler.config.eb_slotframe_length
+        assert rx_cells[0].slot_offset == orchestra_hash(0) % EB_SLOTFRAME_LENGTH
 
     def test_child_cells_added_and_removed(self, orchestra_star_network):
         orchestra_star_network.start()

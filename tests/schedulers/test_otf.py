@@ -4,7 +4,13 @@ import pytest
 
 from repro.net.packet import Packet, PacketType
 from repro.net.topology import star_topology
-from repro.schedulers.otf import OtfConfig, OtfScheduler, lane_coordinates, otf_config_from
+from repro.schedulers.otf import (
+    MAX_LANES,
+    OtfConfig,
+    OtfScheduler,
+    lane_coordinates,
+    otf_config_from,
+)
 
 from tests.conftest import make_registry_network
 
@@ -14,8 +20,6 @@ def make_config(**overrides):
         slotframe_length=32,
         num_channels=8,
         num_broadcast_cells=4,
-        max_lanes=6,
-        hysteresis_lanes=1,
         allocation_period_s=2.0,
     )
     fields.update(overrides)
@@ -51,13 +55,9 @@ class TestOtfConfig:
         assert config.allocation_period_s == 4.0
 
     def test_broadcast_slots_spread_evenly(self):
-        assert make_config().broadcast_slots() == (0, 8, 16, 24)
+        assert OtfScheduler(make_config()).broadcast_slots == (0, 8, 16, 24)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            make_config(max_lanes=0)
-        with pytest.raises(ValueError):
-            make_config(hysteresis_lanes=-1)
         with pytest.raises(ValueError):
             make_config(num_broadcast_cells=0)
         with pytest.raises(ValueError):
@@ -100,7 +100,7 @@ class TestSlotframeSetup:
             if c.label == "otf-tx-lane"
         ]
         assert len(lanes) == 1 and lanes[0].neighbor == 0
-        expected = lane_coordinates(1, 0, 32, 8, child.scheduler._broadcast_slots)
+        expected = lane_coordinates(1, 0, 32, 8, child.scheduler.broadcast_slots)
         assert (lanes[0].slot_offset, lanes[0].channel_offset) == expected
 
 
@@ -118,7 +118,7 @@ class TestEbReconciliation:
         ]
         coords = {(c.slot_offset, c.channel_offset) for c in cells}
         expected = {
-            lane_coordinates(1, index, 32, 8, root._broadcast_slots)
+            lane_coordinates(1, index, 32, 8, root.broadcast_slots)
             for index in range(3)
         }
         assert coords == expected
@@ -162,7 +162,7 @@ class TestAllocationTick:
         child._packets_generated = 100
         child._allocation_tick()
         assert child.tx_lane_count() > 1
-        assert child.tx_lane_count() <= child.config.max_lanes
+        assert child.tx_lane_count() <= MAX_LANES
 
     def test_hysteresis_keeps_allocation_on_small_dips(self, otf_network):
         otf_network.start()
